@@ -23,31 +23,41 @@ standard Moebius identity over primitive characters,
     sum over primitive chi mod q of chi(u) conj(chi(v))
         = sum_{d | q} mu(q/d) phi(d) [u = v mod d]      (u, v units mod q).
 
-The pair-indexed dense matrix is the primary object.  For windows with many
-thousands of pairs the same eigenvalue is taken from the family-side
-quadrature Gram (members x Gauss-Legendre nodes), whose nonzero spectrum is
-identical; the routes are cross-checked in the tests.
+The pair-indexed dense matrix is the primary object; its top eigenvalue
+comes from one Lanczos solver (`top_eigenvalue`), whose value is a
+Rayleigh quotient (a lower bound up to rounding) capped by the Gershgorin
+bound.  For windows with many thousands of pairs the same eigenvalue is
+taken from the family-side quadrature Gram (members x Gauss-Legendre
+nodes), whose nonzero spectrum is identical; the routes are cross-checked
+in the tests.
 """
 
 import struct
-from dataclasses import dataclass, field
-from math import ceil, gcd, isqrt, log
+from dataclasses import dataclass
+from math import gcd, isfinite, log
 
 import numpy as np
 
 from .arith import divisors, mobius, primes_in, totient
 from .characters import char_group, primitive_chars, value_table
-from .rationals import CoprimePair, RationalPoint, enumerate_pairs, rationals_up_to
+from .rationals import enumerate_pairs, rationals_up_to
 
 _TAYLOR_CUT = 1e-6
-_POWER_SEED = 0x5EED
-_DENSE_DIM = 512
+_START_SEED = 0x5EED
 _PAIR_ROUTE_MAX = 2000
+_CHECK_ROWS = 64
+_ROUTES = ("auto", "pairs", "family")
 
 
 # ----------------------------------------------------------------------
 # domain types
 # ----------------------------------------------------------------------
+
+def _require_finite(**values):
+    for name, x in values.items():
+        if not isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -57,7 +67,9 @@ class FamilySpec:
     parity: str | None = None  # None | "even" | "odd"
 
     def __post_init__(self):
-        if self.Q < 1 or self.T < 1 or self.k < 1 or int(self.k) != self.k:
+        _require_finite(Q=self.Q, T=self.T)
+        if (self.Q < 1 or self.T < 1 or not isinstance(self.k, (int, np.integer))
+                or self.k < 1):
             raise ValueError("need Q >= 1, T >= 1, integer k >= 1")
         if self.parity not in (None, "even", "odd"):
             raise ValueError("parity must be None, 'even', or 'odd'")
@@ -334,68 +346,78 @@ def gram_rational_bruteforce(Q, N):
 # extremal eigenvalue
 # ----------------------------------------------------------------------
 
-def top_eigenvalue(G, tol=1e-9, seed=_POWER_SEED, max_iter=20000):
+def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=20000):
     """Largest eigenvalue of a Hermitian matrix as a NormEstimate.
 
-    Power iteration with a deterministic seeded start and Rayleigh-quotient
-    convergence (|lambda - rho| <= ||Gv - rho v|| for Hermitian G, so the
-    residual certifies the relative tolerance); dense eigensolver below
-    dim 512 and as the stagnation fallback.  The returned value dominates
-    every Rayleigh quotient evaluated on the way, including the coordinate
-    vector at the largest diagonal entry.
+    Lanczos with full reorthogonalization from a deterministic seeded start
+    (boosted at the largest diagonal entry).  It stops once the top Ritz
+    pair's residual |beta_j s_j| / max(|theta|, 1) is at most tol, on Krylov
+    breakdown, or after min(n, max_iter) steps.  The reported value is the
+    Rayleigh quotient rho = y^H G y of the unit Ritz vector y, taken with
+    one more matvec, so up to rounding it is a lower bound on lambda_max.
+    It is raised to the floors max_i G[i, i] and sum(G) / n (the Rayleigh
+    quotients of the coordinate and all-ones vectors) and capped by the
+    Gershgorin bound max_i sum_j |G[i, j]|, which is a true upper bound.
+
+    `residual` is ||G y - rho y|| / max(|rho|, 1).  For Hermitian G it
+    bounds the distance from rho to *some* eigenvalue, not necessarily to
+    lambda_max; `iterations` counts the matvecs.  Raises ValueError on a
+    non-square, non-finite or non-Hermitian matrix.
     """
     M = G.matrix if isinstance(G, GramMatrix) else np.asarray(G)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
     if n == 0:
-        return NormEstimate(0.0, 0.0, 0, "dense")
-    scale = max(np.abs(M).max(), 1.0)
-    if np.abs(M - M.conj().T).max() > 1e-12 * scale:
+        return NormEstimate(0.0, 0.0, 0, "lanczos")
+    # row blocks keep the temporaries of the checks far below the size of M
+    amax = ceiling = asym = 0.0
+    for s in range(0, n, _CHECK_ROWS):
+        rows = M[s:s + _CHECK_ROWS]
+        a = np.abs(rows)
+        top = float(a.max())
+        if not isfinite(top):
+            raise ValueError("matrix has non-finite entries")
+        amax = max(amax, top)
+        ceiling = max(ceiling, float(a.sum(axis=1).max()))
+        asym = max(asym, float(np.abs(rows - M[:, s:s + _CHECK_ROWS].conj().T).max()))
+    if asym > 1e-12 * max(amax, 1.0):
         raise ValueError("matrix is not Hermitian")
-
-    # certified Rayleigh floors: coordinate vectors and the all-ones vector
-    best_diag = float(M.diagonal().real.max())
-    best_diag = max(best_diag, float(M.sum().real) / n)
-
-    def dense(iters):
-        vals, vecs = np.linalg.eigh(M)
-        lam = float(vals[-1])
-        v = vecs[:, -1]
-        res = float(np.linalg.norm(M @ v - lam * v)) / max(abs(lam), 1.0)
-        return NormEstimate(max(lam, best_diag), res, iters, "dense")
-
-    if n <= _DENSE_DIM:
-        return dense(1)
+    diag = M.diagonal().real
+    floor = max(float(diag.max()), float(M.sum().real) / n)
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v[int(np.argmax(M.diagonal().real))] += 2.0 * np.abs(v).max()
-    v /= np.linalg.norm(v)
-    rho_best = best_diag
-    res_best = np.inf
-    since_best = 0
-    for it in range(1, max_iter + 1):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return NormEstimate(max(0.0, best_diag), 0.0, it, "power")
-        rho = float(np.vdot(v, w).real)
-        rho_best = max(rho_best, rho)
-        res = float(np.linalg.norm(w - rho * v)) / max(abs(rho), 1.0)
-        if res <= tol:
-            return NormEstimate(max(rho, rho_best), res, it, "power")
-        # stagnation = the residual stops improving; the Rayleigh quotient
-        # itself plateaus quadratically early and is no guide
-        if res < 0.999 * res_best:
-            res_best = res
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= 200:
-                return dense(it)
-        v = w / nw
-    return dense(max_iter)
+    v[int(np.argmax(diag))] += 2.0 * np.abs(v).max()
+    steps = max(1, min(n, int(max_iter)))
+    basis = np.empty((min(steps, 32), n), dtype=np.complex128)
+    basis[0] = v / np.linalg.norm(v)
+    alpha, beta = [], []
+    for j in range(steps):
+        w = M @ basis[j]
+        alpha.append(float(np.vdot(basis[j], w).real))
+        V = basis[: j + 1]
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= (V.conj() @ w) @ V
+        b = float(np.linalg.norm(w))
+        theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        ritz_res = b * abs(S[-1, -1]) / max(abs(theta[-1]), 1.0)
+        if ritz_res <= tol or b <= np.finfo(np.float64).eps * ceiling or j + 1 == steps:
+            break
+        if j + 1 == len(basis):  # grow the basis by doubling, never past n rows
+            grown = np.empty((min(2 * len(basis), steps), n), dtype=np.complex128)
+            grown[: j + 1] = basis
+            basis = grown
+        basis[j + 1] = w / b
+        beta.append(b)
+
+    y = S[:, -1] @ basis[: len(alpha)]
+    y /= np.linalg.norm(y)
+    Gy = M @ y
+    rho = float(np.vdot(y, Gy).real)
+    res = float(np.linalg.norm(Gy - rho * y)) / max(abs(rho), 1.0)
+    value = max(min(rho, ceiling), floor)
+    return NormEstimate(value, res, len(alpha) + 1, "lanczos")
 
 
 # ----------------------------------------------------------------------
@@ -435,17 +457,27 @@ def _family_route(spec, index, tol):
 def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):
     """Delta(Q, k, T, N): the multiplicative-family norm on the dyadic
     window N/2 < ab <= N, as the largest Gram eigenvalue."""
+    if route not in _ROUTES:
+        raise ValueError(f"route must be one of {_ROUTES}, got {route!r}")
     spec = FamilySpec(Q, k, T, parity)
+    _require_finite(N=N)
     index = enumerate_pairs(N, "dyadic")
     if not index or not family_members(spec):
         return NormEstimate(0.0, 0.0, 0, "dense")
-    if route == "pair" or (route == "auto" and len(index) <= _PAIR_ROUTE_MAX):
+    if route == "pairs" or (route == "auto" and len(index) <= _PAIR_ROUTE_MAX):
         return top_eigenvalue(gram_multiplicative(spec, index), tol=tol)
     return _family_route(spec, index, tol)
 
 
+def _require_sizes(Q, N):
+    _require_finite(Q=Q, N=N)
+    if Q < 1:
+        raise ValueError(f"need Q >= 1, got {Q!r}")
+
+
 def delta_add(Q, N, tol=1e-9):
     """Additive-family norm (Ramanujan-sum Gram) on the dyadic window."""
+    _require_sizes(Q, N)
     g = gram_additive(Q, N)
     return top_eigenvalue(g, tol=tol)
 
@@ -453,6 +485,7 @@ def delta_add(Q, N, tol=1e-9):
 def delta_rational(Q, N, tol=1e-9):
     """Rational-family norm: all q <= Q, primitive characters, columns the
     positive rationals with ht <= N."""
+    _require_sizes(Q, N)
     g = gram_rational(Q, N)
     return top_eigenvalue(g, tol=tol)
 
@@ -500,8 +533,7 @@ def default_delta_prime_grid(Q, k, T):
         grid.append((X, R, T, X, k))
         X *= 4
         R /= 2
-    return [(x, r, u, c, l) for (x, r, u, c, l) in
-            [(g[0], g[1], g[2], g[3], g[4]) for g in grid]]
+    return grid
 
 
 # ----------------------------------------------------------------------

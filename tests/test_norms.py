@@ -182,6 +182,102 @@ def test_top_eigenvalue_power_route_certificate():
     assert abs(est.value - true) <= 1e-8 * true
 
 
+def _random_psd(n, kind, seed):
+    """Seeded PSD test matrices.  "wishart" is B B^H with B n x n/2 complex;
+    "triple" and "gap" are Hermitian circulants with a planted spectrum in
+    [0, 1) topped by a triple eigenvalue 1 or by 1 and 1 - 1e-8."""
+    rng = np.random.default_rng(seed)
+    if kind == "wishart":
+        B = rng.standard_normal((n, n // 2)) + 1j * rng.standard_normal((n, n // 2))
+        M = B @ B.conj().T
+        return (M + M.conj().T) / 2
+    lam = rng.uniform(0.0, 0.9, n)
+    top = [1.0, 1.0, 1.0] if kind == "triple" else [1.0, 1.0 - 1e-8]
+    lam[rng.choice(n, len(top), replace=False)] = top
+    # circulant C[i, j] = c[(i - j) mod n] with c = ifft(lam) has spectrum lam
+    c = np.fft.ifft(lam)
+    i = np.arange(n)
+    M = c[(i[:, None] - i[None, :]) % n]
+    return (M + M.conj().T) / 2
+
+
+@pytest.mark.parametrize("n", [50, 600, 1500])
+@pytest.mark.parametrize("kind", ["wishart", "triple", "gap"])
+def test_top_eigenvalue_matches_eigvalsh_on_random_psd(n, kind):
+    M = _random_psd(n, kind, seed=n)
+    est = top_eigenvalue(M)
+    true = float(np.linalg.eigvalsh(M)[-1])
+    assert est.method == "lanczos"
+    assert abs(est.value - true) <= 1e-12 * true, (est, true)
+    assert est.residual <= 1e-9
+
+
+def test_top_eigenvalue_all_ones_breaks_down_exactly():
+    # the Krylov space of the all-ones matrix is span(v, 1): the solve
+    # stops on breakdown after two steps and returns n exactly
+    n = 700
+    est = top_eigenvalue(np.ones((n, n), dtype=complex))
+    assert est.value == float(n)
+    assert est.iterations <= 3
+
+
+def test_top_eigenvalue_between_floors_and_gershgorin():
+    mats = [g.matrix for g in _all_sample_grams() if g.dim]
+    mats.append(_random_psd(300, "wishart", seed=3))
+    for M in mats:
+        n = M.shape[0]
+        floor = max(M.diagonal().real.max(), M.sum().real / n)
+        ceiling = np.abs(M).sum(axis=1).max()
+        val = top_eigenvalue(M).value
+        assert floor <= val <= ceiling, (n, floor, val, ceiling)
+
+
+def test_pair_route_gram_solves_in_few_matvecs():
+    # delta(12, 3, 4, 400) takes the pair route at n = 970; power
+    # iteration needed about 5000 matvecs here
+    est = delta(12.0, 3, 4.0, 400.0)
+    assert est.method == "lanczos"
+    assert est.iterations <= 200, est.iterations
+
+
+def test_top_eigenvalue_rejects_non_finite():
+    M = _random_psd(600, "wishart", seed=5)
+    M[3, 7] = M[7, 3] = np.nan
+    with pytest.raises(ValueError):
+        top_eigenvalue(M)
+    with pytest.raises(ValueError):
+        top_eigenvalue(np.full((4, 4), np.inf, dtype=complex))
+    with pytest.raises(ValueError):
+        top_eigenvalue(np.ones((3, 4), dtype=complex))
+
+
+def test_delta_rejects_unknown_route():
+    with pytest.raises(ValueError):
+        delta(4.0, 1, 1.0, 40.0, route="bogus")
+    with pytest.raises(ValueError):
+        delta(4.0, 1, 1.0, 40.0, route="pair")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: FamilySpec(4.0, 1, float("nan")), id="spec-T-nan"),
+    pytest.param(lambda: FamilySpec(float("inf"), 1, 1.0), id="spec-Q-inf"),
+    pytest.param(lambda: FamilySpec(float("nan"), 1, 1.0), id="spec-Q-nan"),
+    pytest.param(lambda: FamilySpec(4.0, 3.0, 1.0), id="spec-k-float"),
+    pytest.param(lambda: FamilySpec(4.0, 2.5, 1.0), id="spec-k-fraction"),
+    pytest.param(lambda: delta(4.0, 1, 1.0, float("inf")), id="delta-N-inf"),
+    pytest.param(lambda: delta(4.0, 1, float("nan"), 40.0), id="delta-T-nan"),
+    pytest.param(lambda: delta_rational(0.5, 40), id="rational-Q-below-1"),
+    pytest.param(lambda: delta_rational(float("inf"), 40), id="rational-Q-inf"),
+    pytest.param(lambda: delta_rational(4, float("nan")), id="rational-N-nan"),
+    pytest.param(lambda: delta_add(0.5, 40), id="additive-Q-below-1"),
+    pytest.param(lambda: delta_add(float("nan"), 40), id="additive-Q-nan"),
+    pytest.param(lambda: delta_add(4, float("inf")), id="additive-N-inf"),
+])
+def test_norm_inputs_are_validated_at_the_boundary(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_delta_routes_agree():
     for (Q, k, T, N) in [(4.0, 1, 1.0, 40.0), (6.0, 2, 2.0, 100.0), (3.0, 1, 4.0, 64.0)]:
         a = delta(Q, k, T, N, route="pairs").value
