@@ -1,13 +1,13 @@
 """Exact elementary number theory shared across the package.
 
-Trial-division factorization, Moebius, totient, divisor lists, primes in an
-interval.  Everything returns plain ints; nothing here ever rounds.  The
-moduli and heights this package touches stay below ~10^7, where trial
-division with a cache is plenty.
+Trial-division factorization, Moebius, totient, divisor lists, p-adic
+valuations, primes in an interval.  Everything returns plain ints; nothing
+here ever rounds.  The moduli and heights this package touches stay below
+~10^7, where trial division with a cache is plenty.
 """
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 
 @lru_cache(maxsize=None)
@@ -105,10 +105,10 @@ def omega(n):
     return len(factorize(n))
 
 
-def coprime_part(n, k):
-    """Largest divisor of n coprime to k."""
-    g = gcd(n, k)
-    while g > 1:
-        n //= g
-        g = gcd(n, k)
-    return n
+def valuation(n, p):
+    """The p-adic valuation v_p(n) of a nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v

@@ -27,7 +27,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import divisors, factorize, mobius, totient
+from .arith import divisors, factorize, mobius, totient, valuation
 
 
 # ----------------------------------------------------------------------
@@ -239,14 +239,6 @@ def value_table(chi):
 # conductor / primitivity
 # ----------------------------------------------------------------------
 
-def _vp(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 @lru_cache(maxsize=None)
 def conductor(chi):
     """Smallest f | q such that chi is induced by a character mod f."""
@@ -258,7 +250,7 @@ def conductor(chi):
             s = b.orders[0]
             if a != 0:
                 m = s // gcd(s, a)  # order of the local component
-                cond *= p ** (_vp(m, p) + 1)
+                cond *= p ** (valuation(m, p) + 1)
         else:
             if b.e == 1:
                 continue

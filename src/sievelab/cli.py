@@ -7,8 +7,9 @@ form lists) with command-line flags overriding; every output record
 carries the full parameter tuple, the seed, a per-record wall time in
 milliseconds, and a timestamp isolated in its own column.  Identical
 config + seed reproduce identical output except for the millis and
-timestamp columns.  Exit codes: 0 all pass, 1 violation or finding,
-2 usage error.
+timestamp columns, under a fixed BLAS thread setting: the thread count
+of a threaded BLAS can change the last bits of a norm.  Exit codes:
+0 all pass, 1 violation or finding, 2 usage error.
 """
 
 import argparse
@@ -91,78 +92,48 @@ def parse_config_file(path):
     return out
 
 
-def _as_floats(vals):
-    return [float(v) for v in vals]
+def _each(parse):
+    return lambda vals: [parse(v) for v in vals]
 
 
-def _as_ints(vals):
-    return [int(v) for v in vals]
+def _last(parse):
+    return lambda vals: parse(vals[-1])
+
+
+def _split_commas(vals):
+    return [s for v in vals for s in v.split(",") if s]
+
+
+# every key of the config file and the flag of the same name, with the
+# parser of its list of values; a single-valued key keeps its last value
+KEYS = {
+    "Q": _each(float), "T": _each(float), "N": _each(float),
+    "k": _each(int), "X": _each(int),
+    "seed": _last(int), "tol": _last(float), "out": _last(str),
+    "format": _last(str), "threads": _last(int), "suites": _split_commas,
+    "family": _last(str), "plan": _last(str), "trials": _last(int),
+    "plot_out": _last(str),
+}
 
 
 def build_config(args):
     cfg = RunConfig(subcommand=args.subcommand)
-    if args.config:
-        raw = parse_config_file(args.config)
-        for key, vals in raw.items():
-            if key in ("Q", "T", "N"):
-                setattr(cfg, key, _as_floats(vals))
-            elif key in ("k", "X"):
-                setattr(cfg, key, _as_ints(vals))
-            elif key == "seed":
-                cfg.seed = int(vals[-1])
-            elif key == "tol":
-                cfg.tol = float(vals[-1])
-            elif key == "out":
-                cfg.out = vals[-1]
-            elif key == "format":
-                cfg.format = vals[-1]
-            elif key == "threads":
-                cfg.threads = int(vals[-1])
-            elif key == "suites":
-                cfg.suites = vals
-            elif key == "family":
-                cfg.family = vals[-1]
-            elif key == "plan":
-                cfg.plan = vals[-1]
-            elif key == "trials":
-                cfg.trials = int(vals[-1])
-            elif key == "plot_out":
-                cfg.plot_out = vals[-1]
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+    given = parse_config_file(args.config) if args.config else {}
+    for key in given:
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+    if getattr(args, "threads", None) is None and os.environ.get("SIEVELAB_THREADS"):
+        given["threads"] = [os.environ["SIEVELAB_THREADS"]]
     # flags override the file
-    for name in ("Q", "T", "N"):
-        v = getattr(args, name, None)
-        if v:
-            setattr(cfg, name, _as_floats(v))
-    if getattr(args, "k", None):
-        cfg.k = _as_ints(args.k)
-    if getattr(args, "X", None):
-        cfg.X = _as_ints(args.X)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.format = args.format
-    if args.threads is not None:
-        cfg.threads = args.threads
-    elif os.environ.get("SIEVELAB_THREADS"):
+    for key in KEYS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            given[key] = flag if isinstance(flag, list) else [flag]
+    for key, vals in given.items():
         try:
-            cfg.threads = int(os.environ["SIEVELAB_THREADS"])
+            setattr(cfg, key, KEYS[key](vals))
         except ValueError:
-            raise ConfigError("SIEVELAB_THREADS must be an integer")
-    if getattr(args, "suites", None):
-        # same list semantics as the config file: commas split
-        cfg.suites = [s for part in args.suites for s in part.split(",") if s]
-    if getattr(args, "plan", None):
-        cfg.plan = args.plan
-    if getattr(args, "trials", None):
-        cfg.trials = args.trials
-    if getattr(args, "plot_out", None):
-        cfg.plot_out = args.plot_out
+            raise ConfigError(f"bad value for {key}: {vals!r}")
     cfg.validate()
     return cfg
 
@@ -619,9 +590,6 @@ def run(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         cfg = build_config(args)
-        if getattr(args, "family", None):
-            cfg.family = args.family
-        cfg.validate()
         return COMMANDS[args.subcommand](cfg)
     except (ConfigError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

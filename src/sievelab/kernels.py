@@ -35,7 +35,7 @@ from math import ceil, gcd
 
 import numpy as np
 
-from .arith import divisors, factorize, mobius, totient
+from .arith import divisors, factorize, mobius, totient, valuation
 from .characters import (
     DirichletChar,
     char_group,
@@ -47,6 +47,7 @@ from .characters import (
     primitive_chars,
     primitive_part,
 )
+from .norms import _gauss_nodes
 
 
 @dataclass(frozen=True)
@@ -341,68 +342,14 @@ def _component(chi, m):
     return DirichletChar(g, tuple(exps))
 
 
-def _vp(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def chi_factorize(chi1, chi2):
-    """Split a pair of primitive characters by comparing valuations of
-    their moduli prime by prime: primes seen by only one modulus (q_i'),
-    primes where one valuation strictly dominates (q+ above, q- below),
-    and primes of equal valuation (r)."""
-    if not is_primitive(chi1) or not is_primitive(chi2):
-        raise ValueError("chi_factorize expects primitive characters")
-    q1, q2 = chi1.modulus, chi2.modulus
-    parts = {"q1p": 1, "q2p": 1, "q1+": 1, "q1-": 1, "q2+": 1, "q2-": 1, "r1": 1, "r2": 1}
-    for p in sorted({p for p, _ in factorize(q1)} | {p for p, _ in factorize(q2)}):
-        v1, v2 = _vp(q1, p), _vp(q2, p)
-        if v2 == 0:
-            parts["q1p"] *= p**v1
-        elif v1 == 0:
-            parts["q2p"] *= p**v2
-        elif v1 > v2:
-            parts["q1+"] *= p**v1
-            parts["q2-"] *= p**v2
-        elif v2 > v1:
-            parts["q2+"] *= p**v2
-            parts["q1-"] *= p**v1
-        else:
-            parts["r1"] *= p**v1
-            parts["r2"] *= p**v2
-    r = parts["r1"]
-    return ChiFactorization(
-        chi1,
-        chi2,
-        parts["q1p"],
-        parts["q2p"],
-        parts["q1+"],
-        parts["q1-"],
-        parts["q2+"],
-        parts["q2-"],
-        r,
-        _component(chi1, parts["q1p"]),
-        _component(chi2, parts["q2p"]),
-        _component(chi1, parts["q1+"]),
-        _component(chi1, parts["q1-"]),
-        _component(chi2, parts["q2+"]),
-        _component(chi2, parts["q2-"]),
-        _component(chi1, r),
-        _component(chi2, r),
-    )
-
-
-# ----------------------------------------------------------------------
-# separation over several moduli
-# ----------------------------------------------------------------------
-
 def _split_parts(q1, q2):
+    """Split q1 and q2 prime by prime by comparing valuations: primes of
+    one modulus only (q1p, q2p), primes where q1 dominates (A, with q2's
+    part a), where q2 dominates (B, with q1's part b), and primes of equal
+    valuation (r)."""
     out = {"q1p": 1, "q2p": 1, "A": 1, "a": 1, "B": 1, "b": 1, "r": 1}
     for p in sorted({p for p, _ in factorize(q1)} | {p for p, _ in factorize(q2)}):
-        v1, v2 = _vp(q1, p), _vp(q2, p)
+        v1, v2 = valuation(q1, p), valuation(q2, p)
         if v2 == 0:
             out["q1p"] *= p**v1
         elif v1 == 0:
@@ -417,6 +364,28 @@ def _split_parts(q1, q2):
             out["r"] *= p**v1
     return out
 
+
+def chi_factorize(chi1, chi2):
+    """Split a pair of primitive characters by comparing valuations of
+    their moduli prime by prime: primes seen by only one modulus (q_i'),
+    primes where one valuation strictly dominates (q+ above, q- below),
+    and primes of equal valuation (r)."""
+    if not is_primitive(chi1) or not is_primitive(chi2):
+        raise ValueError("chi_factorize expects primitive characters")
+    p = _split_parts(chi1.modulus, chi2.modulus)
+    # q1+ = A and q1- = b; q2+ = B and q2- = a
+    moduli = (p["q1p"], p["q2p"], p["A"], p["b"], p["B"], p["a"], p["r"])
+    chis = (chi1, chi2, chi1, chi1, chi2, chi2, chi1)
+    return ChiFactorization(
+        chi1, chi2, *moduli,
+        *(_component(chi, m) for chi, m in zip(chis, moduli)),
+        _component(chi2, p["r"]),
+    )
+
+
+# ----------------------------------------------------------------------
+# separation over several moduli
+# ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _separation_pairs(moduli):
@@ -484,11 +453,6 @@ def chiseparation_check(moduli, b, tol=1e-9):
 # ----------------------------------------------------------------------
 # archimedean interval cosets
 # ----------------------------------------------------------------------
-
-def _gauss_nodes(lo, hi, n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
-
 
 def archimedean_coset_check(T, U, beta, w, nodes=96, tol=1e-6):
     """int int beta(t1) conj(beta(t2)) w(t1 - t2) dt1 dt2 over [T/2, T]^2

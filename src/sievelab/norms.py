@@ -21,15 +21,21 @@ with a Taylor branch near L = 0, and the character sums collapse by the
 standard Moebius identity over primitive characters,
 
     sum over primitive chi mod q of chi(u) conj(chi(v))
-        = sum_{d | q} mu(q/d) phi(d) [u = v mod d]      (u, v units mod q).
+        = sum_{d | q} mu(q/d) phi(d) [u = v mod d]      (u, v units mod q);
 
-The pair-indexed dense matrix is the primary object; its top eigenvalue
-comes from one Lanczos solver (`top_eigenvalue`), whose value is a
-Rayleigh quotient (a lower bound up to rounding) capped by the Gershgorin
-bound.  For windows with many thousands of pairs the same eigenvalue is
-taken from the family-side quadrature Gram (members x Gauss-Legendre
-nodes), whose nonzero spectrum is identical; the routes are cross-checked
-in the tests.
+with weight d in place of phi(d) the same sum is the Ramanujan sum
+c_q(u - v) of the additive family.  One exact integer routine,
+`_congruence_sum`, builds every pair-side matrix from it.
+
+The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`),
+whose value is a Rayleigh quotient (a lower bound up to rounding) capped
+by the Gershgorin bound.  For windows with many thousands of pairs the
+same eigenvalue is taken from the family side: the member values
+(`_member_matrix`, through the reduction map a/b -> a bbar mod m) times
+Gauss-Legendre quadrature of I_T give a members x nodes Gram whose
+nonzero spectrum is the pair-side one up to the quadrature, and it goes
+through the same Lanczos solver.  The two sides share no arithmetic, so
+each is the other's oracle in the tests.
 """
 
 import struct
@@ -46,6 +52,7 @@ _TAYLOR_CUT = 1e-6
 _START_SEED = 0x5EED
 _PAIR_ROUTE_MAX = 2000
 _CHECK_ROWS = 64
+_ORACLE_BLOCK = 1 << 20
 _ROUTES = ("auto", "pairs", "family")
 
 
@@ -93,15 +100,17 @@ class NormEstimate:
     method: str
 
 
+def _moduli(Q, k=1):
+    """The dyadic conductor window: Q/2 < q <= Q with gcd(q, k) = 1."""
+    return [q for q in range(int(Q / 2) + 1, int(Q) + 1) if gcd(q, k) == 1]
+
+
 def family_members(spec):
     """All (q, chi, theta) of the multiplicative family: Q/2 < q <= Q,
     gcd(q, k) = 1, chi primitive mod q, theta mod k, optionally filtered
     by the parity of chi*theta."""
     members = []
-    lo, hi = int(spec.Q / 2) + 1, int(spec.Q)
-    for q in range(lo, hi + 1):
-        if gcd(q, spec.k) != 1:
-            continue
+    for q in _moduli(spec.Q, spec.k):
         for chi in primitive_chars(q):
             for theta in char_group(spec.k):
                 if spec.parity is not None:
@@ -148,30 +157,45 @@ def _index_arrays(index):
     return a, b
 
 
-def _moebius_congruence_sum(q, cross, ssign=1):
-    """sum_{d | q} mu(q/d) phi(d) [a1 b2 = ssign * a2 b1 mod d] as an integer
-    matrix, where cross[i, j] = a_i * b_j."""
-    n = cross.shape[0]
-    acc = np.zeros((n, n), dtype=np.int64)
-    for d in divisors(q):
-        mu = mobius(q // d)
-        if mu == 0:
-            continue
-        cong = (cross - ssign * cross.T) % d == 0
-        acc += (mu * totient(d)) * cong
-    return acc
+def _log_ratios(a, b):
+    return np.log(a.astype(np.float64)) - np.log(b.astype(np.float64))
 
 
 def _hermitize(G):
     """Mirror the strict upper triangle onto the lower so G[m,n] is exactly
     conj(G[n,m]) and the diagonal is exactly real."""
-    n = G.shape[0]
-    iu = np.triu_indices(n, 1)
-    out = np.zeros_like(G)
-    out[iu] = G[iu]
-    out = out + out.conj().T
-    out[np.diag_indices(n)] = G.diagonal().real
+    out = np.triu(G, 1)
+    out += out.conj().T
+    out[np.diag_indices(G.shape[0])] = G.diagonal().real
     return out
+
+
+# ----- pair side: one exact congruence sum -----------------------------
+
+def _congruence_sum(a, b, moduli, ssign=1, weight=totient):
+    """The integer matrix
+
+        sum over q in moduli with gcd(a_n b_n a_m b_m, q) = 1 of
+            sum_{d | q} mu(q/d) weight(d) [a_n b_m = ssign a_m b_n mod d].
+
+    With weight = phi this is the sum over primitive chi mod q of
+    chi(u) conj(chi(ssign v)), u = a_n bbar_n, v = a_m bbar_m; with
+    weight(d) = d it is the Ramanujan sum c_q(u - v)."""
+    n = len(a)
+    diff = np.outer(a, b)
+    diff -= ssign * np.outer(b, a)  # a_n b_m - ssign a_m b_n
+    prod = a * b
+    acc = np.zeros((n, n), dtype=np.int64)
+    rem = np.empty_like(acc)
+    for q in moduli:
+        unit = np.gcd(prod, q) == 1
+        gate = np.outer(unit, unit)
+        for d in divisors(q):
+            c = mobius(q // d) * weight(d)
+            if c:
+                np.remainder(diff, d, out=rem)
+                np.add(acc, c, out=acc, where=gate & (rem == 0))
+    return acc
 
 
 def gram_multiplicative(spec, index):
@@ -189,41 +213,73 @@ def gram_multiplicative(spec, index):
     and k.
     """
     index = tuple(index)
-    n = len(index)
-    if n == 0:
-        return GramMatrix(index, np.zeros((0, 0), dtype=np.complex128))
     a, b = _index_arrays(index)
-    prod = a * b
-    cross = np.outer(a, b)
-    want_minus = spec.parity is not None
-
-    S_plus = np.zeros((n, n), dtype=np.float64)
-    S_minus = np.zeros((n, n), dtype=np.float64) if want_minus else None
-    lo, hi = int(spec.Q / 2) + 1, int(spec.Q)
-    for q in range(lo, hi + 1):
-        if gcd(q, spec.k) != 1:
-            continue
-        gate2 = np.outer(*(((np.gcd(prod, q) == 1).astype(np.float64),) * 2))
-        S_plus += gate2 * _moebius_congruence_sum(q, cross, 1)
-        if want_minus:
-            S_minus += gate2 * _moebius_congruence_sum(q, cross, -1)
-
+    moduli = _moduli(spec.Q, spec.k)
     k = spec.k
-    kgate2 = np.outer(*(((np.gcd(prod, k) == 1).astype(np.float64),) * 2))
-    kcong_plus = ((cross - cross.T) % k == 0).astype(np.float64)
+
+    def branch(ssign):
+        # all characters theta mod k: only the d = k term, of weight phi(k)
+        whole_group = _congruence_sum(a, b, (k,), ssign,
+                                      weight=lambda d: totient(k) if d == k else 0)
+        return _congruence_sum(a, b, moduli, ssign) * whole_group
+
     if spec.parity is None:
-        S = S_plus * totient(k) * kgate2 * kcong_plus
+        S = branch(1)
     else:
         eps = 1 if spec.parity == "even" else -1
-        kcong_minus = ((cross + cross.T) % k == 0).astype(np.float64)
-        S = (totient(k) * kgate2 / 2) * (
-            S_plus * kcong_plus + eps * S_minus * kcong_minus
-        )
+        S = (branch(1) + eps * branch(-1)) / 2
 
     # log(a_n b_m / (a_m b_n)) = L_n - L_m
-    L = np.log(a.astype(np.float64)) - np.log(b.astype(np.float64))
+    L = _log_ratios(a, b)
     G = S * t_integral(L[:, None] - L[None, :], spec.T)
     return GramMatrix(index, _hermitize(G))
+
+
+def gram_additive(Q, N):
+    """G[n, m] = sum over q in (Q/2, Q] with gcd(a_n b_n a_m b_m, q) = 1 of
+    c_q(a_n bbar_n - a_m bbar_m), the Ramanujan-sum Gram of the additive
+    family on the dyadic window."""
+    index = tuple(enumerate_pairs(N, "dyadic"))
+    a, b = _index_arrays(index)
+    G = _congruence_sum(a, b, _moduli(Q), weight=lambda d: d)
+    return GramMatrix(index, G.astype(np.complex128))
+
+
+def gram_rational(Q, N):
+    """Rational-family Gram: rows all q <= Q with primitive chi mod q,
+    columns the positive rationals of ht <= N; contributions gated by
+    strict localization gcd(a b, q) = 1."""
+    index = tuple(rationals_up_to(N))
+    a, b = _index_arrays(index)
+    G = _congruence_sum(a, b, range(1, int(Q) + 1))
+    return GramMatrix(index, G.astype(np.complex128))
+
+
+# ----- family side: one member-value matrix ----------------------------
+
+def _member_matrix(members, a, b):
+    """V[n, f] = product over member f's residue tables of
+    table[red_m(a_n / b_n)], where m = len(table) and
+    red_m(a/b) = a bbar mod m is the reduction map; the entry is 0 where
+    gcd(a_n b_n, m) > 1.  A multiplicative member is (chi table, theta
+    table), a rational member (chi table,), an additive member
+    (e_q(t .) table,)."""
+    V = np.ones((len(a), len(members)), dtype=np.complex128)
+    reductions = {}
+    for f, tables in enumerate(members):
+        for table in tables:
+            m = len(table)
+            if m not in reductions:
+                inv = np.array([pow(x, -1, m) if gcd(x, m) == 1 else 0 for x in range(m)],
+                               dtype=np.int64)
+                reductions[m] = ((a % m) * inv[b % m] % m, np.gcd(a * b, m) == 1)
+            red, unit = reductions[m]
+            V[:, f] *= np.where(unit, table[red], 0)
+    return V
+
+
+def _multiplicative_members(spec):
+    return [(value_table(chi), value_table(theta)) for _, chi, theta in family_members(spec)]
 
 
 def _gauss_nodes(lo, hi, n):
@@ -231,31 +287,26 @@ def _gauss_nodes(lo, hi, n):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _member_values(q, chi, theta, a, b):
-    """chi theta(a) conj(chi theta(b)) on index arrays (0 off the units)."""
-    tc = value_table(chi)
-    tt = value_table(theta)
-    k = theta.modulus
-    va = tc[a % q] * tt[a % k]
-    vb = tc[b % q] * tt[b % k]
-    return va * vb.conj()
+def _quadrature_matrix(V, L, T, nodes):
+    """A[n, (f, j)] = V[n, f] e^{i t_j L_n} sqrt(w_j) over the Gauss-Legendre
+    nodes t_j of [T/2, T], so that A A^H is the quadrature Gram."""
+    t, w = _gauss_nodes(T / 2, T, nodes)
+    phases = np.exp(1j * np.outer(L, t)) * np.sqrt(w)[None, :]
+    return (V[:, :, None] * phases[:, None, :]).reshape(len(L), V.shape[1] * nodes)
 
 
 def gram_bruteforce(spec, index, quadrature_nodes=64):
     """Oracle: the same Gram matrix by explicit sums over (q, chi, theta)
     and Gauss-Legendre quadrature of the t-integral."""
     index = tuple(index)
-    n = len(index)
-    if n == 0:
-        return GramMatrix(index, np.zeros((0, 0), dtype=np.complex128))
     a, b = _index_arrays(index)
-    t, w = _gauss_nodes(spec.T / 2, spec.T, quadrature_nodes)
-    L = np.log(a.astype(np.float64)) - np.log(b.astype(np.float64))
-    phases = np.exp(1j * np.outer(L, t)) * np.sqrt(w)[None, :]
-    G = np.zeros((n, n), dtype=np.complex128)
-    for q, chi, theta in family_members(spec):
-        vals = _member_values(q, chi, theta, a, b)
-        A = vals[:, None] * phases
+    V = _member_matrix(_multiplicative_members(spec), a, b)
+    L = _log_ratios(a, b)
+    G = np.zeros((len(index), len(index)), dtype=np.complex128)
+    # member blocks keep each A near _ORACLE_BLOCK entries
+    chunk = max(1, _ORACLE_BLOCK // max(len(index) * quadrature_nodes, 1))
+    for s in range(0, V.shape[1], chunk):
+        A = _quadrature_matrix(V[:, s:s + chunk], L, spec.T, quadrature_nodes)
         G += A @ A.conj().T
     return GramMatrix(index, _hermitize(G))
 
@@ -266,80 +317,17 @@ def additive_matrix(Q, N):
     q = 1), columns the dyadic-window pairs; entries e_q(t a bbar) gated
     on gcd(ab, q) = 1."""
     index = tuple(enumerate_pairs(N, "dyadic"))
-    rows = []
-    lo, hi = int(Q / 2) + 1, int(Q)
-    for q in range(lo, hi + 1):
-        if q == 1:
-            rows.append((1, 0))
-            continue
-        rows.extend((q, t) for t in range(1, q) if gcd(t, q) == 1)
-    mat = np.zeros((len(rows), len(index)), dtype=np.complex128)
-    for i, (q, t) in enumerate(rows):
-        for j, p in enumerate(index):
-            if q > 1 and gcd(p.a * p.b, q) != 1:
-                continue
-            abar = (p.a * pow(p.b, -1, q)) % q if q > 1 else 0
-            mat[i, j] = np.exp(2j * np.pi * t * abar / q)
-    return rows, index, mat
-
-
-def gram_additive(Q, N):
-    """G[n, m] = sum over q in (Q/2, Q] with gcd(a_n b_n a_m b_m, q) = 1 of
-    c_q(a_n bbar_n - a_m bbar_m), the Ramanujan-sum Gram of the additive
-    family on the dyadic window."""
-    from .characters import ramanujan_sum
-
-    index = tuple(enumerate_pairs(N, "dyadic"))
-    n = len(index)
-    if n == 0:
-        return GramMatrix(index, np.zeros((0, 0), dtype=np.complex128))
-    a, b = _index_arrays(index)
-    prod = a * b
-    cross = np.outer(a, b)
-    diff = cross - cross.T  # a_n b_m - a_m b_n, same gcd with q as the bbar form
-    G = np.zeros((n, n), dtype=np.float64)
-    lo, hi = int(Q / 2) + 1, int(Q)
-    for q in range(lo, hi + 1):
-        gate = np.gcd(prod, q) == 1
-        cq = np.array([ramanujan_sum(q, int(g)) for g in range(q)], dtype=np.float64)
-        vals = cq[np.gcd(diff, q) % q] if q > 1 else np.ones_like(diff, dtype=np.float64)
-        G += np.outer(gate, gate) * vals
-    return GramMatrix(index, G.astype(np.complex128))
-
-
-def gram_rational(Q, N):
-    """Rational-family Gram: rows all q <= Q with primitive chi mod q,
-    columns the positive rationals of ht <= N; contributions gated by
-    strict localization gcd(a b, q) = 1."""
-    index = tuple(rationals_up_to(N))
-    n = len(index)
-    if n == 0:
-        return GramMatrix(index, np.zeros((0, 0), dtype=np.complex128))
-    a, b = _index_arrays(index)
-    prod = a * b
-    cross = np.outer(a, b)
-    G = np.zeros((n, n), dtype=np.float64)
-    for q in range(1, int(Q) + 1):
-        gate = (np.gcd(prod, q) == 1).astype(np.float64)
-        G += np.outer(gate, gate) * _moebius_congruence_sum(q, cross)
-    return GramMatrix(index, G.astype(np.complex128))
+    rows = [(q, t) for q in _moduli(Q) for t in range(q) if gcd(t, q) == 1]
+    members = [(np.exp(2j * np.pi * t * np.arange(q) / q),) for q, t in rows]
+    return rows, index, _member_matrix(members, *_index_arrays(index)).T
 
 
 def gram_rational_bruteforce(Q, N):
     """Oracle for gram_rational via explicit character sums."""
-    from .rationals import reduce_mod
-
     index = tuple(rationals_up_to(N))
-    n = len(index)
-    G = np.zeros((n, n), dtype=np.complex128)
-    for q in range(1, int(Q) + 1):
-        for chi in primitive_chars(q):
-            row = np.zeros(n, dtype=np.complex128)
-            for j, pt in enumerate(index):
-                if gcd(pt.a * pt.b, q) == 1:
-                    row[j] = chi(reduce_mod(pt, q))
-            G += np.outer(row, row.conj())
-    return GramMatrix(index, _hermitize(G))
+    members = [(value_table(chi),) for q in range(1, int(Q) + 1) for chi in primitive_chars(q)]
+    V = _member_matrix(members, *_index_arrays(index))
+    return GramMatrix(index, _hermitize(V @ V.conj().T))
 
 
 # ----------------------------------------------------------------------
@@ -425,45 +413,34 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=20000):
 # ----------------------------------------------------------------------
 
 def _family_route(spec, index, tol):
-    """lambda_max via the family-side quadrature Gram: rows (member, node),
-    H = A^H A with A[n, (f, j)] = member value * e^{i t_j L_n} sqrt(w_j).
-    Nonzero spectrum identical to the pair-side matrix."""
+    """lambda_max via the family-side quadrature Gram H = A^H A, with
+    A = _quadrature_matrix of the member values: rows the pairs, columns
+    (member, node).  Its nonzero spectrum is that of A A^H, the pair-side
+    matrix up to the quadrature of I_T.  H is summed over row blocks of A
+    and solved by the same Lanczos solver as the pair route."""
     a, b = _index_arrays(index)
-    L = np.log(a.astype(np.float64)) - np.log(b.astype(np.float64))
-    members = family_members(spec)
-    if not members:
-        return NormEstimate(0.0, 0.0, 0, "dense")
-    omega_max = float(np.abs(L).max()) * spec.T / 2
-    nodes = max(48, int(omega_max) + 40)
-    t, w = _gauss_nodes(spec.T / 2, spec.T, nodes)
-    sqw = np.sqrt(w)
-    F, J, n = len(members), nodes, len(index)
-    H = np.zeros((F * J, F * J), dtype=np.complex128)
-    block = max(1, min(n, 8 * 1024 * 1024 // (F * J)))
-    vals = np.empty((n, F), dtype=np.complex128)
-    for f, (q, chi, theta) in enumerate(members):
-        vals[:, f] = _member_values(q, chi, theta, a, b)
+    L = _log_ratios(a, b)
+    V = _member_matrix(_multiplicative_members(spec), a, b)
+    nodes = max(48, int(float(np.abs(L).max(initial=0.0)) * spec.T / 2) + 40)
+    n, FJ = len(index), V.shape[1] * nodes
+    H = np.zeros((FJ, FJ), dtype=np.complex128)
+    block = max(1, min(n, 8 * 1024 * 1024 // max(FJ, 1)))
     for s in range(0, n, block):
-        e = min(n, s + block)
-        phases = np.exp(1j * np.outer(L[s:e], t)) * sqw[None, :]
-        A = (vals[s:e, :, None] * phases[:, None, :]).reshape(e - s, F * J)
+        A = _quadrature_matrix(V[s:s + block], L[s:s + block], spec.T, nodes)
         H += A.conj().T @ A
-    H = _hermitize(H)
-    vals_h = np.linalg.eigvalsh(H)
-    lam = float(max(vals_h[-1], 0.0))
-    return NormEstimate(lam, float(np.finfo(np.float64).eps * max(lam, 1.0)), 1, "dense")
+    return top_eigenvalue(_hermitize(H), tol=tol)
 
 
 def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):
     """Delta(Q, k, T, N): the multiplicative-family norm on the dyadic
-    window N/2 < ab <= N, as the largest Gram eigenvalue."""
+    window N/2 < ab <= N, as the largest Gram eigenvalue.  Up to
+    _PAIR_ROUTE_MAX pairs "auto" solves the pair-side Gram, past it the
+    family-side quadrature Gram; both go through top_eigenvalue."""
     if route not in _ROUTES:
         raise ValueError(f"route must be one of {_ROUTES}, got {route!r}")
     spec = FamilySpec(Q, k, T, parity)
     _require_finite(N=N)
     index = enumerate_pairs(N, "dyadic")
-    if not index or not family_members(spec):
-        return NormEstimate(0.0, 0.0, 0, "dense")
     if route == "pairs" or (route == "auto" and len(index) <= _PAIR_ROUTE_MAX):
         return top_eigenvalue(gram_multiplicative(spec, index), tol=tol)
     return _family_route(spec, index, tol)
@@ -615,8 +592,12 @@ def monotonicity_check_Q(Q, k, T, N, P, tol=1e-6):
 
 def duality_check(rows, cols, mat, tol=1e-9):
     """lambda_max of mat^H mat and of mat mat^H — equal operator norms of a
-    matrix and its transpose."""
+    matrix and its transpose.  mat has one row per entry of rows and one
+    column per entry of cols."""
     mat = np.asarray(mat, dtype=np.complex128)
+    if mat.shape != (len(rows), len(cols)):
+        raise ValueError(f"matrix shape {mat.shape} does not match "
+                         f"{len(rows)} rows x {len(cols)} columns")
     g1 = _hermitize(mat.conj().T @ mat)
     g2 = _hermitize(mat @ mat.conj().T)
     v1 = top_eigenvalue(g1, tol=tol).value

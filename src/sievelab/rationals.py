@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, floor
 
-from .arith import factorize
+from .arith import factorize, valuation
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,7 @@ def Ht(n):
 def vp(n, p):
     """p-adic valuation of the rational: vp(a) - vp(b)."""
     n = as_point(n)
-    v = 0
-    a, b = n.a, n.b
-    while a % p == 0:
-        a //= p
-        v += 1
-    while b % p == 0:
-        b //= p
-        v -= 1
-    return v
+    return valuation(n.a, p) - valuation(n.b, p)
 
 
 # ----------------------------------------------------------------------

@@ -236,6 +236,16 @@ def test_sieve_random_trials(capsys):
 # usage errors and the console entry point
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [
+    ["sieve", "-N", "20", "-Q", "4", "--trials", "0"],
+    ["bdh", "--trials", "0"],
+])
+def test_zero_trials_is_a_usage_error(argv, capsys):
+    # a zero flag is a given value, not an absent one
+    assert run(argv) == 2
+    assert "trials" in capsys.readouterr().err
+
+
 def test_usage_errors():
     assert run([]) == 2
     assert run(["frobnicate"]) == 2

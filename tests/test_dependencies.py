@@ -1,0 +1,29 @@
+"""The package imports nothing beyond the standard library and numpy:
+numpy is its only runtime dependency, so scipy or hypothesis, which may
+be installed for development, must not creep into src/."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sievelab"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "sievelab"}
+
+
+def _imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    files = sorted(SRC.glob("*.py"))
+    assert files, SRC
+    outside = [f"{path.name}:{line}: {name}"
+               for path in files for line, name in _imports(path)
+               if name.split(".")[0] not in ALLOWED]
+    assert not outside, outside

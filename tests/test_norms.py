@@ -272,6 +272,8 @@ def test_delta_rejects_unknown_route():
     pytest.param(lambda: delta_add(0.5, 40), id="additive-Q-below-1"),
     pytest.param(lambda: delta_add(float("nan"), 40), id="additive-Q-nan"),
     pytest.param(lambda: delta_add(4, float("inf")), id="additive-N-inf"),
+    pytest.param(lambda: duality_check([(1, 0)], [0, 1, 2], np.ones((2, 3))),
+                 id="duality-shape"),
 ])
 def test_norm_inputs_are_validated_at_the_boundary(call):
     with pytest.raises(ValueError):
@@ -294,6 +296,19 @@ def test_delta_route_dispatch_at_scale():
     a = delta(4.0, 1, 1.0, 640.0, route="pairs").value
     b = delta(4.0, 1, 1.0, 640.0, route="family").value
     assert abs(a - b) <= 1e-8 * a
+
+
+def test_family_route_record_is_a_lanczos_solve():
+    # 2400 pairs at N = 900: past the cutoff, "auto" takes the family route
+    est = delta(4.0, 1, 1.0, 900.0)
+    assert est.method == "lanczos"
+    assert est.iterations > 1
+    assert est.residual <= 1e-8
+    # the window (1, 2] holds no primitive character: an empty family
+    for route in ("auto", "pairs", "family"):
+        empty = delta(2.0, 1, 1.0, 40.0, route=route)
+        assert empty.value == 0.0
+        assert empty.method == "lanczos"
 
 
 def test_trivial_family_norms_are_exact_counts():
@@ -342,11 +357,12 @@ def test_duality_on_additive_instances():
 
 
 def test_additive_gram_matches_row_matrix():
-    Q, N = 10, 80
-    rows, index, mat = additive_matrix(Q, N)
-    g = gram_additive(Q, N)
-    assert g.index == index
-    assert np.max(np.abs(g.matrix - mat.conj().T @ mat)) <= 1e-9
+    # q = 1, q = 2, prime powers 7, 8, 9, 11, 13, 16 and composite moduli
+    for Q, N in [(10, 80), (1, 30), (2, 40), (16, 200)]:
+        rows, index, mat = additive_matrix(Q, N)
+        g = gram_additive(Q, N)
+        assert g.index == index
+        assert np.max(np.abs(g.matrix - mat.conj().T @ mat)) <= 1e-9, (Q, N)
 
 
 # ----------------------------------------------------------------------
