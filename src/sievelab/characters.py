@@ -1,15 +1,19 @@
-"""Dirichlet characters with exact root-of-unity arithmetic.
+"""Dirichlet characters as exponent vectors with integer turns.
 
-A character mod q is stored as an exponent vector over a fixed generator
-basis of (Z/qZ)^*: one block of generators per prime power p^e || q
-(a primitive root for odd p; the pair <-1, 5> for 2^e with e >= 3).  The
-value chi(n) is then a rational number of turns
+A character mod q is stored as an exponent vector (a_i) over a fixed
+generator basis of (Z/qZ)^*: one cyclic generator per factor of each prime
+power p^e || q (the smallest primitive root for odd p, 3 mod 4, and the
+pair <-1, 5> mod 2^e for e >= 3), each lifted by CRT to 1 at the other
+prime powers.  With lambda = lambda(q) the exponent of the group, the
+value at a unit n is an integer number k of 1/lambda turns,
 
-    chi(n) = e(sum_i a_i * dlog_i(n) / ord_i),        e(x) = exp(2 pi i x),
+    chi(n) = e(k / lambda),   k = sum_i a_i * dlog_i(n) * (lambda / ord_i) mod lambda,
 
-kept as a Fraction until the caller wants an actual complex number.  All the
-identity checking in this package therefore costs exactly one rounding step,
-at the final exp.
+with e(x) = exp(2 pi i x).  The group holds one discrete-log table (the
+exponent vector of every unit mod q) and one read-only root table
+roots[k] = e(k / lambda), exact at the quarter turns 1, i, -1, -i.  All
+character algebra stays in integers, so the identity checking in this
+package costs exactly one rounding step, at the table's exp.
 
 Conventions: chi(n) = 0 when gcd(n, q) > 1; the conductor is the smallest
 modulus the character descends to; eval_induced goes through the primitive
@@ -19,11 +23,12 @@ breaks the detection identities, see the kernel module's tests).
 """
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .arith import divisors, factorize, mobius, totient, valuation
 
 
 # ----------------------------------------------------------------------
-# generator basis per prime power
+# the group: generator basis, discrete logs, roots of unity
 # ----------------------------------------------------------------------
 
 def _mult_order(g, m, phi_m):
@@ -43,76 +48,47 @@ def _mult_order(g, m, phi_m):
     return order
 
 
-@dataclass(frozen=True, eq=False)
-class PrimeBlock:
-    """Generator data for (Z/p^eZ)^*: residue generators, their orders, and
-    a discrete-log table residue -> exponent tuple."""
-
-    p: int
-    e: int
-    modulus: int
-    gens: tuple
-    orders: tuple
-    dlog: dict
-
-
-@lru_cache(maxsize=None)
-def _prime_block(p, e):
+def _local_basis(p, e):
+    """Generators of (Z/p^eZ)^* and their orders."""
     m = p**e
     if p == 2:
         if e == 1:
-            gens, orders = (), ()
-        elif e == 2:
-            gens, orders = (3,), (2,)
-        else:
-            gens, orders = (m - 1, 5), (2, 2 ** (e - 2))
-    else:
-        phi = totient(m)
-        g = 2
-        while _mult_order(g, m, phi) != phi:
+            return (), ()
+        if e == 2:
+            return (3,), (2,)
+        return (m - 1, 5), (2, 2 ** (e - 2))
+    phi = totient(m)
+    g = 2
+    while _mult_order(g, m, phi) != phi:
+        g += 1
+        while g % p == 0:
             g += 1
-            while g % p == 0:
-                g += 1
-        gens, orders = (g,), (phi,)
-    dlog = {}
-    for exps in iproduct(*[range(o) for o in orders]):
-        r = 1
-        for g, a in zip(gens, exps):
-            r = (r * pow(g, a, m)) % m
-        dlog[r] = exps
-    assert len(dlog) == totient(m)
-    return PrimeBlock(p, e, m, gens, orders, dlog)
+    return (g,), (phi,)
+
+
+def _root(k, lam):
+    """e(k / lam), exact at the quarter turns."""
+    if 4 * k % lam == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[4 * k // lam]
+    return cmath.exp(2j * cmath.pi * (k / lam))
 
 
 @dataclass(frozen=True, eq=False)
 class CharGroup:
-    """The character group mod q, i.e. the dual of (Z/qZ)^*."""
+    """The character group mod q, i.e. the dual of (Z/qZ)^*.
+
+    gens are residues mod q, each 1 at every prime power but its own;
+    primes[i] is the prime of gens[i]; exponent is lambda(q) = lcm(orders);
+    dlog[n] is the exponent vector of the unit n over gens (None off the
+    units); roots[k] = e(k / exponent)."""
 
     q: int
-    blocks: tuple
-
-    @property
-    def orders(self):
-        return tuple(o for b in self.blocks for o in b.orders)
-
-    def size(self):
-        return totient(self.q)
-
-    def exponents_of(self, n):
-        """Discrete log of a unit n as the concatenated per-block exponents."""
-        n %= self.q
-        if self.q > 1 and gcd(n, self.q) != 1:
-            raise ValueError(f"{n} is not a unit mod {self.q}")
-        out = []
-        for b in self.blocks:
-            out.extend(b.dlog[n % b.modulus])
-        return tuple(out)
-
-    def char(self, exponents):
-        exps = tuple(a % o for a, o in zip(exponents, self.orders))
-        if len(exps) != len(self.orders):
-            raise ValueError("wrong exponent vector length")
-        return DirichletChar(self, exps)
+    gens: tuple
+    orders: tuple
+    primes: tuple
+    exponent: int
+    dlog: tuple
+    roots: np.ndarray
 
     def __iter__(self):
         for exps in iproduct(*[range(o) for o in self.orders]):
@@ -122,11 +98,35 @@ class CharGroup:
         return f"CharGroup(q={self.q})"
 
 
-@lru_cache(maxsize=None)
 def char_group(q):
+    """The character group mod q, built once per modulus."""
+    try:
+        q = operator.index(q)
+    except TypeError:
+        raise ValueError(f"modulus must be an integer, got {q!r}") from None
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    return CharGroup(q, tuple(_prime_block(p, e) for p, e in factorize(q)))
+    return _char_group(q)
+
+
+@lru_cache(maxsize=None)
+def _char_group(q):
+    gens, orders, primes = [], [], []
+    for p, e in factorize(q):
+        local_gens, local_orders = _local_basis(p, e)
+        gens += [_crt2(g, p**e, 1, q // p**e) for g in local_gens]
+        orders += local_orders
+        primes += [p] * len(local_gens)
+    dlog = [None] * q
+    for exps in iproduct(*[range(o) for o in orders]):
+        n = 1 % q
+        for g, a in zip(gens, exps):
+            n = n * pow(g, a, q) % q
+        dlog[n] = exps
+    lam = lcm(*orders)
+    roots = np.array([_root(k, lam) for k in range(lam)], dtype=np.complex128)
+    roots.setflags(write=False)
+    return CharGroup(q, tuple(gens), tuple(orders), tuple(primes), lam, tuple(dlog), roots)
 
 
 # ----------------------------------------------------------------------
@@ -157,32 +157,24 @@ class DirichletChar:
     def __repr__(self):
         return f"chi(mod {self.group.q}; {self.exponents})"
 
+    def turns(self, n):
+        """chi(n) = e(k / lambda) as the integer k in [0, lambda), or None
+        on non-units."""
+        g = self.group
+        logs = g.dlog[n % g.q]
+        if logs is None:
+            return None
+        lam = g.exponent
+        return sum(a * x * (lam // o) for a, x, o in zip(self.exponents, logs, g.orders)) % lam
+
     def log_value(self, n):
         """chi(n) as a Fraction of a full turn in [0, 1), or None on non-units."""
-        q = self.group.q
-        n %= q
-        if q > 1 and gcd(n, q) != 1:
-            return None
-        f = Fraction(0)
-        for b, a_slice in zip(self.group.blocks, self._block_slices()):
-            exps = b.dlog[n % b.modulus]
-            for a, x, o in zip(a_slice, exps, b.orders):
-                f += Fraction(a * x, o)
-        return f % 1
-
-    def _block_slices(self):
-        out = []
-        i = 0
-        for b in self.group.blocks:
-            out.append(self.exponents[i : i + len(b.orders)])
-            i += len(b.orders)
-        return out
+        k = self.turns(n)
+        return None if k is None else Fraction(k, self.group.exponent)
 
     def __call__(self, n):
-        f = self.log_value(n)
-        if f is None:
-            return 0j
-        return _turn(f)
+        k = self.turns(n)
+        return 0j if k is None else self.group.roots.item(k)
 
     def __mul__(self, other):
         if self.group.q != other.group.q:
@@ -201,22 +193,7 @@ class DirichletChar:
 
     def parity(self):
         """chi(-1), which is +1 or -1."""
-        v = self.log_value(-1)
-        return 1 if v == 0 else -1
-
-
-@lru_cache(maxsize=None)
-def _turn(frac):
-    # exact values at the rational points everything else is compared against
-    if frac == 0:
-        return 1 + 0j
-    if frac == Fraction(1, 2):
-        return -1 + 0j
-    if frac == Fraction(1, 4):
-        return 1j
-    if frac == Fraction(3, 4):
-        return -1j
-    return cmath.exp(2j * cmath.pi * float(frac))
+        return 1 if self.turns(-1) == 0 else -1
 
 
 def trivial_char(q):
@@ -226,12 +203,12 @@ def trivial_char(q):
 
 @lru_cache(maxsize=None)
 def value_table(chi):
-    """chi on 0..q-1 as a complex numpy vector (zeros on non-units)."""
-    q = chi.modulus
-    out = np.zeros(q, dtype=np.complex128)
-    for n in range(q):
-        if q == 1 or gcd(n, q) == 1:
-            out[n] = chi(n)
+    """chi on 0..q-1 as a read-only complex numpy vector (zeros on non-units)."""
+    g = chi.group
+    units = [n for n, logs in enumerate(g.dlog) if logs is not None]
+    out = np.zeros(g.q, dtype=np.complex128)
+    out[units] = g.roots[[chi.turns(n) for n in units]]
+    out.setflags(write=False)
     return out
 
 
@@ -242,29 +219,18 @@ def value_table(chi):
 @lru_cache(maxsize=None)
 def conductor(chi):
     """Smallest f | q such that chi is induced by a character mod f."""
-    cond = 1
-    for b, a_slice in zip(chi.group.blocks, chi._block_slices()):
-        p = b.p
+    g = chi.group
+    cond = two = 1
+    for a, o, p, gen in zip(chi.exponents, g.orders, g.primes, g.gens):
+        m = o // gcd(o, a)  # order of the component
+        if m == 1:
+            continue
         if p != 2:
-            a = a_slice[0]
-            s = b.orders[0]
-            if a != 0:
-                m = s // gcd(s, a)  # order of the local component
-                cond *= p ** (valuation(m, p) + 1)
+            cond *= p ** (valuation(m, p) + 1)
         else:
-            if b.e == 1:
-                continue
-            if b.e == 2:
-                if a_slice[0] != 0:
-                    cond *= 4
-            else:
-                a0, a1 = a_slice
-                m1 = b.orders[1] // gcd(b.orders[1], a1)
-                if m1 > 1:
-                    cond *= 4 * m1
-                elif a0 != 0:
-                    cond *= 4
-    return cond
+            # 4 * m on the generator 5 mod 2^e, at least 4 on -1 (or 3 mod 4)
+            two = max(two, 4 * m if gen % 4 == 1 else 4)
+    return cond * two
 
 
 def is_primitive(chi):
@@ -282,66 +248,51 @@ def _crt2(r1, m1, r2, m2):
     return (r1 + m1 * t) % (m1 * m2)
 
 
-def _unit_lift(x, m, q):
-    """A residue mod q that is x mod m and 1 modulo the rest of q (m | q)."""
-    return _crt2(x, m, 1, q // m)
-
-
-def _char_by_values(q, value_of_gen):
-    """Build the character mod q whose value at each basis generator g is
-    given by value_of_gen(g_residue, block, gen_index) as a Fraction of a turn."""
-    g = char_group(q)
+def _from_generators(m, chars, rest=1):
+    """The character mod m whose value at each basis generator g is the
+    product of the chars at the unit that is g mod m and 1 mod rest
+    (rest coprime to m)."""
+    group = char_group(m)
     exps = []
-    for b in g.blocks:
-        for i, (gen, order) in enumerate(zip(b.gens, b.orders)):
-            f = value_of_gen(gen, b, i)
-            a = f * order
-            if a.denominator != 1:
+    for g, o in zip(group.gens, group.orders):
+        n = _crt2(g, m, 1, rest)
+        a = 0
+        for c in chars:
+            k = c.turns(n) * o
+            if k % c.group.exponent:
                 raise ValueError("value is not an order-th root of unity")
-            exps.append(int(a) % order)
-    return DirichletChar(g, tuple(exps))
+            a += k // c.group.exponent
+        exps.append(a % o)
+    return DirichletChar(group, tuple(exps))
+
+
+def descend(chi, m):
+    """The character mod m (m | q) whose value at a unit n is chi at the
+    lift of n that is 1 at the primes of q outside m.
+
+    This is the primitive part when cond(chi) | m, and the component of
+    chi at the primes of m when m is a unitary divisor of q."""
+    q = chi.modulus
+    if q % m != 0:
+        raise ValueError(f"{m} does not divide the modulus {q}")
+    rest = q
+    for p, _ in factorize(m):
+        rest //= p ** valuation(rest, p)
+    return _from_generators(m, [chi], rest)
 
 
 @lru_cache(maxsize=None)
 def primitive_part(chi):
     """The primitive character mod conductor(chi) inducing chi."""
-    q = chi.modulus
     f = conductor(chi)
-    if f == q:
-        return chi
-
-    def val(gen, block, i):
-        # lift the basis generator of (Z/fZ)^* — i.e. gen at its own prime
-        # block, 1 at every other block of f AND at the primes of q outside
-        # f — to a unit mod q; chi's value there is well defined because
-        # cond(chi) | f and the value depends only on the residue mod f
-        rest = f // block.modulus
-        for p, e in factorize(q):
-            if f % p != 0:
-                rest *= p**e
-        n = _crt2(gen, block.modulus, 1, rest)
-        v = chi.log_value(n)
-        assert v is not None
-        return v
-
-    return _char_by_values(f, val)
+    return chi if f == chi.modulus else descend(chi, f)
 
 
 def induce(chi, q):
     """The character mod q agreeing with chi on units (chi.modulus | q)."""
-    r = chi.modulus
-    if q % r != 0:
+    if q % chi.modulus != 0:
         raise ValueError("can only induce to a multiple of the modulus")
-    if q == r:
-        return chi
-
-    def val(gen, block, i):
-        n = _unit_lift(gen, block.modulus, q)
-        v = chi.log_value(n % r)
-        assert v is not None
-        return v
-
-    return _char_by_values(q, val)
+    return chi if q == chi.modulus else _from_generators(q, [chi])
 
 
 def crt_product(chars):
@@ -352,19 +303,7 @@ def crt_product(chars):
         if gcd(q, c.modulus) != 1:
             raise ValueError("moduli must be pairwise coprime")
         q *= c.modulus
-
-    def val(gen, block, i):
-        # lift the block generator to the unit mod q that is 1 elsewhere,
-        # then feed its reduction to every component
-        n = _unit_lift(gen, block.modulus, q)
-        f = Fraction(0)
-        for c in chars:
-            v = c.log_value(n % c.modulus)
-            assert v is not None
-            f += v
-        return f % 1
-
-    return _char_by_values(q, val)
+    return _from_generators(q, chars)
 
 
 def eval_induced(chi, n):
@@ -391,8 +330,6 @@ def primitive_chars(q):
 
 
 def char_order(chi):
-    from math import lcm
-
     o = 1
     for a, m in zip(chi.exponents, chi.group.orders):
         o = lcm(o, m // gcd(m, a))

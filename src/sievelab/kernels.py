@@ -41,7 +41,7 @@ from .characters import (
     char_group,
     conductor,
     crt_product,
-    eval_induced,
+    descend,
     induce,
     is_primitive,
     primitive_chars,
@@ -331,17 +331,6 @@ class ChiFactorization:
         )
 
 
-def _component(chi, m):
-    """Restriction of chi to the prime blocks dividing m (m a unitary
-    divisor of the modulus: v_p(m) = v_p(q) for p | m)."""
-    g = char_group(m)
-    exps = []
-    slices = dict(zip([b.p for b in chi.group.blocks], chi._block_slices()))
-    for blk in g.blocks:
-        exps.extend(slices[blk.p])
-    return DirichletChar(g, tuple(exps))
-
-
 def _split_parts(q1, q2):
     """Split q1 and q2 prime by prime by comparing valuations: primes of
     one modulus only (q1p, q2p), primes where q1 dominates (A, with q2's
@@ -376,10 +365,11 @@ def chi_factorize(chi1, chi2):
     # q1+ = A and q1- = b; q2+ = B and q2- = a
     moduli = (p["q1p"], p["q2p"], p["A"], p["b"], p["B"], p["a"], p["r"])
     chis = (chi1, chi2, chi1, chi1, chi2, chi2, chi1)
+    # each modulus is a unitary divisor, so descending gives the component
     return ChiFactorization(
         chi1, chi2, *moduli,
-        *(_component(chi, m) for chi, m in zip(chis, moduli)),
-        _component(chi2, p["r"]),
+        *(descend(chi, m) for chi, m in zip(chis, moduli)),
+        descend(chi2, p["r"]),
     )
 
 

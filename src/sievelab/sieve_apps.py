@@ -36,7 +36,7 @@ from math import gcd, isqrt
 from .arith import is_prime, is_squarefree, prime_factors, primes_in, totient
 from .characters import char_group, trivial_char
 from .norms import delta_rational
-from .rationals import RationalPoint, ht, in_localization, rationals_up_to, reduce_mod
+from .rationals import ht, in_localization, rationals_up_to, reduce_mod
 
 
 # ----------------------------------------------------------------------

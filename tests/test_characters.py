@@ -1,19 +1,23 @@
 """Character-group invariants: orthogonality, the primitive-character
-Moebius closed form, conductor divisibility, and Ramanujan sums against
-direct exponential sums."""
+Moebius closed form, conductor divisibility, Ramanujan sums against
+direct exponential sums, and the integer-turn representation."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from sievelab.arith import divisors, mobius, totient
+from sievelab.arith import divisors, factorize, mobius, totient
 from sievelab.characters import (
     char_group,
     char_order,
     conductor,
+    crt_product,
+    descend,
     induce,
     is_primitive,
     primitive_chars,
@@ -141,3 +145,61 @@ def test_ramanujan_sum_multiplicative():
             continue
         n = rng.randrange(-60, 61)
         assert ramanujan_sum(q1 * q2, n) == ramanujan_sum(q1, n) * ramanujan_sum(q2, n)
+
+
+# ----------------------------------------------------------------------
+# the representation: integer turns over the group exponent
+# ----------------------------------------------------------------------
+
+def test_turns_are_a_homomorphism_and_match_the_values():
+    rng = random.Random(60)
+    for q in range(1, 61):
+        group = char_group(q)
+        lam = group.exponent
+        chars = list(group)
+        units = [n for n in range(q) if math.gcd(n, q) == 1]
+        for chi in chars:
+            for n in units:
+                for m in rng.sample(units, min(5, len(units))):
+                    assert chi.turns(m * n) == (chi.turns(m) + chi.turns(n)) % lam
+            for psi in rng.sample(chars, min(3, len(chars))):
+                for n in units:
+                    assert (chi * psi).turns(n) == (chi.turns(n) + psi.turns(n)) % lam
+            for n in range(-q, 2 * q):
+                k = chi.turns(n)
+                assert (k is None) == (math.gcd(n, q) != 1)
+                if k is not None:
+                    assert 0 <= k < lam
+                    assert chi.conj().turns(n) == (-k) % lam
+            table = value_table(chi)
+            for n in range(q):
+                assert table[n] == chi(n)
+
+
+def test_crt_product_of_unitary_components_gives_chi_back():
+    for q in range(1, 61):
+        prime_powers = [p**e for p, e in factorize(q)]
+        splits = {math.prod(s) for s in itertools.product(*[(1, pe) for pe in prime_powers])}
+        for chi in char_group(q):
+            for m in splits:
+                assert crt_product([descend(chi, m), descend(chi, q // m)]) == chi, (chi, m)
+            assert crt_product([descend(chi, pe) for pe in prime_powers]) == chi
+
+
+def test_char_group_rejects_a_non_integer_modulus():
+    for bad in (12.0, 2.5, "12", 0, -3):
+        with pytest.raises(ValueError):
+            char_group(bad)
+    group = char_group(np.int64(12))
+    assert group.q == 12 and type(group.q) is int
+    assert group is char_group(12)
+
+
+def test_value_table_is_read_only():
+    chi = next(iter(char_group(7)))
+    table = value_table(chi)
+    with pytest.raises(ValueError):
+        table[1] = 99
+    with pytest.raises(ValueError):
+        chi.group.roots[0] = 99
+    assert value_table(chi)[1] == 1

@@ -1,6 +1,7 @@
 """The package imports nothing beyond the standard library and numpy:
 numpy is its only runtime dependency, so scipy or hypothesis, which may
-be installed for development, must not creep into src/."""
+be installed for development, must not creep into src/.  And each module
+uses every name it imports at module level."""
 
 import ast
 import sys
@@ -27,3 +28,19 @@ def test_package_imports_only_stdlib_and_numpy():
                for path in files for line, name in _imports(path)
                if name.split(".")[0] not in ALLOWED]
     assert not outside, outside
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused, unused
