@@ -18,7 +18,6 @@ from .arith import (
     mobius,
     prime_factors,
     primes_in,
-    radical,
     totient,
 )
 from .characters import (
@@ -28,7 +27,6 @@ from .characters import (
     char_order,
     conductor,
     crt_product,
-    eval_induced,
     induce,
     is_primitive,
     primitive_chars,

@@ -69,13 +69,6 @@ def totient(n):
     return t
 
 
-def radical(n):
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
 def is_prime(n):
     if n < 2:
         return False

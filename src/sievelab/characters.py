@@ -16,10 +16,7 @@ character algebra stays in integers, so the identity checking in this
 package costs exactly one rounding step, at the table's exp.
 
 Conventions: chi(n) = 0 when gcd(n, q) > 1; the conductor is the smallest
-modulus the character descends to; eval_induced goes through the primitive
-character inducing chi and raises on arguments sharing a factor with the
-conductor (the "induced" convention — the literal zero-on-non-units reading
-breaks the detection identities, see the kernel module's tests).
+modulus the character descends to.
 """
 
 import cmath
@@ -304,20 +301,6 @@ def crt_product(chars):
             raise ValueError("moduli must be pairwise coprime")
         q *= c.modulus
     return _from_generators(q, chars)
-
-
-def eval_induced(chi, n):
-    """Evaluate the primitive character inducing chi at n.
-
-    Raises ValueError when gcd(n, conductor) > 1 — there is no meaningful
-    value there and silently returning 0 is exactly the convention that
-    breaks the primitivity-detection identity.
-    """
-    star = primitive_part(chi)
-    f = star.modulus
-    if f > 1 and gcd(n, f) != 1:
-        raise ValueError(f"gcd({n}, conductor {f}) > 1")
-    return star(n)
 
 
 def rational_eval(chi, a, b):

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import product
-from math import gcd
+from math import gcd, isfinite
 
 import numpy as np
 
@@ -60,6 +60,8 @@ class RunConfig:
             vals = getattr(self, name)
             if not vals:
                 raise ConfigError(f"range {name} is empty")
+            if not all(isfinite(v) for v in vals):
+                raise ConfigError(f"range {name} must be finite")
             if any(v < 1 for v in vals):
                 raise ConfigError(f"range {name} must be >= 1")
         if self.tol < 0:

@@ -140,11 +140,6 @@ class CosetSystem:
     r: int
     representatives: tuple
 
-    def classes(self):
-        """List of (rep, members) with members = rep * (induced G_r)."""
-        sub = _induced_subgroup(self.q, self.r)
-        return [(rep, [rep * h for h in sub]) for rep in self.representatives]
-
 
 @lru_cache(maxsize=None)
 def _induced_subgroup(q, r):

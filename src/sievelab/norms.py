@@ -29,13 +29,14 @@ c_q(u - v) of the additive family.  One exact integer routine,
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`),
 whose value is a Rayleigh quotient (a lower bound up to rounding) capped
-by the Gershgorin bound.  For windows with many thousands of pairs the
-same eigenvalue is taken from the family side: the member values
-(`_member_matrix`, through the reduction map a/b -> a bbar mod m) times
-Gauss-Legendre quadrature of I_T give a members x nodes Gram whose
-nonzero spectrum is the pair-side one up to the quadrature, and it goes
-through the same Lanczos solver.  The two sides share no arithmetic, so
-each is the other's oracle in the tests.
+by the Gershgorin bound.  Past _PAIR_ROUTE_MAX indices every family takes
+the family side: the member values (`_member_matrix`, through the
+reduction map a/b -> a bbar mod m), times Gauss-Legendre quadrature of
+I_T for a window and exact for the additive and rational families, give
+a members x nodes Gram whose nonzero spectrum is the pair-side one, and
+it goes through the same solver.  The two sides share the definition of
+a family, stated once as data (`_Family`), and no arithmetic, so each is
+the other's oracle in the tests.
 """
 
 import struct
@@ -109,16 +110,10 @@ def family_members(spec):
     """All (q, chi, theta) of the multiplicative family: Q/2 < q <= Q,
     gcd(q, k) = 1, chi primitive mod q, theta mod k, optionally filtered
     by the parity of chi*theta."""
-    members = []
-    for q in _moduli(spec.Q, spec.k):
-        for chi in primitive_chars(q):
-            for theta in char_group(spec.k):
-                if spec.parity is not None:
-                    sign = chi.parity() * theta.parity()
-                    if sign != (1 if spec.parity == "even" else -1):
-                        continue
-                members.append((q, chi, theta))
-    return members
+    sign = {"even": 1, "odd": -1}.get(spec.parity)
+    return [(q, chi, theta) for q in _moduli(spec.Q, spec.k) for chi in primitive_chars(q)
+            for theta in char_group(spec.k)
+            if sign is None or chi.parity() * theta.parity() == sign]
 
 
 # ----------------------------------------------------------------------
@@ -151,16 +146,6 @@ def t_integral(L, T):
 # Gram constructions
 # ----------------------------------------------------------------------
 
-def _index_arrays(index):
-    a = np.array([p.a for p in index], dtype=np.int64)
-    b = np.array([p.b for p in index], dtype=np.int64)
-    return a, b
-
-
-def _log_ratios(a, b):
-    return np.log(a.astype(np.float64)) - np.log(b.astype(np.float64))
-
-
 def _hermitize(G):
     """Mirror the strict upper triangle onto the lower so G[m,n] is exactly
     conj(G[n,m]) and the diagonal is exactly real."""
@@ -168,6 +153,43 @@ def _hermitize(G):
     out += out.conj().T
     out[np.diag_indices(G.shape[0])] = G.diagonal().real
     return out
+
+
+# ----- the families, stated once for both sides -------------------------
+
+class _Family:
+    """The pair side reads the index, the moduli, the d-term weight (phi,
+    or d for Ramanujan sums), the twist k, the parity and the window
+    [T/2, T] (T None: discrete).  The family side reads the index, the
+    window and members(), {label: residue tables}, built only on call."""
+
+    def __init__(self, index, moduli, weight, members, k=1, parity=None, T=None):
+        self.index, self.moduli, self.weight, self.members = tuple(index), moduli, weight, members
+        self.k, self.parity, self.T = k, parity, T
+        self.a = np.array([p.a for p in self.index], dtype=np.int64)
+        self.b = np.array([p.b for p in self.index], dtype=np.int64)
+        # log(a_n b_m / (a_m b_n)) = L_n - L_m
+        self.L = np.log(self.a.astype(np.float64)) - np.log(self.b.astype(np.float64))
+
+
+def _multiplicative(spec, index):
+    return _Family(index, _moduli(spec.Q, spec.k), totient,
+                   lambda: {m: tuple(map(value_table, m[1:])) for m in family_members(spec)},
+                   spec.k, spec.parity, spec.T)
+
+
+def _additive(Q, N):
+    moduli = _moduli(Q)
+    return _Family(enumerate_pairs(N, "dyadic"), moduli, lambda d: d,
+                   lambda: {(q, t): (np.exp(2j * np.pi * t * np.arange(q) / q),)
+                            for q in moduli for t in range(q) if gcd(t, q) == 1})
+
+
+def _rational(Q, N):
+    moduli = range(1, int(Q) + 1)
+    return _Family(rationals_up_to(N), moduli, totient,
+                   lambda: {(q, chi): (value_table(chi),) for q in moduli
+                            for chi in primitive_chars(q)})
 
 
 # ----- pair side: one exact congruence sum -----------------------------
@@ -198,61 +220,55 @@ def _congruence_sum(a, b, moduli, ssign=1, weight=totient):
     return acc
 
 
+def _pair_gram(fam):
+    """G[n, m] = S[n, m] I_T(L_n - L_m), the I_T factor only for a window;
+    S is the family's congruence sum, times for a twist k > 1 the sum over
+    all theta mod k.  With a parity the projector (1/2)(1 + eps chi(-1)
+    theta(-1)) makes S the half-sum of the (u = v)-branch and eps times
+    the (u = -v)-branch, taken jointly at q and k."""
+    a, b, k = fam.a, fam.b, fam.k
+
+    def branch(ssign):
+        if k == 1:
+            return _congruence_sum(a, b, fam.moduli, ssign, fam.weight)
+        # all theta mod k: the d = k term, weight phi(k); built first, as that keeps peak RSS
+        twist = _congruence_sum(a, b, (k,), ssign, weight=lambda d: totient(k) if d == k else 0)
+        return _congruence_sum(a, b, fam.moduli, ssign, fam.weight) * twist
+
+    if fam.parity is None:
+        S = branch(1)
+    else:
+        eps = 1 if fam.parity == "even" else -1
+        S = (branch(1) + eps * branch(-1)) / 2
+    if fam.T is None:
+        return GramMatrix(fam.index, S.astype(np.complex128))
+    G = S * t_integral(fam.L[:, None] - fam.L[None, :], fam.T)
+    return GramMatrix(fam.index, _hermitize(G))
+
+
 def gram_multiplicative(spec, index):
     """Closed-form Gram matrix of the multiplicative family on the given
-    coprime pairs:
+    coprime pairs (`_pair_gram`):
 
     G[n, m] = [sum over q in (Q/2, Q], (q, k) = 1, (a_n b_n a_m b_m, q) = 1
                 of the Moebius congruence sum]
               * phi(k) [a_n b_m = a_m b_n mod k] [(a_n b_n a_m b_m, k) = 1]
-              * I_T(log(a_n b_m / (a_m b_n))).
-
-    With a parity restriction the projector (1/2)(1 + eps chi(-1) theta(-1))
-    couples the two factors: the matrix becomes the half-sum of the
-    (u = v)-branch and eps times the (u = -v)-branch taken jointly at q
-    and k.
-    """
-    index = tuple(index)
-    a, b = _index_arrays(index)
-    moduli = _moduli(spec.Q, spec.k)
-    k = spec.k
-
-    def branch(ssign):
-        # all characters theta mod k: only the d = k term, of weight phi(k)
-        whole_group = _congruence_sum(a, b, (k,), ssign,
-                                      weight=lambda d: totient(k) if d == k else 0)
-        return _congruence_sum(a, b, moduli, ssign) * whole_group
-
-    if spec.parity is None:
-        S = branch(1)
-    else:
-        eps = 1 if spec.parity == "even" else -1
-        S = (branch(1) + eps * branch(-1)) / 2
-
-    # log(a_n b_m / (a_m b_n)) = L_n - L_m
-    L = _log_ratios(a, b)
-    G = S * t_integral(L[:, None] - L[None, :], spec.T)
-    return GramMatrix(index, _hermitize(G))
+              * I_T(log(a_n b_m / (a_m b_n)))."""
+    return _pair_gram(_multiplicative(spec, index))
 
 
 def gram_additive(Q, N):
     """G[n, m] = sum over q in (Q/2, Q] with gcd(a_n b_n a_m b_m, q) = 1 of
     c_q(a_n bbar_n - a_m bbar_m), the Ramanujan-sum Gram of the additive
     family on the dyadic window."""
-    index = tuple(enumerate_pairs(N, "dyadic"))
-    a, b = _index_arrays(index)
-    G = _congruence_sum(a, b, _moduli(Q), weight=lambda d: d)
-    return GramMatrix(index, G.astype(np.complex128))
+    return _pair_gram(_additive(Q, N))
 
 
 def gram_rational(Q, N):
     """Rational-family Gram: rows all q <= Q with primitive chi mod q,
     columns the positive rationals of ht <= N; contributions gated by
     strict localization gcd(a b, q) = 1."""
-    index = tuple(rationals_up_to(N))
-    a, b = _index_arrays(index)
-    G = _congruence_sum(a, b, range(1, int(Q) + 1))
-    return GramMatrix(index, G.astype(np.complex128))
+    return _pair_gram(_rational(Q, N))
 
 
 # ----- family side: one member-value matrix ----------------------------
@@ -278,10 +294,6 @@ def _member_matrix(members, a, b):
     return V
 
 
-def _multiplicative_members(spec):
-    return [(value_table(chi), value_table(theta)) for _, chi, theta in family_members(spec)]
-
-
 def _gauss_nodes(lo, hi, n):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
@@ -289,26 +301,31 @@ def _gauss_nodes(lo, hi, n):
 
 def _quadrature_matrix(V, L, T, nodes):
     """A[n, (f, j)] = V[n, f] e^{i t_j L_n} sqrt(w_j) over the Gauss-Legendre
-    nodes t_j of [T/2, T], so that A A^H is the quadrature Gram."""
+    nodes t_j of [T/2, T], so that A A^H is the quadrature Gram; A = V for
+    a discrete family."""
+    if T is None:
+        return V
     t, w = _gauss_nodes(T / 2, T, nodes)
     phases = np.exp(1j * np.outer(L, t)) * np.sqrt(w)[None, :]
     return (V[:, :, None] * phases[:, None, :]).reshape(len(L), V.shape[1] * nodes)
 
 
+def _family_gram(fam, nodes):
+    """Oracle: the pair-side Gram as A A^H from the family side, summed over
+    member blocks that keep each A near _ORACLE_BLOCK entries."""
+    V = _member_matrix(fam.members().values(), fam.a, fam.b)
+    G = np.zeros((len(fam.index),) * 2, dtype=np.complex128)
+    chunk = max(1, _ORACLE_BLOCK // max(len(fam.index) * nodes, 1))
+    for s in range(0, V.shape[1], chunk):
+        A = _quadrature_matrix(V[:, s:s + chunk], fam.L, fam.T, nodes)
+        G += A @ A.conj().T
+    return GramMatrix(fam.index, _hermitize(G))
+
+
 def gram_bruteforce(spec, index, quadrature_nodes=64):
     """Oracle: the same Gram matrix by explicit sums over (q, chi, theta)
     and Gauss-Legendre quadrature of the t-integral."""
-    index = tuple(index)
-    a, b = _index_arrays(index)
-    V = _member_matrix(_multiplicative_members(spec), a, b)
-    L = _log_ratios(a, b)
-    G = np.zeros((len(index), len(index)), dtype=np.complex128)
-    # member blocks keep each A near _ORACLE_BLOCK entries
-    chunk = max(1, _ORACLE_BLOCK // max(len(index) * quadrature_nodes, 1))
-    for s in range(0, V.shape[1], chunk):
-        A = _quadrature_matrix(V[:, s:s + chunk], L, spec.T, quadrature_nodes)
-        G += A @ A.conj().T
-    return GramMatrix(index, _hermitize(G))
+    return _family_gram(_multiplicative(spec, index), quadrature_nodes)
 
 
 def additive_matrix(Q, N):
@@ -316,18 +333,14 @@ def additive_matrix(Q, N):
     Q/2 < q <= Q and t primitive mod q (t = 0 counts as primitive for
     q = 1), columns the dyadic-window pairs; entries e_q(t a bbar) gated
     on gcd(ab, q) = 1."""
-    index = tuple(enumerate_pairs(N, "dyadic"))
-    rows = [(q, t) for q in _moduli(Q) for t in range(q) if gcd(t, q) == 1]
-    members = [(np.exp(2j * np.pi * t * np.arange(q) / q),) for q, t in rows]
-    return rows, index, _member_matrix(members, *_index_arrays(index)).T
+    fam = _additive(Q, N)
+    members = fam.members()
+    return list(members), fam.index, _member_matrix(members.values(), fam.a, fam.b).T
 
 
 def gram_rational_bruteforce(Q, N):
     """Oracle for gram_rational via explicit character sums."""
-    index = tuple(rationals_up_to(N))
-    members = [(value_table(chi),) for q in range(1, int(Q) + 1) for chi in primitive_chars(q)]
-    V = _member_matrix(members, *_index_arrays(index))
-    return GramMatrix(index, _hermitize(V @ V.conj().T))
+    return _family_gram(_rational(Q, N), 1)
 
 
 # ----------------------------------------------------------------------
@@ -412,59 +425,53 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=20000):
 # the Delta norms
 # ----------------------------------------------------------------------
 
-def _family_route(spec, index, tol):
-    """lambda_max via the family-side quadrature Gram H = A^H A, with
-    A = _quadrature_matrix of the member values: rows the pairs, columns
-    (member, node).  Its nonzero spectrum is that of A A^H, the pair-side
-    matrix up to the quadrature of I_T.  H is summed over row blocks of A
-    and solved by the same Lanczos solver as the pair route."""
-    a, b = _index_arrays(index)
-    L = _log_ratios(a, b)
-    V = _member_matrix(_multiplicative_members(spec), a, b)
-    nodes = max(48, int(float(np.abs(L).max(initial=0.0)) * spec.T / 2) + 40)
-    n, FJ = len(index), V.shape[1] * nodes
+def _solve(fam, gram, tol, route="auto"):
+    """The one route rule.  Up to _PAIR_ROUTE_MAX indices ("auto"), or with
+    route="pairs", the pair-side Gram gram() is solved.  Past it, or with
+    route="family", H = A^H A, A = _quadrature_matrix of the member values
+    (rows the index, columns (member, node)): the nonzero spectrum of
+    A A^H, the pair-side Gram up to the quadrature of I_T."""
+    n = len(fam.index)
+    if route == "pairs" or (route == "auto" and n <= _PAIR_ROUTE_MAX):
+        return top_eigenvalue(gram(), tol=tol)
+    V = _member_matrix(fam.members().values(), fam.a, fam.b)
+    Lmax = float(np.abs(fam.L).max(initial=0.0))
+    nodes = 1 if fam.T is None else max(48, int(Lmax * fam.T / 2) + 40)
+    FJ = V.shape[1] * nodes
     H = np.zeros((FJ, FJ), dtype=np.complex128)
     block = max(1, min(n, 8 * 1024 * 1024 // max(FJ, 1)))
     for s in range(0, n, block):
-        A = _quadrature_matrix(V[s:s + block], L[s:s + block], spec.T, nodes)
+        A = _quadrature_matrix(V[s:s + block], fam.L[s:s + block], fam.T, nodes)
         H += A.conj().T @ A
     return top_eigenvalue(_hermitize(H), tol=tol)
 
 
 def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):
     """Delta(Q, k, T, N): the multiplicative-family norm on the dyadic
-    window N/2 < ab <= N, as the largest Gram eigenvalue.  Up to
-    _PAIR_ROUTE_MAX pairs "auto" solves the pair-side Gram, past it the
-    family-side quadrature Gram; both go through top_eigenvalue."""
+    window N/2 < ab <= N, as the largest Gram eigenvalue.  "auto" takes the
+    pair side up to _PAIR_ROUTE_MAX pairs and the family side past it."""
     if route not in _ROUTES:
         raise ValueError(f"route must be one of {_ROUTES}, got {route!r}")
     spec = FamilySpec(Q, k, T, parity)
     _require_finite(N=N)
     index = enumerate_pairs(N, "dyadic")
-    if route == "pairs" or (route == "auto" and len(index) <= _PAIR_ROUTE_MAX):
-        return top_eigenvalue(gram_multiplicative(spec, index), tol=tol)
-    return _family_route(spec, index, tol)
-
-
-def _require_sizes(Q, N):
-    _require_finite(Q=Q, N=N)
-    if Q < 1:
-        raise ValueError(f"need Q >= 1, got {Q!r}")
+    return _solve(_multiplicative(spec, index), lambda: gram_multiplicative(spec, index),
+                  tol, route)
 
 
 def delta_add(Q, N, tol=1e-9):
     """Additive-family norm (Ramanujan-sum Gram) on the dyadic window."""
-    _require_sizes(Q, N)
-    g = gram_additive(Q, N)
-    return top_eigenvalue(g, tol=tol)
+    FamilySpec(Q)
+    _require_finite(N=N)
+    return _solve(_additive(Q, N), lambda: gram_additive(Q, N), tol)
 
 
 def delta_rational(Q, N, tol=1e-9):
     """Rational-family norm: all q <= Q, primitive characters, columns the
     positive rationals with ht <= N."""
-    _require_sizes(Q, N)
-    g = gram_rational(Q, N)
-    return top_eigenvalue(g, tol=tol)
+    FamilySpec(Q)
+    _require_finite(N=N)
+    return _solve(_rational(Q, N), lambda: gram_rational(Q, N), tol)
 
 
 # ----------------------------------------------------------------------
@@ -551,39 +558,32 @@ def _q_aspect_conditions(Q, N, P):
     return {"P**": pss, "2PlogN<=P**logP/2": c1, "4PlogQ<=P**logP/2": c2}, c1 and c2
 
 
-def monotonicity_check_N(Q, k, T, N, P, tol=1e-6):
-    """Search [P, 2P] for a prime p with Delta(Q,k,T,N) <= 8 Delta(Q,k,T,Np).
-    The preconditions gate the assertion, not the search; primes dividing k
-    are skipped (the enlarged window needs p in the family's unit group)."""
-    conds, met = _n_aspect_conditions(Q, N, P)
+def _witness_search(aspect, Q, k, T, N, P, tol):
+    """The witness search of both aspects.  The aspect's preconditions gate
+    the assertion, not the search; primes dividing k are skipped (the
+    enlarged family needs p in its unit group)."""
+    conds, met = (_n_aspect_conditions if aspect == "N" else _q_aspect_conditions)(Q, N, P)
     base = delta(Q, k, T, N, tol=tol).value
-    values = {}
-    witness = None
+    values, witness = {}, None
     for p in primes_in(P, 2 * P):
         if k % p == 0:
             continue
-        values[p] = delta(Q, k, T, N * p, tol=tol).value
+        Qp, Np = (Q, N * p) if aspect == "N" else (Q * p, N)
+        values[p] = delta(Qp, k, T, Np, tol=tol).value
         if base <= 8 * values[p] * (1 + 10 * tol) + 1e-12:
             witness = p
             break
-    return MonotonicityResult("N", Q, k, T, N, P, met, conds, base, values, witness)
+    return MonotonicityResult(aspect, Q, k, T, N, P, met, conds, base, values, witness)
+
+
+def monotonicity_check_N(Q, k, T, N, P, tol=1e-6):
+    """Search [P, 2P] for a prime p with Delta(Q,k,T,N) <= 8 Delta(Q,k,T,Np)."""
+    return _witness_search("N", Q, k, T, N, P, tol)
 
 
 def monotonicity_check_Q(Q, k, T, N, P, tol=1e-6):
-    """Same in the Q aspect: some prime p in [P, 2P] with
-    Delta(Q,k,T,N) <= 8 Delta(Qp,k,T,N)."""
-    conds, met = _q_aspect_conditions(Q, N, P)
-    base = delta(Q, k, T, N, tol=tol).value
-    values = {}
-    witness = None
-    for p in primes_in(P, 2 * P):
-        if k % p == 0:
-            continue
-        values[p] = delta(Q * p, k, T, N, tol=tol).value
-        if base <= 8 * values[p] * (1 + 10 * tol) + 1e-12:
-            witness = p
-            break
-    return MonotonicityResult("Q", Q, k, T, N, P, met, conds, base, values, witness)
+    """Same in the Q aspect: p in [P, 2P] with Delta(Q,k,T,N) <= 8 Delta(Qp,k,T,N)."""
+    return _witness_search("Q", Q, k, T, N, P, tol)
 
 
 # ----------------------------------------------------------------------

@@ -253,6 +253,11 @@ def test_usage_errors():
     assert run(["norm", "--format", "xml"]) == 2
     assert run(["norm", "-Q", "0.5"]) == 2
     assert run(["norm", "--threads", "0"]) == 2
+    # a non-finite size is a usage error, not a crash (exit 1 is a finding)
+    assert run(["sieve", "-N", "inf"]) == 2
+    assert run(["sieve", "-Q", "inf"]) == 2
+    assert run(["bdh", "-Q", "inf"]) == 2
+    assert run(["norm", "-N", "nan"]) == 2
 
 
 def _declared_console_script():

@@ -315,14 +315,38 @@ def test_trivial_family_norms_are_exact_counts():
     # Q = 1 leaves the all-ones Gram: top eigenvalue is the index size.
     # The certified floor makes the value >= n exactly; the dense solver
     # may only add rounding on the high side.
-    for N in (10, 30, 75):
+    # N = 500 (n = 2285) and N = 1000 (n = 2702) are past the pair cutoff:
+    # there the count comes from the family side
+    for N in (10, 30, 75, 500):
         n = len(rationals_up_to(N))
         val = delta_rational(1, N).value
         assert n <= val <= n * (1 + 1e-12)
-    for N in (10, 30, 75):
+    for N in (10, 30, 75, 1000):
         n = len(enumerate_pairs(N, "dyadic", 1))
         val = delta_add(1, N).value
         assert n <= val <= n * (1 + 1e-12)
+
+
+def test_rational_and_additive_norms_take_the_family_side_past_the_cutoff(monkeypatch):
+    from sievelab import norms
+
+    cases = {"gram_rational": (delta_rational, 12, 600), "gram_additive": (delta_add, 12, 1200)}
+    want = {}
+    for name, (_, Q, N) in cases.items():
+        g = getattr(norms, name)(Q, N)
+        assert g.dim > norms._PAIR_ROUTE_MAX
+        want[name] = top_eigenvalue(g).value
+
+    def pair_side(*args):
+        raise AssertionError("the pair-side Gram was built past the cutoff")
+
+    # with the pair-side builders raising, the norms can only come from
+    # the family side
+    for name in cases:
+        monkeypatch.setattr(norms, name, pair_side)
+    for name, (norm, Q, N) in cases.items():
+        got = norm(Q, N).value
+        assert abs(got - want[name]) <= 1e-12 * want[name], (name, got, want[name])
 
 
 # ----------------------------------------------------------------------
