@@ -29,14 +29,14 @@ c_q(u - v) of the additive family.  One exact integer routine,
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`),
 whose value is a Rayleigh quotient (a lower bound up to rounding) capped
-by the Gershgorin bound.  Past _PAIR_ROUTE_MAX indices every family takes
-the family side: the member values (`_member_matrix`, through the
-reduction map a/b -> a bbar mod m), times Gauss-Legendre quadrature of
-I_T for a window and exact for the additive and rational families, give
-a members x nodes Gram whose nonzero spectrum is the pair-side one, and
-it goes through the same solver.  The two sides share the definition of
-a family, stated once as data (`_Family`), and no arithmetic, so each is
-the other's oracle in the tests.
+by the Gershgorin bound.  Past _PAIR_ROUTE_MAX indices a family whose
+members x nodes are fewer than its indices takes the family side: the
+member values (`_member_matrix`, through the reduction map
+a/b -> a bbar mod m), times Gauss-Legendre quadrature of I_T for a window
+and exact for the additive and rational families, give a members x nodes
+Gram with the pair-side nonzero spectrum, solved the same way.  The two
+sides share the definition of a family, stated once as data (`_Family`),
+and no arithmetic, so each is the other's oracle in the tests.
 """
 
 import struct
@@ -76,9 +76,12 @@ class FamilySpec:
 
     def __post_init__(self):
         _require_finite(Q=self.Q, T=self.T)
-        if (self.Q < 1 or self.T < 1 or not isinstance(self.k, (int, np.integer))
-                or self.k < 1):
-            raise ValueError("need Q >= 1, T >= 1, integer k >= 1")
+        if self.Q < 1:
+            raise ValueError(f"need Q >= 1, got {self.Q!r}")
+        if self.T < 1:
+            raise ValueError(f"need T >= 1, got {self.T!r}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"need an integer k >= 1, got {self.k!r}")
         if self.parity not in (None, "even", "odd"):
             raise ValueError("parity must be None, 'even', or 'odd'")
 
@@ -111,9 +114,13 @@ def family_members(spec):
     gcd(q, k) = 1, chi primitive mod q, theta mod k, optionally filtered
     by the parity of chi*theta."""
     sign = {"even": 1, "odd": -1}.get(spec.parity)
-    return [(q, chi, theta) for q in _moduli(spec.Q, spec.k) for chi in primitive_chars(q)
-            for theta in char_group(spec.k)
-            if sign is None or chi.parity() * theta.parity() == sign]
+    members = []
+    for q in _moduli(spec.Q, spec.k):
+        for chi in primitive_chars(q):
+            for theta in char_group(spec.k):
+                if sign is None or chi.parity() * theta.parity() == sign:
+                    members.append((q, chi, theta))
+    return members
 
 
 # ----------------------------------------------------------------------
@@ -161,11 +168,16 @@ class _Family:
     """The pair side reads the index, the moduli, the d-term weight (phi,
     or d for Ramanujan sums), the twist k, the parity and the window
     [T/2, T] (T None: discrete).  The family side reads the index, the
-    window and members(), {label: residue tables}, built only on call."""
+    window and members(), the members' residue tables, built on call."""
 
     def __init__(self, index, moduli, weight, members, k=1, parity=None, T=None):
-        self.index, self.moduli, self.weight, self.members = tuple(index), moduli, weight, members
-        self.k, self.parity, self.T = k, parity, T
+        self.index = tuple(index)
+        self.moduli = moduli
+        self.weight = weight
+        self.members = members
+        self.k = k
+        self.parity = parity
+        self.T = T
         self.a = np.array([p.a for p in self.index], dtype=np.int64)
         self.b = np.array([p.b for p in self.index], dtype=np.int64)
         # log(a_n b_m / (a_m b_n)) = L_n - L_m
@@ -174,22 +186,28 @@ class _Family:
 
 def _multiplicative(spec, index):
     return _Family(index, _moduli(spec.Q, spec.k), totient,
-                   lambda: {m: tuple(map(value_table, m[1:])) for m in family_members(spec)},
+                   lambda: [(value_table(chi), value_table(theta))
+                            for _, chi, theta in family_members(spec)],
                    spec.k, spec.parity, spec.T)
+
+
+def _additive_rows(moduli):
+    """The additive members (q, t): t primitive mod q (t = 0 for q = 1)."""
+    return [(q, t) for q in moduli for t in range(q) if gcd(t, q) == 1]
 
 
 def _additive(Q, N):
     moduli = _moduli(Q)
     return _Family(enumerate_pairs(N, "dyadic"), moduli, lambda d: d,
-                   lambda: {(q, t): (np.exp(2j * np.pi * t * np.arange(q) / q),)
-                            for q in moduli for t in range(q) if gcd(t, q) == 1})
+                   lambda: [(np.exp(2j * np.pi * t * np.arange(q) / q),)
+                            for q, t in _additive_rows(moduli)])
 
 
 def _rational(Q, N):
     moduli = range(1, int(Q) + 1)
     return _Family(rationals_up_to(N), moduli, totient,
-                   lambda: {(q, chi): (value_table(chi),) for q in moduli
-                            for chi in primitive_chars(q)})
+                   lambda: [(value_table(chi),) for q in moduli
+                            for chi in primitive_chars(q)])
 
 
 # ----- pair side: one exact congruence sum -----------------------------
@@ -220,26 +238,29 @@ def _congruence_sum(a, b, moduli, ssign=1, weight=totient):
     return acc
 
 
-def _pair_gram(fam):
-    """G[n, m] = S[n, m] I_T(L_n - L_m), the I_T factor only for a window;
-    S is the family's congruence sum, times for a twist k > 1 the sum over
-    all theta mod k.  With a parity the projector (1/2)(1 + eps chi(-1)
-    theta(-1)) makes S the half-sum of the (u = v)-branch and eps times
-    the (u = -v)-branch, taken jointly at q and k."""
-    a, b, k = fam.a, fam.b, fam.k
-
+def _congruence_matrix(fam, a, b):
+    """S[n, m], the family's congruence sum on index arrays a, b, times for
+    a twist k > 1 the sum over all theta mod k.  With a parity the
+    projector (1/2)(1 + eps chi(-1) theta(-1)) makes S the half-sum of the
+    (u = v)-branch and eps times the (u = -v)-branch, taken jointly at q
+    and k.  S[n, n] at a unit index counts the members."""
     def branch(ssign):
-        if k == 1:
+        if fam.k == 1:
             return _congruence_sum(a, b, fam.moduli, ssign, fam.weight)
-        # all theta mod k: the d = k term, weight phi(k); built first, as that keeps peak RSS
-        twist = _congruence_sum(a, b, (k,), ssign, weight=lambda d: totient(k) if d == k else 0)
+        # all theta mod k: the d = k term, weight phi(k); built first for peak RSS
+        twist = _congruence_sum(a, b, (fam.k,), ssign,
+                                weight=lambda d: totient(fam.k) if d == fam.k else 0)
         return _congruence_sum(a, b, fam.moduli, ssign, fam.weight) * twist
 
     if fam.parity is None:
-        S = branch(1)
-    else:
-        eps = 1 if fam.parity == "even" else -1
-        S = (branch(1) + eps * branch(-1)) / 2
+        return branch(1)
+    eps = 1 if fam.parity == "even" else -1
+    return (branch(1) + eps * branch(-1)) / 2
+
+
+def _pair_gram(fam):
+    """G[n, m] = S[n, m] I_T(L_n - L_m), the I_T factor only for a window."""
+    S = _congruence_matrix(fam, fam.a, fam.b)
     if fam.T is None:
         return GramMatrix(fam.index, S.astype(np.complex128))
     G = S * t_integral(fam.L[:, None] - fam.L[None, :], fam.T)
@@ -313,7 +334,7 @@ def _quadrature_matrix(V, L, T, nodes):
 def _family_gram(fam, nodes):
     """Oracle: the pair-side Gram as A A^H from the family side, summed over
     member blocks that keep each A near _ORACLE_BLOCK entries."""
-    V = _member_matrix(fam.members().values(), fam.a, fam.b)
+    V = _member_matrix(fam.members(), fam.a, fam.b)
     G = np.zeros((len(fam.index),) * 2, dtype=np.complex128)
     chunk = max(1, _ORACLE_BLOCK // max(len(fam.index) * nodes, 1))
     for s in range(0, V.shape[1], chunk):
@@ -334,8 +355,8 @@ def additive_matrix(Q, N):
     q = 1), columns the dyadic-window pairs; entries e_q(t a bbar) gated
     on gcd(ab, q) = 1."""
     fam = _additive(Q, N)
-    members = fam.members()
-    return list(members), fam.index, _member_matrix(members.values(), fam.a, fam.b).T
+    V = _member_matrix(fam.members(), fam.a, fam.b)
+    return _additive_rows(fam.moduli), fam.index, V.T
 
 
 def gram_rational_bruteforce(Q, N):
@@ -426,17 +447,22 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=20000):
 # ----------------------------------------------------------------------
 
 def _solve(fam, gram, tol, route="auto"):
-    """The one route rule.  Up to _PAIR_ROUTE_MAX indices ("auto"), or with
-    route="pairs", the pair-side Gram gram() is solved.  Past it, or with
-    route="family", H = A^H A, A = _quadrature_matrix of the member values
-    (rows the index, columns (member, node)): the nonzero spectrum of
-    A A^H, the pair-side Gram up to the quadrature of I_T."""
+    """The one route rule.  "pairs" solves the pair-side Gram gram();
+    "family" solves H = A^H A, A = _quadrature_matrix of the member values
+    (rows the index, columns (member, node)), whose nonzero spectrum is the
+    pair side's up to the quadrature of I_T.  "auto" takes the family side
+    past _PAIR_ROUTE_MAX indices when members x nodes < indices, counting
+    the members as S at the index 1/1, where every member is 1."""
     n = len(fam.index)
-    if route == "pairs" or (route == "auto" and n <= _PAIR_ROUTE_MAX):
-        return top_eigenvalue(gram(), tol=tol)
-    V = _member_matrix(fam.members().values(), fam.a, fam.b)
     Lmax = float(np.abs(fam.L).max(initial=0.0))
     nodes = 1 if fam.T is None else max(48, int(Lmax * fam.T / 2) + 40)
+    if route == "auto":
+        one = np.ones(1, dtype=np.int64)
+        dual = n > _PAIR_ROUTE_MAX and _congruence_matrix(fam, one, one)[0, 0] * nodes < n
+        route = "family" if dual else "pairs"
+    if route == "pairs":
+        return top_eigenvalue(gram(), tol=tol)
+    V = _member_matrix(fam.members(), fam.a, fam.b)
     FJ = V.shape[1] * nodes
     H = np.zeros((FJ, FJ), dtype=np.complex128)
     block = max(1, min(n, 8 * 1024 * 1024 // max(FJ, 1)))
@@ -448,8 +474,8 @@ def _solve(fam, gram, tol, route="auto"):
 
 def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):
     """Delta(Q, k, T, N): the multiplicative-family norm on the dyadic
-    window N/2 < ab <= N, as the largest Gram eigenvalue.  "auto" takes the
-    pair side up to _PAIR_ROUTE_MAX pairs and the family side past it."""
+    window N/2 < ab <= N, as the largest Gram eigenvalue.  "auto" follows
+    the route rule of `_solve`."""
     if route not in _ROUTES:
         raise ValueError(f"route must be one of {_ROUTES}, got {route!r}")
     spec = FamilySpec(Q, k, T, parity)
@@ -558,13 +584,14 @@ def _q_aspect_conditions(Q, N, P):
     return {"P**": pss, "2PlogN<=P**logP/2": c1, "4PlogQ<=P**logP/2": c2}, c1 and c2
 
 
-def _witness_search(aspect, Q, k, T, N, P, tol):
+def _witness_search(aspect, conditions, Q, k, T, N, P, tol):
     """The witness search of both aspects.  The aspect's preconditions gate
     the assertion, not the search; primes dividing k are skipped (the
     enlarged family needs p in its unit group)."""
-    conds, met = (_n_aspect_conditions if aspect == "N" else _q_aspect_conditions)(Q, N, P)
+    conds, met = conditions(Q, N, P)
     base = delta(Q, k, T, N, tol=tol).value
-    values, witness = {}, None
+    values = {}
+    witness = None
     for p in primes_in(P, 2 * P):
         if k % p == 0:
             continue
@@ -578,12 +605,12 @@ def _witness_search(aspect, Q, k, T, N, P, tol):
 
 def monotonicity_check_N(Q, k, T, N, P, tol=1e-6):
     """Search [P, 2P] for a prime p with Delta(Q,k,T,N) <= 8 Delta(Q,k,T,Np)."""
-    return _witness_search("N", Q, k, T, N, P, tol)
+    return _witness_search("N", _n_aspect_conditions, Q, k, T, N, P, tol)
 
 
 def monotonicity_check_Q(Q, k, T, N, P, tol=1e-6):
     """Same in the Q aspect: p in [P, 2P] with Delta(Q,k,T,N) <= 8 Delta(Qp,k,T,N)."""
-    return _witness_search("Q", Q, k, T, N, P, tol)
+    return _witness_search("Q", _q_aspect_conditions, Q, k, T, N, P, tol)
 
 
 # ----------------------------------------------------------------------

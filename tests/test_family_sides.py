@@ -27,10 +27,14 @@ def _rel_diff(G, H):
 
 def _assert_norms_agree(pair, fam, rel):
     """lambda_max of the pair-side Gram against the family side of the
-    route rule (H = A^H A), whatever the index size."""
+    route rule (H = A^H A), whatever the index size; and the route rule's
+    member count, the congruence sum at the index 1/1, is the number of
+    members."""
     want = norms.top_eigenvalue(pair, tol=1e-12).value
     got = norms._solve(fam, None, 1e-12, route="family").value
     assert abs(got - want) <= rel * max(1.0, want), (got, want)
+    one = np.ones(1, dtype=np.int64)
+    assert norms._congruence_matrix(fam, one, one)[0, 0] == len(fam.members())
 
 
 @PROPERTY

@@ -280,6 +280,17 @@ def test_norm_inputs_are_validated_at_the_boundary(call):
         call()
 
 
+def test_size_errors_name_only_the_bad_size():
+    with pytest.raises(ValueError, match=r"^need Q >= 1, got 0\.5$"):
+        delta_add(0.5, 40)
+    with pytest.raises(ValueError, match=r"^need Q >= 1, got 0$"):
+        delta_rational(0, 40)
+    with pytest.raises(ValueError, match=r"^need T >= 1, got 0\.5$"):
+        delta(4.0, 1, 0.5, 40.0)
+    with pytest.raises(ValueError, match=r"^need an integer k >= 1, got 1\.5$"):
+        delta(4.0, 1.5, 1.0, 40.0)
+
+
 def test_delta_routes_agree():
     for (Q, k, T, N) in [(4.0, 1, 1.0, 40.0), (6.0, 2, 2.0, 100.0), (3.0, 1, 4.0, 64.0)]:
         a = delta(Q, k, T, N, route="pairs").value
@@ -347,6 +358,44 @@ def test_rational_and_additive_norms_take_the_family_side_past_the_cutoff(monkey
     for name, (norm, Q, N) in cases.items():
         got = norm(Q, N).value
         assert abs(got - want[name]) <= 1e-12 * want[name], (name, got, want[name])
+
+
+def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypatch):
+    from sievelab import norms
+
+    # with the cutoff lowered to 10 indices, a family with members x nodes
+    # >= indices stays on the pair side: H would be the larger matrix
+    monkeypatch.setattr(norms, "_PAIR_ROUTE_MAX", 10)
+    index = enumerate_pairs(60, "dyadic")
+    larger = {  # (norm, pair-side Gram, indices, members x nodes)
+        "multiplicative": (lambda: delta(12.0, 1, 1.0, 60.0),
+                           gram_multiplicative(FamilySpec(12.0), index), 21 * 48),
+        "additive": (lambda: delta_add(12, 20), gram_additive(12, 20), 34),
+        "rational": (lambda: delta_rational(12, 6), gram_rational(12, 6), 27),
+    }
+    want = {}
+    for name, (_, g, size) in larger.items():
+        assert norms._PAIR_ROUTE_MAX < g.dim <= size, (name, g.dim)
+        want[name] = top_eigenvalue(g).value
+
+    def member_values(*args):
+        raise AssertionError("the family side was built although it is larger")
+
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_member_matrix", member_values)
+        for name, (norm, _, _) in larger.items():
+            assert norm().value == want[name], name
+
+    # a single member (Q = 1) is the smaller side: the family side runs
+    def pair_side(*args):
+        raise AssertionError("the pair-side Gram was built")
+
+    monkeypatch.setattr(norms, "gram_additive", pair_side)
+    monkeypatch.setattr(norms, "gram_rational", pair_side)
+    n = len(enumerate_pairs(20, "dyadic", 1))
+    assert n > norms._PAIR_ROUTE_MAX
+    assert delta_add(1, 20).value == n
+    assert delta_rational(1, 6).value == len(rationals_up_to(6))
 
 
 # ----------------------------------------------------------------------
