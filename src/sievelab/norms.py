@@ -25,7 +25,12 @@ standard Moebius identity over primitive characters,
 
 with weight d in place of phi(d) the same sum is the Ramanujan sum
 c_q(u - v) of the additive family.  One exact integer routine,
-`_congruence_sum`, builds every pair-side matrix from it.
+`_congruence_sum`, builds every pair-side matrix from it, as one product
+of 0/1 residue indicators (a row per index, a column per unit residue
+mod d for each (q, d)) taken in float64 chunks of at most _PRODUCT_BLOCK
+entries; every partial sum is an integer below 2^53, so the result is
+exact.  The pair route refuses a job whose size estimate passes
+_PAIR_ROUTE_BYTES.
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`),
 whose value is a Rayleigh quotient (a lower bound up to rounding) capped
@@ -54,6 +59,8 @@ _START_SEED = 0x5EED
 _PAIR_ROUTE_MAX = 2000
 _CHECK_ROWS = 64
 _ORACLE_BLOCK = 1 << 20
+_PRODUCT_BLOCK = 1 << 22
+_PAIR_ROUTE_BYTES = 4 << 30
 _ROUTES = ("auto", "pairs", "family")
 
 
@@ -212,30 +219,68 @@ def _rational(Q, N):
 
 # ----- pair side: one exact congruence sum -----------------------------
 
-def _congruence_sum(a, b, moduli, ssign=1, weight=totient):
-    """The integer matrix
+def _unit_residues(a, b, d):
+    """(column, u): column[r] numbers the units r mod d as 0..phi(d)-1, and
+    u[n] = a_n bbar_n mod d (meaningful where a_n b_n is a unit mod d)."""
+    units = [x for x in range(d) if gcd(x, d) == 1]
+    column = np.full(d, -1, dtype=np.int64)
+    column[units] = np.arange(len(units))
+    inv = np.zeros(d, dtype=np.int64)
+    inv[units] = [pow(x, -1, d) for x in units]
+    return column, (a % d) * inv[b % d] % d
 
-        sum over q in moduli with gcd(a_n b_n a_m b_m, q) = 1 of
+
+def _congruence_sum(a, b, moduli, ssign=1, weight=totient):
+    """The int64 matrix
+
+        S[n, m] = sum over q in moduli with gcd(a_n b_n a_m b_m, q) = 1 of
             sum_{d | q} mu(q/d) weight(d) [a_n b_m = ssign a_m b_n mod d].
 
     With weight = phi this is the sum over primitive chi mod q of
     chi(u) conj(chi(ssign v)), u = a_n bbar_n, v = a_m bbar_m; with
-    weight(d) = d it is the Ramanujan sum c_q(u - v)."""
+    weight(d) = d it is the Ramanujan sum c_q(u - v).
+
+    For units the congruence is u_n = ssign u_m mod d, so S is one low-rank
+    product.  Each (q, d) with c = mu(q/d) weight(d) != 0 owns phi(d)
+    columns, one per unit residue mod d; where gcd(a_n b_n, q) = 1, row n of
+    U holds c in the column of u_n and row n of U_s holds 1 in the column of
+    ssign u_n.  Then S = U U_s^T, taken as float64 GEMMs over column chunks
+    of at most _PRODUCT_BLOCK entries each.  Every partial sum is an integer
+    of size at most sum |c| < 2^53, so the product is exact whatever the
+    BLAS summation order or thread count."""
     n = len(a)
-    diff = np.outer(a, b)
-    diff -= ssign * np.outer(b, a)  # a_n b_m - ssign a_m b_n
     prod = a * b
-    acc = np.zeros((n, n), dtype=np.int64)
-    rem = np.empty_like(acc)
+    blocks = []  # (gated rows, d, c, first column)
+    width = 0
     for q in moduli:
-        unit = np.gcd(prod, q) == 1
-        gate = np.outer(unit, unit)
+        rows = np.flatnonzero(np.gcd(prod, q) == 1)
         for d in divisors(q):
             c = mobius(q // d) * weight(d)
             if c:
-                np.remainder(diff, d, out=rem)
-                np.add(acc, c, out=acc, where=gate & (rem == 0))
-    return acc
+                blocks.append((rows, d, c, width))
+                width += totient(d)
+    if sum(abs(c) for _, _, c, _ in blocks) >= 2**53:
+        raise ValueError("congruence weights too large for an exact float64 product")
+    residues = {}
+    step = max(1, _PRODUCT_BLOCK // max(n, 1))
+    S = np.zeros((n, n))
+    for lo in range(0, width, step):
+        hi = min(lo + step, width)
+        U = np.zeros((n, hi - lo))
+        Us = np.zeros((n, hi - lo))
+        for rows, d, c, first in blocks:
+            if first >= hi or first + totient(d) <= lo:
+                continue
+            if d not in residues:
+                residues[d] = _unit_residues(a, b, d)
+            column, u = residues[d]
+            u = u[rows]
+            for M, value, r in ((U, c, u), (Us, 1, ssign * u % d)):
+                j = first - lo + column[r]
+                keep = (j >= 0) & (j < hi - lo)
+                M[rows[keep], j[keep]] = value
+        S += U @ Us.T
+    return S.astype(np.int64)
 
 
 def _congruence_matrix(fam, a, b):
@@ -259,11 +304,17 @@ def _congruence_matrix(fam, a, b):
 
 
 def _pair_gram(fam):
-    """G[n, m] = S[n, m] I_T(L_n - L_m), the I_T factor only for a window."""
+    """G[n, m] = S[n, m] I_T(L_n - L_m), the I_T factor only for a window,
+    filled in row blocks so that the temporaries of I_T stay small."""
     S = _congruence_matrix(fam, fam.a, fam.b)
     if fam.T is None:
         return GramMatrix(fam.index, S.astype(np.complex128))
-    G = S * t_integral(fam.L[:, None] - fam.L[None, :], fam.T)
+    G = np.empty(S.shape, dtype=np.complex128)
+    L = fam.L
+    for s in range(0, len(L), _CHECK_ROWS):
+        e = s + _CHECK_ROWS
+        G[s:e] = S[s:e] * t_integral(L[s:e, None] - L[None, :], fam.T)
+    del S  # frees n^2 entries for the two temporaries of _hermitize
     return GramMatrix(fam.index, _hermitize(G))
 
 
@@ -446,9 +497,17 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=20000):
 # the Delta norms
 # ----------------------------------------------------------------------
 
+def _pair_route_bytes(n):
+    """Peak bytes of the pair route on n indices: the complex G and the two
+    complex n x n temporaries of _hermitize, which outweigh S (8 bytes an
+    entry) and the integer temporaries of _congruence_matrix."""
+    return 3 * 16 * n * n
+
+
 def _solve(fam, gram, tol, route="auto"):
-    """The one route rule.  "pairs" solves the pair-side Gram gram();
-    "family" solves H = A^H A, A = _quadrature_matrix of the member values
+    """The one route rule.  "pairs" solves the pair-side Gram gram(), or
+    raises ValueError first when its estimate _pair_route_bytes(n) passes
+    _PAIR_ROUTE_BYTES; "family" solves H = A^H A, A = _quadrature_matrix of the member values
     (rows the index, columns (member, node)), whose nonzero spectrum is the
     pair side's up to the quadrature of I_T.  "auto" takes the family side
     past _PAIR_ROUTE_MAX indices when members x nodes < indices, counting
@@ -461,6 +520,11 @@ def _solve(fam, gram, tol, route="auto"):
         dual = n > _PAIR_ROUTE_MAX and _congruence_matrix(fam, one, one)[0, 0] * nodes < n
         route = "family" if dual else "pairs"
     if route == "pairs":
+        need = _pair_route_bytes(n)
+        if need > _PAIR_ROUTE_BYTES:
+            raise ValueError(f"the pair route on {n} indices needs an estimated "
+                             f"{need / 2**20:.1f} MiB, over the "
+                             f"{_PAIR_ROUTE_BYTES / 2**20:.1f} MiB cap")
         return top_eigenvalue(gram(), tol=tol)
     V = _member_matrix(fam.members(), fam.a, fam.b)
     FJ = V.shape[1] * nodes

@@ -9,7 +9,8 @@ import struct
 import numpy as np
 import pytest
 
-from sievelab.arith import primes_in
+from sievelab import norms
+from sievelab.arith import divisors, mobius, primes_in, totient
 from sievelab.norms import (
     FamilySpec,
     GramMatrix,
@@ -85,6 +86,43 @@ def test_rational_gram_oracle():
         fast = gram_rational(Q, N)
         slow = gram_rational_bruteforce(Q, N)
         assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-8, (Q, N)
+
+
+def _congruence_sum_by_loops(a, b, moduli, ssign, weight):
+    """The docstring of norms._congruence_sum, term by term."""
+    n = len(a)
+    S = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            for q in moduli:
+                if math.gcd(int(a[i] * b[i] * a[j] * b[j]), q) != 1:
+                    continue
+                for d in divisors(q):
+                    if (a[i] * b[j] - ssign * a[j] * b[i]) % d == 0:
+                        S[i, j] += mobius(q // d) * weight(d)
+    return S
+
+
+@pytest.mark.parametrize("moduli", [(1,), (4, 8, 9), (12, 16, 18, 27), tuple(range(1, 13))])
+@pytest.mark.parametrize("ssign", [1, -1])
+@pytest.mark.parametrize("weight", [totient, lambda d: d, lambda d: totient(4) if d == 4 else 0],
+                         ids=["phi", "d", "twist-4"])
+def test_congruence_sum_matches_its_definition(moduli, ssign, weight, monkeypatch):
+    # a and b need not be coprime; a few columns per chunk make the product
+    # accumulate over many chunks, with blocks split across chunk edges
+    rng = np.random.default_rng(7)
+    a = rng.integers(1, 60, 24)
+    b = rng.integers(1, 60, 24)
+    monkeypatch.setattr(norms, "_PRODUCT_BLOCK", 3 * len(a))
+    got = norms._congruence_sum(a, b, moduli, ssign, weight)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _congruence_sum_by_loops(a, b, moduli, ssign, weight))
+
+
+def test_congruence_sum_refuses_weights_past_exact_float64():
+    one = np.ones(1, dtype=np.int64)
+    with pytest.raises(ValueError, match="exact"):
+        norms._congruence_sum(one, one, (1,), weight=lambda d: 2**53)
 
 
 # ----------------------------------------------------------------------
@@ -339,8 +377,6 @@ def test_trivial_family_norms_are_exact_counts():
 
 
 def test_rational_and_additive_norms_take_the_family_side_past_the_cutoff(monkeypatch):
-    from sievelab import norms
-
     cases = {"gram_rational": (delta_rational, 12, 600), "gram_additive": (delta_add, 12, 1200)}
     want = {}
     for name, (_, Q, N) in cases.items():
@@ -361,8 +397,6 @@ def test_rational_and_additive_norms_take_the_family_side_past_the_cutoff(monkey
 
 
 def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypatch):
-    from sievelab import norms
-
     # with the cutoff lowered to 10 indices, a family with members x nodes
     # >= indices stays on the pair side: H would be the larger matrix
     monkeypatch.setattr(norms, "_PAIR_ROUTE_MAX", 10)
@@ -396,6 +430,32 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
     assert n > norms._PAIR_ROUTE_MAX
     assert delta_add(1, 20).value == n
     assert delta_rational(1, 6).value == len(rationals_up_to(6))
+
+
+def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
+    from sievelab import cli
+
+    # with the cap lowered to 1 MiB the bench-sized pair routes are over it;
+    # the Gram builders raise, so no test allocates the oversized matrix
+    monkeypatch.setattr(norms, "_PAIR_ROUTE_BYTES", 1 << 20)
+
+    def pair_side(*args):
+        raise AssertionError("the oversized pair-side Gram was built")
+
+    monkeypatch.setattr(norms, "gram_rational", pair_side)
+    monkeypatch.setattr(norms, "gram_multiplicative", pair_side)
+    for norm, n in [(lambda: delta_rational(12, 200), len(rationals_up_to(200))),
+                    (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
+                     len(enumerate_pairs(400, "dyadic")))]:
+        estimate = f"{norms._pair_route_bytes(n) / 2**20:.1f} MiB"
+        with pytest.raises(ValueError, match=f"{n} indices .* {estimate}, over the 1.0 MiB cap"):
+            norm()
+    assert cli.run(["norm", "--family", "rational", "-Q", "12", "-N", "200"]) == 2
+    err = capsys.readouterr().err
+    assert f"{norms._pair_route_bytes(len(rationals_up_to(200))) / 2**20:.1f} MiB" in err
+    assert "1.0 MiB cap" in err
+    # the family side is still taken where it is the smaller matrix
+    assert delta_rational(1, 500).value >= len(rationals_up_to(500))
 
 
 # ----------------------------------------------------------------------
