@@ -25,11 +25,13 @@ standard Moebius identity over primitive characters,
 
 with weight d in place of phi(d) the same sum is the Ramanujan sum
 c_q(u - v) of the additive family.  One exact integer routine,
-`_congruence_sum`, builds every pair-side matrix from it, as one product
-of 0/1 residue indicators (a row per index, a column per unit residue
-mod d for each (q, d)) taken in float64 chunks of at most _PRODUCT_BLOCK
-entries; every partial sum is an integer below 2^53, so the result is
-exact.  The pair route refuses a job whose size estimate passes
+`_congruence_sum`, builds every pair-side matrix from it.  The terms with
+phi(d) <= _DENSE_PHI are one product of 0/1 residue indicators (a row per
+index, a column per unit residue mod d for each (q, d)) taken in float64
+chunks of at most _PRODUCT_BLOCK entries; every partial sum is an integer
+below 2^53, so the product is exact.  Each term with larger phi(d) adds
+its weight at the few index pairs whose residues match, found by
+sorting.  The pair route refuses a job whose size estimate passes
 _PAIR_ROUTE_BYTES.
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`),
@@ -60,6 +62,7 @@ _PAIR_ROUTE_MAX = 2000
 _CHECK_ROWS = 64
 _ORACLE_BLOCK = 1 << 20
 _PRODUCT_BLOCK = 1 << 22
+_DENSE_PHI = 16
 _PAIR_ROUTE_BYTES = 4 << 30
 _ROUTES = ("auto", "pairs", "family")
 
@@ -221,13 +224,16 @@ def _rational(Q, N):
 
 def _unit_residues(a, b, d):
     """(column, u): column[r] numbers the units r mod d as 0..phi(d)-1, and
-    u[n] = a_n bbar_n mod d (meaningful where a_n b_n is a unit mod d)."""
-    units = [x for x in range(d) if gcd(x, d) == 1]
-    column = np.full(d, -1, dtype=np.int64)
-    column[units] = np.arange(len(units))
-    inv = np.zeros(d, dtype=np.int64)
-    inv[units] = [pow(x, -1, d) for x in units]
-    return column, (a % d) * inv[b % d] % d
+    u[n] = a_n bbar_n mod d with bbar_n = b_n^(phi(d) - 1), by repeated
+    squaring (meaningful where a_n b_n is a unit mod d)."""
+    column = np.cumsum(np.gcd(np.arange(d), d) == 1) - 1
+    u, x, e = a % d, b % d, totient(d) - 1
+    while e:
+        if e & 1:
+            u = u * x % d
+        x = x * x % d
+        e >>= 1
+    return column, u
 
 
 def _congruence_sum(a, b, moduli, ssign=1, weight=totient):
@@ -240,47 +246,69 @@ def _congruence_sum(a, b, moduli, ssign=1, weight=totient):
     chi(u) conj(chi(ssign v)), u = a_n bbar_n, v = a_m bbar_m; with
     weight(d) = d it is the Ramanujan sum c_q(u - v).
 
-    For units the congruence is u_n = ssign u_m mod d, so S is one low-rank
-    product.  Each (q, d) with c = mu(q/d) weight(d) != 0 owns phi(d)
-    columns, one per unit residue mod d; where gcd(a_n b_n, q) = 1, row n of
-    U holds c in the column of u_n and row n of U_s holds 1 in the column of
-    ssign u_n.  Then S = U U_s^T, taken as float64 GEMMs over column chunks
-    of at most _PRODUCT_BLOCK entries each.  Every partial sum is an integer
-    of size at most sum |c| < 2^53, so the product is exact whatever the
-    BLAS summation order or thread count."""
+    For units the congruence is u_n = ssign u_m mod d, so each (q, d) with
+    c = mu(q/d) weight(d) != 0 adds c [u_n = ssign u_m] on the rows with
+    gcd(a_n b_n, q) = 1.  A (q, d) with phi(d) <= _DENSE_PHI owns phi(d)
+    columns, one per unit residue mod d: on the gated rows, row n of U
+    holds c in the column of u_n and row n of U_s holds 1 in the column of
+    ssign u_n, and these terms sum to U U_s^T, taken as float64 GEMMs over
+    column chunks of at most _PRODUCT_BLOCK entries.  Every partial sum is
+    an integer of size at most sum |c| < 2^53, so the product is exact
+    whatever the BLAS summation order or thread count.  A (q, d) with
+    larger phi(d) matches about n^2 / phi(d) pairs, far fewer than its
+    n^2 phi(d) GEMM terms; it adds c at each matching pair, found by
+    sorting the labels, in slices of at most _PRODUCT_BLOCK pairs."""
     n = len(a)
     prod = a * b
-    blocks = []  # (gated rows, d, c, first column)
-    width = 0
+    dense, sparse = [], []  # (gated rows, d, c)
     for q in moduli:
         rows = np.flatnonzero(np.gcd(prod, q) == 1)
         for d in divisors(q):
             c = mobius(q // d) * weight(d)
             if c:
-                blocks.append((rows, d, c, width))
-                width += totient(d)
-    if sum(abs(c) for _, _, c, _ in blocks) >= 2**53:
+                (dense if totient(d) <= _DENSE_PHI else sparse).append((rows, d, c))
+    if sum(abs(c) for _, _, c in dense + sparse) >= 2**53:
         raise ValueError("congruence weights too large for an exact float64 product")
     residues = {}
+
+    def labels(rows, d):
+        if d not in residues:
+            residues[d] = _unit_residues(a, b, d)
+        column, u = residues[d]
+        u = u[rows]
+        return column, u, ssign * u % d
+
+    firsts = np.cumsum([0] + [totient(d) for _, d, _ in dense])  # column offsets
+    width = int(firsts[-1])
     step = max(1, _PRODUCT_BLOCK // max(n, 1))
     S = np.zeros((n, n))
     for lo in range(0, width, step):
         hi = min(lo + step, width)
         U = np.zeros((n, hi - lo))
         Us = np.zeros((n, hi - lo))
-        for rows, d, c, first in blocks:
+        for (rows, d, c), first in zip(dense, firsts):
             if first >= hi or first + totient(d) <= lo:
                 continue
-            if d not in residues:
-                residues[d] = _unit_residues(a, b, d)
-            column, u = residues[d]
-            u = u[rows]
-            for M, value, r in ((U, c, u), (Us, 1, ssign * u % d)):
+            column, u, us = labels(rows, d)
+            for M, value, r in ((U, c, u), (Us, 1, us)):
                 j = first - lo + column[r]
                 keep = (j >= 0) & (j < hi - lo)
                 M[rows[keep], j[keep]] = value
         S += U @ Us.T
-    return S.astype(np.int64)
+    S = S.astype(np.int64)
+    flat = S.reshape(-1)
+    for rows, d, c in sparse:
+        _, u, us = labels(rows, d)
+        order = np.argsort(us, kind="stable")
+        us = us[order]
+        for s in range(0, len(rows), step):
+            start = np.searchsorted(us, u[s:s + step], "left")
+            count = np.searchsorted(us, u[s:s + step], "right") - start
+            # row i matches the sorted us at start_i, ..., start_i + count_i - 1
+            i = np.repeat(rows[s:s + step], count)
+            j = np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)
+            np.add.at(flat, i * n + rows[order[j]], c)
+    return S
 
 
 def _congruence_matrix(fam, a, b):
@@ -497,16 +525,18 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=20000):
 # the Delta norms
 # ----------------------------------------------------------------------
 
-def _pair_route_bytes(n):
-    """Peak bytes of the pair route on n indices: the complex G and the two
-    complex n x n temporaries of _hermitize, which outweigh S (8 bytes an
-    entry) and the integer temporaries of _congruence_matrix."""
-    return 3 * 16 * n * n
+def _pair_route_bytes(n, windowed):
+    """Peak bytes of the pair route on n indices.  With a window it is the
+    complex G and the two complex n x n temporaries of _hermitize, which
+    outweigh S and the integer temporaries of _congruence_matrix; a
+    discrete family never calls _hermitize, and peaks at S (8 bytes an
+    entry) and its complex copy."""
+    return (48 if windowed else 24) * n * n
 
 
 def _solve(fam, gram, tol, route="auto"):
     """The one route rule.  "pairs" solves the pair-side Gram gram(), or
-    raises ValueError first when its estimate _pair_route_bytes(n) passes
+    raises ValueError first when its estimate _pair_route_bytes passes
     _PAIR_ROUTE_BYTES; "family" solves H = A^H A, A = _quadrature_matrix of the member values
     (rows the index, columns (member, node)), whose nonzero spectrum is the
     pair side's up to the quadrature of I_T.  "auto" takes the family side
@@ -520,7 +550,7 @@ def _solve(fam, gram, tol, route="auto"):
         dual = n > _PAIR_ROUTE_MAX and _congruence_matrix(fam, one, one)[0, 0] * nodes < n
         route = "family" if dual else "pairs"
     if route == "pairs":
-        need = _pair_route_bytes(n)
+        need = _pair_route_bytes(n, fam.T is not None)
         if need > _PAIR_ROUTE_BYTES:
             raise ValueError(f"the pair route on {n} indices needs an estimated "
                              f"{need / 2**20:.1f} MiB, over the "

@@ -107,13 +107,17 @@ def _congruence_sum_by_loops(a, b, moduli, ssign, weight):
 @pytest.mark.parametrize("ssign", [1, -1])
 @pytest.mark.parametrize("weight", [totient, lambda d: d, lambda d: totient(4) if d == 4 else 0],
                          ids=["phi", "d", "twist-4"])
-def test_congruence_sum_matches_its_definition(moduli, ssign, weight, monkeypatch):
+@pytest.mark.parametrize("dense_phi", [0, 4, 10**6], ids=["pairs", "mixed", "product"])
+def test_congruence_sum_matches_its_definition(moduli, ssign, weight, dense_phi, monkeypatch):
     # a and b need not be coprime; a few columns per chunk make the product
-    # accumulate over many chunks, with blocks split across chunk edges
+    # accumulate over many chunks, with blocks split across chunk edges, and
+    # the matched pairs come in slices of three rows; dense_phi sends every
+    # (q, d) to the pairs, splits them, or sends all to the product
     rng = np.random.default_rng(7)
     a = rng.integers(1, 60, 24)
     b = rng.integers(1, 60, 24)
     monkeypatch.setattr(norms, "_PRODUCT_BLOCK", 3 * len(a))
+    monkeypatch.setattr(norms, "_DENSE_PHI", dense_phi)
     got = norms._congruence_sum(a, b, moduli, ssign, weight)
     assert got.dtype == np.int64
     assert np.array_equal(got, _congruence_sum_by_loops(a, b, moduli, ssign, weight))
@@ -439,21 +443,31 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
     # the Gram builders raise, so no test allocates the oversized matrix
     monkeypatch.setattr(norms, "_PAIR_ROUTE_BYTES", 1 << 20)
 
-    def pair_side(*args):
-        raise AssertionError("the oversized pair-side Gram was built")
+    class Built(Exception):
+        pass
 
-    monkeypatch.setattr(norms, "gram_rational", pair_side)
-    monkeypatch.setattr(norms, "gram_multiplicative", pair_side)
-    for norm, n in [(lambda: delta_rational(12, 200), len(rationals_up_to(200))),
-                    (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
-                     len(enumerate_pairs(400, "dyadic")))]:
-        estimate = f"{norms._pair_route_bytes(n) / 2**20:.1f} MiB"
+    def pair_side(*args):
+        raise Built
+
+    for name in ("gram_rational", "gram_additive", "gram_multiplicative"):
+        monkeypatch.setattr(norms, name, pair_side)
+    for norm, n, per_entry in [(lambda: delta_rational(12, 200), len(rationals_up_to(200)), 24),
+                               (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
+                                len(enumerate_pairs(400, "dyadic")), 48)]:
+        estimate = f"{per_entry * n * n / 2**20:.1f} MiB"
         with pytest.raises(ValueError, match=f"{n} indices .* {estimate}, over the 1.0 MiB cap"):
             norm()
     assert cli.run(["norm", "--family", "rational", "-Q", "12", "-N", "200"]) == 2
     err = capsys.readouterr().err
-    assert f"{norms._pair_route_bytes(len(rationals_up_to(200))) / 2**20:.1f} MiB" in err
+    assert f"{24 * len(rationals_up_to(200)) ** 2 / 2**20:.1f} MiB" in err
     assert "1.0 MiB cap" in err
+    # a discrete family peaks at 24 bytes an entry, a windowed one at 48:
+    # between the two estimates the discrete pair side is still built
+    for norm, n in [(lambda: delta_rational(12, 56), len(rationals_up_to(56))),
+                    (lambda: delta_add(12, 100), len(enumerate_pairs(100, "dyadic")))]:
+        assert 24 * n * n <= 1 << 20 < 48 * n * n
+        with pytest.raises(Built):
+            norm()
     # the family side is still taken where it is the smaller matrix
     assert delta_rational(1, 500).value >= len(rationals_up_to(500))
 
