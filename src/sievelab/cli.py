@@ -449,26 +449,15 @@ def cmd_scan(cfg):
 
     plots = []
     # N-aspect fits at each fixed (Q, k, T); Q-aspect at each fixed (k, T, N)
-    if len(cfg.N) >= 3:
-        for Q, k, T in product(cfg.Q, cfg.k, cfg.T):
-            samples = [(N, values[(Q, k, T, N)]) for N in cfg.N
-                       if values[(Q, k, T, N)] > 0]
+    for aspect, i in (("N", 3), ("Q", 0)):
+        fixed_axes = [axis for axis in "QkTN" if axis != aspect]
+        for fixed in product(*(getattr(cfg, axis) for axis in fixed_axes)):
+            points = [fixed[:i] + (x,) + fixed[i:] for x in getattr(cfg, aspect)]
+            samples = [(p[i], values[p]) for p in points if values[p] > 0]
             if len(samples) >= 3:
                 fit = exponent_fit(samples)
                 records.append(make_record(
-                    "scan_fit_N", Q=Q, k=k, T=T,
-                    extra={"intercept": fit.intercept, "points": len(samples)},
-                    value=fit.slope, residual=fit.residual, ok=True,
-                    seed=cfg.seed, millis=0))
-                plots.extend(samples)
-    if len(cfg.Q) >= 3:
-        for k, T, N in product(cfg.k, cfg.T, cfg.N):
-            samples = [(Q, values[(Q, k, T, N)]) for Q in cfg.Q
-                       if values[(Q, k, T, N)] > 0]
-            if len(samples) >= 3:
-                fit = exponent_fit(samples)
-                records.append(make_record(
-                    "scan_fit_Q", k=k, T=T, N=N,
+                    f"scan_fit_{aspect}", **dict(zip(fixed_axes, fixed)),
                     extra={"intercept": fit.intercept, "points": len(samples)},
                     value=fit.slope, residual=fit.residual, ok=True,
                     seed=cfg.seed, millis=0))

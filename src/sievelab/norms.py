@@ -24,15 +24,15 @@ standard Moebius identity over primitive characters,
         = sum_{d | q} mu(q/d) phi(d) [u = v mod d]      (u, v units mod q);
 
 with weight d in place of phi(d) the same sum is the Ramanujan sum
-c_q(u - v) of the additive family.  One exact integer routine,
-`_congruence_sum`, builds every pair-side matrix from it.  The terms with
-phi(d) <= _DENSE_PHI are one product of 0/1 residue indicators (a row per
-index, a column per unit residue mod d for each (q, d)) taken in float64
-chunks of at most _PRODUCT_BLOCK entries; every partial sum is an integer
-below 2^53, so the product is exact.  Each term with larger phi(d) adds
-its weight at the few index pairs whose residues match, found by
-sorting.  The pair route refuses a job whose size estimate passes
-_PAIR_ROUTE_BYTES.
+c_q(u - v) of the additive family.  Each family states its pair side
+once, as a list of congruence terms (g, d, c, s): the pair (n, m) gains c
+when gcd(a_n b_n a_m b_m, g) = 1 and a_n b_m = s a_m b_n mod d.  The twist
+by theta mod k joins each Moebius term by CRT (gate qk, modulus dk, a
+factor phi(k)), and a parity adds the s = -1 terms times eps = +-1, the
+pair side then halving the sum.  One exact integer routine,
+`_congruence_sum`, evaluates every list: an exact float64 product of
+residue indicators for small phi(d), matched residues for the rest.
+Either route refuses a job whose size estimate passes _ROUTE_BYTES.
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`),
 whose value is a Rayleigh quotient (a lower bound up to rounding) capped
@@ -63,7 +63,8 @@ _CHECK_ROWS = 64
 _ORACLE_BLOCK = 1 << 20
 _PRODUCT_BLOCK = 1 << 22
 _DENSE_PHI = 16
-_PAIR_ROUTE_BYTES = 4 << 30
+_ROUTE_BYTES = 4 << 30
+_H_BLOCK = 1 << 23
 _ROUTES = ("auto", "pairs", "family")
 
 
@@ -164,28 +165,30 @@ def t_integral(L, T):
 # ----------------------------------------------------------------------
 
 def _hermitize(G):
-    """Mirror the strict upper triangle onto the lower so G[m,n] is exactly
-    conj(G[n,m]) and the diagonal is exactly real."""
-    out = np.triu(G, 1)
-    out += out.conj().T
-    out[np.diag_indices(G.shape[0])] = G.diagonal().real
-    return out
+    """Mirror the strict upper triangle onto the lower in place, in row
+    blocks, so G[m,n] is exactly conj(G[n,m]) and the diagonal is exactly
+    real; returns G."""
+    n = G.shape[0]
+    for s in range(0, n, _CHECK_ROWS):
+        e = min(s + _CHECK_ROWS, n)
+        lower = np.tril_indices(e - s, -1)
+        G[s:e, s:e][lower] = G[s:e, s:e].T[lower].conj()
+        G[e:, s:e] = G[s:e, e:].T.conj()
+    G[np.diag_indices(n)] = G.diagonal().real
+    return G
 
 
 # ----- the families, stated once for both sides -------------------------
 
 class _Family:
-    """The pair side reads the index, the moduli, the d-term weight (phi,
-    or d for Ramanujan sums), the twist k, the parity and the window
-    [T/2, T] (T None: discrete).  The family side reads the index, the
+    """The pair side reads the index, the congruence terms, the parity and
+    the window [T/2, T] (T None: discrete); the family side the index, the
     window and members(), the members' residue tables, built on call."""
 
-    def __init__(self, index, moduli, weight, members, k=1, parity=None, T=None):
+    def __init__(self, index, terms, members, parity=None, T=None):
         self.index = tuple(index)
-        self.moduli = moduli
-        self.weight = weight
+        self.terms = terms
         self.members = members
-        self.k = k
         self.parity = parity
         self.T = T
         self.a = np.array([p.a for p in self.index], dtype=np.int64)
@@ -194,11 +197,24 @@ class _Family:
         self.L = np.log(self.a.astype(np.float64)) - np.log(self.b.astype(np.float64))
 
 
+def _congruence_terms(moduli, weight, k=1, parity=None):
+    """The congruence terms (g, d, c, s) of a family: mu(q/d) weight(d) for
+    q in moduli (all coprime to k) and d | q, joined by CRT with the sum
+    over theta mod k, plus for a parity the s = -1 terms times eps."""
+    terms = [(q * k, d * k, mobius(q // d) * weight(d) * totient(k), 1)
+             for q in moduli for d in divisors(q) if mobius(q // d)]
+    if parity is not None:
+        eps = 1 if parity == "even" else -1
+        terms += [(g, d, eps * c, -1) for g, d, c, _ in terms]
+    return terms
+
+
 def _multiplicative(spec, index):
-    return _Family(index, _moduli(spec.Q, spec.k), totient,
+    terms = _congruence_terms(_moduli(spec.Q, spec.k), totient, spec.k, spec.parity)
+    return _Family(index, terms,
                    lambda: [(value_table(chi), value_table(theta))
                             for _, chi, theta in family_members(spec)],
-                   spec.k, spec.parity, spec.T)
+                   spec.parity, spec.T)
 
 
 def _additive_rows(moduli):
@@ -208,14 +224,14 @@ def _additive_rows(moduli):
 
 def _additive(Q, N):
     moduli = _moduli(Q)
-    return _Family(enumerate_pairs(N, "dyadic"), moduli, lambda d: d,
+    return _Family(enumerate_pairs(N, "dyadic"), _congruence_terms(moduli, lambda d: d),
                    lambda: [(np.exp(2j * np.pi * t * np.arange(q) / q),)
                             for q, t in _additive_rows(moduli)])
 
 
 def _rational(Q, N):
     moduli = range(1, int(Q) + 1)
-    return _Family(rationals_up_to(N), moduli, totient,
+    return _Family(rationals_up_to(N), _congruence_terms(moduli, totient),
                    lambda: [(value_table(chi),) for q in moduli
                             for chi in primitive_chars(q)])
 
@@ -236,60 +252,55 @@ def _unit_residues(a, b, d):
     return column, u
 
 
-def _congruence_sum(a, b, moduli, ssign=1, weight=totient):
+def _congruence_sum(a, b, terms):
     """The int64 matrix
 
-        S[n, m] = sum over q in moduli with gcd(a_n b_n a_m b_m, q) = 1 of
-            sum_{d | q} mu(q/d) weight(d) [a_n b_m = ssign a_m b_n mod d].
+        S[n, m] = sum of c over the terms (g, d, c, s) with
+            gcd(a_n b_n a_m b_m, g) = 1 and a_n b_m = s a_m b_n mod d.
 
-    With weight = phi this is the sum over primitive chi mod q of
-    chi(u) conj(chi(ssign v)), u = a_n bbar_n, v = a_m bbar_m; with
-    weight(d) = d it is the Ramanujan sum c_q(u - v).
-
-    For units the congruence is u_n = ssign u_m mod d, so each (q, d) with
-    c = mu(q/d) weight(d) != 0 adds c [u_n = ssign u_m] on the rows with
-    gcd(a_n b_n, q) = 1.  A (q, d) with phi(d) <= _DENSE_PHI owns phi(d)
-    columns, one per unit residue mod d: on the gated rows, row n of U
+    Each d divides its g, so on the gated rows, gcd(a_n b_n, g) = 1, the
+    congruence is u_n = s u_m for u = a bbar mod d.  A term with phi(d) <=
+    _DENSE_PHI owns phi(d) columns, one per unit residue mod d: row n of U
     holds c in the column of u_n and row n of U_s holds 1 in the column of
-    ssign u_n, and these terms sum to U U_s^T, taken as float64 GEMMs over
-    column chunks of at most _PRODUCT_BLOCK entries.  Every partial sum is
-    an integer of size at most sum |c| < 2^53, so the product is exact
-    whatever the BLAS summation order or thread count.  A (q, d) with
-    larger phi(d) matches about n^2 / phi(d) pairs, far fewer than its
-    n^2 phi(d) GEMM terms; it adds c at each matching pair, found by
-    sorting the labels, in slices of at most _PRODUCT_BLOCK pairs."""
+    s u_n, and these terms sum to U U_s^T, taken as float64 GEMMs over
+    column chunks of at most _PRODUCT_BLOCK entries and n/2 columns.  Every
+    partial sum is an integer of size at most sum |c| < 2^53, so the
+    product is exact whatever the BLAS summation order or thread count.  A
+    term with larger phi(d) matches about n^2 / phi(d) pairs, far fewer
+    than its n^2 phi(d) GEMM terms; it adds c at each matching pair, found
+    by sorting the labels, in slices of at most _PRODUCT_BLOCK pairs."""
     n = len(a)
     prod = a * b
-    dense, sparse = [], []  # (gated rows, d, c)
-    for q in moduli:
-        rows = np.flatnonzero(np.gcd(prod, q) == 1)
-        for d in divisors(q):
-            c = mobius(q // d) * weight(d)
-            if c:
-                (dense if totient(d) <= _DENSE_PHI else sparse).append((rows, d, c))
-    if sum(abs(c) for _, _, c in dense + sparse) >= 2**53:
+    gates, dense, sparse = {}, [], []  # (gated rows, d, c, s)
+    for g, d, c, s in terms:
+        if g not in gates:
+            gates[g] = np.flatnonzero(np.gcd(prod, g) == 1)
+        (dense if totient(d) <= _DENSE_PHI else sparse).append((gates[g], d, c, s))
+    if sum(abs(c) for _, _, c, _ in terms) >= 2**53:
         raise ValueError("congruence weights too large for an exact float64 product")
     residues = {}
 
-    def labels(rows, d):
+    def labels(rows, d, s):
         if d not in residues:
             residues[d] = _unit_residues(a, b, d)
         column, u = residues[d]
         u = u[rows]
-        return column, u, ssign * u % d
+        return column, u, s * u % d
 
-    firsts = np.cumsum([0] + [totient(d) for _, d, _ in dense])  # column offsets
+    firsts = np.cumsum([0] + [totient(d) for _, d, _, _ in dense])  # column offsets
     width = int(firsts[-1])
-    step = max(1, _PRODUCT_BLOCK // max(n, 1))
+    # U and U_s together stay within 8 bytes per entry of S (_pair_route_bytes)
+    step = max(1, min(_PRODUCT_BLOCK // max(n, 1), n // 2))
     S = np.zeros((n, n))
     for lo in range(0, width, step):
         hi = min(lo + step, width)
         U = np.zeros((n, hi - lo))
         Us = np.zeros((n, hi - lo))
-        for (rows, d, c), first in zip(dense, firsts):
-            if first >= hi or first + totient(d) <= lo:
-                continue
-            column, u, us = labels(rows, d)
+        t = int(np.searchsorted(firsts, lo, "right")) - 1  # the first term in the chunk
+        for (rows, d, c, s), first in zip(dense[t:], firsts[t:]):
+            if first >= hi:
+                break
+            column, u, us = labels(rows, d, s)
             for M, value, r in ((U, c, u), (Us, 1, us)):
                 j = first - lo + column[r]
                 keep = (j >= 0) & (j < hi - lo)
@@ -297,43 +308,33 @@ def _congruence_sum(a, b, moduli, ssign=1, weight=totient):
         S += U @ Us.T
     S = S.astype(np.int64)
     flat = S.reshape(-1)
-    for rows, d, c in sparse:
-        _, u, us = labels(rows, d)
+    for rows, d, c, s in sparse:
+        _, u, us = labels(rows, d, s)
         order = np.argsort(us, kind="stable")
         us = us[order]
-        for s in range(0, len(rows), step):
-            start = np.searchsorted(us, u[s:s + step], "left")
-            count = np.searchsorted(us, u[s:s + step], "right") - start
+        for lo in range(0, len(rows), step):
+            start = np.searchsorted(us, u[lo:lo + step], "left")
+            count = np.searchsorted(us, u[lo:lo + step], "right") - start
             # row i matches the sorted us at start_i, ..., start_i + count_i - 1
-            i = np.repeat(rows[s:s + step], count)
+            i = np.repeat(rows[lo:lo + step], count)
             j = np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)
             np.add.at(flat, i * n + rows[order[j]], c)
     return S
 
 
 def _congruence_matrix(fam, a, b):
-    """S[n, m], the family's congruence sum on index arrays a, b, times for
-    a twist k > 1 the sum over all theta mod k.  With a parity the
-    projector (1/2)(1 + eps chi(-1) theta(-1)) makes S the half-sum of the
-    (u = v)-branch and eps times the (u = -v)-branch, taken jointly at q
-    and k.  S[n, n] at a unit index counts the members."""
-    def branch(ssign):
-        if fam.k == 1:
-            return _congruence_sum(a, b, fam.moduli, ssign, fam.weight)
-        # all theta mod k: the d = k term, weight phi(k); built first for peak RSS
-        twist = _congruence_sum(a, b, (fam.k,), ssign,
-                                weight=lambda d: totient(fam.k) if d == fam.k else 0)
-        return _congruence_sum(a, b, fam.moduli, ssign, fam.weight) * twist
-
-    if fam.parity is None:
-        return branch(1)
-    eps = 1 if fam.parity == "even" else -1
-    return (branch(1) + eps * branch(-1)) / 2
+    """S[n, m], the family's congruence sum on index arrays a, b, halved
+    for a parity: the projector (1/2)(1 + eps chi(-1) theta(-1)) is the
+    half-sum of the s = 1 terms and eps times the s = -1 terms.  S[n, n]
+    at a unit index counts the members."""
+    S = _congruence_sum(a, b, fam.terms)
+    return S if fam.parity is None else S / 2
 
 
 def _pair_gram(fam):
-    """G[n, m] = S[n, m] I_T(L_n - L_m), the I_T factor only for a window,
-    filled in row blocks so that the temporaries of I_T stay small."""
+    """G[n, m] = S[n, m] I_T(L_n - L_m), the I_T factor only for a window:
+    its upper triangle is filled in row blocks, so that the temporaries of
+    I_T stay small, and mirrored in place."""
     S = _congruence_matrix(fam, fam.a, fam.b)
     if fam.T is None:
         return GramMatrix(fam.index, S.astype(np.complex128))
@@ -341,8 +342,7 @@ def _pair_gram(fam):
     L = fam.L
     for s in range(0, len(L), _CHECK_ROWS):
         e = s + _CHECK_ROWS
-        G[s:e] = S[s:e] * t_integral(L[s:e, None] - L[None, :], fam.T)
-    del S  # frees n^2 entries for the two temporaries of _hermitize
+        G[s:e, s:] = S[s:e, s:] * t_integral(L[s:e, None] - L[None, s:], fam.T)
     return GramMatrix(fam.index, _hermitize(G))
 
 
@@ -435,7 +435,7 @@ def additive_matrix(Q, N):
     on gcd(ab, q) = 1."""
     fam = _additive(Q, N)
     V = _member_matrix(fam.members(), fam.a, fam.b)
-    return _additive_rows(fam.moduli), fam.index, V.T
+    return _additive_rows(_moduli(Q)), fam.index, V.T
 
 
 def gram_rational_bruteforce(Q, N):
@@ -525,41 +525,52 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=20000):
 # the Delta norms
 # ----------------------------------------------------------------------
 
-def _pair_route_bytes(n, windowed):
-    """Peak bytes of the pair route on n indices.  With a window it is the
-    complex G and the two complex n x n temporaries of _hermitize, which
-    outweigh S and the integer temporaries of _congruence_matrix; a
-    discrete family never calls _hermitize, and peaks at S (8 bytes an
-    entry) and its complex copy."""
-    return (48 if windowed else 24) * n * n
+def _pair_route_bytes(n):
+    """Peak bytes of the pair route on n indices: 24 an entry, for S and
+    the complex G, or for S, its float64 product temporary and the
+    indicator chunks of _congruence_sum; plus the row-block temporaries of
+    I_T and _hermitize, fewer than eight complex _CHECK_ROWS x n arrays."""
+    return 24 * n * n + 8 * 16 * _CHECK_ROWS * n
+
+
+def _family_route_bytes(n, F, nodes):
+    """Peak bytes of the family route on F members: V and the phases of
+    _quadrature_matrix (n x F and n x nodes), H and the product added to
+    it (F nodes squared each), and an A row block with its conjugate (at
+    most _H_BLOCK entries each), all complex."""
+    FJ = F * nodes
+    return 16 * (n * (F + nodes) + 2 * FJ * FJ + 2 * min(n * FJ, _H_BLOCK))
 
 
 def _solve(fam, gram, tol, route="auto"):
-    """The one route rule.  "pairs" solves the pair-side Gram gram(), or
-    raises ValueError first when its estimate _pair_route_bytes passes
-    _PAIR_ROUTE_BYTES; "family" solves H = A^H A, A = _quadrature_matrix of the member values
+    """The one route rule.  "pairs" solves the pair-side Gram gram();
+    "family" solves H = A^H A, A = _quadrature_matrix of the member values
     (rows the index, columns (member, node)), whose nonzero spectrum is the
     pair side's up to the quadrature of I_T.  "auto" takes the family side
     past _PAIR_ROUTE_MAX indices when members x nodes < indices, counting
-    the members as S at the index 1/1, where every member is 1."""
+    the members as S at the index 1/1, where every member is 1.  Either
+    route first raises ValueError when its size estimate passes _ROUTE_BYTES."""
     n = len(fam.index)
     Lmax = float(np.abs(fam.L).max(initial=0.0))
     nodes = 1 if fam.T is None else max(48, int(Lmax * fam.T / 2) + 40)
+    one = np.ones(1, dtype=np.int64)
+    count = n > _PAIR_ROUTE_MAX or route == "family"
+    F = int(_congruence_matrix(fam, one, one)[0, 0]) if count else 0
     if route == "auto":
-        one = np.ones(1, dtype=np.int64)
-        dual = n > _PAIR_ROUTE_MAX and _congruence_matrix(fam, one, one)[0, 0] * nodes < n
-        route = "family" if dual else "pairs"
+        route = "family" if n > _PAIR_ROUTE_MAX and F * nodes < n else "pairs"
     if route == "pairs":
-        need = _pair_route_bytes(n, fam.T is not None)
-        if need > _PAIR_ROUTE_BYTES:
-            raise ValueError(f"the pair route on {n} indices needs an estimated "
-                             f"{need / 2**20:.1f} MiB, over the "
-                             f"{_PAIR_ROUTE_BYTES / 2**20:.1f} MiB cap")
+        sizes, need = f"{n} indices", _pair_route_bytes(n)
+    else:
+        sizes, need = f"{F} members x {nodes} nodes", _family_route_bytes(n, F, nodes)
+    if need > _ROUTE_BYTES:
+        raise ValueError(f"the {route} route on {sizes} needs an estimated {need / 2**20:.1f} "
+                         f"MiB, over the {_ROUTE_BYTES / 2**20:.1f} MiB cap")
+    if route == "pairs":
         return top_eigenvalue(gram(), tol=tol)
     V = _member_matrix(fam.members(), fam.a, fam.b)
     FJ = V.shape[1] * nodes
     H = np.zeros((FJ, FJ), dtype=np.complex128)
-    block = max(1, min(n, 8 * 1024 * 1024 // max(FJ, 1)))
+    block = max(1, min(n, _H_BLOCK // max(FJ, 1)))
     for s in range(0, n, block):
         A = _quadrature_matrix(V[s:s + block], fam.L[s:s + block], fam.T, nodes)
         H += A.conj().T @ A

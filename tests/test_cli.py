@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from sievelab.cli import FIELDS, SUITES, run
-from sievelab.norms import delta
+from sievelab.norms import delta, exponent_fit
 from sievelab.rationals import rationals_up_to
 
 REPO = Path(__file__).resolve().parent.parent
@@ -190,6 +190,23 @@ def test_scan_emits_fit_and_plot(tmp_path, capsys):
     for line in lines[1:]:
         x, y = line.split(",")
         assert float(x) > 0 and float(y) > 0
+
+
+def test_scan_fits_the_Q_aspect(capsys):
+    assert run(["scan", "-Q", "4", "-Q", "8", "-Q", "16", "-N", "32", "--seed", "2"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert not [r for r in rows if r["experiment"] == "scan_fit_N"]
+    fits = [r for r in rows if r["experiment"] == "scan_fit_Q"]
+    assert len(fits) == 1
+    fit = fits[0]
+    # the fixed axes are recorded, the fitted one is left blank
+    assert (fit["Q"], fit["k"], fit["T"], fit["N"]) == ("", "1", "1.0", "32.0")
+    assert json.loads(fit["extra_params"])["points"] == 3
+    points = [(float(r["Q"]), float(r["value"])) for r in rows
+              if r["experiment"] == "scan_multiplicative"]
+    assert [Q for Q, _ in points] == [4.0, 8.0, 16.0]
+    assert float(fit["value"]) == exponent_fit(points).slope
+    assert float(fit["residual"]) == exponent_fit(points).residual
 
 
 def test_scan_without_enough_points_has_no_fit(capsys):

@@ -3,8 +3,10 @@ equivalence, positivity, the t-integral branch, eigenvalue floors and
 certificates, monotonicity, duality, the grid maximization, growth fits,
 and the binary dump format."""
 
+import functools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,45 +90,96 @@ def test_rational_gram_oracle():
         assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-8, (Q, N)
 
 
-def _congruence_sum_by_loops(a, b, moduli, ssign, weight):
+# a and b need not be coprime; with _PRODUCT_BLOCK = 3n a few columns per
+# chunk make the product accumulate over many chunks, with blocks split
+# across chunk edges, and the matched pairs come in slices of three rows
+_RNG = np.random.default_rng(7)
+_A = _RNG.integers(1, 60, 24)
+_B = _RNG.integers(1, 60, 24)
+_MODULI = [(1,), (4, 8, 9), (12, 16, 18, 27), tuple(range(1, 13))]
+# dense_phi sends every term to the matched pairs, splits them, or sends
+# all to the product
+_DENSE = pytest.mark.parametrize("dense_phi", [0, 4, 10**6], ids=["pairs", "mixed", "product"])
+
+
+def _congruence_sum_by_loops(terms):
     """The docstring of norms._congruence_sum, term by term."""
-    n = len(a)
+    n = len(_A)
     S = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
-            for q in moduli:
-                if math.gcd(int(a[i] * b[i] * a[j] * b[j]), q) != 1:
-                    continue
-                for d in divisors(q):
-                    if (a[i] * b[j] - ssign * a[j] * b[i]) % d == 0:
-                        S[i, j] += mobius(q // d) * weight(d)
+            for g, d, c, s in terms:
+                if (math.gcd(int(_A[i] * _B[i] * _A[j] * _B[j]), g) == 1
+                        and (_A[i] * _B[j] - s * _A[j] * _B[i]) % d == 0):
+                    S[i, j] += c
     return S
 
 
-@pytest.mark.parametrize("moduli", [(1,), (4, 8, 9), (12, 16, 18, 27), tuple(range(1, 13))])
+@pytest.mark.parametrize("moduli", _MODULI)
 @pytest.mark.parametrize("ssign", [1, -1])
-@pytest.mark.parametrize("weight", [totient, lambda d: d, lambda d: totient(4) if d == 4 else 0],
+@pytest.mark.parametrize("twist", [(totient, 1), (lambda d: d, 1), (totient, 4)],
                          ids=["phi", "d", "twist-4"])
-@pytest.mark.parametrize("dense_phi", [0, 4, 10**6], ids=["pairs", "mixed", "product"])
-def test_congruence_sum_matches_its_definition(moduli, ssign, weight, dense_phi, monkeypatch):
-    # a and b need not be coprime; a few columns per chunk make the product
-    # accumulate over many chunks, with blocks split across chunk edges, and
-    # the matched pairs come in slices of three rows; dense_phi sends every
-    # (q, d) to the pairs, splits them, or sends all to the product
-    rng = np.random.default_rng(7)
-    a = rng.integers(1, 60, 24)
-    b = rng.integers(1, 60, 24)
-    monkeypatch.setattr(norms, "_PRODUCT_BLOCK", 3 * len(a))
+@_DENSE
+def test_congruence_sum_matches_its_definition(moduli, ssign, twist, dense_phi, monkeypatch):
+    # Moebius terms of sign ssign; twist-4 joins them with a modulus 4
+    weight, k = twist
+    terms = [(q * k, d * k, mobius(q // d) * weight(d) * totient(k), ssign)
+             for q in moduli for d in divisors(q) if mobius(q // d)]
+    monkeypatch.setattr(norms, "_PRODUCT_BLOCK", 3 * len(_A))
     monkeypatch.setattr(norms, "_DENSE_PHI", dense_phi)
-    got = norms._congruence_sum(a, b, moduli, ssign, weight)
+    got = norms._congruence_sum(_A, _B, terms)
     assert got.dtype == np.int64
-    assert np.array_equal(got, _congruence_sum_by_loops(a, b, moduli, ssign, weight))
+    assert np.array_equal(got, _congruence_sum_by_loops(terms))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_side_by_loops(moduli, weight, k, parity):
+    """A family's pair side from its definition: for each sign s the sum
+    over q in moduli with gcd(a_n b_n a_m b_m, q) = 1 of
+    sum_{d | q} mu(q/d) weight(d) [a_n b_m = s a_m b_n mod d], times the
+    sum over theta mod k, phi(k) [a_n b_m = s a_m b_n mod k] gated on
+    gcd(a_n b_n a_m b_m, k) = 1; then S_+ without a parity, and
+    (S_+ + eps S_-) / 2 with one."""
+    n = len(_A)
+    S = {1: np.zeros((n, n), dtype=np.int64), -1: np.zeros((n, n), dtype=np.int64)}
+    for s, M in S.items():
+        for i in range(n):
+            for j in range(n):
+                P = int(_A[i] * _B[i] * _A[j] * _B[j])
+                x = int(_A[i] * _B[j] - s * _A[j] * _B[i])
+                if math.gcd(P, k) != 1 or x % k:
+                    continue
+                for q in moduli:
+                    if math.gcd(P, q) == 1:
+                        M[i, j] += totient(k) * sum(mobius(q // d) * weight(d)
+                                                    for d in divisors(q) if x % d == 0)
+    if parity is None:
+        return S[1]
+    eps = 1 if parity == "even" else -1
+    return (S[1] + eps * S[-1]) / 2
+
+
+@pytest.mark.parametrize("moduli", _MODULI)
+@pytest.mark.parametrize("k", [1, 3, 4])
+@pytest.mark.parametrize("parity", [None, "even", "odd"])
+@pytest.mark.parametrize("weight", [totient, lambda d: d], ids=["phi", "d"])
+@_DENSE
+def test_congruence_terms_match_their_definition(moduli, k, parity, weight, dense_phi,
+                                                 monkeypatch):
+    # the family's terms, with the twist joined by CRT and the parity as
+    # s = -1 terms, against the twist and the parity taken separately
+    moduli = tuple(q for q in moduli if math.gcd(q, k) == 1)
+    monkeypatch.setattr(norms, "_PRODUCT_BLOCK", 3 * len(_A))
+    monkeypatch.setattr(norms, "_DENSE_PHI", dense_phi)
+    fam = norms._Family((), norms._congruence_terms(moduli, weight, k, parity), None, parity)
+    got = norms._congruence_matrix(fam, _A, _B)
+    assert np.array_equal(got, _pair_side_by_loops(moduli, weight, k, parity))
 
 
 def test_congruence_sum_refuses_weights_past_exact_float64():
     one = np.ones(1, dtype=np.int64)
     with pytest.raises(ValueError, match="exact"):
-        norms._congruence_sum(one, one, (1,), weight=lambda d: 2**53)
+        norms._congruence_sum(one, one, [(1, 1, 2**53, 1)])
 
 
 # ----------------------------------------------------------------------
@@ -441,35 +494,83 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
 
     # with the cap lowered to 1 MiB the bench-sized pair routes are over it;
     # the Gram builders raise, so no test allocates the oversized matrix
-    monkeypatch.setattr(norms, "_PAIR_ROUTE_BYTES", 1 << 20)
-
-    class Built(Exception):
-        pass
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", 1 << 20)
 
     def pair_side(*args):
-        raise Built
+        raise AssertionError("the pair-side Gram was built past the cap")
 
     for name in ("gram_rational", "gram_additive", "gram_multiplicative"):
         monkeypatch.setattr(norms, name, pair_side)
-    for norm, n, per_entry in [(lambda: delta_rational(12, 200), len(rationals_up_to(200)), 24),
-                               (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
-                                len(enumerate_pairs(400, "dyadic")), 48)]:
-        estimate = f"{per_entry * n * n / 2**20:.1f} MiB"
-        with pytest.raises(ValueError, match=f"{n} indices .* {estimate}, over the 1.0 MiB cap"):
+    for norm, n in [(lambda: delta_rational(12, 200), len(rationals_up_to(200))),
+                    (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
+                     len(enumerate_pairs(400, "dyadic")))]:
+        estimate = f"{norms._pair_route_bytes(n) / 2**20:.1f} MiB"
+        with pytest.raises(ValueError, match=f"pairs route on {n} indices .* {estimate}, "
+                                             "over the 1.0 MiB cap"):
             norm()
     assert cli.run(["norm", "--family", "rational", "-Q", "12", "-N", "200"]) == 2
     err = capsys.readouterr().err
-    assert f"{24 * len(rationals_up_to(200)) ** 2 / 2**20:.1f} MiB" in err
+    assert f"{norms._pair_route_bytes(len(rationals_up_to(200))) / 2**20:.1f} MiB" in err
     assert "1.0 MiB cap" in err
-    # a discrete family peaks at 24 bytes an entry, a windowed one at 48:
-    # between the two estimates the discrete pair side is still built
-    for norm, n in [(lambda: delta_rational(12, 56), len(rationals_up_to(56))),
-                    (lambda: delta_add(12, 100), len(enumerate_pairs(100, "dyadic")))]:
-        assert 24 * n * n <= 1 << 20 < 48 * n * n
-        with pytest.raises(Built):
-            norm()
     # the family side is still taken where it is the smaller matrix
     assert delta_rational(1, 500).value >= len(rationals_up_to(500))
+
+
+def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
+    from sievelab import cli
+    from sievelab.characters import primitive_chars
+
+    # the same lowered cap; the member values raise, so the refusal must
+    # come from the estimate, before the family side is built
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", 1 << 20)
+
+    def member_values(*args):
+        raise AssertionError("the family side was built past the cap")
+
+    monkeypatch.setattr(norms, "_member_matrix", member_values)
+    F = len(family_members(FamilySpec(12.0, 3, 4.0)))
+    with pytest.raises(ValueError, match=f"family route on {F} members x \\d+ nodes needs an "
+                                         "estimated .* MiB, over the 1.0 MiB cap"):
+        delta(12.0, 3, 4.0, 400.0, route="family")
+    # past 2000 rationals the rational norm takes the family side
+    assert cli.run(["norm", "--family", "rational", "-Q", "12", "-N", "600"]) == 2
+    err = capsys.readouterr().err
+    F = sum(len(primitive_chars(q)) for q in range(1, 13))
+    assert f"family route on {F} members x 1 nodes" in err and "1.0 MiB cap" in err
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_route_estimates_cover_the_measured_peak(monkeypatch):
+    estimates = []
+    for name in ("_pair_route_bytes", "_family_route_bytes"):
+        def record(*args, estimate=getattr(norms, name), name=name):
+            estimates.append((name, args, estimate(*args)))
+            return estimates[-1][2]
+        monkeypatch.setattr(norms, name, record)
+    for norm in [lambda: delta(12.0, 3, 4.0, 400.0),  # a window on the pair side
+                 lambda: delta(12.0, 3, 4.0, 400.0, parity="odd"),
+                 lambda: delta_rational(12, 200),  # discrete
+                 lambda: delta(12.0, 1, 4.0, 1000.0)]:  # the family side
+        norm()  # fills the caches of characters and divisors first
+        estimates.clear()
+        peak = _traced_peak(norm)
+        (name, args, need), = estimates
+        assert peak <= need, (name, args, peak, need)
+        if name == "_pair_route_bytes":
+            # the pair side really holds 24 bytes an entry at its peak
+            n, = args
+            assert 24 * n * n <= peak
+        else:
+            assert need <= 1.1 * peak, (args, peak, need)
+    assert [name for name, _, _ in estimates] == ["_family_route_bytes"]
 
 
 # ----------------------------------------------------------------------
