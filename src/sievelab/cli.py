@@ -422,7 +422,7 @@ def cmd_norm(cfg):
     for (Q, k, T, N), (est, ms) in zip(grid, results):
         records.append(make_record(
             f"norm_{cfg.family}", Q=Q, k=k, T=T, N=N,
-            extra={"method": est.method, "iterations": est.iterations},
+            extra={"method": est.method, "route": est.route, "iterations": est.iterations},
             value=est.value, residual=est.residual, ok=True,
             seed=cfg.seed, millis=ms))
     write_records(records, cfg)

@@ -36,18 +36,22 @@ Either route refuses a job whose size estimate passes _ROUTE_BYTES.
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`),
 whose value is a Rayleigh quotient (a lower bound up to rounding) capped
-by the Gershgorin bound.  Past _PAIR_ROUTE_MAX indices a family whose
-members x nodes are fewer than its indices takes the family side: the
-member values (`_member_matrix`, through the reduction map
-a/b -> a bbar mod m), times Gauss-Legendre quadrature of I_T for a window
-and exact for the additive and rational families, give a members x nodes
-Gram with the pair-side nonzero spectrum, solved the same way.  The two
-sides share the definition of a family, stated once as data (`_Family`),
-and no arithmetic, so each is the other's oracle in the tests.
+by a true upper bound.  Past _PAIR_ROUTE_MAX indices a family whose
+members x nodes are fewer than its indices takes the family side.  There
+the coefficient matrix is the row-wise Khatri-Rao product A = V o P of
+the member values V (`_member_matrix`, through the reduction map
+a/b -> a bbar mod m) and the phases P of Gauss-Legendre quadrature of I_T
+for a window (P = 1 for the exact additive and rational families), and
+Delta = ||A||^2 is the top eigenvalue of H = A^H A, whose nonzero
+spectrum is the pair side's.  The solver applies H as x -> A^H (A x)
+(`_KhatriRao`) and forms neither A nor H, so the family side holds
+O(n (members + nodes)) numbers plus the Lanczos basis.  The two sides
+share the definition of a family, stated once as data (`_Family`), and
+no arithmetic, so each is the other's oracle in the tests.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, isfinite, log
 
 import numpy as np
@@ -64,7 +68,8 @@ _ORACLE_BLOCK = 1 << 20
 _PRODUCT_BLOCK = 1 << 22
 _DENSE_PHI = 16
 _ROUTE_BYTES = 4 << 30
-_H_BLOCK = 1 << 23
+_MAX_ITER = 20000
+_INDEX_BYTES = 160
 _ROUTES = ("auto", "pairs", "family")
 
 
@@ -113,6 +118,7 @@ class NormEstimate:
     residual: float
     iterations: int
     method: str
+    route: str | None = None  # "pairs" or "family", set by the Delta norms
 
 
 def _moduli(Q, k=1):
@@ -278,10 +284,15 @@ def _congruence_sum(a, b, terms):
         (dense if totient(d) <= _DENSE_PHI else sparse).append((gates[g], d, c, s))
     if sum(abs(c) for _, _, c, _ in terms) >= 2**53:
         raise ValueError("congruence weights too large for an exact float64 product")
+    # S is an exact integer sum, so the order of the terms is free: in order
+    # of d, each d's residues are built once and dropped after its last term
+    dense.sort(key=lambda term: term[1])
+    sparse.sort(key=lambda term: term[1])
     residues = {}
 
     def labels(rows, d, s):
         if d not in residues:
+            residues.clear()
             residues[d] = _unit_residues(a, b, d)
         column, u = residues[d]
         u = u[rows]
@@ -399,15 +410,71 @@ def _gauss_nodes(lo, hi, n):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _quadrature_matrix(V, L, T, nodes):
-    """A[n, (f, j)] = V[n, f] e^{i t_j L_n} sqrt(w_j) over the Gauss-Legendre
-    nodes t_j of [T/2, T], so that A A^H is the quadrature Gram; A = V for
-    a discrete family."""
+def _phase_matrix(L, T, nodes):
+    """P[n, j] = e^{i t_j L_n} sqrt(w_j) over the Gauss-Legendre nodes t_j
+    of [T/2, T]; the single column P = 1 for a discrete family."""
     if T is None:
-        return V
+        return np.ones((len(L), 1), dtype=np.complex128)
     t, w = _gauss_nodes(T / 2, T, nodes)
-    phases = np.exp(1j * np.outer(L, t)) * np.sqrt(w)[None, :]
-    return (V[:, :, None] * phases[:, None, :]).reshape(len(L), V.shape[1] * nodes)
+    P = 1j * np.outer(L, t)
+    np.exp(P, out=P)
+    P *= np.sqrt(w)
+    return P
+
+
+def _quadrature_matrix(V, L, T, nodes):
+    """A[n, (f, j)] = V[n, f] P[n, j] (`_phase_matrix`), so that A A^H is
+    the quadrature Gram; A = V for a discrete family."""
+    P = _phase_matrix(L, T, nodes)
+    return (V[:, :, None] * P[:, None, :]).reshape(len(L), V.shape[1] * P.shape[1])
+
+
+class _KhatriRao:
+    """H = A^H A for A = V (row-wise Khatri-Rao) P, A[n, (f, j)] =
+    V[n, f] P[n, j], on the (member, node) space of size F J.  Neither A
+    nor H is formed: H x is A^H (A x), with X = x.reshape(F, J),
+
+        A x = ((P X^T) o V) 1,    A^H y = conj((V o conj(y))^T P),
+
+    summed over row blocks of at most _PRODUCT_BLOCK entries of V or P, so
+    each temporary is one block.  `bounds()` gives the exact diagonal
+    sum_n |V[n, f]|^2 |P[n, j]|^2, the all-ones form ||A 1||^2 and the
+    upper bound min(||A||_F^2, ||A||_1 ||A||_inf) on ||A||^2 =
+    lambda_max(H).  Raises ValueError on non-finite V or P."""
+
+    def __init__(self, V, P):
+        if not (np.isfinite(V).all() and np.isfinite(P).all()):
+            raise ValueError("member or phase matrix has non-finite entries")
+        self.grid = (V.shape[1], P.shape[1])  # (F, J)
+        self.shape = (V.shape[1] * P.shape[1],) * 2
+        step = _block_rows(*self.grid)
+        self.blocks = [(V[s:s + step], P[s:s + step]) for s in range(0, len(V), step)]
+
+    def __matmul__(self, x):
+        X = x.reshape(self.grid).T
+        z = np.zeros(self.grid, dtype=np.complex128)
+        for V, P in self.blocks:
+            y = np.einsum("nf,nf->n", V, P @ X)
+            z += (V * y.conj()[:, None]).T @ P
+        return np.conj(z).reshape(-1)
+
+    def bounds(self):
+        diag, norm_1 = np.zeros(self.grid), np.zeros(self.grid)
+        norm_inf = ones = 0.0
+        for V, P in self.blocks:
+            aV, aP = np.abs(V), np.abs(P)
+            norm_1 += aV.T @ aP
+            norm_inf = max(norm_inf, float((aV.sum(axis=1) * aP.sum(axis=1)).max()))
+            diag += np.square(aV, out=aV).T @ np.square(aP, out=aP)
+            y = V.sum(axis=1) * P.sum(axis=1)
+            ones += float(np.vdot(y, y).real)
+        return diag.reshape(-1), ones, min(float(diag.sum()), float(norm_1.max()) * norm_inf)
+
+
+def _block_rows(F, J):
+    """Rows of a block of V (n x F) and P (n x J) of at most _PRODUCT_BLOCK
+    entries each."""
+    return max(1, _PRODUCT_BLOCK // max(F, J, 1))
 
 
 def _family_gram(fam, nodes):
@@ -447,33 +514,12 @@ def gram_rational_bruteforce(Q, N):
 # extremal eigenvalue
 # ----------------------------------------------------------------------
 
-def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=20000):
-    """Largest eigenvalue of a Hermitian matrix as a NormEstimate.
-
-    Lanczos with full reorthogonalization from a deterministic seeded start
-    (boosted at the largest diagonal entry).  It stops once the top Ritz
-    pair's residual |beta_j s_j| / max(|theta|, 1) is at most tol, on Krylov
-    breakdown, or after min(n, max_iter) steps.  The reported value is the
-    Rayleigh quotient rho = y^H G y of the unit Ritz vector y, taken with
-    one more matvec, so up to rounding it is a lower bound on lambda_max.
-    It is raised to the floors max_i G[i, i] and sum(G) / n (the Rayleigh
-    quotients of the coordinate and all-ones vectors) and capped by the
-    Gershgorin bound max_i sum_j |G[i, j]|, which is a true upper bound.
-
-    `residual` is ||G y - rho y|| / max(|rho|, 1).  For Hermitian G it
-    bounds the distance from rho to *some* eigenvalue, not necessarily to
-    lambda_max; `iterations` counts the matvecs.  Raises ValueError on a
-    non-square, non-finite or non-Hermitian matrix.
-    """
-    M = G.matrix if isinstance(G, GramMatrix) else np.asarray(G)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return NormEstimate(0.0, 0.0, 0, "lanczos")
-    # row blocks keep the temporaries of the checks far below the size of M
+def _dense_bounds(M):
+    """The diagonal, the all-ones form sum(M) and the Gershgorin bound
+    max_i sum_j |M[i, j]| of a Hermitian matrix M.  Row blocks keep the
+    temporaries of the checks far below the size of M."""
     amax = ceiling = asym = 0.0
-    for s in range(0, n, _CHECK_ROWS):
+    for s in range(0, M.shape[0], _CHECK_ROWS):
         rows = M[s:s + _CHECK_ROWS]
         a = np.abs(rows)
         top = float(a.max())
@@ -484,8 +530,38 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=20000):
         asym = max(asym, float(np.abs(rows - M[:, s:s + _CHECK_ROWS].conj().T).max()))
     if asym > 1e-12 * max(amax, 1.0):
         raise ValueError("matrix is not Hermitian")
-    diag = M.diagonal().real
-    floor = max(float(diag.max()), float(M.sum().real) / n)
+    return M.diagonal().real, float(M.sum().real), ceiling
+
+
+def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
+    """Largest eigenvalue of a Hermitian matrix, or of the operator
+    H = A^H A of a `_KhatriRao`, as a NormEstimate.
+
+    Lanczos with full reorthogonalization from a deterministic seeded start
+    (boosted at the largest diagonal entry).  It stops once the top Ritz
+    pair's residual |beta_j s_j| / max(|theta|, 1) is at most tol, on Krylov
+    breakdown, or after min(n, max_iter) steps.  The reported value is the
+    Rayleigh quotient rho = y^H G y of the unit Ritz vector y, taken with
+    one more matvec, so up to rounding it is a lower bound on lambda_max.
+    It is raised to the floors max_i G[i, i] and 1^H G 1 / n (the Rayleigh
+    quotients of the coordinate and all-ones vectors) and capped by a true
+    upper bound: for a matrix the Gershgorin bound max_i sum_j |G[i, j]|,
+    for the operator min(||A||_F^2, ||A||_1 ||A||_inf).
+
+    `residual` is ||G y - rho y|| / max(|rho|, 1).  For Hermitian G it
+    bounds the distance from rho to *some* eigenvalue, not necessarily to
+    lambda_max; `iterations` counts the matvecs.  Raises ValueError on a
+    non-square, non-finite or non-Hermitian matrix.
+    """
+    operator = isinstance(G, _KhatriRao)
+    M = G if operator else G.matrix if isinstance(G, GramMatrix) else np.asarray(G)
+    n = M.shape[0]
+    if M.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return NormEstimate(0.0, 0.0, 0, "lanczos")
+    diag, total, ceiling = G.bounds() if operator else _dense_bounds(M)
+    floor = max(float(diag.max()), total / n)
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -497,9 +573,8 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=20000):
     for j in range(steps):
         w = M @ basis[j]
         alpha.append(float(np.vdot(basis[j], w).real))
-        V = basis[: j + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice
-            w -= (V.conj() @ w) @ V
+            w -= (basis[: j + 1].conj() @ w) @ basis[: j + 1]
         b = float(np.linalg.norm(w))
         theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
         ritz_res = b * abs(S[-1, -1]) / max(abs(theta[-1]), 1.0)
@@ -533,23 +608,38 @@ def _pair_route_bytes(n):
     return 24 * n * n + 8 * 16 * _CHECK_ROWS * n
 
 
-def _family_route_bytes(n, F, nodes):
-    """Peak bytes of the family route on F members: V and the phases of
-    _quadrature_matrix (n x F and n x nodes), H and the product added to
-    it (F nodes squared each), and an A row block with its conjugate (at
-    most _H_BLOCK entries each), all complex."""
-    FJ = F * nodes
-    return 16 * (n * (F + nodes) + 2 * FJ * FJ + 2 * min(n * FJ, _H_BLOCK))
+def _family_route_bytes(n, F, nodes, rows):
+    """Peak bytes of the family route on n indices and F members x nodes,
+    with a Lanczos basis of `rows` vectors: the index (its pair objects and
+    the arrays a, b and L), _INDEX_BYTES an entry; V and P (n x F and n x nodes, complex); two ufunc buffers; and
+    the larger of two stages over row blocks of b rows (`_block_rows`).
+    Setup holds the float moduli of a block in `bounds` and three length-b
+    vectors.  The solve holds the basis at its capacity (doubled from 32
+    rows up to F nodes, as in `top_eigenvalue`), four more vectors and the
+    rows x rows Ritz vectors, and the larger of the conjugate copy of the
+    basis rows in reorthogonalization and the b x F temporary of a matvec."""
+    size = F * nodes
+    b = min(n, _block_rows(F, nodes))
+    capacity = 32
+    while capacity < rows:
+        capacity *= 2
+    capacity = min(capacity, size, _MAX_ITER)
+    solve = 16 * size * (capacity + 4) + 8 * rows * rows + 16 * max(size * rows, b * F)
+    return (_INDEX_BYTES * n + 16 * n * (F + nodes) + 32 * np.getbufsize()
+            + max(8 * b * (F + nodes + 6), solve))
 
 
 def _solve(fam, gram, tol, route="auto"):
     """The one route rule.  "pairs" solves the pair-side Gram gram();
-    "family" solves H = A^H A, A = _quadrature_matrix of the member values
-    (rows the index, columns (member, node)), whose nonzero spectrum is the
-    pair side's up to the quadrature of I_T.  "auto" takes the family side
-    past _PAIR_ROUTE_MAX indices when members x nodes < indices, counting
-    the members as S at the index 1/1, where every member is 1.  Either
-    route first raises ValueError when its size estimate passes _ROUTE_BYTES."""
+    "family" solves H = A^H A for A the `_KhatriRao` operator of the member
+    values V (rows the index, columns the members) and the phases P (rows
+    the index, columns the quadrature nodes), never formed; its nonzero
+    spectrum is the pair side's up to the quadrature of I_T.  "auto" takes
+    the family side past _PAIR_ROUTE_MAX indices when members x nodes <
+    indices, counting the members as S at the index 1/1, where every member
+    is 1.  Either route first raises ValueError when its size estimate, at
+    the deepest Lanczos basis on the family side, passes _ROUTE_BYTES.  The
+    NormEstimate records the route that ran."""
     n = len(fam.index)
     Lmax = float(np.abs(fam.L).max(initial=0.0))
     nodes = 1 if fam.T is None else max(48, int(Lmax * fam.T / 2) + 40)
@@ -561,20 +651,17 @@ def _solve(fam, gram, tol, route="auto"):
     if route == "pairs":
         sizes, need = f"{n} indices", _pair_route_bytes(n)
     else:
-        sizes, need = f"{F} members x {nodes} nodes", _family_route_bytes(n, F, nodes)
+        sizes = f"{F} members x {nodes} nodes"
+        need = _family_route_bytes(n, F, nodes, min(F * nodes, _MAX_ITER))
     if need > _ROUTE_BYTES:
         raise ValueError(f"the {route} route on {sizes} needs an estimated {need / 2**20:.1f} "
                          f"MiB, over the {_ROUTE_BYTES / 2**20:.1f} MiB cap")
     if route == "pairs":
-        return top_eigenvalue(gram(), tol=tol)
-    V = _member_matrix(fam.members(), fam.a, fam.b)
-    FJ = V.shape[1] * nodes
-    H = np.zeros((FJ, FJ), dtype=np.complex128)
-    block = max(1, min(n, _H_BLOCK // max(FJ, 1)))
-    for s in range(0, n, block):
-        A = _quadrature_matrix(V[s:s + block], fam.L[s:s + block], fam.T, nodes)
-        H += A.conj().T @ A
-    return top_eigenvalue(_hermitize(H), tol=tol)
+        est = top_eigenvalue(gram(), tol=tol)
+    else:
+        P = _phase_matrix(fam.L, fam.T, nodes)
+        est = top_eigenvalue(_KhatriRao(_member_matrix(fam.members(), fam.a, fam.b), P), tol=tol)
+    return replace(est, route=route)
 
 
 def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):

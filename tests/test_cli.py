@@ -78,6 +78,14 @@ def test_norm_matches_library(capsys):
     assert (rows[0]["Q"], rows[0]["k"], rows[0]["T"], rows[0]["N"]) == (
         "6.0", "1", "1.0", "40.0",
     )
+    assert json.loads(rows[0]["extra_params"])["route"] == "pairs"
+
+
+def test_norm_record_names_the_family_route(capsys):
+    # 2809 rationals at N = 600: past the cutoff the family side runs
+    assert run(["norm", "--family", "rational", "-Q", "12", "-N", "600"]) == 0
+    extra = json.loads(_rows(capsys.readouterr().out)[0]["extra_params"])
+    assert (extra["method"], extra["route"]) == ("lanczos", "family")
 
 
 def test_norm_rational_family_exact_count(capsys):

@@ -410,6 +410,9 @@ def test_family_route_record_is_a_lanczos_solve():
     assert est.method == "lanczos"
     assert est.iterations > 1
     assert est.residual <= 1e-8
+    assert est.route == "family"
+    # at N = 640 (1592 pairs) "auto" keeps the pair route
+    assert delta(4.0, 1, 1.0, 640.0).route == "pairs"
     # the window (1, 2] holds no primitive character: an empty family
     for route in ("auto", "pairs", "family"):
         empty = delta(2.0, 1, 1.0, 40.0, route=route)
@@ -539,6 +542,52 @@ def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
     assert f"family route on {F} members x 1 nodes" in err and "1.0 MiB cap" in err
 
 
+_OPERATOR_FAMILIES = {
+    "multiplicative": lambda: norms._multiplicative(FamilySpec(6.0, 2, 2.0),
+                                                    enumerate_pairs(60, "dyadic")),
+    "odd": lambda: norms._multiplicative(FamilySpec(7.0, 1, 1.0, "odd"),
+                                         enumerate_pairs(40, "dyadic")),
+    "additive": lambda: norms._additive(6, 40),
+    "rational": lambda: norms._rational(5, 12),
+}
+
+
+@pytest.mark.parametrize("block", [None, 100])
+@pytest.mark.parametrize("kind", list(_OPERATOR_FAMILIES))
+def test_family_operator_matches_the_dense_H(kind, block, monkeypatch):
+    # H = A^H A with A built entrywise by _quadrature_matrix; a small
+    # _PRODUCT_BLOCK splits the operator's rows into several blocks
+    if block:
+        monkeypatch.setattr(norms, "_PRODUCT_BLOCK", block)
+    fam = _OPERATOR_FAMILIES[kind]()
+    nodes = 1 if fam.T is None else 12
+    V = norms._member_matrix(fam.members(), fam.a, fam.b)
+    A = norms._quadrature_matrix(V, fam.L, fam.T, nodes)
+    H = A.conj().T @ A
+    op = norms._KhatriRao(V, norms._phase_matrix(fam.L, fam.T, nodes))
+    assert op.shape == H.shape
+    assert (len(op.blocks) > 1) == bool(block)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
+        assert np.linalg.norm(op @ x - H @ x) <= 1e-12 * np.linalg.norm(H @ x)
+    diag, ones, cap = op.bounds()
+    assert np.abs(diag - H.diagonal().real).max() <= 1e-12 * H.diagonal().real.max()
+    assert abs(ones - H.sum().real) <= 1e-12 * abs(H.sum())
+    top = float(np.linalg.eigvalsh(H).max())
+    assert cap >= top
+    assert abs(top_eigenvalue(op).value - top) <= 1e-12 * top
+
+
+def test_family_operator_rejects_non_finite():
+    V, P = np.ones((5, 2), dtype=complex), np.ones((5, 3), dtype=complex)
+    for M, bad in [(V, np.nan), (P, np.inf), (P, complex(0, np.nan))]:
+        M[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            norms._KhatriRao(V, P)
+        M[2, 1] = 1
+
+
 def _traced_peak(run):
     tracemalloc.start()
     try:
@@ -549,6 +598,7 @@ def _traced_peak(run):
 
 
 def test_route_estimates_cover_the_measured_peak(monkeypatch):
+    family_route_bytes = norms._family_route_bytes
     estimates = []
     for name in ("_pair_route_bytes", "_family_route_bytes"):
         def record(*args, estimate=getattr(norms, name), name=name):
@@ -561,7 +611,8 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
                  lambda: delta(12.0, 1, 4.0, 1000.0)]:  # the family side
         norm()  # fills the caches of characters and divisors first
         estimates.clear()
-        peak = _traced_peak(norm)
+        results = []
+        peak = _traced_peak(lambda: results.append(norm()))
         (name, args, need), = estimates
         assert peak <= need, (name, args, peak, need)
         if name == "_pair_route_bytes":
@@ -569,8 +620,32 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
             n, = args
             assert 24 * n * n <= peak
         else:
-            assert need <= 1.1 * peak, (args, peak, need)
+            # the solve held iterations - 1 Lanczos vectors: the last matvec
+            # is the Rayleigh quotient of the Ritz vector
+            n, F, nodes, rows = args
+            rows_used = results[0].iterations - 1
+            assert rows == min(F * nodes, norms._MAX_ITER) and rows_used < rows
+            ran = family_route_bytes(n, F, nodes, rows_used)
+            assert peak <= ran <= 1.1 * peak, (args, rows_used, peak, ran)
+            assert ran <= need
     assert [name for name, _, _ in estimates] == ["_family_route_bytes"]
+
+
+def test_family_route_peak_stays_below_the_size_of_A(monkeypatch):
+    # A = V (row-wise Khatri-Rao) P is n x (F nodes) complex; the family
+    # route forms neither A nor H = A^H A
+    sizes = []
+    estimate = norms._family_route_bytes
+
+    def record(n, F, nodes, *rest):
+        sizes.append((n, F, nodes))
+        return estimate(n, F, nodes, *rest)
+
+    monkeypatch.setattr(norms, "_family_route_bytes", record)
+    delta(12.0, 1, 4.0, 1000.0)  # fills the caches of characters and divisors first
+    peak = _traced_peak(lambda: delta(12.0, 1, 4.0, 1000.0))
+    n, F, nodes = sizes[-1]
+    assert peak < 16 * n * F * nodes, (peak, n, F, nodes)
 
 
 # ----------------------------------------------------------------------
