@@ -1,4 +1,4 @@
-"""Dirichlet characters as exponent vectors with integer turns.
+"""Dirichlet characters as numbered exponent vectors with integer turns.
 
 A character mod q is stored as an exponent vector (a_i) over a fixed
 generator basis of (Z/qZ)^*: one cyclic generator per factor of each prime
@@ -15,15 +15,33 @@ roots[k] = e(k / lambda), exact at the quarter turns 1, i, -1, -i.  All
 character algebra stays in integers, so the identity checking in this
 package costs exactly one rounding step, at the table's exp.
 
+Each group owns its phi(q) characters once, as ``chars``, numbered
+0..phi(q)-1 in mixed radix over the generator orders (the last exponent
+varies fastest, the order in which the group iterates).  A character
+carries its ``index``, and every character this module returns is taken
+from that table, never built twice.  So equality and hashing are object
+identity: two characters are equal exactly when they are the same entry
+of the same group, and characters mod 5 and mod 10 are never equal.  The
+group's read-only arrays, each built on first use, make the character
+algebra integer index work:
+
+    mul[i, j]       the index of chars[i] * chars[j]   (phi x phi)
+    conj[i]         the index of conj(chars[i])
+    conductors[i]   the conductor of chars[i]
+
+and value_table(chi) is one integer matvec, chi's exponents against the
+matrix of scaled unit logs, taken mod lambda into the same root table.
+
 Conventions: chi(n) = 0 when gcd(n, q) > 1; the conductor is the smallest
 modulus the character descends to.
 """
 
 import cmath
 import operator
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import gcd, lcm
 
@@ -70,6 +88,11 @@ def _root(k, lam):
     return cmath.exp(2j * cmath.pi * (k / lam))
 
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class CharGroup:
     """The character group mod q, i.e. the dual of (Z/qZ)^*.
@@ -77,7 +100,8 @@ class CharGroup:
     gens are residues mod q, each 1 at every prime power but its own;
     primes[i] is the prime of gens[i]; exponent is lambda(q) = lcm(orders);
     dlog[n] is the exponent vector of the unit n over gens (None off the
-    units); roots[k] = e(k / exponent)."""
+    units); roots[k] = e(k / exponent); chars[i] is the character of
+    index i."""
 
     q: int
     gens: tuple
@@ -86,13 +110,74 @@ class CharGroup:
     exponent: int
     dlog: tuple
     roots: np.ndarray
+    chars: tuple = field(init=False, repr=False)
 
     def __iter__(self):
-        for exps in iproduct(*[range(o) for o in self.orders]):
-            yield DirichletChar(self, exps)
+        return iter(self.chars)
 
     def __repr__(self):
         return f"CharGroup(q={self.q})"
+
+    def _char(self, exps):
+        """The character whose exponent vector is exps, taken mod the orders."""
+        i = 0
+        for a, o in zip(exps, self.orders):
+            i = i * o + a % o
+        return self.chars[i]
+
+    @cached_property
+    def _exps(self):
+        """The exponent vectors of chars, one row each."""
+        return np.array([c.exponents for c in self.chars], dtype=np.int64).reshape(
+            len(self.chars), len(self.orders))
+
+    @cached_property
+    def mul(self):
+        """mul[i, j] is the index of chars[i] * chars[j]."""
+        out = np.zeros((len(self.chars),) * 2, dtype=np.int32)
+        for e, o in zip(self._exps.T.astype(np.int32), self.orders):
+            out = out * o + (e[:, None] + e) % o
+        return _frozen(out)
+
+    @cached_property
+    def conj(self):
+        """conj[i] is the index of the conjugate of chars[i]."""
+        out = np.zeros(len(self.chars), dtype=np.int32)
+        for e, o in zip(self._exps.T, self.orders):
+            out = out * o + (-e) % o
+        return _frozen(out)
+
+    @cached_property
+    def conductors(self):
+        """conductors[i] is the conductor of chars[i].  A component of
+        order m > 1 at an odd prime p needs p^(v_p(m) + 1); at 2 the
+        component on -1 (or on 3 mod 4) needs 4 and the one on 5 needs 4m."""
+        cond = np.ones(len(self.chars), dtype=np.int64)
+        two = np.ones(len(self.chars), dtype=np.int64)
+        for e, o, p, gen in zip(self._exps.T, self.orders, self.primes, self.gens):
+            m = o // np.gcd(o, e)  # order of the component
+            if p == 2:
+                two = np.maximum(two, np.where(m > 1, 4 * m if gen % 4 == 1 else 4, 1))
+                continue
+            f, pk = np.where(m > 1, p, 1), p
+            while o % pk == 0:
+                f = np.where(m % pk == 0, f * p, f)
+                pk *= p
+            cond *= f
+        return _frozen(cond * two)
+
+    @cached_property
+    def _unit_logs(self):
+        """(logs, units): logs[i, n] = dlog_i(n) * (lambda / ord_i) at the
+        units n (0 elsewhere) and the unit mask, so that a character's
+        turns at every residue are its exponents @ logs mod lambda."""
+        units = np.array([x is not None for x in self.dlog])
+        r = len(self.orders)
+        scale = np.array([self.exponent // o for o in self.orders], dtype=np.int64)
+        logs = np.zeros((r, self.q), dtype=np.int64)
+        unit_logs = np.array([x for x in self.dlog if x is not None], dtype=np.int64)
+        logs[:, units] = unit_logs.reshape(len(self.chars), r).T * scale[:, None]
+        return _frozen(logs), _frozen(units)
 
 
 def char_group(q):
@@ -103,7 +188,12 @@ def char_group(q):
         raise ValueError(f"modulus must be an integer, got {q!r}") from None
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    return _char_group(q)
+    # one build per q even under threads, so every character is interned
+    with _GROUP_LOCK:
+        return _char_group(q)
+
+
+_GROUP_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=None)
@@ -115,41 +205,35 @@ def _char_group(q):
         orders += local_orders
         primes += [p] * len(local_gens)
     dlog = [None] * q
-    for exps in iproduct(*[range(o) for o in orders]):
+    all_exps = list(iproduct(*[range(o) for o in orders]))
+    for exps in all_exps:
         n = 1 % q
         for g, a in zip(gens, exps):
             n = n * pow(g, a, q) % q
         dlog[n] = exps
     lam = lcm(*orders)
-    roots = np.array([_root(k, lam) for k in range(lam)], dtype=np.complex128)
-    roots.setflags(write=False)
-    return CharGroup(q, tuple(gens), tuple(orders), tuple(primes), lam, tuple(dlog), roots)
+    roots = _frozen(np.array([_root(k, lam) for k in range(lam)], dtype=np.complex128))
+    group = CharGroup(q, tuple(gens), tuple(orders), tuple(primes), lam, tuple(dlog), roots)
+    chars = tuple(DirichletChar(group, exps, i) for i, exps in enumerate(all_exps))
+    object.__setattr__(group, "chars", chars)
+    return group
 
 
 # ----------------------------------------------------------------------
 # characters
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DirichletChar:
+    """chars[index] of its group; equal only to itself."""
+
     group: CharGroup
     exponents: tuple
+    index: int
 
     @property
     def modulus(self):
         return self.group.q
-
-    # characters compare by (modulus, exponent vector); groups are cached
-    # singletons but equality should not depend on that
-    def __eq__(self, other):
-        return (
-            isinstance(other, DirichletChar)
-            and self.group.q == other.group.q
-            and self.exponents == other.exponents
-        )
-
-    def __hash__(self):
-        return hash((self.group.q, self.exponents))
 
     def __repr__(self):
         return f"chi(mod {self.group.q}; {self.exponents})"
@@ -176,17 +260,13 @@ class DirichletChar:
     def __mul__(self, other):
         if self.group.q != other.group.q:
             raise ValueError("character product needs a common modulus")
-        exps = tuple(
-            (a + b) % o for a, b, o in zip(self.exponents, other.exponents, self.group.orders)
-        )
-        return DirichletChar(self.group, exps)
+        return self.group._char(a + b for a, b in zip(self.exponents, other.exponents))
 
     def conj(self):
-        exps = tuple((-a) % o for a, o in zip(self.exponents, self.group.orders))
-        return DirichletChar(self.group, exps)
+        return self.group._char(-a for a in self.exponents)
 
     def is_trivial(self):
-        return all(a == 0 for a in self.exponents)
+        return self.index == 0
 
     def parity(self):
         """chi(-1), which is +1 or -1."""
@@ -194,40 +274,25 @@ class DirichletChar:
 
 
 def trivial_char(q):
-    g = char_group(q)
-    return DirichletChar(g, tuple(0 for _ in g.orders))
+    return char_group(q).chars[0]
 
 
 @lru_cache(maxsize=None)
 def value_table(chi):
     """chi on 0..q-1 as a read-only complex numpy vector (zeros on non-units)."""
     g = chi.group
-    units = [n for n, logs in enumerate(g.dlog) if logs is not None]
-    out = np.zeros(g.q, dtype=np.complex128)
-    out[units] = g.roots[[chi.turns(n) for n in units]]
-    out.setflags(write=False)
-    return out
+    logs, units = g._unit_logs
+    turns = np.array(chi.exponents, dtype=np.int64) @ logs % g.exponent
+    return _frozen(np.where(units, g.roots[turns], 0))
 
 
 # ----------------------------------------------------------------------
 # conductor / primitivity
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def conductor(chi):
     """Smallest f | q such that chi is induced by a character mod f."""
-    g = chi.group
-    cond = two = 1
-    for a, o, p, gen in zip(chi.exponents, g.orders, g.primes, g.gens):
-        m = o // gcd(o, a)  # order of the component
-        if m == 1:
-            continue
-        if p != 2:
-            cond *= p ** (valuation(m, p) + 1)
-        else:
-            # 4 * m on the generator 5 mod 2^e, at least 4 on -1 (or 3 mod 4)
-            two = max(two, 4 * m if gen % 4 == 1 else 4)
-    return cond * two
+    return int(chi.group.conductors[chi.index])
 
 
 def is_primitive(chi):
@@ -259,10 +324,11 @@ def _from_generators(m, chars, rest=1):
             if k % c.group.exponent:
                 raise ValueError("value is not an order-th root of unity")
             a += k // c.group.exponent
-        exps.append(a % o)
-    return DirichletChar(group, tuple(exps))
+        exps.append(a)
+    return group._char(exps)
 
 
+@lru_cache(maxsize=None)
 def descend(chi, m):
     """The character mod m (m | q) whose value at a unit n is chi at the
     lift of n that is 1 at the primes of q outside m.
@@ -278,7 +344,6 @@ def descend(chi, m):
     return _from_generators(m, [chi], rest)
 
 
-@lru_cache(maxsize=None)
 def primitive_part(chi):
     """The primitive character mod conductor(chi) inducing chi."""
     f = conductor(chi)
@@ -309,7 +374,8 @@ def rational_eval(chi, a, b):
 
 
 def primitive_chars(q):
-    return [c for c in char_group(q) if is_primitive(c)]
+    g = char_group(q)
+    return [g.chars[i] for i in np.flatnonzero(g.conductors == g.q)]
 
 
 def char_order(chi):

@@ -9,6 +9,13 @@ checks is that the index sets below reconstruct every character pair
 exactly once, and the builders assert that bijection structurally, not
 just numerically.
 
+The checks run on the character groups' index arrays (see `characters`).
+A caller's table is read once per character, or once per ordered pair
+for the coset check's F, into a numpy array; both sides are then masks
+and gathers over that array by product, conjugate and conductor index,
+summed as numpy reductions.  So the residuals depend on numpy's
+summation order and may move in the last bits between numpy versions.
+
 Conventions that matter:
 
 * The detection coefficients c_ell live on residues mod q.  The closed
@@ -30,7 +37,7 @@ Conventions that matter:
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, gcd
 
 import numpy as np
@@ -38,6 +45,7 @@ import numpy as np
 from .arith import divisors, factorize, mobius, totient, valuation
 from .characters import (
     DirichletChar,
+    _frozen,
     char_group,
     conductor,
     crt_product,
@@ -46,6 +54,7 @@ from .characters import (
     is_primitive,
     primitive_chars,
     primitive_part,
+    value_table,
 )
 from .norms import _gauss_nodes
 
@@ -90,25 +99,25 @@ class PrimitivityKernel:
     def abs_sum(self):
         return sum(abs(c) for c in self.coefficients.values())
 
+    @cached_property
+    def _terms(self):
+        """The residues and their coefficients as float, as two arrays."""
+        return (np.array(list(self.coefficients), dtype=np.int64),
+                np.array([float(c) for c in self.coefficients.values()]))
+
     def pair_induced(self, psi):
         """sum_ell c_ell psi*(ell), the detection sum.  Equals 1 on
-        primitive psi mod q and 0 otherwise."""
+        primitive psi mod q and 0 otherwise.  psi*'s table is 0 at the
+        ell that are not units mod cond(psi), so those terms drop out."""
         star = primitive_part(psi)
-        f = star.modulus
-        total = 0j
-        for ell, c in self.coefficients.items():
-            if f > 1 and gcd(ell, f) != 1:
-                continue
-            total += float(c) * star(ell)
-        return total
+        ells, c = self._terms
+        return complex(c @ value_table(star)[ells % star.modulus])
 
     def pair_literal(self, psi):
         """Same sum with the literal zero-on-non-units convention; kept to
         measure how the identity fails under it."""
-        total = 0j
-        for ell, c in self.coefficients.items():
-            total += float(c) * psi(ell)
-        return total
+        ells, c = self._terms
+        return complex(c @ value_table(psi)[ells % psi.modulus])
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +151,10 @@ class CosetSystem:
 
 
 @lru_cache(maxsize=None)
-def _induced_subgroup(q, r):
-    return tuple(induce(psi, q) for psi in char_group(r))
+def _induced(q, r):
+    """The indices in G_q of the characters mod r induced to mod q, in the
+    order of G_r."""
+    return _frozen(np.array([induce(psi, q).index for psi in char_group(r)]))
 
 
 @lru_cache(maxsize=None)
@@ -155,15 +166,14 @@ def coset_reps(q, r):
     """
     if q % r != 0:
         raise ValueError(f"{r} does not divide {q}")
-    sub = _induced_subgroup(q, r)
-    seen = set()
+    group = char_group(q)
+    sub = _induced(q, r)
+    seen = np.zeros(len(group.chars), dtype=bool)
     reps = []
-    for chi in char_group(q):
-        if chi in seen:
-            continue
-        reps.append(chi)
-        for h in sub:
-            seen.add(chi * h)
+    for i, chi in enumerate(group.chars):
+        if not seen[i]:
+            reps.append(chi)
+            seen[group.mul[i, sub]] = True
     assert len(reps) == totient(q) // totient(r)
     return CosetSystem(q, r, tuple(reps))
 
@@ -177,24 +187,20 @@ def _lookup(F):
 def coset_identity_check(q, r, F, tol=1e-9):
     """sum over pairs (chi1, chi2) mod q with cond(chi1 * conj chi2) | r of
     F(chi1, chi2)  ==  sum_gamma sum_{psi1, psi2 mod r} F(gamma psi1, gamma psi2),
-    gamma over coset representatives and psi induced to mod q."""
+    gamma over coset representatives and psi induced to mod q.
+
+    F is called once per ordered pair, into a phi(q) x phi(q) array; the
+    left side masks it by the conductor of the product index and the right
+    side gathers each coset's block of pairs from it."""
     f = _lookup(F)
-    chars = list(char_group(q))
-    lhs = 0j
-    mass = 0.0
-    for c1 in chars:
-        for c2 in chars:
-            v = f(c1, c2)
-            mass += abs(v)
-            if r % conductor(c1 * c2.conj()) == 0:
-                lhs += v
-    sub = _induced_subgroup(q, r)
-    rhs = 0j
-    for gamma in coset_reps(q, r).representatives:
-        lifted = [gamma * h for h in sub]
-        for x1 in lifted:
-            for x2 in lifted:
-                rhs += f(x1, x2)
+    group = char_group(q)
+    vals = np.array([[f(c1, c2) for c2 in group.chars] for c1 in group.chars],
+                    dtype=np.complex128)
+    mass = float(np.abs(vals).sum())
+    lhs = complex(vals[r % group.conductors[group.mul[:, group.conj]] == 0].sum())
+    reps = [gamma.index for gamma in coset_reps(q, r).representatives]
+    lifted = group.mul[np.ix_(reps, _induced(q, r))]
+    rhs = complex(vals[lifted[:, :, None], lifted[:, None, :]].sum())
     res = _relative(lhs, rhs, scale=mass)
     return IdentityReport("coset_identity", lhs, rhs, res, res <= tol, {"q": q, "r": r})
 
@@ -240,6 +246,12 @@ def kernel_detection_value(psi):
     return primitivity_kernel(psi.modulus).pair_induced(psi)
 
 
+@lru_cache(maxsize=None)
+def _detection_vector(k):
+    """kernel_detection_value at every character mod k, in index order."""
+    return _frozen(np.array([kernel_detection_value(psi) for psi in char_group(k)]))
+
+
 @dataclass(frozen=True)
 class ThetaSeparationReport:
     lhs: float
@@ -257,28 +269,25 @@ def theta_separation_check(k, b, tol=1e-9):
     each k' (pairing it with the product character theta1' conj theta2'
     through the inducing primitive character).  Version 2 restricts the
     double sum to cond(theta1' conj theta2') = k' directly.  Both must
-    match the plain square.
+    match the plain square.  b is read once per character mod k.
     """
-    table = {c: b.get(c, 0) for c in char_group(k)} if not callable(b) else None
-    get = (lambda c: table.get(c, 0)) if table is not None else b
-    total = sum(get(c) for c in char_group(k))
-    lhs = abs(total) ** 2
-    mass = sum(abs(get(c)) for c in char_group(k)) ** 2
+    group = char_group(k)
+    get = b if callable(b) else (lambda c: b.get(c, 0))
+    vals = np.array([get(c) for c in group.chars], dtype=np.complex128)
+    lhs = abs(complex(vals.sum())) ** 2
+    mass = float(np.abs(vals).sum()) ** 2
 
     v1 = 0j
     v2 = 0j
     for tup in dk_tuples(k):
         kp = tup.kprime
-        gkp = list(char_group(kp))
-        lifted = {t: tup.delta * induce(t, k) for t in gkp}
-        for psi in gkp:
-            # A(psi) = sum over theta2 of b(delta (psi theta2)) conj(b(delta theta2))
-            a_psi = 0j
-            for t2 in gkp:
-                a_psi += get(lifted[psi * t2]) * complex(get(lifted[t2])).conjugate()
-            v1 += kernel_detection_value(psi) * a_psi
-            if is_primitive(psi):
-                v2 += a_psi
+        gkp = char_group(kp)
+        # b at delta * theta for each theta mod k', in the order of G_k'
+        bt = vals[group.mul[tup.delta.index, _induced(k, kp)]]
+        # A(psi) = sum over theta2 of b(delta (psi theta2)) conj(b(delta theta2))
+        a_psi = (bt[gkp.mul] * bt.conj()).sum(axis=1)
+        v1 += complex(_detection_vector(kp) @ a_psi)
+        v2 += complex(a_psi[gkp.conductors == kp].sum())
 
     r1 = _relative(lhs, v1, scale=mass)
     r2 = _relative(lhs, v2, scale=mass)
@@ -326,11 +335,12 @@ class ChiFactorization:
         )
 
 
+@lru_cache(maxsize=None)
 def _split_parts(q1, q2):
     """Split q1 and q2 prime by prime by comparing valuations: primes of
     one modulus only (q1p, q2p), primes where q1 dominates (A, with q2's
     part a), where q2 dominates (B, with q1's part b), and primes of equal
-    valuation (r)."""
+    valuation (r).  The dict is cached; callers only read it."""
     out = {"q1p": 1, "q2p": 1, "A": 1, "a": 1, "B": 1, "b": 1, "r": 1}
     for p in sorted({p for p, _ in factorize(q1)} | {p for p, _ in factorize(q2)}):
         v1, v2 = valuation(q1, p), valuation(q2, p)
@@ -373,30 +383,32 @@ def chi_factorize(chi1, chi2):
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _separation_pairs(moduli):
+def _separation_index(moduli):
     """The decomposed index set behind the multi-modulus separation lemma:
     for each (q1, q2) enumerate component characters (primitive on each
     sole/dominant/dominated part) and the (D_r, psi1, psi2) data on the
     shared part, and reconstruct the character pair.
 
     Asserts the bijection: reconstructions are distinct and, restricted to
-    primitive pairs, exhaust primitive(q1) x primitive(q2).
+    primitive pairs, exhaust primitive(q1) x primitive(q2).  Returns the
+    primitive pairs as two arrays of positions in the support, the
+    primitive characters of the moduli in order.
     """
-    pairs = []
+    support = [c for q in moduli for c in primitive_chars(q)]
+    position = {c: i for i, c in enumerate(support)}
+    index = []
     for q1 in moduli:
         for q2 in moduli:
             parts = _split_parts(q1, q2)
             r = parts["r"]
+            grp = char_group(r)
             rpart_pairs = []
             for tup in dk_tuples(r):
-                grp = list(char_group(tup.kprime))
-                for psi1 in grp:
-                    for psi2 in grp:
-                        if conductor(psi1 * psi2.conj()) != tup.kprime:
-                            continue
-                        rpart_pairs.append(
-                            (tup.delta * induce(psi1, r), tup.delta * induce(psi2, r))
-                        )
+                kp = char_group(tup.kprime)
+                # delta * psi induced to mod r, for each psi mod k'
+                lifted = [grp.chars[i] for i in grp.mul[tup.delta.index, _induced(r, kp.q)]]
+                pairs = np.nonzero(kp.conductors[kp.mul[:, kp.conj]] == kp.q)
+                rpart_pairs += [(lifted[i], lifted[j]) for i, j in zip(*pairs)]
             assert len(rpart_pairs) == totient(r) ** 2
             assert len(set(rpart_pairs)) == len(rpart_pairs)
 
@@ -414,23 +426,22 @@ def _separation_pairs(moduli):
             prim = [(c1, c2) for c1, c2 in bucket if is_primitive(c1) and is_primitive(c2)]
             want = len(primitive_chars(q1)) * len(primitive_chars(q2))
             assert len(prim) == len(set(prim)) == want, (q1, q2)
-            pairs.extend(bucket)
-    return tuple(pairs)
+            index += [(position[c1], position[c2]) for c1, c2 in prim]
+    i1, i2 = _frozen(np.array(index, dtype=np.int64).reshape(-1, 2).T)
+    return i1, i2
 
 
 def chiseparation_check(moduli, b, tol=1e-9):
     """|sum over primitive chi of listed moduli of b_chi|^2 against the
-    fully decomposed double sum."""
+    fully decomposed double sum.  b is read once per primitive character."""
     moduli = tuple(sorted(set(moduli)))
     support = [c for q in moduli for c in primitive_chars(q)]
     get = b if callable(b) else (lambda c: b.get(c, 0))
-    total = sum(get(c) for c in support)
-    lhs = abs(total) ** 2
-    mass = sum(abs(get(c)) for c in support) ** 2
-    rhs = 0j
-    for c1, c2 in _separation_pairs(moduli):
-        if is_primitive(c1) and is_primitive(c2):
-            rhs += get(c1) * complex(get(c2)).conjugate()
+    vals = np.array([get(c) for c in support], dtype=np.complex128)
+    lhs = abs(complex(vals.sum())) ** 2
+    mass = float(np.abs(vals).sum()) ** 2
+    i1, i2 = _separation_index(moduli)
+    rhs = complex(vals[i1] @ vals[i2].conj())
     res = _relative(lhs, rhs, scale=mass)
     return IdentityReport("chiseparation", lhs, rhs, res, res <= tol, {"moduli": moduli})
 

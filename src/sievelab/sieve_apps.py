@@ -33,8 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
+
 from .arith import is_prime, is_squarefree, prime_factors, primes_in, totient
-from .characters import char_group, trivial_char
+from .characters import char_group, trivial_char, value_table
 from .norms import delta_rational
 from .rationals import ht, in_localization, rationals_up_to, reduce_mod
 
@@ -239,13 +241,12 @@ def bdh_rhs_chars(inp):
         if not loc:
             continue
         triv = trivial_char(q)
-        reds = [(reduce_mod(pt, q), a) for pt, a in loc]
+        reds = np.array([reduce_mod(pt, q) for pt, _ in loc])
+        alpha = np.array([a for _, a in loc], dtype=np.complex128)
         inner = 0.0
         for chi in char_group(q):
-            if chi == triv:
-                continue
-            s = sum(a * complex(chi(r)) for r, a in reds)
-            inner += abs(s) ** 2
+            if chi is not triv:
+                inner += abs(complex(value_table(chi)[reds] @ alpha)) ** 2
         total += inner / totient(q)
     return total
 

@@ -6,6 +6,8 @@ import cmath
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -203,3 +205,110 @@ def test_value_table_is_read_only():
     with pytest.raises(ValueError):
         chi.group.roots[0] = 99
     assert value_table(chi)[1] == 1
+
+
+# ----------------------------------------------------------------------
+# interning: each character exists once, as an entry of its group
+# ----------------------------------------------------------------------
+
+def _is_interned(chi):
+    group = char_group(chi.modulus)
+    return chi.group is group and group.chars[chi.index] is chi
+
+
+def test_groups_iterate_their_one_table():
+    for q in range(1, 61):
+        group = char_group(q)
+        first, second = list(group), list(group)
+        assert all(a is b for a, b in zip(first, second))
+        assert all(a is b for a, b in zip(first, group.chars))
+        assert len(first) == totient(q)
+        assert [chi.index for chi in first] == list(range(totient(q)))
+        assert trivial_char(q) is group.chars[0]
+
+
+def test_character_operations_return_the_interned_character():
+    rng = random.Random(2024)
+    for q in range(1, 61):
+        chars = char_group(q).chars
+        prime_powers = [p**e for p, e in factorize(q)]
+        for chi in chars:
+            assert _is_interned(chi.conj())
+            assert _is_interned(chi * rng.choice(chars))
+            assert _is_interned(primitive_part(chi))
+            for pe in prime_powers:
+                assert _is_interned(descend(chi, pe))
+            assert _is_interned(crt_product([descend(chi, pe) for pe in prime_powers]))
+            for m in (2 * q, 3 * q):
+                assert _is_interned(induce(chi, m))
+
+
+def test_characters_of_different_moduli_are_unequal():
+    # G_10 and G_5 have the same generator orders, so equal exponent tuples
+    g5, g10 = char_group(5), char_group(10)
+    for c5, c10 in zip(g5, g10):
+        assert c5.exponents == c10.exponents
+        assert c5 != c10
+    assert len(set(g5) | set(g10)) == 8
+    assert trivial_char(5) != trivial_char(10) and trivial_char(5) == trivial_char(5)
+
+
+# ----------------------------------------------------------------------
+# the group arrays against independent oracles
+# ----------------------------------------------------------------------
+
+def test_mul_and_conj_tables_against_exponent_arithmetic():
+    for q in range(1, 201):
+        group = char_group(q)
+        E = np.array([chi.exponents for chi in group], dtype=np.int64)
+        E = E.reshape(totient(q), len(group.orders))
+        orders = np.array(group.orders, dtype=np.int64)
+        assert np.array_equal(E[group.mul], (E[:, None, :] + E[None, :, :]) % orders), q
+        assert np.array_equal(E[group.conj], -E % orders), q
+
+
+def test_conductor_table_against_brute_force():
+    # the smallest f | q with chi(n) = 1 at every unit n = 1 (mod f)
+    for q in range(1, 201):
+        group = char_group(q)
+        values = np.array([value_table(chi) for chi in group])
+        residues = np.arange(q)
+        units = np.array([math.gcd(n, q) == 1 for n in range(q)])
+        want = np.zeros(totient(q), dtype=np.int64)
+        for f in sorted(divisors(q), reverse=True):
+            fixed = units & (residues % f == 1 % f)
+            want[np.all(np.abs(values[:, fixed] - 1) < 1e-9, axis=1)] = f
+        assert np.array_equal(group.conductors, want), q
+
+
+def test_value_table_against_pointwise_values():
+    for q in range(1, 201):
+        for chi in char_group(q):
+            want = np.array([chi(n) for n in range(q)], dtype=np.complex128)
+            assert value_table(chi).tobytes() == want.tobytes(), chi
+
+
+def test_threads_building_one_group_share_its_characters():
+    # moduli no other test builds, so every thread races to build each
+    moduli = [4096 + 7 * i for i in range(4)]
+    results = [None] * 8
+    barrier = threading.Barrier(len(results))
+
+    def build(slot):
+        barrier.wait(timeout=30)
+        results[slot] = [char_group(q) for q in moduli]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for groups in results:
+        assert [g.q for g in groups] == moduli
+        assert all(g is char_group(q) for g, q in zip(groups, moduli))

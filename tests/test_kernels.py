@@ -282,3 +282,35 @@ def test_archimedean_domain_precondition():
         archimedean_coset_check(4.0, 0.5, lambda t: 1.0, lambda x: 0.0)
     with pytest.raises(ValueError):
         archimedean_coset_check(4.0, 9.0, lambda t: 1.0, lambda x: 0.0)
+
+
+# ----------------------------------------------------------------------
+# how often the checks read the caller's tables
+# ----------------------------------------------------------------------
+
+def test_coset_check_calls_F_once_per_ordered_pair():
+    for q, r in [(12, 4), (15, 5), (24, 12), (9, 3), (7, 1), (8, 8), (1, 1)]:
+        calls = []
+
+        def F(c1, c2):
+            calls.append((c1, c2))
+            return 1.0
+
+        assert coset_identity_check(q, r, F).ok
+        assert len(calls) == len(set(calls)) == totient(q) ** 2, (q, r)
+
+
+def test_theta_check_reads_b_at_most_once_per_character():
+    rng = random.Random(8)
+    for k in range(1, 31):
+        chars = list(char_group(k))
+        tab = random_char_table(chars, rng.randrange(2**30))
+        reads = []
+
+        def b(c):
+            reads.append(c)
+            return tab[c]
+
+        assert theta_separation_check(k, b).ok
+        assert len(reads) == len(set(reads)) <= len(chars), k
+        assert set(reads) <= set(chars)
