@@ -64,8 +64,8 @@ class RunConfig:
                 raise ConfigError(f"range {name} must be finite")
             if any(v < 1 for v in vals):
                 raise ConfigError(f"range {name} must be >= 1")
-        if self.tol < 0:
-            raise ConfigError("tol must be nonnegative")
+        if not (isfinite(self.tol) and self.tol >= 0):
+            raise ConfigError("tol must be finite and nonnegative")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
         if self.threads < 1:
@@ -403,8 +403,13 @@ def _grid(cfg):
     return list(product(cfg.Q, cfg.k, cfg.T, cfg.N))
 
 
-def _run_grid(cfg, worker):
+def _run_grid(cfg):
+    """The grid and, for each point, (estimate, millis)."""
     grid = _grid(cfg)
+
+    def worker(point):
+        return _timed(_norm_point, cfg, point)
+
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(worker, grid))
@@ -414,10 +419,7 @@ def _run_grid(cfg, worker):
 
 
 def cmd_norm(cfg):
-    def worker(point):
-        return _timed(_norm_point, cfg, point)
-
-    grid, results = _run_grid(cfg, worker)
+    grid, results = _run_grid(cfg)
     records = []
     for (Q, k, T, N), (est, ms) in zip(grid, results):
         records.append(make_record(
@@ -432,10 +434,7 @@ def cmd_norm(cfg):
 def cmd_scan(cfg):
     from .norms import exponent_fit
 
-    def worker(point):
-        return _timed(_norm_point, cfg, point)
-
-    grid, results = _run_grid(cfg, worker)
+    grid, results = _run_grid(cfg)
     records = []
     values = {}
     for (Q, k, T, N), (est, ms) in zip(grid, results):
@@ -511,6 +510,10 @@ def cmd_sieve(cfg):
 def cmd_bdh(cfg):
     from .sieve_apps import bdh_lhs, bdh_rhs_chars, random_bdh_input
 
+    def trial(X, Q, seed):
+        inp = random_bdh_input(X, Q, seed=seed)
+        return inp, bdh_lhs(inp), bdh_rhs_chars(inp)
+
     rng = random.Random(cfg.seed)
     records = []
     all_ok = True
@@ -518,10 +521,7 @@ def cmd_bdh(cfg):
     for t in range(cfg.trials):
         X = rng.choice(cfg.X)
         Q = int(rng.choice(cfg.Q))
-        t0 = time.monotonic()
-        inp = random_bdh_input(X, Q, seed=rng.randrange(2**30))
-        l, r = bdh_lhs(inp), bdh_rhs_chars(inp)
-        ms = int((time.monotonic() - t0) * 1000)
+        (inp, l, r), ms = _timed(trial, X, Q, rng.randrange(2**30))
         rel = abs(l - r) / max(abs(l), 1e-12)
         ok = rel <= max(tol, 1e-8) if tol > 0 else rel == 0
         all_ok = all_ok and ok

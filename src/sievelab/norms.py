@@ -32,7 +32,13 @@ factor phi(k)), and a parity adds the s = -1 terms times eps = +-1, the
 pair side then halving the sum.  One exact integer routine,
 `_congruence_sum`, evaluates every list: an exact float64 product of
 residue indicators for small phi(d), matched residues for the rest.
-Either route refuses a job whose size estimate passes _ROUTE_BYTES.
+Either route refuses a job whose size estimate passes _ROUTE_BYTES, and
+so does the index, bounded from N alone, and the term list, from Q
+alone, before anything is built.
+
+Every family holds its index as the int64 arrays a, b of `rationals`
+with L = log(a/b), and reduces it there (`_reduce`); neither route
+builds a pair or point object.
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`),
 whose value is a Rayleigh quotient (a lower bound up to rounding) capped
@@ -58,7 +64,8 @@ import numpy as np
 
 from .arith import divisors, mobius, primes_in, totient
 from .characters import char_group, primitive_chars, value_table
-from .rationals import enumerate_pairs, rationals_up_to
+from .rationals import (_ROUTE_BYTES, CoprimePair, RationalPoint, _check_bytes, _coprime_pairs,
+                        _reduce)
 
 _TAYLOR_CUT = 1e-6
 _START_SEED = 0x5EED
@@ -67,9 +74,8 @@ _CHECK_ROWS = 64
 _ORACLE_BLOCK = 1 << 20
 _PRODUCT_BLOCK = 1 << 22
 _DENSE_PHI = 16
-_ROUTE_BYTES = 4 << 30
 _MAX_ITER = 20000
-_INDEX_BYTES = 160
+_TERM_BYTES = 136  # a term (g, d, c, s): its tuple, its ints and its list slot
 _ROUTES = ("auto", "pairs", "family")
 
 
@@ -79,8 +85,12 @@ _ROUTES = ("auto", "pairs", "family")
 
 def _require_finite(**values):
     for name, x in values.items():
-        if not isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x!r}")
+        try:
+            finite = isfinite(x)
+        except (TypeError, ValueError, OverflowError):  # not a real number, or no float
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be a finite real number, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -187,20 +197,35 @@ def _hermitize(G):
 # ----- the families, stated once for both sides -------------------------
 
 class _Family:
-    """The pair side reads the index, the congruence terms, the parity and
-    the window [T/2, T] (T None: discrete); the family side the index, the
-    window and members(), the members' residue tables, built on call."""
+    """The pair side reads the index arrays a, b, the terms, the parity and
+    the window [T/2, T] (T None: discrete); the family side a, b, the window
+    and members(), the residue tables, built on call like `index`."""
 
-    def __init__(self, index, terms, members, parity=None, T=None):
-        self.index = tuple(index)
+    def __init__(self, a, b, terms, members, parity=None, T=None, point=CoprimePair):
+        self.a, self.b = a, b
         self.terms = terms
         self.members = members
         self.parity = parity
         self.T = T
-        self.a = np.array([p.a for p in self.index], dtype=np.int64)
-        self.b = np.array([p.b for p in self.index], dtype=np.int64)
+        self.point = point
         # log(a_n b_m / (a_m b_n)) = L_n - L_m
-        self.L = np.log(self.a.astype(np.float64)) - np.log(self.b.astype(np.float64))
+        self.L = np.log(a.astype(np.float64)) - np.log(b.astype(np.float64))
+
+    @property
+    def index(self):
+        return tuple(map(self.point, self.a.tolist(), self.b.tolist()))
+
+
+def _pair_arrays(index):
+    """The int64 arrays a, b of a sequence of coprime pairs."""
+    return np.array([(p.a, p.b) for p in index], dtype=np.int64).reshape(-1, 2).T
+
+
+def _check_terms(Q):
+    """Refuse, before the moduli are listed, a term list past _ROUTE_BYTES:
+    q <= Q has at most d(q) terms, so there are at most
+    2 sum_{q <= Q} d(q) <= 2 Q (1 + ln Q), counting a parity's s = -1."""
+    _check_bytes(f"term list of Q = {Q:g}", _TERM_BYTES * 2 * Q * (1 + log(Q)), _ROUTE_BYTES)
 
 
 def _congruence_terms(moduli, weight, k=1, parity=None):
@@ -215,9 +240,10 @@ def _congruence_terms(moduli, weight, k=1, parity=None):
     return terms
 
 
-def _multiplicative(spec, index):
+def _multiplicative(spec, a, b):
+    _check_terms(spec.Q)
     terms = _congruence_terms(_moduli(spec.Q, spec.k), totient, spec.k, spec.parity)
-    return _Family(index, terms,
+    return _Family(a, b, terms,
                    lambda: [(value_table(chi), value_table(theta))
                             for _, chi, theta in family_members(spec)],
                    spec.parity, spec.T)
@@ -229,34 +255,25 @@ def _additive_rows(moduli):
 
 
 def _additive(Q, N):
+    _check_terms(Q)
+    a, b = _coprime_pairs(N, "dyadic")
     moduli = _moduli(Q)
-    return _Family(enumerate_pairs(N, "dyadic"), _congruence_terms(moduli, lambda d: d),
+    return _Family(a, b, _congruence_terms(moduli, lambda d: d),
                    lambda: [(np.exp(2j * np.pi * t * np.arange(q) / q),)
                             for q, t in _additive_rows(moduli)])
 
 
 def _rational(Q, N):
+    _check_terms(Q)
+    a, b = _coprime_pairs(N)
     moduli = range(1, int(Q) + 1)
-    return _Family(rationals_up_to(N), _congruence_terms(moduli, totient),
+    return _Family(a, b, _congruence_terms(moduli, totient),
                    lambda: [(value_table(chi),) for q in moduli
-                            for chi in primitive_chars(q)])
+                            for chi in primitive_chars(q)],
+                   point=RationalPoint)
 
 
 # ----- pair side: one exact congruence sum -----------------------------
-
-def _unit_residues(a, b, d):
-    """(column, u): column[r] numbers the units r mod d as 0..phi(d)-1, and
-    u[n] = a_n bbar_n mod d with bbar_n = b_n^(phi(d) - 1), by repeated
-    squaring (meaningful where a_n b_n is a unit mod d)."""
-    column = np.cumsum(np.gcd(np.arange(d), d) == 1) - 1
-    u, x, e = a % d, b % d, totient(d) - 1
-    while e:
-        if e & 1:
-            u = u * x % d
-        x = x * x % d
-        e >>= 1
-    return column, u
-
 
 def _congruence_sum(a, b, terms):
     """The int64 matrix
@@ -293,7 +310,8 @@ def _congruence_sum(a, b, terms):
     def labels(rows, d, s):
         if d not in residues:
             residues.clear()
-            residues[d] = _unit_residues(a, b, d)
+            # column[r] numbers the units r mod d as 0, ..., phi(d) - 1
+            residues[d] = np.cumsum(np.gcd(np.arange(d), d) == 1) - 1, _reduce(a, b, d)[0]
         column, u = residues[d]
         u = u[rows]
         return column, u, s * u % d
@@ -365,7 +383,7 @@ def gram_multiplicative(spec, index):
                 of the Moebius congruence sum]
               * phi(k) [a_n b_m = a_m b_n mod k] [(a_n b_n a_m b_m, k) = 1]
               * I_T(log(a_n b_m / (a_m b_n)))."""
-    return _pair_gram(_multiplicative(spec, index))
+    return _pair_gram(_multiplicative(spec, *_pair_arrays(index)))
 
 
 def gram_additive(Q, N):
@@ -397,9 +415,7 @@ def _member_matrix(members, a, b):
         for table in tables:
             m = len(table)
             if m not in reductions:
-                inv = np.array([pow(x, -1, m) if gcd(x, m) == 1 else 0 for x in range(m)],
-                               dtype=np.int64)
-                reductions[m] = ((a % m) * inv[b % m] % m, np.gcd(a * b, m) == 1)
+                reductions[m] = _reduce(a, b, m)
             red, unit = reductions[m]
             V[:, f] *= np.where(unit, table[red], 0)
     return V
@@ -481,8 +497,8 @@ def _family_gram(fam, nodes):
     """Oracle: the pair-side Gram as A A^H from the family side, summed over
     member blocks that keep each A near _ORACLE_BLOCK entries."""
     V = _member_matrix(fam.members(), fam.a, fam.b)
-    G = np.zeros((len(fam.index),) * 2, dtype=np.complex128)
-    chunk = max(1, _ORACLE_BLOCK // max(len(fam.index) * nodes, 1))
+    G = np.zeros((len(fam.a),) * 2, dtype=np.complex128)
+    chunk = max(1, _ORACLE_BLOCK // max(len(fam.a) * nodes, 1))
     for s in range(0, V.shape[1], chunk):
         A = _quadrature_matrix(V[:, s:s + chunk], fam.L, fam.T, nodes)
         G += A @ A.conj().T
@@ -492,7 +508,7 @@ def _family_gram(fam, nodes):
 def gram_bruteforce(spec, index, quadrature_nodes=64):
     """Oracle: the same Gram matrix by explicit sums over (q, chi, theta)
     and Gauss-Legendre quadrature of the t-integral."""
-    return _family_gram(_multiplicative(spec, index), quadrature_nodes)
+    return _family_gram(_multiplicative(spec, *_pair_arrays(index)), quadrature_nodes)
 
 
 def additive_matrix(Q, N):
@@ -551,8 +567,11 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     `residual` is ||G y - rho y|| / max(|rho|, 1).  For Hermitian G it
     bounds the distance from rho to *some* eigenvalue, not necessarily to
     lambda_max; `iterations` counts the matvecs.  Raises ValueError on a
-    non-square, non-finite or non-Hermitian matrix.
+    non-square, non-finite or non-Hermitian matrix, and on a non-finite or
+    negative tol.
     """
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     operator = isinstance(G, _KhatriRao)
     M = G if operator else G.matrix if isinstance(G, GramMatrix) else np.asarray(G)
     n = M.shape[0]
@@ -610,14 +629,15 @@ def _pair_route_bytes(n):
 
 def _family_route_bytes(n, F, nodes, rows):
     """Peak bytes of the family route on n indices and F members x nodes,
-    with a Lanczos basis of `rows` vectors: the index (its pair objects and
-    the arrays a, b and L), _INDEX_BYTES an entry; V and P (n x F and n x nodes, complex); two ufunc buffers; and
-    the larger of two stages over row blocks of b rows (`_block_rows`).
-    Setup holds the float moduli of a block in `bounds` and three length-b
-    vectors.  The solve holds the basis at its capacity (doubled from 32
-    rows up to F nodes, as in `top_eigenvalue`), four more vectors and the
-    rows x rows Ritz vectors, and the larger of the conjugate copy of the
-    basis rows in reorthogonalization and the b x F temporary of a matvec."""
+    with a Lanczos basis of `rows` vectors: the index arrays a, b (int64)
+    and L (float64), 24 bytes an entry; V and P (n x F and n x nodes,
+    complex); two ufunc buffers; and the larger of two stages over row
+    blocks of b rows (`_block_rows`).  Setup holds the float moduli of a
+    block in `bounds` and three length-b vectors.  The solve holds the
+    basis at its capacity (doubled from 32 rows up to F nodes, as in
+    `top_eigenvalue`), four more vectors and the rows x rows Ritz vectors,
+    and the larger of the conjugate copy of the basis rows in
+    reorthogonalization and the b x F temporary of a matvec."""
     size = F * nodes
     b = min(n, _block_rows(F, nodes))
     capacity = 32
@@ -625,7 +645,7 @@ def _family_route_bytes(n, F, nodes, rows):
         capacity *= 2
     capacity = min(capacity, size, _MAX_ITER)
     solve = 16 * size * (capacity + 4) + 8 * rows * rows + 16 * max(size * rows, b * F)
-    return (_INDEX_BYTES * n + 16 * n * (F + nodes) + 32 * np.getbufsize()
+    return (24 * n + 16 * n * (F + nodes) + 32 * np.getbufsize()
             + max(8 * b * (F + nodes + 6), solve))
 
 
@@ -640,7 +660,7 @@ def _solve(fam, gram, tol, route="auto"):
     is 1.  Either route first raises ValueError when its size estimate, at
     the deepest Lanczos basis on the family side, passes _ROUTE_BYTES.  The
     NormEstimate records the route that ran."""
-    n = len(fam.index)
+    n = len(fam.a)
     Lmax = float(np.abs(fam.L).max(initial=0.0))
     nodes = 1 if fam.T is None else max(48, int(Lmax * fam.T / 2) + 40)
     one = np.ones(1, dtype=np.int64)
@@ -653,9 +673,7 @@ def _solve(fam, gram, tol, route="auto"):
     else:
         sizes = f"{F} members x {nodes} nodes"
         need = _family_route_bytes(n, F, nodes, min(F * nodes, _MAX_ITER))
-    if need > _ROUTE_BYTES:
-        raise ValueError(f"the {route} route on {sizes} needs an estimated {need / 2**20:.1f} "
-                         f"MiB, over the {_ROUTE_BYTES / 2**20:.1f} MiB cap")
+    _check_bytes(f"{route} route on {sizes}", need, _ROUTE_BYTES)
     if route == "pairs":
         est = top_eigenvalue(gram(), tol=tol)
     else:
@@ -671,16 +689,13 @@ def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):
     if route not in _ROUTES:
         raise ValueError(f"route must be one of {_ROUTES}, got {route!r}")
     spec = FamilySpec(Q, k, T, parity)
-    _require_finite(N=N)
-    index = enumerate_pairs(N, "dyadic")
-    return _solve(_multiplicative(spec, index), lambda: gram_multiplicative(spec, index),
-                  tol, route)
+    fam = _multiplicative(spec, *_coprime_pairs(N, "dyadic"))
+    return _solve(fam, lambda: gram_multiplicative(spec, fam.index), tol, route)
 
 
 def delta_add(Q, N, tol=1e-9):
     """Additive-family norm (Ramanujan-sum Gram) on the dyadic window."""
     FamilySpec(Q)
-    _require_finite(N=N)
     return _solve(_additive(Q, N), lambda: gram_additive(Q, N), tol)
 
 
@@ -688,7 +703,6 @@ def delta_rational(Q, N, tol=1e-9):
     """Rational-family norm: all q <= Q, primitive characters, columns the
     positive rationals with ht <= N."""
     FamilySpec(Q)
-    _require_finite(N=N)
     return _solve(_rational(Q, N), lambda: gram_rational(Q, N), tol)
 
 

@@ -8,16 +8,22 @@ at every p | q, i.e. gcd(ab, q) = 1, and is where the reduction map
 
     red_q(a/b) = a * b^{-1}  (mod q)
 
-lands in (Z/qZ)^*.  Enumeration sweeps product values n and splits each
-into its 2^omega(n) unitary coprime factorizations, which matches the
-dyadic-window indexing N/2 < ab <= N directly.
+lands in (Z/qZ)^*.  The index, the coprime pairs with ab in a window, is
+one pair of int64 arrays (a, b), enumerated (`_coprime_pairs`) and
+reduced (`_reduce`) here alone; `enumerate_pairs`, `rationals_up_to` and
+`reduce_mod` are its object views.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, floor
+from math import floor, gcd, isfinite, log
 
-from .arith import factorize, valuation
+import numpy as np
+
+from .arith import totient, valuation
+
+_CANDIDATE_BYTES = 40  # the enumerator's peak, about 32 bytes a candidate pair
+_ROUTE_BYTES = 4 << 30  # the memory cap of a job: its index, its terms and its route
 
 
 @dataclass(frozen=True)
@@ -120,39 +126,61 @@ def reduce_mod(n, q):
 # enumeration
 # ----------------------------------------------------------------------
 
-def _coprime_splittings(n):
-    """All ordered (a, b) with a*b = n and gcd(a, b) = 1: each prime-power
-    block goes wholly to a or wholly to b."""
-    pairs = [(1, 1)]
-    for p, e in factorize(n):
-        pe = p**e
-        pairs = [(a * pe, b) for a, b in pairs] + [(a, b * pe) for a, b in pairs]
-    return pairs
+def _check_bytes(what, need, cap):
+    """Refuse, with ValueError, a job whose size estimate passes cap."""
+    if need > cap:
+        raise ValueError(f"the {what} needs an estimated {need / 2**20:.1f} MiB, "
+                         f"over the {cap / 2**20:.1f} MiB cap")
+
+
+def _coprime_pairs(N, window="full", coprime_to=1):
+    """`enumerate_pairs` as int64 arrays (a, b), the full window by default;
+    ValueError when its at most floor(N)(1 + ln N) candidates ab <= N would
+    pass _ROUTE_BYTES."""
+    if not isfinite(N) or N < 1:
+        raise ValueError(f"N must be a finite number >= 1, got {N!r}")
+    if window not in ("dyadic", "full"):
+        raise ValueError(f"unknown window {window!r}")
+    hi = floor(N)
+    lo = floor(N / 2) + 1 if window == "dyadic" else 1
+    need = _CANDIDATE_BYTES * hi * (1 + log(hi))
+    _check_bytes(f"index of height <= {hi}", need, _ROUTE_BYTES)
+    a = np.arange(1, hi + 1, dtype=np.int64)
+    first = (lo - 1) // a + 1  # b runs over first, ..., hi // a
+    count = hi // a - first + 1
+    a = np.repeat(a, count)
+    b = np.arange(len(a), dtype=np.int64)
+    b += np.repeat(first - np.cumsum(count) + count, count)
+    keep = np.gcd(a, b) == 1
+    if coprime_to > 1:
+        keep &= np.gcd(a * b, coprime_to) == 1
+    return a[keep], b[keep]
+
+
+def _reduce(a, b, m):
+    """(red, unit): red = a b^(phi(m) - 1) mod m, red_m(a/b) on the mask unit
+    of gcd(ab, m) = 1; Python integers where int64 products would overflow."""
+    if m >= 2**31:
+        a, b = a.astype(object), b.astype(object)
+    red, x, e = a % m, b % m, totient(m) - 1
+    while e:
+        if e & 1:
+            red = red * x % m
+        x = x * x % m
+        e >>= 1
+    return red, np.gcd(a * b, m) == 1
 
 
 def enumerate_pairs(N, window="dyadic", coprime_to=1):
     """Coprime pairs (a,b) with ab in the window: N/2 < ab <= N (dyadic)
     or 1 <= ab <= N (full), skipping ab sharing a factor with coprime_to.
     Output is sorted a-major, then b."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if window not in ("dyadic", "full"):
-        raise ValueError(f"unknown window {window!r}")
-    hi = floor(N)
-    lo = floor(N / 2) + 1 if window == "dyadic" else 1
-    out = []
-    for n in range(lo, hi + 1):
-        if coprime_to > 1 and gcd(n, coprime_to) != 1:
-            continue
-        out.extend(_coprime_splittings(n))
-    out.sort()
-    return [CoprimePair(a, b) for a, b in out]
+    a, b = _coprime_pairs(N, window, coprime_to)
+    return list(map(CoprimePair, a.tolist(), b.tolist()))
 
 
 def rationals_up_to(N, sign=False):
     """Positive rationals with ht <= N (both signs when sign=True),
     ordered a-major then b, negatives after positives."""
-    pts = [RationalPoint(p.a, p.b) for p in enumerate_pairs(N, "full")]
-    if sign:
-        pts = pts + [RationalPoint(p.a, p.b, -1) for p in pts]
-    return pts
+    a, b = (x.tolist() for x in _coprime_pairs(N))
+    return [RationalPoint(x, y, s) for s in ((1, -1) if sign else (1,)) for x, y in zip(a, b)]

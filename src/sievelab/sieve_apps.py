@@ -38,7 +38,8 @@ import numpy as np
 from .arith import is_prime, is_squarefree, prime_factors, primes_in, totient
 from .characters import char_group, trivial_char, value_table
 from .norms import delta_rational
-from .rationals import ht, in_localization, rationals_up_to, reduce_mod
+from .rationals import (RationalPoint, _coprime_pairs, _reduce, ht, in_localization,
+                        rationals_up_to, reduce_mod)
 
 
 # ----------------------------------------------------------------------
@@ -75,19 +76,13 @@ class SievePlan:
 
 def sifted_set(plan):
     """All positive rationals of ht <= N avoiding Omega_p at every plan
-    prime where v_p(n) = 0."""
-    out = []
-    for pt in rationals_up_to(plan.N):
-        ok = True
-        for p, forbidden in plan.omega.items():
-            if pt.a % p == 0 or pt.b % p == 0:
-                continue  # v_p(n) != 0: exempt at p
-            if reduce_mod(pt, p) in forbidden:
-                ok = False
-                break
-        if ok:
-            out.append(pt)
-    return out
+    prime where v_p(n) = 0 (the unit mask of the reduction mod p)."""
+    a, b = _coprime_pairs(plan.N)
+    keep = np.ones(len(a), dtype=bool)
+    for p, forbidden in plan.omega.items():
+        red, unit = _reduce(a, b, p)
+        keep &= ~(unit & np.isin(red, sorted(forbidden)))
+    return list(map(RationalPoint, a[keep].tolist(), b[keep].tolist()))
 
 
 def big_H(Q, plan):

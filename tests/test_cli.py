@@ -275,6 +275,9 @@ def test_usage_errors():
     assert run([]) == 2
     assert run(["frobnicate"]) == 2
     assert run(["norm", "--tol", "-1"]) == 2
+    # a non-finite tolerance stops Lanczos at once (inf) or never (nan)
+    assert run(["norm", "-Q", "12", "-k", "3", "-T", "4", "-N", "400", "--tol", "inf"]) == 2
+    assert run(["norm", "-Q", "12", "-k", "3", "-T", "4", "-N", "400", "--tol", "nan"]) == 2
     assert run(["norm", "--format", "xml"]) == 2
     assert run(["norm", "-Q", "0.5"]) == 2
     assert run(["norm", "--threads", "0"]) == 2

@@ -52,7 +52,7 @@ def test_multiplicative_pair_side_equals_family_side(Q, k, T, N, parity, coprime
     family = norms.gram_bruteforce(spec, index, quadrature_nodes=96)
     assert pair.index == family.index
     assert _rel_diff(pair.matrix, family.matrix) <= 1e-8
-    _assert_norms_agree(pair, norms._multiplicative(spec, index), 1e-8)
+    _assert_norms_agree(pair, norms._multiplicative(spec, *norms._pair_arrays(index)), 1e-8)
 
 
 @PROPERTY

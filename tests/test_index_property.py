@@ -1,0 +1,96 @@
+"""Property tests for the index and the family parameters: the array
+enumerator of `rationals` against a nested-loop brute force over (a, b),
+and `FamilySpec`, which accepts exactly its documented domain and refuses
+everything else with ValueError.  Needs hypothesis, a development
+dependency; the module is skipped without it."""
+
+import math
+import operator
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from sievelab.norms import FamilySpec  # noqa: E402
+from sievelab.rationals import _coprime_pairs  # noqa: E402
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+
+
+def _brute_pairs(N, window, coprime_to):
+    """(a, b) coprime with ab <= N, N/2 < ab for the dyadic window, and
+    gcd(ab, coprime_to) = 1, by two nested loops in a-major, then-b order."""
+    out = []
+    a = 1
+    while a <= N:
+        b = 1
+        while a * b <= N:
+            if (math.gcd(a, b) == 1 and math.gcd(a * b, coprime_to) == 1
+                    and (window == "full" or a * b > N / 2)):
+                out.append((a, b))
+            b += 1
+        a += 1
+    return out
+
+
+@PROPERTY
+@given(N=st.floats(1.0, 300.0), window=st.sampled_from(["dyadic", "full"]),
+       coprime_to=st.integers(1, 12))
+def test_enumerator_matches_nested_loops(N, window, coprime_to):
+    a, b = _coprime_pairs(N, window, coprime_to)
+    assert a.dtype == b.dtype == np.int64
+    assert list(zip(a.tolist(), b.tolist())) == _brute_pairs(N, window, coprime_to)
+
+
+reals = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.fractions(),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.floats(-1e6, 1e6).map(np.float64),
+    st.floats(allow_nan=True, allow_infinity=True, width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+anything = st.one_of(
+    reals,
+    st.booleans(),
+    st.none(),
+    st.complex_numbers(),
+    st.text(max_size=6),
+    st.sampled_from(["even", "odd"]),
+)
+
+
+def _real_at_least_one(x):
+    if isinstance(x, str):  # no size, whatever float() makes of it
+        return False
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return math.isfinite(x) and x >= 1
+
+
+def _integer_at_least_one(x):
+    return isinstance(x, (int, np.integer)) and operator.index(x) >= 1
+
+
+@PROPERTY
+@given(Q=anything, k=anything, T=anything,
+       parity=st.one_of(st.sampled_from([None, "even", "odd"]), anything))
+def test_family_spec_refuses_with_value_error(Q, k, T, parity):
+    try:
+        FamilySpec(Q, k, T, parity)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    domain = (_real_at_least_one(Q) and _real_at_least_one(T) and _integer_at_least_one(k)
+              and parity in (None, "even", "odd"))
+    assert accepted == domain, (Q, k, T, parity)
+

@@ -6,6 +6,7 @@ and the binary dump format."""
 import functools
 import math
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -38,7 +39,8 @@ from sievelab.norms import (
     t_integral,
     top_eigenvalue,
 )
-from sievelab.rationals import enumerate_pairs, rationals_up_to
+from sievelab.rationals import (CoprimePair, RationalPoint, _coprime_pairs, enumerate_pairs,
+                                rationals_up_to)
 
 # sample grid through (Q <= 20) x (k <= 6) x (T in {1,2,4}) x (N <= 200)
 ORACLE_GRID = [
@@ -171,7 +173,7 @@ def test_congruence_terms_match_their_definition(moduli, k, parity, weight, dens
     moduli = tuple(q for q in moduli if math.gcd(q, k) == 1)
     monkeypatch.setattr(norms, "_PRODUCT_BLOCK", 3 * len(_A))
     monkeypatch.setattr(norms, "_DENSE_PHI", dense_phi)
-    fam = norms._Family((), norms._congruence_terms(moduli, weight, k, parity), None, parity)
+    fam = norms._Family(_A, _B, norms._congruence_terms(moduli, weight, k, parity), None, parity)
     got = norms._congruence_matrix(fam, _A, _B)
     assert np.array_equal(got, _pair_side_by_loops(moduli, weight, k, parity))
 
@@ -344,6 +346,10 @@ def test_top_eigenvalue_rejects_non_finite():
         top_eigenvalue(np.full((4, 4), np.inf, dtype=complex))
     with pytest.raises(ValueError):
         top_eigenvalue(np.ones((3, 4), dtype=complex))
+    # a tolerance of inf stopped Lanczos after one step, nan never stopped it
+    for tol in (float("inf"), float("nan"), -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            top_eigenvalue(np.eye(3), tol=tol)
 
 
 def test_delta_rejects_unknown_route():
@@ -359,6 +365,10 @@ def test_delta_rejects_unknown_route():
     pytest.param(lambda: FamilySpec(float("nan"), 1, 1.0), id="spec-Q-nan"),
     pytest.param(lambda: FamilySpec(4.0, 3.0, 1.0), id="spec-k-float"),
     pytest.param(lambda: FamilySpec(4.0, 2.5, 1.0), id="spec-k-fraction"),
+    pytest.param(lambda: FamilySpec(None), id="spec-Q-none"),
+    pytest.param(lambda: FamilySpec("4"), id="spec-Q-str"),
+    pytest.param(lambda: FamilySpec(4.0, 1, 2 + 0j), id="spec-T-complex"),
+    pytest.param(lambda: FamilySpec(10**400), id="spec-Q-past-float"),
     pytest.param(lambda: delta(4.0, 1, 1.0, float("inf")), id="delta-N-inf"),
     pytest.param(lambda: delta(4.0, 1, float("nan"), 40.0), id="delta-T-nan"),
     pytest.param(lambda: delta_rational(0.5, 40), id="rational-Q-below-1"),
@@ -519,6 +529,20 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
     assert delta_rational(1, 500).value >= len(rationals_up_to(500))
 
 
+@pytest.mark.parametrize("call,what", [
+    pytest.param(lambda: delta_add(1e9, 10), "term list of Q = 1e\\+09", id="additive-Q-1e9"),
+    pytest.param(lambda: delta_rational(2, 1e8), "index of height <= 100000000",
+                 id="rational-N-1e8"),
+])
+def test_huge_sizes_are_refused_before_any_work(call, what):
+    # the term list and the index are bounded from Q and N alone, so the
+    # refusal comes before the moduli loop or the index arrays
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"the {what} needs an estimated .* MiB, over the "):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
     from sievelab import cli
     from sievelab.characters import primitive_chars
@@ -544,9 +568,9 @@ def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
 
 _OPERATOR_FAMILIES = {
     "multiplicative": lambda: norms._multiplicative(FamilySpec(6.0, 2, 2.0),
-                                                    enumerate_pairs(60, "dyadic")),
+                                                    *_coprime_pairs(60, "dyadic")),
     "odd": lambda: norms._multiplicative(FamilySpec(7.0, 1, 1.0, "odd"),
-                                         enumerate_pairs(40, "dyadic")),
+                                         *_coprime_pairs(40, "dyadic")),
     "additive": lambda: norms._additive(6, 40),
     "rational": lambda: norms._rational(5, 12),
 }
@@ -577,6 +601,16 @@ def test_family_operator_matches_the_dense_H(kind, block, monkeypatch):
     top = float(np.linalg.eigvalsh(H).max())
     assert cap >= top
     assert abs(top_eigenvalue(op).value - top) <= 1e-12 * top
+
+
+def test_family_route_builds_no_point_objects(monkeypatch):
+    # the index stays int64 arrays from enumeration through the solve
+    built = []
+    for cls in (CoprimePair, RationalPoint):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+    assert delta(12.0, 1, 4.0, 1000.0).route == "family"
+    assert delta_rational(12, 600).route == "family"
+    assert built == []
 
 
 def test_family_operator_rejects_non_finite():

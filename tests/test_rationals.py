@@ -7,6 +7,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from sievelab.arith import omega
 from sievelab.characters import char_group, rational_eval
 from sievelab.rationals import (
@@ -57,6 +59,14 @@ def test_window_semantics():
         got = set(enumerate_pairs(N, "full", 6))
         want = {p for p in enumerate_pairs(N, "full", 1) if math.gcd(p.a * p.b, 6) == 1}
         assert got == want
+
+
+def test_non_finite_heights_are_refused():
+    for N in (math.inf, math.nan):
+        for build in (lambda: enumerate_pairs(N, "full"), lambda: enumerate_pairs(N),
+                      lambda: rationals_up_to(N)):
+            with pytest.raises(ValueError, match="finite"):
+                build()
 
 
 def test_enumeration_order_is_a_major_then_b():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab.rationals import rationals_up_to, reduce_mod, vp
+from sievelab.rationals import RationalPoint, rationals_up_to, reduce_mod, vp
 from sievelab.sieve_apps import (
     BdhInput,
     SievePlan,
@@ -60,6 +60,14 @@ def test_sifted_set_brute_oracle():
             )
         ]
         assert sifted_set(plan) == brute
+
+
+def test_sifted_set_builds_only_its_survivors(monkeypatch):
+    plan = SievePlan(300, {2: {1}, 3: {0, 2}, 7: {1, 2, 4}})
+    built = []
+    monkeypatch.setattr(RationalPoint, "__post_init__", lambda self: built.append(self))
+    survivors = sifted_set(plan)
+    assert survivors and built == survivors
 
 
 def test_sifted_set_containment_under_enlargement():
