@@ -40,9 +40,15 @@ Every family holds its index as the int64 arrays a, b of `rationals`
 with L = log(a/b), and reduces it there (`_reduce`); neither route
 builds a pair or point object.
 
-The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`),
-whose value is a Rayleigh quotient (a lower bound up to rounding) capped
-by a true upper bound.  Past _PAIR_ROUTE_MAX indices a family whose
+Each pair-side Gram is held in the arithmetic of its entries: a discrete
+family (additive, rational: no window) has the real symmetric integer
+matrix S itself, as float64; a window gives the complex128 S I_T.
+
+The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`).  It
+runs in its input's dtype, real for a real symmetric matrix and complex
+otherwise, from a start vector the seed fixes for each dtype.  Its value
+is a Rayleigh quotient (a lower bound up to rounding) capped by a true
+upper bound.  Past _PAIR_ROUTE_MAX indices a family whose
 members x nodes are fewer than its indices takes the family side.  There
 the coefficient matrix is the row-wise Khatri-Rao product A = V o P of
 the member values V (`_member_matrix`, through the reduction map
@@ -71,6 +77,7 @@ _TAYLOR_CUT = 1e-6
 _START_SEED = 0x5EED
 _PAIR_ROUTE_MAX = 2000
 _CHECK_ROWS = 64
+_PRODUCT_ROWS = 256  # rows of S a congruence product block adds at once
 _ORACLE_BLOCK = 1 << 20
 _PRODUCT_BLOCK = 1 << 22
 _DENSE_PHI = 16
@@ -114,6 +121,10 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
+    """A pair-side Gram matrix and the index of its rows and columns.  The
+    matrix is float64 for a discrete family (additive, rational), whose
+    entries are exact integers, and complex128 with a t-window."""
+
     index: tuple
     matrix: np.ndarray
 
@@ -286,7 +297,8 @@ def _congruence_sum(a, b, terms):
     _DENSE_PHI owns phi(d) columns, one per unit residue mod d: row n of U
     holds c in the column of u_n and row n of U_s holds 1 in the column of
     s u_n, and these terms sum to U U_s^T, taken as float64 GEMMs over
-    column chunks of at most _PRODUCT_BLOCK entries and n/2 columns.  Every
+    column chunks of at most _PRODUCT_BLOCK entries and n/2 columns, each
+    added to S in blocks of _PRODUCT_ROWS rows.  Every
     partial sum is an integer of size at most sum |c| < 2^53, so the
     product is exact whatever the BLAS summation order or thread count.  A
     term with larger phi(d) matches about n^2 / phi(d) pairs, far fewer
@@ -318,13 +330,10 @@ def _congruence_sum(a, b, terms):
 
     firsts = np.cumsum([0] + [totient(d) for _, d, _, _ in dense])  # column offsets
     width = int(firsts[-1])
-    # U and U_s together stay within 8 bytes per entry of S (_pair_route_bytes)
-    step = max(1, min(_PRODUCT_BLOCK // max(n, 1), n // 2))
-    S = np.zeros((n, n))
-    for lo in range(0, width, step):
-        hi = min(lo + step, width)
-        U = np.zeros((n, hi - lo))
-        Us = np.zeros((n, hi - lo))
+
+    def indicators(lo, hi):
+        """U and U_s on the columns lo, ..., hi - 1."""
+        U, Us = np.zeros((n, hi - lo)), np.zeros((n, hi - lo))
         t = int(np.searchsorted(firsts, lo, "right")) - 1  # the first term in the chunk
         for (rows, d, c, s), first in zip(dense[t:], firsts[t:]):
             if first >= hi:
@@ -334,7 +343,18 @@ def _congruence_sum(a, b, terms):
                 j = first - lo + column[r]
                 keep = (j >= 0) & (j < hi - lo)
                 M[rows[keep], j[keep]] = value
-        S += U @ Us.T
+        return U, Us
+
+    # U and U_s together stay within 8 bytes per entry of S, and each chunk's
+    # product goes into S in row blocks, so no second n x n float64 sits
+    # beside S (_pair_route_bytes)
+    step = max(1, min(_PRODUCT_BLOCK // max(n, 1), n // 2))
+    S = np.zeros((n, n))
+    for lo in range(0, width, step):
+        U, Us = indicators(lo, min(lo + step, width))
+        for r in range(0, n, _PRODUCT_ROWS):
+            S[r:r + _PRODUCT_ROWS] += U[r:r + _PRODUCT_ROWS] @ Us.T
+        del U, Us  # gone before the int64 copy of S
     S = S.astype(np.int64)
     flat = S.reshape(-1)
     for rows, d, c, s in sparse:
@@ -361,43 +381,49 @@ def _congruence_matrix(fam, a, b):
 
 
 def _pair_gram(fam):
-    """G[n, m] = S[n, m] I_T(L_n - L_m), the I_T factor only for a window:
-    its upper triangle is filled in row blocks, so that the temporaries of
-    I_T stay small, and mirrored in place."""
+    """The pair-side Gram matrix of a family, in the arithmetic of its
+    entries.  A discrete family (T None) gets the congruence sum S itself
+    as float64: exact integers, or halves for a parity.  A window gets the
+    complex128 G[n, m] = S[n, m] I_T(L_n - L_m): its upper triangle is
+    filled in row blocks, so that the temporaries of I_T stay small, and
+    mirrored in place."""
     S = _congruence_matrix(fam, fam.a, fam.b)
     if fam.T is None:
-        return GramMatrix(fam.index, S.astype(np.complex128))
+        return S.astype(np.float64)
     G = np.empty(S.shape, dtype=np.complex128)
     L = fam.L
     for s in range(0, len(L), _CHECK_ROWS):
         e = s + _CHECK_ROWS
         G[s:e, s:] = S[s:e, s:] * t_integral(L[s:e, None] - L[None, s:], fam.T)
-    return GramMatrix(fam.index, _hermitize(G))
+    return _hermitize(G)
 
 
 def gram_multiplicative(spec, index):
     """Closed-form Gram matrix of the multiplicative family on the given
-    coprime pairs (`_pair_gram`):
+    coprime pairs (`_pair_gram`), which the result keeps as its index:
 
     G[n, m] = [sum over q in (Q/2, Q], (q, k) = 1, (a_n b_n a_m b_m, q) = 1
                 of the Moebius congruence sum]
               * phi(k) [a_n b_m = a_m b_n mod k] [(a_n b_n a_m b_m, k) = 1]
               * I_T(log(a_n b_m / (a_m b_n)))."""
-    return _pair_gram(_multiplicative(spec, *_pair_arrays(index)))
+    index = tuple(index)
+    return GramMatrix(index, _pair_gram(_multiplicative(spec, *_pair_arrays(index))))
 
 
 def gram_additive(Q, N):
     """G[n, m] = sum over q in (Q/2, Q] with gcd(a_n b_n a_m b_m, q) = 1 of
     c_q(a_n bbar_n - a_m bbar_m), the Ramanujan-sum Gram of the additive
-    family on the dyadic window."""
-    return _pair_gram(_additive(Q, N))
+    family on the dyadic window; real (float64)."""
+    fam = _additive(Q, N)
+    return GramMatrix(fam.index, _pair_gram(fam))
 
 
 def gram_rational(Q, N):
     """Rational-family Gram: rows all q <= Q with primitive chi mod q,
     columns the positive rationals of ht <= N; contributions gated by
-    strict localization gcd(a b, q) = 1."""
-    return _pair_gram(_rational(Q, N))
+    strict localization gcd(a b, q) = 1.  Real (float64)."""
+    fam = _rational(Q, N)
+    return GramMatrix(fam.index, _pair_gram(fam))
 
 
 # ----- family side: one member-value matrix ----------------------------
@@ -549,20 +575,33 @@ def _dense_bounds(M):
     return M.diagonal().real, float(M.sum().real), ceiling
 
 
+def _grown(a, shape):
+    """a copied into the top left corner of a zero array of the given shape."""
+    out = np.zeros(shape, dtype=a.dtype)
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
+
+
 def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     """Largest eigenvalue of a Hermitian matrix, or of the operator
     H = A^H A of a `_KhatriRao`, as a NormEstimate.
 
     Lanczos with full reorthogonalization from a deterministic seeded start
-    (boosted at the largest diagonal entry).  It stops once the top Ritz
-    pair's residual |beta_j s_j| / max(|theta|, 1) is at most tol, on Krylov
-    breakdown, or after min(n, max_iter) steps.  The reported value is the
-    Rayleigh quotient rho = y^H G y of the unit Ritz vector y, taken with
-    one more matvec, so up to rounding it is a lower bound on lambda_max.
-    It is raised to the floors max_i G[i, i] and 1^H G 1 / n (the Rayleigh
-    quotients of the coordinate and all-ones vectors) and capped by a true
-    upper bound: for a matrix the Gershgorin bound max_i sum_j |G[i, j]|,
-    for the operator min(||A||_F^2, ||A||_1 ||A||_inf).
+    (boosted at the largest diagonal entry).  The solve runs in the
+    arithmetic of its input: a real symmetric matrix gets a real start
+    vector, the first standard-normal draw of the seed, and a float64
+    basis; a complex matrix or the operator gets the start vector whose
+    real part is that draw and whose imaginary part is the next, and a
+    complex128 basis.  The tridiagonal T of the Lanczos coefficients is one
+    float64 array that grows by doubling with the basis.  It stops once the
+    top Ritz pair's residual |beta_j s_j| / max(|theta|, 1) is at most tol,
+    on Krylov breakdown, or after min(n, max_iter) steps.  The reported
+    value is the Rayleigh quotient rho = y^H G y of the unit Ritz vector y,
+    taken with one more matvec, so up to rounding it is a lower bound on
+    lambda_max.  It is raised to the floors max_i G[i, i] and 1^H G 1 / n
+    (the Rayleigh quotients of the coordinate and all-ones vectors) and
+    capped by a true upper bound: for a matrix the Gershgorin bound
+    max_i sum_j |G[i, j]|, for the operator min(||A||_F^2, ||A||_1 ||A||_inf).
 
     `residual` is ||G y - rho y|| / max(|rho|, 1).  For Hermitian G it
     bounds the distance from rho to *some* eigenvalue, not necessarily to
@@ -582,49 +621,53 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     diag, total, ceiling = G.bounds() if operator else _dense_bounds(M)
     floor = max(float(diag.max()), total / n)
 
+    real = not (operator or np.iscomplexobj(M))
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    if not real:
+        v = v + 1j * rng.standard_normal(n)
     v[int(np.argmax(diag))] += 2.0 * np.abs(v).max()
     steps = max(1, min(n, int(max_iter)))
-    basis = np.empty((min(steps, 32), n), dtype=np.complex128)
+    basis = np.empty((min(steps, 32), n), dtype=v.dtype)
+    T = np.zeros((len(basis),) * 2)
     basis[0] = v / np.linalg.norm(v)
-    alpha, beta = [], []
     for j in range(steps):
         w = M @ basis[j]
-        alpha.append(float(np.vdot(basis[j], w).real))
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            w -= (basis[: j + 1].conj() @ w) @ basis[: j + 1]
+        T[j, j] = np.vdot(basis[j], w).real
+        for _ in range(2):  # classical Gram-Schmidt, twice, conjugating no basis row
+            w -= np.conj(basis[: j + 1] @ w.conj()) @ basis[: j + 1]
         b = float(np.linalg.norm(w))
-        theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
         ritz_res = b * abs(S[-1, -1]) / max(abs(theta[-1]), 1.0)
         if ritz_res <= tol or b <= np.finfo(np.float64).eps * ceiling or j + 1 == steps:
             break
-        if j + 1 == len(basis):  # grow the basis by doubling, never past n rows
-            grown = np.empty((min(2 * len(basis), steps), n), dtype=np.complex128)
-            grown[: j + 1] = basis
-            basis = grown
+        if j + 1 == len(basis):  # grow the basis and T by doubling, never past n rows
+            rows = min(2 * len(basis), steps)
+            basis, T = _grown(basis, (rows, n)), _grown(T, (rows, rows))
         basis[j + 1] = w / b
-        beta.append(b)
+        T[j, j + 1] = T[j + 1, j] = b
 
-    y = S[:, -1] @ basis[: len(alpha)]
+    y = S[:, -1] @ basis[: j + 1]
     y /= np.linalg.norm(y)
     Gy = M @ y
     rho = float(np.vdot(y, Gy).real)
     res = float(np.linalg.norm(Gy - rho * y)) / max(abs(rho), 1.0)
     value = max(min(rho, ceiling), floor)
-    return NormEstimate(value, res, len(alpha) + 1, "lanczos")
+    return NormEstimate(value, res, j + 2, "lanczos")
 
 
 # ----------------------------------------------------------------------
 # the Delta norms
 # ----------------------------------------------------------------------
 
-def _pair_route_bytes(n):
-    """Peak bytes of the pair route on n indices: 24 an entry, for S and
-    the complex G, or for S, its float64 product temporary and the
-    indicator chunks of _congruence_sum; plus the row-block temporaries of
-    I_T and _hermitize, fewer than eight complex _CHECK_ROWS x n arrays."""
-    return 24 * n * n + 8 * 16 * _CHECK_ROWS * n
+def _pair_route_bytes(n, window):
+    """Peak bytes of the pair route on n indices.  Per entry: 16 for a
+    discrete family, the int64 S beside its float64 copy G (or, inside
+    _congruence_sum, the float64 S beside its indicator chunks or its int64
+    copy); 24 for a window, S and the complex G.  Plus the row-block
+    temporaries of the congruence product, I_T and _hermitize, fewer than
+    eight complex _CHECK_ROWS x n arrays."""
+    return (24 if window else 16) * n * n + 8 * 16 * _CHECK_ROWS * n
 
 
 def _family_route_bytes(n, F, nodes, rows):
@@ -634,17 +677,18 @@ def _family_route_bytes(n, F, nodes, rows):
     complex); two ufunc buffers; and the larger of two stages over row
     blocks of b rows (`_block_rows`).  Setup holds the float moduli of a
     block in `bounds` and three length-b vectors.  The solve holds the
-    basis at its capacity (doubled from 32 rows up to F nodes, as in
-    `top_eigenvalue`), four more vectors and the rows x rows Ritz vectors,
-    and the larger of the conjugate copy of the basis rows in
-    reorthogonalization and the b x F temporary of a matvec."""
+    basis and the float64 tridiagonal T at their capacity (doubled from 32
+    rows up to F nodes, as in `top_eigenvalue`), four more vectors, two
+    rows x rows arrays (the Ritz vectors and eigh's copy of T), and the
+    b x F temporary of a matvec with its two length-b vectors."""
     size = F * nodes
     b = min(n, _block_rows(F, nodes))
     capacity = 32
     while capacity < rows:
         capacity *= 2
     capacity = min(capacity, size, _MAX_ITER)
-    solve = 16 * size * (capacity + 4) + 8 * rows * rows + 16 * max(size * rows, b * F)
+    solve = (16 * size * (capacity + 4) + 8 * capacity * capacity + 16 * rows * rows
+             + 16 * b * (F + 2))
     return (24 * n + 16 * n * (F + nodes) + 32 * np.getbufsize()
             + max(8 * b * (F + nodes + 6), solve))
 
@@ -669,7 +713,7 @@ def _solve(fam, gram, tol, route="auto"):
     if route == "auto":
         route = "family" if n > _PAIR_ROUTE_MAX and F * nodes < n else "pairs"
     if route == "pairs":
-        sizes, need = f"{n} indices", _pair_route_bytes(n)
+        sizes, need = f"{n} indices", _pair_route_bytes(n, fam.T is not None)
     else:
         sizes = f"{F} members x {nodes} nodes"
         need = _family_route_bytes(n, F, nodes, min(F * nodes, _MAX_ITER))

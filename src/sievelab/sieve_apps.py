@@ -38,8 +38,7 @@ import numpy as np
 from .arith import is_prime, is_squarefree, prime_factors, primes_in, totient
 from .characters import char_group, trivial_char, value_table
 from .norms import delta_rational
-from .rationals import (RationalPoint, _coprime_pairs, _reduce, ht, in_localization,
-                        rationals_up_to, reduce_mod)
+from .rationals import RationalPoint, _coprime_pairs, _reduce, as_point, ht, rationals_up_to
 
 
 # ----------------------------------------------------------------------
@@ -197,47 +196,53 @@ class BdhInput:
                 raise ValueError(f"support point {pt} has ht > X")
 
 
-def _localized(inp, q):
-    """(point, alpha) for support points in the strict localization at q."""
-    return [(pt, a) for pt, a in inp.alpha.items()
-            if in_localization(pt, q, strict=True)]
+def _support(inp):
+    """The support of alpha as arrays, in the order of the dict: a, b and the
+    sign of each point (int64) and its value (complex128)."""
+    pts = [as_point(pt) for pt in inp.alpha]
+    a = np.array([p.a for p in pts], dtype=np.int64)
+    b = np.array([p.b for p in pts], dtype=np.int64)
+    sign = np.array([p.sign for p in pts], dtype=np.int64)
+    return a, b, sign, np.array(list(inp.alpha.values()), dtype=np.complex128)
+
+
+def _localized(support, q):
+    """red_q(n), the sign applied, and alpha_n for the support points n in
+    the strict localization at q, in support order."""
+    a, b, sign, alpha = support
+    red, unit = _reduce(a, b, q)
+    return sign[unit] * red[unit] % q, alpha[unit]
 
 
 def bdh_lhs(inp):
     """Variance over reduced residue classes: for each q <= Q and each
-    a coprime to q, the class sum minus the localized mean, squared."""
+    a coprime to q, the class sum minus the localized mean, squared.  Each
+    class sum and the localized sum run in support order."""
+    support = _support(inp)
     total = 0.0
     for q in range(1, inp.Q + 1):
-        loc = _localized(inp, q)
-        if not loc:
+        reds, alpha = _localized(support, q)
+        if not len(reds):
             continue
-        full = sum(a for _, a in loc)
-        phi = totient(q)
-        mean = full / phi
-        sums = {}
-        for pt, a in loc:
-            r = reduce_mod(pt, q)
-            sums[r] = sums.get(r, 0) + a
+        mean = sum(alpha.tolist()) / totient(q)
+        sums = np.zeros(q, dtype=np.complex128)
+        np.add.at(sums, reds, alpha)  # unbuffered: each class adds in support order
         for a0 in range(q):
-            if q > 1 and gcd(a0, q) != 1:
-                continue
-            if q == 1 and a0 != 0:
-                continue
-            total += abs(sums.get(a0, 0) - mean) ** 2
+            if gcd(a0, q) == 1:  # the units mod q; a0 = 0 for q = 1
+                total += abs(complex(sums[a0]) - mean) ** 2
     return total
 
 
 def bdh_rhs_chars(inp):
     """The same variance through nontrivial characters:
     sum_q (1/phi(q)) sum_{chi != chi_0} |sum_n alpha_n chi(red_q(n))|^2."""
+    support = _support(inp)
     total = 0.0
     for q in range(1, inp.Q + 1):
-        loc = _localized(inp, q)
-        if not loc:
+        reds, alpha = _localized(support, q)
+        if not len(reds):
             continue
         triv = trivial_char(q)
-        reds = np.array([reduce_mod(pt, q) for pt, _ in loc])
-        alpha = np.array([a for _, a in loc], dtype=np.complex128)
         inner = 0.0
         for chi in char_group(q):
             if chi is not triv:

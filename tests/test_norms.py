@@ -202,6 +202,42 @@ def _all_sample_grams():
     return out
 
 
+_DISCRETE = {"additive": (norms._additive, gram_additive),
+             "rational": (norms._rational, gram_rational)}
+
+
+@pytest.mark.parametrize("family,Q,N", [("additive", 10, 80), ("additive", 16, 200),
+                                        ("rational", 9, 90), ("rational", 12, 100)])
+def test_discrete_grams_are_real_exact_congruence_sums(family, Q, N):
+    # no window: the Gram is the congruence sum itself, exact integers as
+    # float64, which are the real parts of the complex128 Gram the pair
+    # side built before
+    build, gram = _DISCRETE[family]
+    fam, g = build(Q, N), gram(Q, N)
+    assert g.matrix.dtype == np.float64
+    assert np.array_equal(g.matrix, norms._congruence_sum(fam.a, fam.b, fam.terms))
+    if family == "rational":
+        slow = gram_rational_bruteforce(Q, N).matrix
+    else:
+        mat = additive_matrix(Q, N)[2]
+        slow = mat.conj().T @ mat
+    assert np.abs(g.matrix - slow).max() <= 1e-9 * np.abs(slow).max(), (Q, N)
+
+
+@pytest.mark.parametrize("family,Q,N", [("additive", 12, 300), ("additive", 40, 300),
+                                        ("rational", 12, 200), ("rational", 5, 100)])
+def test_discrete_norms_agree_across_routes(family, Q, N):
+    # delta_add and delta_rational take no route argument: the one route
+    # rule is called with each route in turn
+    build, gram = _DISCRETE[family]
+    pairs, fam = (norms._solve(build(Q, N), lambda: gram(Q, N), 1e-9, route)
+                  for route in ("pairs", "family"))
+    assert (pairs.route, fam.route) == ("pairs", "family")
+    assert abs(pairs.value - fam.value) <= 1e-9 * pairs.value, (pairs, fam)
+    norm = delta_add if family == "additive" else delta_rational
+    assert norm(Q, N).value == pairs.value  # "auto" keeps the pair side here
+
+
 def test_every_gram_is_hermitian_exactly():
     for g in _all_sample_grams():
         assert np.array_equal(g.matrix, g.matrix.conj().T), g.dim
@@ -307,6 +343,34 @@ def test_top_eigenvalue_matches_eigvalsh_on_random_psd(n, kind):
     assert est.method == "lanczos"
     assert abs(est.value - true) <= 1e-12 * true, (est, true)
     assert est.residual <= 1e-9
+
+
+def _random_symmetric(n, kind, seed):
+    """Seeded real symmetric test matrices: "psd" is B B^T with B n x n/2,
+    "indefinite" the symmetric part of an n x n Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n // 2 if kind == "psd" else n))
+    M = B @ B.T if kind == "psd" else B
+    return (M + M.T) / 2
+
+
+@pytest.mark.parametrize("n", [50, 300, 800])
+@pytest.mark.parametrize("kind", ["psd", "indefinite"])
+def test_top_eigenvalue_matches_eigvalsh_on_random_real_symmetric(n, kind):
+    M = _random_symmetric(n, kind, seed=n)
+    est = top_eigenvalue(M)
+    true = float(np.linalg.eigvalsh(M)[-1])
+    assert abs(est.value - true) <= 1e-9 * abs(true), (est, true)
+    assert est.residual <= 1e-9
+
+
+def test_top_eigenvalue_rejects_real_non_symmetric():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        top_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    M = _random_symmetric(40, "psd", seed=1)
+    M[3, 5] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        top_eigenvalue(M)
 
 
 def test_top_eigenvalue_all_ones_breaks_down_exactly():
@@ -514,16 +578,16 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
 
     for name in ("gram_rational", "gram_additive", "gram_multiplicative"):
         monkeypatch.setattr(norms, name, pair_side)
-    for norm, n in [(lambda: delta_rational(12, 200), len(rationals_up_to(200))),
-                    (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
-                     len(enumerate_pairs(400, "dyadic")))]:
-        estimate = f"{norms._pair_route_bytes(n) / 2**20:.1f} MiB"
+    for norm, n, window in [(lambda: delta_rational(12, 200), len(rationals_up_to(200)), False),
+                            (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
+                             len(enumerate_pairs(400, "dyadic")), True)]:
+        estimate = f"{norms._pair_route_bytes(n, window) / 2**20:.1f} MiB"
         with pytest.raises(ValueError, match=f"pairs route on {n} indices .* {estimate}, "
                                              "over the 1.0 MiB cap"):
             norm()
     assert cli.run(["norm", "--family", "rational", "-Q", "12", "-N", "200"]) == 2
     err = capsys.readouterr().err
-    assert f"{norms._pair_route_bytes(len(rationals_up_to(200))) / 2**20:.1f} MiB" in err
+    assert f"{norms._pair_route_bytes(len(rationals_up_to(200)), False) / 2**20:.1f} MiB" in err
     assert "1.0 MiB cap" in err
     # the family side is still taken where it is the smaller matrix
     assert delta_rational(1, 500).value >= len(rationals_up_to(500))
@@ -613,6 +677,16 @@ def test_family_route_builds_no_point_objects(monkeypatch):
     assert built == []
 
 
+def test_pair_route_builds_the_index_once(monkeypatch):
+    # delta hands its index to gram_multiplicative, whose GramMatrix keeps
+    # it: one CoprimePair per index, not a second set for the result
+    n = len(_coprime_pairs(40, "dyadic")[0])
+    built = []
+    monkeypatch.setattr(CoprimePair, "__post_init__", lambda self: built.append(self))
+    assert delta(4.0, 1, 1.0, 40.0).route == "pairs"
+    assert (n, len(built)) == (70, 70)
+
+
 def test_family_operator_rejects_non_finite():
     V, P = np.ones((5, 2), dtype=complex), np.ones((5, 3), dtype=complex)
     for M, bad in [(V, np.nan), (P, np.inf), (P, complex(0, np.nan))]:
@@ -639,10 +713,10 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
             estimates.append((name, args, estimate(*args)))
             return estimates[-1][2]
         monkeypatch.setattr(norms, name, record)
-    for norm in [lambda: delta(12.0, 3, 4.0, 400.0),  # a window on the pair side
-                 lambda: delta(12.0, 3, 4.0, 400.0, parity="odd"),
-                 lambda: delta_rational(12, 200),  # discrete
-                 lambda: delta(12.0, 1, 4.0, 1000.0)]:  # the family side
+    for norm, discrete in [(lambda: delta(12.0, 3, 4.0, 400.0), False),  # a window, pairs
+                           (lambda: delta(12.0, 3, 4.0, 400.0, parity="odd"), False),
+                           (lambda: delta_rational(12, 200), True),  # discrete, pairs
+                           (lambda: delta(12.0, 1, 4.0, 1000.0), False)]:  # the family side
         norm()  # fills the caches of characters and divisors first
         estimates.clear()
         results = []
@@ -650,9 +724,11 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
         (name, args, need), = estimates
         assert peak <= need, (name, args, peak, need)
         if name == "_pair_route_bytes":
-            # the pair side really holds 24 bytes an entry at its peak
-            n, = args
-            assert 24 * n * n <= peak
+            # the pair side really holds 24 bytes an entry at its peak with
+            # a window (S and the complex G), 16 without (S and its float64 G)
+            n, window = args
+            assert window is not discrete
+            assert (24 if window else 16) * n * n <= peak
         else:
             # the solve held iterations - 1 Lanczos vectors: the last matvec
             # is the Rayleigh quotient of the Ritz vector
@@ -663,6 +739,17 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
             assert peak <= ran <= 1.1 * peak, (args, rows_used, peak, ran)
             assert ran <= need
     assert [name for name, _, _ in estimates] == ["_family_route_bytes"]
+
+
+def test_discrete_pair_gram_stays_within_its_estimate():
+    # gram_additive(150, 500): n = 1248 and 826 indicator columns, so the
+    # congruence product runs in two column chunks.  Added as one n x n
+    # temporary beside S, the product would hold 24 bytes an entry, past
+    # the 16-byte estimate of a discrete family
+    n = len(_coprime_pairs(500, "dyadic")[0])
+    gram_additive(150, 500)  # fills the caches of divisors first
+    peak = _traced_peak(lambda: gram_additive(150, 500))
+    assert 16 * n * n <= peak <= norms._pair_route_bytes(n, False) < 24 * n * n
 
 
 def test_family_route_peak_stays_below_the_size_of_A(monkeypatch):

@@ -3,10 +3,14 @@ and the Barban-Davenport-Halberstam variance identity."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
-from sievelab.rationals import RationalPoint, rationals_up_to, reduce_mod, vp
+from sievelab.arith import totient
+from sievelab.characters import char_group, trivial_char, value_table
+from sievelab.rationals import RationalPoint, in_localization, rationals_up_to, reduce_mod, vp
 from sievelab.sieve_apps import (
     BdhInput,
     SievePlan,
@@ -221,6 +225,45 @@ def test_bdh_identity_fifty_random_inputs():
         inp = random_bdh_input(X, Q, seed=1000 + i)
         lhs, rhs = bdh_lhs(inp), bdh_rhs_chars(inp)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, lhs, rhs), (X, Q, i)
+
+
+def _bdh_by_points(inp):
+    """Both BDH sides point by point, through the scalar in_localization and
+    reduce_mod, with every sum in support order."""
+    lhs = rhs = 0.0
+    for q in range(1, inp.Q + 1):
+        loc = [(pt, a) for pt, a in inp.alpha.items() if in_localization(pt, q, strict=True)]
+        if not loc:
+            continue
+        mean = sum(a for _, a in loc) / totient(q)
+        sums = {}
+        for pt, a in loc:
+            r = reduce_mod(pt, q)
+            sums[r] = sums.get(r, 0) + a
+        for a0 in range(q):
+            if gcd(a0, q) == 1:
+                lhs += abs(sums.get(a0, 0) - mean) ** 2
+        reds = np.array([reduce_mod(pt, q) for pt, _ in loc])
+        alpha = np.array([a for _, a in loc], dtype=np.complex128)
+        inner = 0.0
+        for chi in char_group(q):
+            if chi is not trivial_char(q):
+                inner += abs(complex(value_table(chi)[reds] @ alpha)) ** 2
+        rhs += inner / totient(q)
+    return lhs, rhs
+
+
+def test_bdh_sides_match_the_scalar_path_bitwise():
+    # both signs, and keys given as RationalPoint, int and Fraction
+    rng = random.Random(12)
+    for i in range(40):
+        X, Q = rng.randrange(1, 90), rng.randrange(1, 16)
+        pool = rationals_up_to(X, sign=True)
+        pts = rng.sample(pool, rng.randrange(1, min(len(pool), 30) + 1))
+        keys = [Fraction(p.sign * p.a, p.b) if rng.random() < 0.2 else
+                p.sign * p.a if p.b == 1 and rng.random() < 0.5 else p for p in pts]
+        inp = BdhInput(X, Q, {k: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for k in keys})
+        assert (bdh_lhs(inp), bdh_rhs_chars(inp)) == _bdh_by_points(inp), (X, Q, i)
 
 
 def test_bdh_single_point_closed_form():
