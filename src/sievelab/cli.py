@@ -447,11 +447,14 @@ def cmd_scan(cfg):
             seed=cfg.seed, millis=ms))
 
     plots = []
-    # N-aspect fits at each fixed (Q, k, T); Q-aspect at each fixed (k, T, N)
+    # N-aspect fits at each fixed (Q, k, T); Q-aspect at each fixed (k, T, N),
+    # each over the distinct values of its axes, so a repeated grid value
+    # neither repeats a fit nor counts as a point of one
+    distinct = {axis: list(dict.fromkeys(getattr(cfg, axis))) for axis in "QkTN"}
     for aspect, i in (("N", 3), ("Q", 0)):
         fixed_axes = [axis for axis in "QkTN" if axis != aspect]
-        for fixed in product(*(getattr(cfg, axis) for axis in fixed_axes)):
-            points = [fixed[:i] + (x,) + fixed[i:] for x in getattr(cfg, aspect)]
+        for fixed in product(*(distinct[axis] for axis in fixed_axes)):
+            points = [fixed[:i] + (x,) + fixed[i:] for x in distinct[aspect]]
             samples = [(p[i], values[p]) for p in points if values[p] > 0]
             if len(samples) >= 3:
                 fit = exponent_fit(samples)

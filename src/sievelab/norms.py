@@ -15,10 +15,10 @@ The sup over unit coefficient vectors of the family-summed square is the
 largest eigenvalue of a finite Hermitian Gram matrix on the index set: the
 t-integral comes out in closed form,
 
-    I_T(L) = int_{T/2}^{T} e^{itL} dt = (e^{iTL} - e^{iTL/2}) / (iL),
+    I_T(L) = int_{T/2}^{T} e^{itL} dt = (T/2) sinc(LT/4) e^{3iTL/4},
 
-with a Taylor branch near L = 0, and the character sums collapse by the
-standard Moebius identity over primitive characters,
+and the character sums collapse by the standard Moebius identity over
+primitive characters,
 
     sum over primitive chi mod q of chi(u) conj(chi(v))
         = sum_{d | q} mu(q/d) phi(d) [u = v mod d]      (u, v units mod q);
@@ -29,9 +29,10 @@ once, as a list of congruence terms (g, d, c, s): the pair (n, m) gains c
 when gcd(a_n b_n a_m b_m, g) = 1 and a_n b_m = s a_m b_n mod d.  The twist
 by theta mod k joins each Moebius term by CRT (gate qk, modulus dk, a
 factor phi(k)), and a parity adds the s = -1 terms times eps = +-1, the
-pair side then halving the sum.  One exact integer routine,
-`_congruence_sum`, evaluates every list: an exact float64 product of
-residue indicators for small phi(d), matched residues for the rest.
+pair side then halving the sum.  One exact routine, `_congruence_sum`,
+evaluates every list into one float64 matrix of integers below 2^53: a
+product of residue indicators for small phi(d), matched residues for the
+rest.
 Either route refuses a job whose size estimate passes _ROUTE_BYTES, and
 so does the index, bounded from N alone, and the term list, from Q
 alone, before anything is built.
@@ -42,7 +43,8 @@ builds a pair or point object.
 
 Each pair-side Gram is held in the arithmetic of its entries: a discrete
 family (additive, rational: no window) has the real symmetric integer
-matrix S itself, as float64; a window gives the complex128 S I_T.
+matrix S itself, float64 from its first product on; a window gives the
+complex128 S I_T.
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`).  It
 runs in its input's dtype, real for a real symmetric matrix and complex
@@ -55,11 +57,12 @@ the member values V (`_member_matrix`, through the reduction map
 a/b -> a bbar mod m) and the phases P of Gauss-Legendre quadrature of I_T
 for a window (P = 1 for the exact additive and rational families), and
 Delta = ||A||^2 is the top eigenvalue of H = A^H A, whose nonzero
-spectrum is the pair side's.  The solver applies H as x -> A^H (A x)
-(`_KhatriRao`) and forms neither A nor H, so the family side holds
-O(n (members + nodes)) numbers plus the Lanczos basis.  The two sides
-share the definition of a family, stated once as data (`_Family`), and
-no arithmetic, so each is the other's oracle in the tests.
+spectrum is that of A A^H = (V V^H) o (P P^H), the pair side's.  The
+solver applies H as x -> A^H (A x) (`_KhatriRao`) and forms neither A
+nor H, so the family side holds O(n (members + nodes)) numbers plus the
+Lanczos basis.  The two sides share the definition of a family, stated
+once as data (`_Family`), and no arithmetic, so each is the other's
+oracle in the tests.
 """
 
 import struct
@@ -73,12 +76,10 @@ from .characters import char_group, primitive_chars, value_table
 from .rationals import (_ROUTE_BYTES, CoprimePair, RationalPoint, _check_bytes, _coprime_pairs,
                         _reduce)
 
-_TAYLOR_CUT = 1e-6
 _START_SEED = 0x5EED
 _PAIR_ROUTE_MAX = 2000
 _CHECK_ROWS = 64
 _PRODUCT_ROWS = 256  # rows of S a congruence product block adds at once
-_ORACLE_BLOCK = 1 << 20
 _PRODUCT_BLOCK = 1 << 22
 _DENSE_PHI = 16
 _MAX_ITER = 20000
@@ -166,22 +167,15 @@ def family_members(spec):
 # ----------------------------------------------------------------------
 
 def t_integral(L, T):
-    """I_T(L) = int_{T/2}^T e^{itL} dt, closed form with a Taylor branch
-    for |L| T < 1e-6.  Vectorized over L.
+    """I_T(L) = int_{T/2}^T e^{itL} dt = (T/2) sinc(LT/4) e^{3iTL/4},
+    vectorized over L.
 
-    The closed form is evaluated as (T/2) sinc(LT/4) e^{3iTL/4} — the same
-    function as (e^{iTL} - e^{iTL/2})/(iL) but free of the cancellation
-    that would otherwise break the |I_T(L) - T/2| <= 3|L|T^2/8 bound in
-    floating point near L = 0."""
+    This is (e^{iTL} - e^{iTL/2})/(iL) without its cancellation near
+    L = 0: np.sinc is accurate to rounding there, so the form keeps the
+    |I_T(L) - T/2| <= 3|L|T^2/8 bound in floating point, and I_T(0) is
+    exactly T/2."""
     L = np.asarray(L, dtype=np.float64)
-    small = np.abs(L) * T < _TAYLOR_CUT
-    closed = (T / 2) * np.sinc(L * (T / (4 * np.pi))) * np.exp(0.75j * T * L)
-    # I_T = T/2 + i (3T^2/8) L (1 - (5/48)(LT)^2) - (7T^3/48) L^2 + O(L^4)
-    x2 = (L * T) ** 2
-    taylor = (T / 2
-              + 1j * (3 * T * T / 8) * L * (1 - x2 * (5 / 48))
-              - (7 * T**3 / 48) * (L * L))
-    out = np.where(small, taylor, closed)
+    out = (T / 2) * np.sinc(L * (T / (4 * np.pi))) * np.exp(0.75j * T * L)
     if out.ndim == 0:
         return complex(out)
     return out
@@ -287,7 +281,7 @@ def _rational(Q, N):
 # ----- pair side: one exact congruence sum -----------------------------
 
 def _congruence_sum(a, b, terms):
-    """The int64 matrix
+    """The float64 matrix of integers
 
         S[n, m] = sum of c over the terms (g, d, c, s) with
             gcd(a_n b_n a_m b_m, g) = 1 and a_n b_m = s a_m b_n mod d.
@@ -298,12 +292,13 @@ def _congruence_sum(a, b, terms):
     holds c in the column of u_n and row n of U_s holds 1 in the column of
     s u_n, and these terms sum to U U_s^T, taken as float64 GEMMs over
     column chunks of at most _PRODUCT_BLOCK entries and n/2 columns, each
-    added to S in blocks of _PRODUCT_ROWS rows.  Every
-    partial sum is an integer of size at most sum |c| < 2^53, so the
-    product is exact whatever the BLAS summation order or thread count.  A
-    term with larger phi(d) matches about n^2 / phi(d) pairs, far fewer
-    than its n^2 phi(d) GEMM terms; it adds c at each matching pair, found
-    by sorting the labels, in slices of at most _PRODUCT_BLOCK pairs."""
+    added to S in blocks of _PRODUCT_ROWS rows.  A term with larger phi(d)
+    matches about n^2 / phi(d) pairs, far fewer than its n^2 phi(d) GEMM
+    terms; it adds c into the same S at each matching pair, found by
+    sorting the labels, in slices of at most _PRODUCT_BLOCK pairs.  Every
+    partial sum of either kind is an integer of size at most
+    sum |c| < 2^53, so S is exact whatever the BLAS summation order or
+    thread count."""
     n = len(a)
     prod = a * b
     gates, dense, sparse = {}, [], []  # (gated rows, d, c, s)
@@ -346,16 +341,15 @@ def _congruence_sum(a, b, terms):
         return U, Us
 
     # U and U_s together stay within 8 bytes per entry of S, and each chunk's
-    # product goes into S in row blocks, so no second n x n float64 sits
-    # beside S (_pair_route_bytes)
+    # product goes into S in row blocks, so no second n x n array sits beside
+    # S (_pair_route_bytes)
     step = max(1, min(_PRODUCT_BLOCK // max(n, 1), n // 2))
     S = np.zeros((n, n))
     for lo in range(0, width, step):
         U, Us = indicators(lo, min(lo + step, width))
         for r in range(0, n, _PRODUCT_ROWS):
             S[r:r + _PRODUCT_ROWS] += U[r:r + _PRODUCT_ROWS] @ Us.T
-        del U, Us  # gone before the int64 copy of S
-    S = S.astype(np.int64)
+        del U, Us  # gone before the next chunk is built beside S
     flat = S.reshape(-1)
     for rows, d, c, s in sparse:
         _, u, us = labels(rows, d, s)
@@ -373,23 +367,26 @@ def _congruence_sum(a, b, terms):
 
 def _congruence_matrix(fam, a, b):
     """S[n, m], the family's congruence sum on index arrays a, b, halved
-    for a parity: the projector (1/2)(1 + eps chi(-1) theta(-1)) is the
-    half-sum of the s = 1 terms and eps times the s = -1 terms.  S[n, n]
-    at a unit index counts the members."""
+    in place for a parity (halves of integers below 2^53 are exact): the
+    projector (1/2)(1 + eps chi(-1) theta(-1)) is the half-sum of the
+    s = 1 terms and eps times the s = -1 terms.  S[n, n] at a unit index
+    counts the members."""
     S = _congruence_sum(a, b, fam.terms)
-    return S if fam.parity is None else S / 2
+    if fam.parity is not None:
+        S /= 2
+    return S
 
 
 def _pair_gram(fam):
     """The pair-side Gram matrix of a family, in the arithmetic of its
-    entries.  A discrete family (T None) gets the congruence sum S itself
-    as float64: exact integers, or halves for a parity.  A window gets the
+    entries.  A discrete family (T None) gets the float64 congruence sum S
+    itself: exact integers, or halves for a parity.  A window gets the
     complex128 G[n, m] = S[n, m] I_T(L_n - L_m): its upper triangle is
     filled in row blocks, so that the temporaries of I_T stay small, and
     mirrored in place."""
     S = _congruence_matrix(fam, fam.a, fam.b)
     if fam.T is None:
-        return S.astype(np.float64)
+        return S
     G = np.empty(S.shape, dtype=np.complex128)
     L = fam.L
     for s in range(0, len(L), _CHECK_ROWS):
@@ -464,13 +461,6 @@ def _phase_matrix(L, T, nodes):
     return P
 
 
-def _quadrature_matrix(V, L, T, nodes):
-    """A[n, (f, j)] = V[n, f] P[n, j] (`_phase_matrix`), so that A A^H is
-    the quadrature Gram; A = V for a discrete family."""
-    P = _phase_matrix(L, T, nodes)
-    return (V[:, :, None] * P[:, None, :]).reshape(len(L), V.shape[1] * P.shape[1])
-
-
 class _KhatriRao:
     """H = A^H A for A = V (row-wise Khatri-Rao) P, A[n, (f, j)] =
     V[n, f] P[n, j], on the (member, node) space of size F J.  Neither A
@@ -520,14 +510,14 @@ def _block_rows(F, J):
 
 
 def _family_gram(fam, nodes):
-    """Oracle: the pair-side Gram as A A^H from the family side, summed over
-    member blocks that keep each A near _ORACLE_BLOCK entries."""
+    """Oracle: the pair-side Gram as A A^H from the family side.  For the
+    row-wise Khatri-Rao A = V o P, A A^H = (V V^H) o (P P^H): the explicit
+    character sum over the members times the Gauss-Legendre quadrature of
+    I_T (all ones for a discrete family)."""
     V = _member_matrix(fam.members(), fam.a, fam.b)
-    G = np.zeros((len(fam.a),) * 2, dtype=np.complex128)
-    chunk = max(1, _ORACLE_BLOCK // max(len(fam.a) * nodes, 1))
-    for s in range(0, V.shape[1], chunk):
-        A = _quadrature_matrix(V[:, s:s + chunk], fam.L, fam.T, nodes)
-        G += A @ A.conj().T
+    P = _phase_matrix(fam.L, fam.T, nodes)
+    G = V @ V.conj().T
+    G *= P @ P.conj().T
     return GramMatrix(fam.index, _hermitize(G))
 
 
@@ -662,11 +652,11 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
 
 def _pair_route_bytes(n, window):
     """Peak bytes of the pair route on n indices.  Per entry: 16 for a
-    discrete family, the int64 S beside its float64 copy G (or, inside
-    _congruence_sum, the float64 S beside its indicator chunks or its int64
-    copy); 24 for a window, S and the complex G.  Plus the row-block
-    temporaries of the congruence product, I_T and _hermitize, fewer than
-    eight complex _CHECK_ROWS x n arrays."""
+    discrete family, the float64 S beside its indicator chunks inside
+    _congruence_sum (8 bytes an entry of S between them); 24 for a window,
+    S and the complex G.  Plus the row-block temporaries of the congruence
+    product, I_T and _hermitize, fewer than eight complex _CHECK_ROWS x n
+    arrays."""
     return (24 if window else 16) * n * n + 8 * 16 * _CHECK_ROWS * n
 
 

@@ -223,6 +223,26 @@ def test_scan_without_enough_points_has_no_fit(capsys):
     assert not [r for r in rows if r["experiment"].startswith("scan_fit")]
 
 
+def test_scan_with_a_repeated_value_keeps_its_records(capsys):
+    # three equal N are three norms and no fit, not a degenerate-sample error
+    assert run(["scan", "-Q", "4", "-N", "20", "-N", "20", "-N", "20"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [r["experiment"] for r in rows] == ["scan_multiplicative"] * 3
+
+
+def test_scan_fits_over_the_distinct_values(capsys):
+    assert run(["scan", "-Q", "4", "-Q", "4", "-N", "16", "-N", "16", "-N", "32",
+                "-N", "64", "--seed", "2"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    norms = [r for r in rows if r["experiment"] == "scan_multiplicative"]
+    assert len(norms) == 8
+    fits = [r for r in rows if r["experiment"].startswith("scan_fit")]
+    assert [r["experiment"] for r in fits] == ["scan_fit_N"]
+    assert json.loads(fits[0]["extra_params"])["points"] == 3
+    points = {float(r["N"]): float(r["value"]) for r in norms}
+    assert float(fits[0]["value"]) == exponent_fit(list(points.items())).slope
+
+
 # ----------------------------------------------------------------------
 # sieve
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The package imports nothing beyond the standard library and numpy:
 numpy is its only runtime dependency, so scipy or hypothesis, which may
 be installed for development, must not creep into src/.  And each module
-uses every name it imports at module level."""
+uses every name it imports at module level, and src/ uses every private
+name a module defines at module level."""
 
 import ast
 import sys
@@ -44,3 +45,33 @@ def test_every_module_level_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused, unused
+
+
+def _private_definitions(tree):
+    """The module-level private functions, classes and constants of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_every_private_module_level_name_is_used():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = [f"{name}:{line}: {private}" for name, tree in trees.items()
+            for line, private in _private_definitions(tree) if private not in used]
+    assert not dead, dead

@@ -1,5 +1,5 @@
 """Gram-matrix construction and extremal-eigenvalue machinery: oracle
-equivalence, positivity, the t-integral branch, eigenvalue floors and
+equivalence, positivity, the t-integral's closed form, eigenvalue floors and
 certificates, monotonicity, duality, the grid maximization, growth fits,
 and the binary dump format."""
 
@@ -130,7 +130,7 @@ def test_congruence_sum_matches_its_definition(moduli, ssign, twist, dense_phi, 
     monkeypatch.setattr(norms, "_PRODUCT_BLOCK", 3 * len(_A))
     monkeypatch.setattr(norms, "_DENSE_PHI", dense_phi)
     got = norms._congruence_sum(_A, _B, terms)
-    assert got.dtype == np.int64
+    assert got.dtype == np.float64
     assert np.array_equal(got, _congruence_sum_by_loops(terms))
 
 
@@ -252,7 +252,7 @@ def test_every_gram_is_positive_semidefinite():
 
 
 # ----------------------------------------------------------------------
-# the t-integral: closed form, quadrature oracle, Taylor branch
+# the t-integral: closed form, quadrature oracle, small-L bound
 # ----------------------------------------------------------------------
 
 def test_t_integral_matches_ratio_form():
@@ -283,6 +283,13 @@ def test_t_integral_taylor_branch_bound():
             for L in (mag, -mag):
                 err = abs(t_integral(L, T) - T / 2)
                 assert err <= abs(L) * T * T * (3.0 / 8.0) + 0.0, (T, L, err)
+
+
+def test_t_integral_at_zero_is_exactly_half_T():
+    # the diagonal of every windowed Gram: sinc(0) = e^0 = 1 exactly
+    for T in (1.0, 2.0, 3.0, 4.0, 7.5, 16.0, 1e6):
+        assert t_integral(0.0, T) == T / 2
+        assert np.array_equal(t_integral(np.zeros(3), T), np.full(3, T / 2, dtype=complex))
 
 
 # ----------------------------------------------------------------------
@@ -640,19 +647,25 @@ _OPERATOR_FAMILIES = {
 }
 
 
+def _entrywise_A(fam):
+    """V, P and A[n, (f, j)] = V[n, f] P[n, j], built entrywise, on 12
+    nodes for a window."""
+    nodes = 1 if fam.T is None else 12
+    V = norms._member_matrix(fam.members(), fam.a, fam.b)
+    P = norms._phase_matrix(fam.L, fam.T, nodes)
+    return V, P, (V[:, :, None] * P[:, None, :]).reshape(len(fam.a), -1)
+
+
 @pytest.mark.parametrize("block", [None, 100])
 @pytest.mark.parametrize("kind", list(_OPERATOR_FAMILIES))
 def test_family_operator_matches_the_dense_H(kind, block, monkeypatch):
-    # H = A^H A with A built entrywise by _quadrature_matrix; a small
-    # _PRODUCT_BLOCK splits the operator's rows into several blocks
+    # H = A^H A with A built entrywise; a small _PRODUCT_BLOCK splits the
+    # operator's rows into several blocks
     if block:
         monkeypatch.setattr(norms, "_PRODUCT_BLOCK", block)
-    fam = _OPERATOR_FAMILIES[kind]()
-    nodes = 1 if fam.T is None else 12
-    V = norms._member_matrix(fam.members(), fam.a, fam.b)
-    A = norms._quadrature_matrix(V, fam.L, fam.T, nodes)
+    V, P, A = _entrywise_A(_OPERATOR_FAMILIES[kind]())
     H = A.conj().T @ A
-    op = norms._KhatriRao(V, norms._phase_matrix(fam.L, fam.T, nodes))
+    op = norms._KhatriRao(V, P)
     assert op.shape == H.shape
     assert (len(op.blocks) > 1) == bool(block)
     rng = np.random.default_rng(5)
@@ -665,6 +678,18 @@ def test_family_operator_matches_the_dense_H(kind, block, monkeypatch):
     top = float(np.linalg.eigvalsh(H).max())
     assert cap >= top
     assert abs(top_eigenvalue(op).value - top) <= 1e-12 * top
+
+
+@pytest.mark.parametrize("kind", ["odd", "additive", "rational"])
+def test_family_gram_is_the_entrywise_A_AH(kind):
+    # the oracle forms (V V^H) o (P P^H); its definition is A A^H for
+    # A[n, (f, j)] = V[n, f] P[n, j]
+    fam = _OPERATOR_FAMILIES[kind]()
+    _, P, A = _entrywise_A(fam)
+    want = A @ A.conj().T
+    got = norms._family_gram(fam, P.shape[1])
+    assert got.index == fam.index
+    assert np.abs(got.matrix - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_family_route_builds_no_point_objects(monkeypatch):
@@ -725,10 +750,10 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
         assert peak <= need, (name, args, peak, need)
         if name == "_pair_route_bytes":
             # the pair side really holds 24 bytes an entry at its peak with
-            # a window (S and the complex G), 16 without (S and its float64 G)
+            # a window (S and the complex G), 8 without (S alone)
             n, window = args
             assert window is not discrete
-            assert (24 if window else 16) * n * n <= peak
+            assert (24 if window else 8) * n * n <= peak
         else:
             # the solve held iterations - 1 Lanczos vectors: the last matvec
             # is the Rayleigh quotient of the Ritz vector
@@ -750,6 +775,15 @@ def test_discrete_pair_gram_stays_within_its_estimate():
     gram_additive(150, 500)  # fills the caches of divisors first
     peak = _traced_peak(lambda: gram_additive(150, 500))
     assert 16 * n * n <= peak <= norms._pair_route_bytes(n, False) < 24 * n * n
+
+
+def test_discrete_pair_gram_holds_S_alone():
+    # gram_rational(12, 200): one column chunk, so the float64 S is the
+    # whole peak, with no int64 or float64 copy of it beside
+    n = len(_coprime_pairs(200)[0])
+    gram_rational(12, 200)  # fills the caches of divisors first
+    peak = _traced_peak(lambda: gram_rational(12, 200))
+    assert 8 * n * n <= peak < 14 * n * n, peak / (n * n)
 
 
 def test_family_route_peak_stays_below_the_size_of_A(monkeypatch):
