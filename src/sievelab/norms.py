@@ -41,10 +41,13 @@ Every family holds its index as the int64 arrays a, b of `rationals`
 with L = log(a/b), and reduces it there (`_reduce`); neither route
 builds a pair or point object.
 
-Each pair-side Gram is held in the arithmetic of its entries: a discrete
-family (additive, rational: no window) has the real symmetric integer
-matrix S itself, float64 from its first product on; a window gives the
-complex128 S I_T.
+The pair side solves one real symmetric float64 matrix for every family:
+the integer matrix S itself for a discrete family (additive, rational: no
+window), float64 from its first product on, and S o K for a window, with
+K[n, m] = (T/2) sinc((L_n - L_m) T/4) the real factor of I_T.  The phase
+of I_T factors out as d_n conj(d_m), d = e^{3iTL/4}, so the Hermitian
+Gram S I_T is D (S o K) D^H for the unitary D = diag(d), with the same
+spectrum; only `gram_multiplicative` forms it.
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`).  It
 runs in its input's dtype, real for a real symmetric matrix and complex
@@ -166,16 +169,22 @@ def family_members(spec):
 # the t-integral
 # ----------------------------------------------------------------------
 
+def _window(L, T):
+    """(T/2) sinc(LT/4), the real factor of I_T(L); even in L, and exactly
+    T/2 at L = 0."""
+    return (T / 2) * np.sinc(L * (T / (4 * np.pi)))
+
+
 def t_integral(L, T):
     """I_T(L) = int_{T/2}^T e^{itL} dt = (T/2) sinc(LT/4) e^{3iTL/4},
-    vectorized over L.
+    vectorized over L: the real `_window` times the phase e^{3iTL/4}.
 
     This is (e^{iTL} - e^{iTL/2})/(iL) without its cancellation near
     L = 0: np.sinc is accurate to rounding there, so the form keeps the
     |I_T(L) - T/2| <= 3|L|T^2/8 bound in floating point, and I_T(0) is
     exactly T/2."""
     L = np.asarray(L, dtype=np.float64)
-    out = (T / 2) * np.sinc(L * (T / (4 * np.pi))) * np.exp(0.75j * T * L)
+    out = _window(L, T) * np.exp(0.75j * T * L)
     if out.ndim == 0:
         return complex(out)
     return out
@@ -378,33 +387,37 @@ def _congruence_matrix(fam, a, b):
 
 
 def _pair_gram(fam):
-    """The pair-side Gram matrix of a family, in the arithmetic of its
-    entries.  A discrete family (T None) gets the float64 congruence sum S
-    itself: exact integers, or halves for a parity.  A window gets the
-    complex128 G[n, m] = S[n, m] I_T(L_n - L_m): its upper triangle is
-    filled in row blocks, so that the temporaries of I_T stay small, and
-    mirrored in place."""
+    """The pair-side matrix of a family, real symmetric float64.  A discrete
+    family (T None) gets the congruence sum S itself: exact integers, or
+    halves for a parity.  A window gets S o K, K[n, m] = _window(L_n - L_m,
+    T), multiplied into S in place in row blocks so that the temporaries
+    stay small; _window is even, so S o K is exactly symmetric."""
     S = _congruence_matrix(fam, fam.a, fam.b)
-    if fam.T is None:
-        return S
-    G = np.empty(S.shape, dtype=np.complex128)
-    L = fam.L
-    for s in range(0, len(L), _CHECK_ROWS):
-        e = s + _CHECK_ROWS
-        G[s:e, s:] = S[s:e, s:] * t_integral(L[s:e, None] - L[None, s:], fam.T)
-    return _hermitize(G)
+    if fam.T is not None:
+        L = fam.L
+        for s in range(0, len(L), _CHECK_ROWS):
+            S[s:s + _CHECK_ROWS] *= _window(L[s:s + _CHECK_ROWS, None] - L, fam.T)
+    return S
 
 
 def gram_multiplicative(spec, index):
     """Closed-form Gram matrix of the multiplicative family on the given
-    coprime pairs (`_pair_gram`), which the result keeps as its index:
+    coprime pairs, which the result keeps as its index; complex128 and
+    exactly Hermitian:
 
     G[n, m] = [sum over q in (Q/2, Q], (q, k) = 1, (a_n b_n a_m b_m, q) = 1
                 of the Moebius congruence sum]
               * phi(k) [a_n b_m = a_m b_n mod k] [(a_n b_n a_m b_m, k) = 1]
-              * I_T(log(a_n b_m / (a_m b_n)))."""
+              * I_T(log(a_n b_m / (a_m b_n))),
+
+    formed as D (S o K) D^H from the real `_pair_gram` and the phases
+    d = e^{3iTL/4} of I_T."""
     index = tuple(index)
-    return GramMatrix(index, _pair_gram(_multiplicative(spec, *_pair_arrays(index))))
+    fam = _multiplicative(spec, *_pair_arrays(index))
+    d = np.exp(0.75j * spec.T * fam.L)
+    G = np.outer(d, d.conj())
+    G *= _pair_gram(fam)
+    return GramMatrix(index, _hermitize(G))
 
 
 def gram_additive(Q, N):
@@ -596,8 +609,10 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     `residual` is ||G y - rho y|| / max(|rho|, 1).  For Hermitian G it
     bounds the distance from rho to *some* eigenvalue, not necessarily to
     lambda_max; `iterations` counts the matvecs.  Raises ValueError on a
-    non-square, non-finite or non-Hermitian matrix, and on a non-finite or
-    negative tol.
+    non-square, non-finite or non-Hermitian matrix, on a non-finite or
+    negative tol, and when the Rayleigh quotient or the residual overflows
+    (entries near the float64 range); the solve stops at the first
+    non-finite beta.
     """
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -629,7 +644,8 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
         b = float(np.linalg.norm(w))
         theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
         ritz_res = b * abs(S[-1, -1]) / max(abs(theta[-1]), 1.0)
-        if ritz_res <= tol or b <= np.finfo(np.float64).eps * ceiling or j + 1 == steps:
+        if (ritz_res <= tol or b <= np.finfo(np.float64).eps * ceiling or j + 1 == steps
+                or not isfinite(b)):
             break
         if j + 1 == len(basis):  # grow the basis and T by doubling, never past n rows
             rows = min(2 * len(basis), steps)
@@ -642,6 +658,9 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     Gy = M @ y
     rho = float(np.vdot(y, Gy).real)
     res = float(np.linalg.norm(Gy - rho * y)) / max(abs(rho), 1.0)
+    if not (isfinite(rho) and isfinite(res)):
+        raise ValueError("the Lanczos solve overflowed: its Rayleigh quotient or residual "
+                         "is not finite")
     value = max(min(rho, ceiling), floor)
     return NormEstimate(value, res, j + 2, "lanczos")
 
@@ -650,14 +669,13 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
 # the Delta norms
 # ----------------------------------------------------------------------
 
-def _pair_route_bytes(n, window):
-    """Peak bytes of the pair route on n indices.  Per entry: 16 for a
-    discrete family, the float64 S beside its indicator chunks inside
-    _congruence_sum (8 bytes an entry of S between them); 24 for a window,
-    S and the complex G.  Plus the row-block temporaries of the congruence
-    product, I_T and _hermitize, fewer than eight complex _CHECK_ROWS x n
-    arrays."""
-    return (24 if window else 16) * n * n + 8 * 16 * _CHECK_ROWS * n
+def _pair_route_bytes(n):
+    """Peak bytes of the pair route on n indices: 16 an entry, the float64
+    S beside its indicator chunks inside _congruence_sum (8 bytes an entry
+    of S between them), which a window then multiplies in place.  Plus the
+    row-block temporaries of the congruence product and the window, fewer
+    than sixteen float64 _CHECK_ROWS x n arrays."""
+    return 16 * n * n + 8 * 16 * _CHECK_ROWS * n
 
 
 def _family_route_bytes(n, F, nodes, rows):
@@ -684,10 +702,11 @@ def _family_route_bytes(n, F, nodes, rows):
 
 
 def _solve(fam, gram, tol, route="auto"):
-    """The one route rule.  "pairs" solves the pair-side Gram gram();
-    "family" solves H = A^H A for A the `_KhatriRao` operator of the member
-    values V (rows the index, columns the members) and the phases P (rows
-    the index, columns the quadrature nodes), never formed; its nonzero
+    """The one route rule.  "pairs" solves gram(), the pair-side matrix or
+    a Gram of its spectrum; "family" solves H = A^H A for A the
+    `_KhatriRao` operator of the member values V (rows the index, columns
+    the members) and the phases P (rows the index, columns the quadrature
+    nodes), never formed; its nonzero
     spectrum is the pair side's up to the quadrature of I_T.  "auto" takes
     the family side past _PAIR_ROUTE_MAX indices when members x nodes <
     indices, counting the members as S at the index 1/1, where every member
@@ -696,14 +715,17 @@ def _solve(fam, gram, tol, route="auto"):
     NormEstimate records the route that ran."""
     n = len(fam.a)
     Lmax = float(np.abs(fam.L).max(initial=0.0))
-    nodes = 1 if fam.T is None else max(48, int(Lmax * fam.T / 2) + 40)
+    # past _ROUTE_BYTES nodes the family estimate (16 n nodes bytes and more)
+    # passes the cap whatever n is, so the count is clamped there: an
+    # overflowing Lmax T stays refused and never reaches int(inf)
+    nodes = 1 if fam.T is None else max(48, int(min(Lmax * fam.T / 2, _ROUTE_BYTES)) + 40)
     one = np.ones(1, dtype=np.int64)
     count = n > _PAIR_ROUTE_MAX or route == "family"
     F = int(_congruence_matrix(fam, one, one)[0, 0]) if count else 0
     if route == "auto":
         route = "family" if n > _PAIR_ROUTE_MAX and F * nodes < n else "pairs"
     if route == "pairs":
-        sizes, need = f"{n} indices", _pair_route_bytes(n, fam.T is not None)
+        sizes, need = f"{n} indices", _pair_route_bytes(n)
     else:
         sizes = f"{F} members x {nodes} nodes"
         need = _family_route_bytes(n, F, nodes, min(F * nodes, _MAX_ITER))
@@ -724,7 +746,7 @@ def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):
         raise ValueError(f"route must be one of {_ROUTES}, got {route!r}")
     spec = FamilySpec(Q, k, T, parity)
     fam = _multiplicative(spec, *_coprime_pairs(N, "dyadic"))
-    return _solve(fam, lambda: gram_multiplicative(spec, fam.index), tol, route)
+    return _solve(fam, lambda: _pair_gram(fam), tol, route)
 
 
 def delta_add(Q, N, tol=1e-9):
@@ -880,15 +902,16 @@ class FitResult:
 
 
 def exponent_fit(samples):
-    """Least-squares slope of log(value) against log(parameter)."""
+    """Least-squares slope of log(value) against log(parameter), over at
+    least 3 samples with at least 2 distinct parameters, however close."""
     if len(samples) < 3:
         raise ValueError("need at least 3 samples")
     x = np.array([s[0] for s in samples], dtype=float)
     y = np.array([s[1] for s in samples], dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("samples must be positive")
-    if np.allclose(x, x[0]):
-        raise ValueError("degenerate sample: all parameters equal")
+    if np.all(x == x[0]):
+        raise ValueError("degenerate sample: fewer than 2 distinct parameters")
     lx, ly = np.log(x), np.log(y)
     A = np.vstack([lx, np.ones_like(lx)]).T
     (slope, intercept), res, *_ = np.linalg.lstsq(A, ly, rcond=None)

@@ -94,6 +94,16 @@ def test_norm_rational_family_exact_count(capsys):
     assert float(rows[0]["value"]) == float(len(rationals_up_to(20)))
 
 
+@pytest.mark.parametrize("T", ["1e200", "1e308"])
+def test_norm_with_an_overflowing_window_exits_2(T, capsys):
+    # 1e200 overflowed the Lanczos norms and printed "nan"; 1e308 raised
+    # OverflowError from the node count
+    assert run(["norm", "-Q", "4", "-T", T, "-N", "40"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_norm_grid_is_cartesian_in_order(capsys):
     assert run(["norm", "-Q", "4", "-Q", "8", "-N", "16", "-N", "32"]) == 0
     rows = _rows(capsys.readouterr().out)
@@ -228,6 +238,13 @@ def test_scan_with_a_repeated_value_keeps_its_records(capsys):
     assert run(["scan", "-Q", "4", "-N", "20", "-N", "20", "-N", "20"]) == 0
     rows = _rows(capsys.readouterr().out)
     assert [r["experiment"] for r in rows] == ["scan_multiplicative"] * 3
+
+
+def test_scan_fits_near_equal_values(capsys):
+    # distinct values within np.allclose of each other are still a fit
+    assert run(["scan", "-Q", "4", "-N", "20", "-N", "20.00001", "-N", "20.00002"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [r["experiment"] for r in rows] == ["scan_multiplicative"] * 3 + ["scan_fit_N"]
 
 
 def test_scan_fits_over_the_distinct_values(capsys):

@@ -52,7 +52,10 @@ def test_multiplicative_pair_side_equals_family_side(Q, k, T, N, parity, coprime
     family = norms.gram_bruteforce(spec, index, quadrature_nodes=96)
     assert pair.index == family.index
     assert _rel_diff(pair.matrix, family.matrix) <= 1e-8
-    _assert_norms_agree(pair, norms._multiplicative(spec, *norms._pair_arrays(index)), 1e-8)
+    fam = norms._multiplicative(spec, *norms._pair_arrays(index))
+    _assert_norms_agree(pair, fam, 1e-8)
+    # the real S o K that delta's pair route solves has the same spectrum
+    _assert_norms_agree(norms._pair_gram(fam), fam, 1e-8)
 
 
 @PROPERTY

@@ -423,6 +423,19 @@ def test_top_eigenvalue_rejects_non_finite():
             top_eigenvalue(np.eye(3), tol=tol)
 
 
+def test_top_eigenvalue_rejects_an_overflowing_solve():
+    # finite entries whose Lanczos norms overflow give a ValueError, not a
+    # NaN value; delta reached them from T near 1e155
+    for M in (np.full((4, 4), 1e300), 1e200 * np.eye(5), np.full((3, 3), 1e300 + 0j)):
+        with pytest.raises(ValueError, match="overflowed"):
+            top_eigenvalue(M)
+    with pytest.raises(ValueError, match="overflowed"):
+        delta(4.0, 1, 1e200, 40.0)
+    # and a window too wide for int() is refused by the family estimate
+    with pytest.raises(ValueError, match="family route .* over the"):
+        delta(4.0, 1, 1e308, 40.0, route="family")
+
+
 def test_delta_rejects_unknown_route():
     with pytest.raises(ValueError):
         delta(4.0, 1, 1.0, 40.0, route="bogus")
@@ -468,10 +481,11 @@ def test_size_errors_name_only_the_bad_size():
 
 
 def test_delta_routes_agree():
-    for (Q, k, T, N) in [(4.0, 1, 1.0, 40.0), (6.0, 2, 2.0, 100.0), (3.0, 1, 4.0, 64.0)]:
-        a = delta(Q, k, T, N, route="pairs").value
-        b = delta(Q, k, T, N, route="family").value
-        assert abs(a - b) <= 1e-9 * max(1.0, a), (Q, k, T, N, a, b)
+    for (Q, k, T, N, parity) in [(4.0, 1, 1.0, 40.0, None), (6.0, 2, 2.0, 100.0, None),
+                                 (3.0, 1, 4.0, 64.0, None), (6.0, 3, 2.0, 100.0, "odd")]:
+        a = delta(Q, k, T, N, parity=parity, route="pairs").value
+        b = delta(Q, k, T, N, parity=parity, route="family").value
+        assert abs(a - b) <= 1e-9 * max(1.0, a), (Q, k, T, N, parity, a, b)
 
 
 def test_delta_route_dispatch_at_scale():
@@ -577,24 +591,24 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
     from sievelab import cli
 
     # with the cap lowered to 1 MiB the bench-sized pair routes are over it;
-    # the Gram builders raise, so no test allocates the oversized matrix
+    # the pair-side builders raise, so no test allocates the oversized matrix
     monkeypatch.setattr(norms, "_ROUTE_BYTES", 1 << 20)
 
     def pair_side(*args):
         raise AssertionError("the pair-side Gram was built past the cap")
 
-    for name in ("gram_rational", "gram_additive", "gram_multiplicative"):
+    for name in ("gram_rational", "gram_additive", "gram_multiplicative", "_pair_gram"):
         monkeypatch.setattr(norms, name, pair_side)
-    for norm, n, window in [(lambda: delta_rational(12, 200), len(rationals_up_to(200)), False),
-                            (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
-                             len(enumerate_pairs(400, "dyadic")), True)]:
-        estimate = f"{norms._pair_route_bytes(n, window) / 2**20:.1f} MiB"
+    for norm, n in [(lambda: delta_rational(12, 200), len(rationals_up_to(200))),
+                    (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
+                     len(enumerate_pairs(400, "dyadic")))]:
+        estimate = f"{norms._pair_route_bytes(n) / 2**20:.1f} MiB"
         with pytest.raises(ValueError, match=f"pairs route on {n} indices .* {estimate}, "
                                              "over the 1.0 MiB cap"):
             norm()
     assert cli.run(["norm", "--family", "rational", "-Q", "12", "-N", "200"]) == 2
     err = capsys.readouterr().err
-    assert f"{norms._pair_route_bytes(len(rationals_up_to(200)), False) / 2**20:.1f} MiB" in err
+    assert f"{norms._pair_route_bytes(len(rationals_up_to(200))) / 2**20:.1f} MiB" in err
     assert "1.0 MiB cap" in err
     # the family side is still taken where it is the smaller matrix
     assert delta_rational(1, 500).value >= len(rationals_up_to(500))
@@ -693,23 +707,15 @@ def test_family_gram_is_the_entrywise_A_AH(kind):
 
 
 def test_family_route_builds_no_point_objects(monkeypatch):
-    # the index stays int64 arrays from enumeration through the solve
+    # the index stays int64 arrays from enumeration through the solve, on
+    # the family route and on delta's pair route (70 indices at N = 40)
     built = []
     for cls in (CoprimePair, RationalPoint):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
     assert delta(12.0, 1, 4.0, 1000.0).route == "family"
     assert delta_rational(12, 600).route == "family"
-    assert built == []
-
-
-def test_pair_route_builds_the_index_once(monkeypatch):
-    # delta hands its index to gram_multiplicative, whose GramMatrix keeps
-    # it: one CoprimePair per index, not a second set for the result
-    n = len(_coprime_pairs(40, "dyadic")[0])
-    built = []
-    monkeypatch.setattr(CoprimePair, "__post_init__", lambda self: built.append(self))
     assert delta(4.0, 1, 1.0, 40.0).route == "pairs"
-    assert (n, len(built)) == (70, 70)
+    assert built == []
 
 
 def test_family_operator_rejects_non_finite():
@@ -738,10 +744,10 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
             estimates.append((name, args, estimate(*args)))
             return estimates[-1][2]
         monkeypatch.setattr(norms, name, record)
-    for norm, discrete in [(lambda: delta(12.0, 3, 4.0, 400.0), False),  # a window, pairs
-                           (lambda: delta(12.0, 3, 4.0, 400.0, parity="odd"), False),
-                           (lambda: delta_rational(12, 200), True),  # discrete, pairs
-                           (lambda: delta(12.0, 1, 4.0, 1000.0), False)]:  # the family side
+    for norm in [lambda: delta(12.0, 3, 4.0, 400.0),  # a window, pairs
+                 lambda: delta(12.0, 3, 4.0, 400.0, parity="odd"),
+                 lambda: delta_rational(12, 200),  # discrete, pairs
+                 lambda: delta(12.0, 1, 4.0, 1000.0)]:  # the family side
         norm()  # fills the caches of characters and divisors first
         estimates.clear()
         results = []
@@ -749,11 +755,10 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
         (name, args, need), = estimates
         assert peak <= need, (name, args, peak, need)
         if name == "_pair_route_bytes":
-            # the pair side really holds 24 bytes an entry at its peak with
-            # a window (S and the complex G), 8 without (S alone)
-            n, window = args
-            assert window is not discrete
-            assert (24 if window else 8) * n * n <= peak
+            # the pair side really holds S, 8 bytes an entry, at its peak,
+            # with or without a window
+            (n,) = args
+            assert 8 * n * n <= peak
         else:
             # the solve held iterations - 1 Lanczos vectors: the last matvec
             # is the Rayleigh quotient of the Ritz vector
@@ -770,11 +775,11 @@ def test_discrete_pair_gram_stays_within_its_estimate():
     # gram_additive(150, 500): n = 1248 and 826 indicator columns, so the
     # congruence product runs in two column chunks.  Added as one n x n
     # temporary beside S, the product would hold 24 bytes an entry, past
-    # the 16-byte estimate of a discrete family
+    # the 16-byte estimate
     n = len(_coprime_pairs(500, "dyadic")[0])
     gram_additive(150, 500)  # fills the caches of divisors first
     peak = _traced_peak(lambda: gram_additive(150, 500))
-    assert 16 * n * n <= peak <= norms._pair_route_bytes(n, False) < 24 * n * n
+    assert 16 * n * n <= peak <= norms._pair_route_bytes(n) < 24 * n * n
 
 
 def test_discrete_pair_gram_holds_S_alone():
@@ -784,6 +789,57 @@ def test_discrete_pair_gram_holds_S_alone():
     gram_rational(12, 200)  # fills the caches of divisors first
     peak = _traced_peak(lambda: gram_rational(12, 200))
     assert 8 * n * n <= peak < 14 * n * n, peak / (n * n)
+
+
+_WINDOWED = [FamilySpec(12.0, 3, 4.0), FamilySpec(8.0, 3, 2.0, "even"),
+             FamilySpec(7.0, 1, 1.0, "odd"), FamilySpec(6.0, 2, 2.0)]
+
+
+@pytest.mark.parametrize("spec", _WINDOWED, ids=str)
+def test_windowed_pair_gram_is_real_and_exactly_symmetric(spec):
+    # the phase of I_T leaves the pair side: S o K, K = (T/2) sinc(T L / 4)
+    fam = norms._multiplicative(spec, *_coprime_pairs(200, "dyadic"))
+    M = norms._pair_gram(fam)
+    assert M.dtype == np.float64
+    assert np.array_equal(M, M.T)
+    assert np.array_equal(M.diagonal(), norms._congruence_matrix(fam, fam.a, fam.b).diagonal()
+                          * (spec.T / 2))
+
+
+@pytest.mark.parametrize("spec", _WINDOWED, ids=str)
+def test_multiplicative_gram_is_the_phased_pair_matrix(spec):
+    # G = D M D^H for M = _pair_gram and D = diag(e^{3iTL/4}), complex128
+    # and exactly Hermitian
+    index = enumerate_pairs(200, "dyadic")
+    G = gram_multiplicative(spec, index).matrix
+    fam = norms._multiplicative(spec, *_coprime_pairs(200, "dyadic"))
+    d = np.exp(0.75j * spec.T * fam.L)
+    want = d[:, None] * norms._pair_gram(fam) * d.conj()[None, :]
+    assert G.dtype == np.complex128
+    assert np.array_equal(G, G.conj().T)
+    assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_delta_pair_route_solves_a_real_matrix(monkeypatch):
+    # delta hands top_eigenvalue the real S o K, not the complex Gram
+    dtypes = []
+    solve = norms.top_eigenvalue
+
+    def record(G, **kwargs):
+        dtypes.append(np.asarray(G).dtype)
+        return solve(G, **kwargs)
+
+    monkeypatch.setattr(norms, "top_eigenvalue", record)
+    assert delta(12.0, 3, 4.0, 400.0).route == "pairs"
+    assert dtypes == [np.float64]
+
+
+def test_windowed_pair_route_peak_stays_below_16_bytes_an_entry():
+    # S o K in place: no complex n x n Gram beside S (27 bytes an entry)
+    n = len(_coprime_pairs(400, "dyadic")[0])
+    delta(12.0, 3, 4.0, 400.0)  # fills the caches of characters and divisors first
+    peak = _traced_peak(lambda: delta(12.0, 3, 4.0, 400.0))
+    assert 8 * n * n <= peak < 16 * n * n, peak / (n * n)
 
 
 def test_family_route_peak_stays_below_the_size_of_A(monkeypatch):
