@@ -718,6 +718,28 @@ def test_family_route_builds_no_point_objects(monkeypatch):
     assert built == []
 
 
+def test_pair_route_builds_the_index_once(monkeypatch):
+    # delta enumerates its dyadic index once and hands the arrays to one
+    # pair-side matrix; the solve builds no second index or term list
+    calls, sides = [], []
+    enumerate_once, pair_gram = norms._coprime_pairs, norms._pair_gram
+
+    def counted_pairs(*args):
+        calls.append(args)
+        return enumerate_once(*args)
+
+    def counted_gram(fam):
+        sides.append(pair_gram(fam))
+        return sides[-1]
+
+    monkeypatch.setattr(norms, "_coprime_pairs", counted_pairs)
+    monkeypatch.setattr(norms, "_pair_gram", counted_gram)
+    assert delta(4.0, 1, 1.0, 40.0).route == "pairs"
+    assert calls == [(40.0, "dyadic")]
+    assert len(sides) == 1
+    assert sides[0].shape == (70, 70)
+
+
 def test_family_operator_rejects_non_finite():
     V, P = np.ones((5, 2), dtype=complex), np.ones((5, 3), dtype=complex)
     for M, bad in [(V, np.nan), (P, np.inf), (P, complex(0, np.nan))]:
