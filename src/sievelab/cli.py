@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import product
-from math import gcd, isfinite
+from math import gcd, isfinite, log
 
 import numpy as np
 
@@ -474,8 +474,14 @@ def cmd_scan(cfg):
 # sieve / bdh
 # ----------------------------------------------------------------------
 
+# a drawn residue held in its plan's frozenset, its record's sorted list and
+# the record text: traced at about 230 bytes a residue at Q = 10^4
+_RESIDUE_BYTES = 240
+
+
 def cmd_sieve(cfg):
     from .arith import primes_in
+    from .rationals import _ROUTE_BYTES, _check_bytes
     from .sieve_apps import SievePlan, read_plan, sieve_inequality_report
 
     jobs = []
@@ -485,11 +491,18 @@ def cmd_sieve(cfg):
     else:
         N = int(cfg.N[0])
         Q = cfg.Q[0]
+        P = max(int(Q), 2)
+        # a trial draws at most p - 1 residues at each prime p <= P, and
+        # sum_{p <= P} p = P pi(P) - int_2^P pi <= (0.75506 P^2 + 144.5) / ln P
+        # by t / ln t < pi(t) (t >= 17) < 1.25506 t / ln t (Rosser-Schoenfeld)
+        _check_bytes(f"random plan draw of {cfg.trials} trials to Q = {P}",
+                     _RESIDUE_BYTES * cfg.trials * (0.75506 * P * P + 144.5) / log(P),
+                     _ROUTE_BYTES)
         jobs.append((SievePlan(N, {}), Q, "control"))
         rng = random.Random(cfg.seed)
         for t in range(cfg.trials):
             omega = {}
-            for p in primes_in(2, max(int(Q), 2)):
+            for p in primes_in(2, P):
                 if rng.random() < 0.6:
                     size = rng.randint(0, p - 1)
                     omega[p] = frozenset(rng.sample(range(p), size))

@@ -28,14 +28,14 @@ c_q(u - v) of the additive family.  Each family states its pair side
 once, as a list of congruence terms (g, d, c, s): the pair (n, m) gains c
 when gcd(a_n b_n a_m b_m, g) = 1 and a_n b_m = s a_m b_n mod d.  The twist
 by theta mod k joins each Moebius term by CRT (gate qk, modulus dk, a
-factor phi(k)), and a parity adds the s = -1 terms times eps = +-1, the
-pair side then halving the sum.  One exact routine, `_congruence_sum`,
-evaluates every list into one float64 matrix of integers below 2^53: a
-product of residue indicators for small phi(d), matched residues for the
-rest.
-Either route refuses a job whose size estimate passes _ROUTE_BYTES, and
-so does the index, bounded from N alone, and the term list, from Q
-alone, before anything is built.
+factor phi(k)), and a parity eps = +-1, the projector
+(1 + eps chi theta(-1))/2, weighs each term c/2 and its s = -1 twin
+eps c/2.  One exact routine, `_congruence_sum`, evaluates every list into
+the whole pair side, a float64 matrix of multiples of 1/2 below 2^52:
+residue-indicator products for small phi(d), matched residues for the rest.
+Either route and each public Gram builder refuses a job whose size
+estimate passes _ROUTE_BYTES, and so does the index, from N alone, and the
+term list, from Q alone, before anything is built.
 
 Every family holds its index as the int64 arrays a, b of `rationals`
 with L = log(a/b), and reduces it there (`_reduce`); neither route
@@ -76,13 +76,12 @@ import numpy as np
 
 from .arith import divisors, mobius, primes_in, totient
 from .characters import char_group, primitive_chars, value_table
-from .rationals import (_ROUTE_BYTES, CoprimePair, RationalPoint, _check_bytes, _coprime_pairs,
-                        _reduce)
+from .rationals import (_POINT_BYTES, _ROUTE_BYTES, CoprimePair, RationalPoint, _check_bytes,
+                        _coprime_pairs, _points, _reduce)
 
 _START_SEED = 0x5EED
 _PAIR_ROUTE_MAX = 2000
 _CHECK_ROWS = 64
-_PRODUCT_ROWS = 256  # rows of S a congruence product block adds at once
 _PRODUCT_BLOCK = 1 << 22
 _DENSE_PHI = 16
 _MAX_ITER = 20000
@@ -211,15 +210,14 @@ def _hermitize(G):
 # ----- the families, stated once for both sides -------------------------
 
 class _Family:
-    """The pair side reads the index arrays a, b, the terms, the parity and
-    the window [T/2, T] (T None: discrete); the family side a, b, the window
-    and members(), the residue tables, built on call like `index`."""
+    """The pair side reads the index arrays a, b, the terms and the window
+    [T/2, T] (T None: discrete); the family side a, b, the window and
+    members(), the residue tables, built on call like `index`."""
 
-    def __init__(self, a, b, terms, members, parity=None, T=None, point=CoprimePair):
+    def __init__(self, a, b, terms, members, T=None, point=CoprimePair):
         self.a, self.b = a, b
         self.terms = terms
         self.members = members
-        self.parity = parity
         self.T = T
         self.point = point
         # log(a_n b_m / (a_m b_n)) = L_n - L_m
@@ -227,7 +225,7 @@ class _Family:
 
     @property
     def index(self):
-        return tuple(map(self.point, self.a.tolist(), self.b.tolist()))
+        return tuple(_points(self.point, self.a, self.b))
 
 
 def _pair_arrays(index):
@@ -238,19 +236,20 @@ def _pair_arrays(index):
 def _check_terms(Q):
     """Refuse, before the moduli are listed, a term list past _ROUTE_BYTES:
     q <= Q has at most d(q) terms, so there are at most
-    2 sum_{q <= Q} d(q) <= 2 Q (1 + ln Q), counting a parity's s = -1."""
+    2 sum_{q <= Q} d(q) <= 2 Q (1 + ln Q), with a parity's s = -1 twins."""
     _check_bytes(f"term list of Q = {Q:g}", _TERM_BYTES * 2 * Q * (1 + log(Q)), _ROUTE_BYTES)
 
 
 def _congruence_terms(moduli, weight, k=1, parity=None):
     """The congruence terms (g, d, c, s) of a family: mu(q/d) weight(d) for
     q in moduli (all coprime to k) and d | q, joined by CRT with the sum
-    over theta mod k, plus for a parity the s = -1 terms times eps."""
+    over theta mod k; for a parity eps = +-1, the projector
+    (1 + eps chi theta(-1))/2, each term at c/2 and its s = -1 twin at eps c/2."""
     terms = [(q * k, d * k, mobius(q // d) * weight(d) * totient(k), 1)
              for q in moduli for d in divisors(q) if mobius(q // d)]
     if parity is not None:
         eps = 1 if parity == "even" else -1
-        terms += [(g, d, eps * c, -1) for g, d, c, _ in terms]
+        terms = [(g, d, w * c / 2, s) for w, s in ((1, 1), (eps, -1)) for g, d, c, _ in terms]
     return terms
 
 
@@ -260,7 +259,7 @@ def _multiplicative(spec, a, b):
     return _Family(a, b, terms,
                    lambda: [(value_table(chi), value_table(theta))
                             for _, chi, theta in family_members(spec)],
-                   spec.parity, spec.T)
+                   spec.T)
 
 
 def _additive_rows(moduli):
@@ -290,7 +289,7 @@ def _rational(Q, N):
 # ----- pair side: one exact congruence sum -----------------------------
 
 def _congruence_sum(a, b, terms):
-    """The float64 matrix of integers
+    """The float64 matrix
 
         S[n, m] = sum of c over the terms (g, d, c, s) with
             gcd(a_n b_n a_m b_m, g) = 1 and a_n b_m = s a_m b_n mod d.
@@ -300,13 +299,14 @@ def _congruence_sum(a, b, terms):
     _DENSE_PHI owns phi(d) columns, one per unit residue mod d: row n of U
     holds c in the column of u_n and row n of U_s holds 1 in the column of
     s u_n, and these terms sum to U U_s^T, taken as float64 GEMMs over
-    column chunks of at most _PRODUCT_BLOCK entries and n/2 columns, each
-    added to S in blocks of _PRODUCT_ROWS rows.  A term with larger phi(d)
-    matches about n^2 / phi(d) pairs, far fewer than its n^2 phi(d) GEMM
-    terms; it adds c into the same S at each matching pair, found by
-    sorting the labels, in slices of at most _PRODUCT_BLOCK pairs.  Every
-    partial sum of either kind is an integer of size at most
-    sum |c| < 2^53, so S is exact whatever the BLAS summation order or
+    chunks of whole terms, each step = min(_PRODUCT_BLOCK / n, n / 2)
+    columns or over by less than one term, added to S in blocks of
+    _CHECK_ROWS rows.  A term with larger phi(d) matches about
+    n^2 / phi(d) pairs, far fewer than its n^2 phi(d) GEMM terms; it adds c
+    into the same S at each matching pair, found by sorting the labels, in
+    slices of step rows.  For weights c that are multiples of 1/2, every
+    partial sum of either kind is a multiple of 1/2 of size at most
+    sum |c| < 2^52, so S is exact whatever the BLAS summation order or
     thread count."""
     n = len(a)
     prod = a * b
@@ -315,10 +315,10 @@ def _congruence_sum(a, b, terms):
         if g not in gates:
             gates[g] = np.flatnonzero(np.gcd(prod, g) == 1)
         (dense if totient(d) <= _DENSE_PHI else sparse).append((gates[g], d, c, s))
-    if sum(abs(c) for _, _, c, _ in terms) >= 2**53:
+    if sum(abs(c) for _, _, c, _ in terms) >= 2**52:
         raise ValueError("congruence weights too large for an exact float64 product")
-    # S is an exact integer sum, so the order of the terms is free: in order
-    # of d, each d's residues are built once and dropped after its last term
+    # S is an exact sum, so the order of the terms is free: in order of d,
+    # each d's residues are built once and dropped after its last term
     dense.sort(key=lambda term: term[1])
     sparse.sort(key=lambda term: term[1])
     residues = {}
@@ -332,72 +332,69 @@ def _congruence_sum(a, b, terms):
         u = u[rows]
         return column, u, s * u % d
 
-    firsts = np.cumsum([0] + [totient(d) for _, d, _, _ in dense])  # column offsets
-    width = int(firsts[-1])
-
-    def indicators(lo, hi):
-        """U and U_s on the columns lo, ..., hi - 1."""
-        U, Us = np.zeros((n, hi - lo)), np.zeros((n, hi - lo))
-        t = int(np.searchsorted(firsts, lo, "right")) - 1  # the first term in the chunk
-        for (rows, d, c, s), first in zip(dense[t:], firsts[t:]):
-            if first >= hi:
-                break
+    def add_product(chunk, width):
+        """S += U U_s^T over the whole terms of one chunk."""
+        U, Us = np.zeros((n, width)), np.zeros((n, width))
+        first = 0
+        for rows, d, c, s in chunk:
             column, u, us = labels(rows, d, s)
-            for M, value, r in ((U, c, u), (Us, 1, us)):
-                j = first - lo + column[r]
-                keep = (j >= 0) & (j < hi - lo)
-                M[rows[keep], j[keep]] = value
-        return U, Us
+            U[rows, first + column[u]] = c
+            Us[rows, first + column[us]] = 1
+            first += totient(d)
+        for r in range(0, n, _CHECK_ROWS):
+            S[r:r + _CHECK_ROWS] += U[r:r + _CHECK_ROWS] @ Us.T
 
-    # U and U_s together stay within 8 bytes per entry of S, and each chunk's
-    # product goes into S in row blocks, so no second n x n array sits beside
-    # S (_pair_route_bytes)
+    # U and U_s together stay within 8 bytes per entry of S plus fewer than
+    # _DENSE_PHI columns, and each chunk's product goes into S in row blocks,
+    # so no second n x n array sits beside S (_pair_route_bytes)
     step = max(1, min(_PRODUCT_BLOCK // max(n, 1), n // 2))
     S = np.zeros((n, n))
-    for lo in range(0, width, step):
-        U, Us = indicators(lo, min(lo + step, width))
-        for r in range(0, n, _PRODUCT_ROWS):
-            S[r:r + _PRODUCT_ROWS] += U[r:r + _PRODUCT_ROWS] @ Us.T
-        del U, Us  # gone before the next chunk is built beside S
+    chunk, width = [], 0
+    for t, term in enumerate(dense, 1):
+        chunk.append(term)
+        width += totient(term[1])
+        if width >= step or t == len(dense):
+            add_product(chunk, width)
+            chunk, width = [], 0
     flat = S.reshape(-1)
     for rows, d, c, s in sparse:
         _, u, us = labels(rows, d, s)
-        order = np.argsort(us, kind="stable")
+        order = np.argsort(us)
         us = us[order]
         for lo in range(0, len(rows), step):
             start = np.searchsorted(us, u[lo:lo + step], "left")
             count = np.searchsorted(us, u[lo:lo + step], "right") - start
-            # row i matches the sorted us at start_i, ..., start_i + count_i - 1
+            # row i matches the sorted us at start_i, ..., start_i + count_i - 1;
+            # within one term and one slice each (row, column) comes once
             i = np.repeat(rows[lo:lo + step], count)
             j = np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)
-            np.add.at(flat, i * n + rows[order[j]], c)
-    return S
-
-
-def _congruence_matrix(fam, a, b):
-    """S[n, m], the family's congruence sum on index arrays a, b, halved
-    in place for a parity (halves of integers below 2^53 are exact): the
-    projector (1/2)(1 + eps chi(-1) theta(-1)) is the half-sum of the
-    s = 1 terms and eps times the s = -1 terms.  S[n, n] at a unit index
-    counts the members."""
-    S = _congruence_sum(a, b, fam.terms)
-    if fam.parity is not None:
-        S /= 2
+            flat[i * n + rows[order[j]]] += c
     return S
 
 
 def _pair_gram(fam):
-    """The pair-side matrix of a family, real symmetric float64.  A discrete
-    family (T None) gets the congruence sum S itself: exact integers, or
-    halves for a parity.  A window gets S o K, K[n, m] = _window(L_n - L_m,
-    T), multiplied into S in place in row blocks so that the temporaries
-    stay small; _window is even, so S o K is exactly symmetric."""
-    S = _congruence_matrix(fam, fam.a, fam.b)
+    """The pair-side matrix of a family, real symmetric float64: the
+    congruence sum S of its terms (integers, or halves for a parity) for a
+    discrete family (T None), and S o K for a window, K[n, m] = _window(L_n
+    - L_m, T), multiplied into S in place in row blocks so that the
+    temporaries stay small; _window is even, so S o K is exactly symmetric."""
+    S = _congruence_sum(fam.a, fam.b, fam.terms)
     if fam.T is not None:
         L = fam.L
         for s in range(0, len(L), _CHECK_ROWS):
             S[s:s + _CHECK_ROWS] *= _window(L[s:s + _CHECK_ROWS, None] - L, fam.T)
     return S
+
+
+def _checked(fam, entry, columns=0):
+    """fam, if a public Gram builder or oracle on its n indices fits in
+    _ROUTE_BYTES, else ValueError: `entry` bytes an n x n entry, 16 for each
+    n x columns member value and phase of an oracle, and for each index its
+    point object and the row-block temporaries of `_pair_route_bytes`."""
+    n = len(fam.a)
+    need = entry * n * n + (16 * columns + _POINT_BYTES + 8 * 16 * _CHECK_ROWS) * n
+    _check_bytes(f"Gram on {n} indices", need, _ROUTE_BYTES)
+    return fam
 
 
 def gram_multiplicative(spec, index):
@@ -413,7 +410,7 @@ def gram_multiplicative(spec, index):
     formed as D (S o K) D^H from the real `_pair_gram` and the phases
     d = e^{3iTL/4} of I_T."""
     index = tuple(index)
-    fam = _multiplicative(spec, *_pair_arrays(index))
+    fam = _checked(_multiplicative(spec, *_pair_arrays(index)), 32)  # G beside _pair_gram
     d = np.exp(0.75j * spec.T * fam.L)
     G = np.outer(d, d.conj())
     G *= _pair_gram(fam)
@@ -424,7 +421,7 @@ def gram_additive(Q, N):
     """G[n, m] = sum over q in (Q/2, Q] with gcd(a_n b_n a_m b_m, q) = 1 of
     c_q(a_n bbar_n - a_m bbar_m), the Ramanujan-sum Gram of the additive
     family on the dyadic window; real (float64)."""
-    fam = _additive(Q, N)
+    fam = _checked(_additive(Q, N), 16)
     return GramMatrix(fam.index, _pair_gram(fam))
 
 
@@ -432,7 +429,7 @@ def gram_rational(Q, N):
     """Rational-family Gram: rows all q <= Q with primitive chi mod q,
     columns the positive rationals of ht <= N; contributions gated by
     strict localization gcd(a b, q) = 1.  Real (float64)."""
-    fam = _rational(Q, N)
+    fam = _checked(_rational(Q, N), 16)
     return GramMatrix(fam.index, _pair_gram(fam))
 
 
@@ -527,7 +524,9 @@ def _family_gram(fam, nodes):
     row-wise Khatri-Rao A = V o P, A A^H = (V V^H) o (P P^H): the explicit
     character sum over the members times the Gauss-Legendre quadrature of
     I_T (all ones for a discrete family)."""
-    V = _member_matrix(fam.members(), fam.a, fam.b)
+    members = fam.members()
+    _checked(fam, 32, len(members) + nodes)  # V V^H beside P P^H
+    V = _member_matrix(members, fam.a, fam.b)
     P = _phase_matrix(fam.L, fam.T, nodes)
     G = V @ V.conj().T
     G *= P @ P.conj().T
@@ -672,9 +671,9 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
 def _pair_route_bytes(n):
     """Peak bytes of the pair route on n indices: 16 an entry, the float64
     S beside its indicator chunks inside _congruence_sum (8 bytes an entry
-    of S between them), which a window then multiplies in place.  Plus the
-    row-block temporaries of the congruence product and the window, fewer
-    than sixteen float64 _CHECK_ROWS x n arrays."""
+    of S between them), which a window then multiplies in place.  Plus
+    fewer than sixteen float64 _CHECK_ROWS x n arrays: a chunk's overrun
+    (under _DENSE_PHI columns) and the row blocks of product and window."""
     return 16 * n * n + 8 * 16 * _CHECK_ROWS * n
 
 
@@ -721,7 +720,7 @@ def _solve(fam, gram, tol, route="auto"):
     nodes = 1 if fam.T is None else max(48, int(min(Lmax * fam.T / 2, _ROUTE_BYTES)) + 40)
     one = np.ones(1, dtype=np.int64)
     count = n > _PAIR_ROUTE_MAX or route == "family"
-    F = int(_congruence_matrix(fam, one, one)[0, 0]) if count else 0
+    F = int(_congruence_sum(one, one, fam.terms)[0, 0]) if count else 0
     if route == "auto":
         route = "family" if n > _PAIR_ROUTE_MAX and F * nodes < n else "pairs"
     if route == "pairs":

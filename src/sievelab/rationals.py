@@ -10,8 +10,9 @@ at every p | q, i.e. gcd(ab, q) = 1, and is where the reduction map
 
 lands in (Z/qZ)^*.  The index, the coprime pairs with ab in a window, is
 one pair of int64 arrays (a, b), enumerated (`_coprime_pairs`) and
-reduced (`_reduce`) here alone; `enumerate_pairs`, `rationals_up_to` and
-`reduce_mod` are its object views.
+reduced (`_reduce`) here alone; `enumerate_pairs` and `rationals_up_to`
+are its object views, built by `_points`, and `reduce_mod` reduces one
+point.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,10 @@ from .arith import totient, valuation
 
 _CANDIDATE_BYTES = 40  # the enumerator's peak, about 32 bytes a candidate pair
 _ROUTE_BYTES = 4 << 30  # the memory cap of a job: its index, its terms and its route
+# a point object with its ints and the list slots of its columns: traced at
+# 129-161 bytes on indices to N = 2 10^5, 193 with every coordinate past the
+# small-int cache
+_POINT_BYTES = 200
 
 
 @dataclass(frozen=True)
@@ -171,16 +176,25 @@ def _reduce(a, b, m):
     return red, np.gcd(a * b, m) == 1
 
 
+def _points(point, *columns):
+    """[point(*row) for each row of the int64 columns]; ValueError, before any
+    object is built, when _POINT_BYTES an object would pass _ROUTE_BYTES."""
+    count = len(columns[0])
+    _check_bytes(f"list of {count} point objects", _POINT_BYTES * count, _ROUTE_BYTES)
+    return list(map(point, *(c.tolist() for c in columns)))
+
+
 def enumerate_pairs(N, window="dyadic", coprime_to=1):
     """Coprime pairs (a,b) with ab in the window: N/2 < ab <= N (dyadic)
     or 1 <= ab <= N (full), skipping ab sharing a factor with coprime_to.
     Output is sorted a-major, then b."""
-    a, b = _coprime_pairs(N, window, coprime_to)
-    return list(map(CoprimePair, a.tolist(), b.tolist()))
+    return _points(CoprimePair, *_coprime_pairs(N, window, coprime_to))
 
 
 def rationals_up_to(N, sign=False):
     """Positive rationals with ht <= N (both signs when sign=True),
     ordered a-major then b, negatives after positives."""
-    a, b = (x.tolist() for x in _coprime_pairs(N))
-    return [RationalPoint(x, y, s) for s in ((1, -1) if sign else (1,)) for x, y in zip(a, b)]
+    a, b = _coprime_pairs(N)
+    signs = np.array((1, -1) if sign else (1,))
+    return _points(RationalPoint, np.tile(a, len(signs)), np.tile(b, len(signs)),
+                   np.repeat(signs, len(a)))

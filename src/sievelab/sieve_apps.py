@@ -38,7 +38,8 @@ import numpy as np
 from .arith import is_prime, is_squarefree, prime_factors, primes_in, totient
 from .characters import char_group, trivial_char, value_table
 from .norms import delta_rational
-from .rationals import RationalPoint, _coprime_pairs, _reduce, as_point, ht, rationals_up_to
+from .rationals import (RationalPoint, _coprime_pairs, _points, _reduce, as_point, ht,
+                        rationals_up_to)
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +82,7 @@ def sifted_set(plan):
     for p, forbidden in plan.omega.items():
         red, unit = _reduce(a, b, p)
         keep &= ~(unit & np.isin(red, sorted(forbidden)))
-    return list(map(RationalPoint, a[keep].tolist(), b[keep].tolist()))
+    return _points(RationalPoint, a[keep], b[keep])
 
 
 def big_H(Q, plan):

@@ -4,8 +4,11 @@ config-file layering, thread-pool dispatch, and plot emission."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -292,6 +295,49 @@ def test_sieve_random_trials(capsys):
     assert json.loads(rows[0]["extra_params"])["tag"] == "control"
     assert rows[0]["pass"] == "True"
     assert (code == 1) == any(r["pass"] == "False" for r in rows)
+
+
+def test_sieve_refuses_oversized_random_plans_before_drawing(monkeypatch, tmp_path, capsys):
+    from sievelab import rationals
+
+    # with the cap lowered to 1 MiB, 2 trials to Q = 200 are over it: the
+    # command exits 2 with the estimate and draws and writes nothing
+    monkeypatch.setattr(rationals, "_ROUTE_BYTES", 1 << 20)
+    out = tmp_path / "records.csv"
+    assert run(["sieve", "-N", "10", "-Q", "200", "--trials", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert re.search(r"random plan draw of 2 trials to Q = 200 needs an estimated [\d.]+ MiB, "
+                     r"over the 1.0 MiB cap", captured.err)
+    assert captured.out == "" and not out.exists()
+    monkeypatch.undo()
+    # at the real cap, Q = 10^5 is refused at once; drawn, its plans
+    # would grow like Q^2 / ln Q past the memory of the machine
+    start = time.perf_counter()
+    assert run(["sieve", "-N", "10", "-Q", "100000", "--trials", "1"]) == 2
+    assert "MiB cap" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sieve_plan_estimate_covers_the_measured_peak(monkeypatch, tmp_path):
+    from sievelab import rationals
+
+    needs = []
+    check = rationals._check_bytes
+
+    def record(what, need, cap):
+        needs.append((what, need))
+        check(what, need, cap)
+
+    monkeypatch.setattr(rationals, "_check_bytes", record)
+    argv = ["sieve", "-N", "10", "-Q", "1000", "--trials", "2", "--out", str(tmp_path / "r.csv")]
+    tracemalloc.start()
+    try:
+        assert run(argv) in (0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need, = [need for what, need in needs if what.startswith("random plan draw")]
+    assert peak <= need, (peak, need)
 
 
 # ----------------------------------------------------------------------

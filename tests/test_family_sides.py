@@ -14,6 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from sievelab import norms  # noqa: E402
 from sievelab.rationals import enumerate_pairs  # noqa: E402
+from test_norms import _congruence_sum_by_loops  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 # 1 <= Q <= 12 in halves.  The multiplicative family side holds
@@ -39,7 +40,7 @@ def _assert_norms_agree(pair, fam, rel):
     got = norms._solve(fam, None, 1e-12, route="family").value
     assert abs(got - want) <= rel * max(1.0, want), (got, want)
     one = np.ones(1, dtype=np.int64)
-    assert norms._congruence_matrix(fam, one, one)[0, 0] == len(fam.members())
+    assert norms._congruence_sum(one, one, fam.terms)[0, 0] == len(fam.members())
 
 
 @PROPERTY
@@ -76,3 +77,24 @@ def test_rational_pair_side_equals_family_side(Q, N):
     assert pair.index == family.index
     assert _rel_diff(pair.matrix, family.matrix) <= 1e-9
     _assert_norms_agree(pair, norms._rational(Q, N), 1e-9)
+
+
+# a term (g, d, c, s): d | g, an integer or half weight c, s = +-1
+terms = st.lists(st.tuples(st.integers(1, 40), st.integers(1, 4), st.integers(-40, 40),
+                           st.sampled_from([1, -1]))
+                 .map(lambda t: (t[0] * t[1], t[0], t[2] / 2, t[3])), max_size=12)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(ab=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 300)), min_size=1, max_size=24),
+       terms=terms, block=st.integers(1, 8), dense_phi=st.sampled_from([0, 4, 16, 10**6]))
+def test_congruence_sum_equals_its_loops(ab, terms, block, dense_phi):
+    # a chunk of block columns can be narrower than one term (phi(d) <= 16);
+    # dense_phi sends every term to the matched pairs, splits them, or sends
+    # all to the product
+    a, b = np.array(ab, dtype=np.int64).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_PRODUCT_BLOCK", block * len(a))
+        mp.setattr(norms, "_DENSE_PHI", dense_phi)
+        got = norms._congruence_sum(a, b, terms)
+    assert np.array_equal(got, _congruence_sum_by_loops(terms, a, b))

@@ -92,9 +92,10 @@ def test_rational_gram_oracle():
         assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-8, (Q, N)
 
 
-# a and b need not be coprime; with _PRODUCT_BLOCK = 3n a few columns per
-# chunk make the product accumulate over many chunks, with blocks split
-# across chunk edges, and the matched pairs come in slices of three rows
+# a and b need not be coprime; with _PRODUCT_BLOCK = 3n a chunk holds the
+# whole terms that fill its three columns, so the product accumulates over
+# many chunks, some wider than three columns by part of a term, and the
+# matched pairs come in slices of three rows
 _RNG = np.random.default_rng(7)
 _A = _RNG.integers(1, 60, 24)
 _B = _RNG.integers(1, 60, 24)
@@ -104,15 +105,15 @@ _MODULI = [(1,), (4, 8, 9), (12, 16, 18, 27), tuple(range(1, 13))]
 _DENSE = pytest.mark.parametrize("dense_phi", [0, 4, 10**6], ids=["pairs", "mixed", "product"])
 
 
-def _congruence_sum_by_loops(terms):
+def _congruence_sum_by_loops(terms, a=_A, b=_B):
     """The docstring of norms._congruence_sum, term by term."""
-    n = len(_A)
-    S = np.zeros((n, n), dtype=np.int64)
+    n = len(a)
+    S = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             for g, d, c, s in terms:
-                if (math.gcd(int(_A[i] * _B[i] * _A[j] * _B[j]), g) == 1
-                        and (_A[i] * _B[j] - s * _A[j] * _B[i]) % d == 0):
+                if (math.gcd(int(a[i] * b[i] * a[j] * b[j]), g) == 1
+                        and (int(a[i] * b[j]) - s * int(a[j] * b[i])) % d == 0):
                     S[i, j] += c
     return S
 
@@ -169,19 +170,22 @@ def _pair_side_by_loops(moduli, weight, k, parity):
 def test_congruence_terms_match_their_definition(moduli, k, parity, weight, dense_phi,
                                                  monkeypatch):
     # the family's terms, with the twist joined by CRT and the parity as
-    # s = -1 terms, against the twist and the parity taken separately
+    # half weights on the terms and their s = -1 twins, against the twist
+    # and the parity taken separately: the congruence sum is the whole
+    # pair side, with no pass after it
     moduli = tuple(q for q in moduli if math.gcd(q, k) == 1)
     monkeypatch.setattr(norms, "_PRODUCT_BLOCK", 3 * len(_A))
     monkeypatch.setattr(norms, "_DENSE_PHI", dense_phi)
-    fam = norms._Family(_A, _B, norms._congruence_terms(moduli, weight, k, parity), None, parity)
-    got = norms._congruence_matrix(fam, _A, _B)
+    got = norms._congruence_sum(_A, _B, norms._congruence_terms(moduli, weight, k, parity))
     assert np.array_equal(got, _pair_side_by_loops(moduli, weight, k, parity))
 
 
 def test_congruence_sum_refuses_weights_past_exact_float64():
+    # the partial sums are multiples of 1/2, exact below 2^52
     one = np.ones(1, dtype=np.int64)
+    assert norms._congruence_sum(one, one, [(1, 1, 2**52 - 0.5, 1)])[0, 0] == 2**52 - 0.5
     with pytest.raises(ValueError, match="exact"):
-        norms._congruence_sum(one, one, [(1, 1, 2**53, 1)])
+        norms._congruence_sum(one, one, [(1, 1, 2**52, 1)])
 
 
 # ----------------------------------------------------------------------
@@ -614,6 +618,53 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
     assert delta_rational(1, 500).value >= len(rationals_up_to(500))
 
 
+_PUBLIC_GRAMS = {
+    "rational": (lambda: gram_rational(12, 200), len(rationals_up_to(200))),
+    "additive": (lambda: gram_additive(150, 500), len(enumerate_pairs(500))),
+    "multiplicative": (lambda: gram_multiplicative(FamilySpec(12.0, 3, 4.0, "odd"),
+                                                   enumerate_pairs(400)), len(enumerate_pairs(400))),
+    "bruteforce": (lambda: gram_bruteforce(FamilySpec(6.0, 2, 2.0), enumerate_pairs(300), 96),
+                   len(enumerate_pairs(300))),
+    "rational-bruteforce": (lambda: gram_rational_bruteforce(12, 100), len(rationals_up_to(100))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_PUBLIC_GRAMS))
+def test_public_grams_refuse_an_oversized_job(kind, monkeypatch):
+    # the public builders and oracles refuse with the estimate before they
+    # allocate: with the cap lowered to 1 MiB, the matrices and member
+    # values below are never built
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", 1 << 20)
+
+    def built(*args):
+        raise AssertionError("a Gram was built past the cap")
+
+    monkeypatch.setattr(norms, "_pair_gram", built)
+    monkeypatch.setattr(norms, "_member_matrix", built)
+    build, n = _PUBLIC_GRAMS[kind]
+    with pytest.raises(ValueError, match=f"the Gram on {n} indices needs an estimated "
+                                         "[\\d.]+ MiB, over the 1.0 MiB cap"):
+        build()
+
+
+@pytest.mark.parametrize("kind", list(_PUBLIC_GRAMS))
+def test_public_gram_estimates_cover_the_measured_peak(kind, monkeypatch):
+    needs = []
+    check = norms._check_bytes
+
+    def record(what, need, cap):
+        needs.append((what, need))
+        check(what, need, cap)
+
+    monkeypatch.setattr(norms, "_check_bytes", record)
+    build, n = _PUBLIC_GRAMS[kind]
+    build()  # fills the caches of characters and divisors first
+    needs.clear()
+    peak = _traced_peak(build)
+    need, = [need for what, need in needs if what == f"Gram on {n} indices"]
+    assert 8 * n * n <= peak <= need, (peak / (n * n), need / (n * n))
+
+
 @pytest.mark.parametrize("call,what", [
     pytest.param(lambda: delta_add(1e9, 10), "term list of Q = 1e\\+09", id="additive-Q-1e9"),
     pytest.param(lambda: delta_rational(2, 1e8), "index of height <= 100000000",
@@ -824,7 +875,7 @@ def test_windowed_pair_gram_is_real_and_exactly_symmetric(spec):
     M = norms._pair_gram(fam)
     assert M.dtype == np.float64
     assert np.array_equal(M, M.T)
-    assert np.array_equal(M.diagonal(), norms._congruence_matrix(fam, fam.a, fam.b).diagonal()
+    assert np.array_equal(M.diagonal(), norms._congruence_sum(fam.a, fam.b, fam.terms).diagonal()
                           * (spec.T / 2))
 
 

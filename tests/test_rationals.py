@@ -4,16 +4,20 @@ property of reduction."""
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sievelab.arith import omega
 from sievelab.characters import char_group, rational_eval
 from sievelab.rationals import (
+    CoprimePair,
     Ht,
     RationalPoint,
+    _coprime_pairs,
     as_point,
     enumerate_pairs,
     ht,
@@ -67,6 +71,55 @@ def test_non_finite_heights_are_refused():
                       lambda: rationals_up_to(N)):
             with pytest.raises(ValueError, match="finite"):
                 build()
+
+
+def test_point_views_refuse_past_the_cap_before_building(monkeypatch, capsys):
+    # each object view of an index refuses once _POINT_BYTES an object
+    # passes the cap, after the int64 index and before any object
+    from sievelab import cli, rationals
+    from sievelab.norms import _rational
+    from sievelab.sieve_apps import SievePlan, sifted_set
+
+    built = []
+    for cls in (CoprimePair, RationalPoint):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+    full, dyadic = (len(rationals._coprime_pairs(3000, w)[0]) for w in ("full", "dyadic"))
+    for view, count in [(lambda: enumerate_pairs(3000), dyadic),
+                        (lambda: rationals_up_to(3000), full),
+                        (lambda: rationals_up_to(3000, sign=True), 2 * full),
+                        (lambda: sifted_set(SievePlan(3000, {})), full),
+                        (lambda: _rational(1, 3000).index, full)]:
+        cap = rationals._POINT_BYTES * count - 1
+        assert 40 * 3000 * (1 + math.log(3000)) <= cap  # the index itself fits
+        monkeypatch.setattr(rationals, "_ROUTE_BYTES", cap)
+        with pytest.raises(ValueError, match=f"the list of {count} point objects needs an "
+                                             f"estimated [\\d.]+ MiB, over the "):
+            view()
+    # the CLI paths that reach a view exit 2 with the estimate
+    assert cli.run(["bdh", "-X", "3000", "-Q", "4", "--trials", "1"]) == 2
+    assert cli.run(["sieve", "-N", "3000", "-Q", "4", "--trials", "1"]) == 2
+    assert capsys.readouterr().err.count(f"list of {full} point objects") == 2
+    assert built == []
+
+
+def test_point_estimate_covers_the_measured_peak():
+    # the worst case: every coordinate past the small-int cache, so each
+    # object holds ints of its own, and a sign column; (a + M b, b + M a')
+    # stays coprime
+    from sievelab.rationals import _POINT_BYTES, _points
+
+    a, b = _coprime_pairs(20000)
+    a = a + 10**6 * b
+    b = b + 10**6 * a
+    sign = np.ones(len(a), dtype=np.int64)
+    for point, columns in [(CoprimePair, (a, b)), (RationalPoint, (a, b, sign))]:
+        tracemalloc.start()
+        try:
+            _points(point, *columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 100 * len(a) <= peak <= _POINT_BYTES * len(a), peak / len(a)
 
 
 def test_enumeration_order_is_a_major_then_b():
