@@ -33,9 +33,9 @@ factor phi(k)), and a parity eps = +-1, the projector
 eps c/2.  One exact routine, `_congruence_sum`, evaluates every list into
 the whole pair side, a float64 matrix of multiples of 1/2 below 2^52:
 residue-indicator products for small phi(d), matched residues for the rest.
-Either route and each public Gram builder refuses a job whose size
-estimate passes _ROUTE_BYTES, and so does the index, from N alone, and the
-term list, from Q alone, before anything is built.
+Either route, each public Gram builder and `additive_matrix` refuse a job
+whose size estimate passes _ROUTE_BYTES, and so does the index, from N
+alone, and the term list, from Q alone, before anything is built.
 
 Every family holds its index as the int64 arrays a, b of `rationals`
 with L = log(a/b), and reduces it there (`_reduce`); neither route
@@ -49,23 +49,32 @@ of I_T factors out as d_n conj(d_m), d = e^{3iTL/4}, so the Hermitian
 Gram S I_T is D (S o K) D^H for the unitary D = diag(d), with the same
 spectrum; only `gram_multiplicative` forms it.
 
-The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`).  It
-runs in its input's dtype, real for a real symmetric matrix and complex
-otherwise, from a start vector the seed fixes for each dtype.  Its value
-is a Rayleigh quotient (a lower bound up to rounding) capped by a true
-upper bound.  Past _PAIR_ROUTE_MAX indices a family whose
-members x nodes are fewer than its indices takes the family side.  There
-the coefficient matrix is the row-wise Khatri-Rao product A = V o P of
-the member values V (`_member_matrix`, through the reduction map
-a/b -> a bbar mod m) and the phases P of Gauss-Legendre quadrature of I_T
-for a window (P = 1 for the exact additive and rational families), and
-Delta = ||A||^2 is the top eigenvalue of H = A^H A, whose nonzero
-spectrum is that of A A^H = (V V^H) o (P P^H), the pair side's.  The
-solver applies H as x -> A^H (A x) (`_KhatriRao`) and forms neither A
+Every Delta builds its family once, index arrays and term list, and hands
+it to the route rule (`_solve`), which builds the operator of the route it
+takes from that family alone; no Delta builds a GramMatrix or a point
+object.  The public `gram_*` builders return matrices for their callers
+(the verify suites, the oracles, the tests); the Delta path does not use
+them.
+
+The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`), which
+reads one contract: `shape`, `dtype`, `@` and `bounds()` (the diagonal,
+the all-ones form and a true upper bound).  A plain matrix has no
+`bounds()` and gets them from its entries.  It runs in the dtype, real for
+a real symmetric matrix and complex otherwise, from a start vector the
+seed fixes for each dtype.  Its value is a Rayleigh quotient (a lower
+bound up to rounding) capped by the upper bound.  Past _PAIR_ROUTE_MAX
+indices a family whose members x nodes are fewer than its indices takes
+the family side.  There the coefficient matrix is the row-wise Khatri-Rao
+product A = V o P of the member values V (`_member_matrix`, through the
+reduction map a/b -> a bbar mod m) and the phases P of Gauss-Legendre
+quadrature of I_T for a window (P = 1 for the exact additive and rational
+families), and Delta = ||A||^2 is the top eigenvalue of H = A^H A, whose
+nonzero spectrum is that of A A^H = (V V^H) o (P P^H), the pair side's.
+The solver applies H as x -> A^H (A x) (`_KhatriRao`) and forms neither A
 nor H, so the family side holds O(n (members + nodes)) numbers plus the
 Lanczos basis.  The two sides share the definition of a family, stated
-once as data (`_Family`), and no arithmetic, so each is the other's
-oracle in the tests.
+once as data (`_Family`), and no arithmetic, so each is the other's oracle
+in the tests.
 """
 
 import struct
@@ -170,8 +179,10 @@ def family_members(spec):
 
 def _window(L, T):
     """(T/2) sinc(LT/4), the real factor of I_T(L); even in L, and exactly
-    T/2 at L = 0."""
-    return (T / 2) * np.sinc(L * (T / (4 * np.pi)))
+    T/2 at L = 0.  A window past the float64 range gives NaN without a
+    warning; the solver refuses the non-finite entries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (T / 2) * np.sinc(L * (T / (4 * np.pi)))
 
 
 def t_integral(L, T):
@@ -482,7 +493,10 @@ class _KhatriRao:
     each temporary is one block.  `bounds()` gives the exact diagonal
     sum_n |V[n, f]|^2 |P[n, j]|^2, the all-ones form ||A 1||^2 and the
     upper bound min(||A||_F^2, ||A||_1 ||A||_inf) on ||A||^2 =
-    lambda_max(H).  Raises ValueError on non-finite V or P."""
+    lambda_max(H); with `shape` and the complex `dtype`, the contract of
+    `top_eigenvalue`.  Raises ValueError on non-finite V or P."""
+
+    dtype = np.dtype(np.complex128)
 
     def __init__(self, V, P):
         if not (np.isfinite(V).all() and np.isfinite(P).all()):
@@ -543,10 +557,19 @@ def additive_matrix(Q, N):
     """The additive family's coefficient matrix: rows (q, t) with
     Q/2 < q <= Q and t primitive mod q (t = 0 counts as primitive for
     q = 1), columns the dyadic-window pairs; entries e_q(t a bbar) gated
-    on gcd(ab, q) = 1."""
+    on gcd(ab, q) = 1.  ValueError, before the rows, the member tables or
+    V are built, when their estimate on the n indices and the
+    F = sum phi(q) members passes _ROUTE_BYTES."""
     fam = _additive(Q, N)
+    moduli = _moduli(Q)
+    n, F = len(fam.a), sum(map(totient, moduli))
+    # V, 16 bytes an entry; each member's table of q <= Q values and its
+    # row (q, t); each index's point object, its residues and unit masks
+    # (9 bytes a modulus) and the row temporaries of `_member_matrix`
+    need = 16 * n * F + (16 * Q + 400) * F + (_POINT_BYTES + 9 * len(moduli) + 64) * n
+    _check_bytes(f"additive matrix on {n} indices x {F} members", need, _ROUTE_BYTES)
     V = _member_matrix(fam.members(), fam.a, fam.b)
-    return _additive_rows(_moduli(Q)), fam.index, V.T
+    return _additive_rows(moduli), fam.index, V.T
 
 
 def gram_rational_bruteforce(Q, N):
@@ -585,25 +608,30 @@ def _grown(a, shape):
 
 
 def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
-    """Largest eigenvalue of a Hermitian matrix, or of the operator
-    H = A^H A of a `_KhatriRao`, as a NormEstimate.
+    """Largest eigenvalue of a Hermitian operator G, as a NormEstimate.
+
+    G meets one contract: `shape` (n, n), `dtype`, `G @ x` and `bounds()`,
+    which returns the diagonal, the all-ones form 1^H G 1 and a true upper
+    bound on lambda_max, as `_KhatriRao` does for H = A^H A.  An ndarray or
+    a GramMatrix, which has no `bounds()`, is solved as its matrix with
+    `_dense_bounds`: the Gershgorin bound max_i sum_j |G[i, j]|, after the
+    checks that its entries are finite and Hermitian.
 
     Lanczos with full reorthogonalization from a deterministic seeded start
-    (boosted at the largest diagonal entry).  The solve runs in the
-    arithmetic of its input: a real symmetric matrix gets a real start
-    vector, the first standard-normal draw of the seed, and a float64
-    basis; a complex matrix or the operator gets the start vector whose
-    real part is that draw and whose imaginary part is the next, and a
-    complex128 basis.  The tridiagonal T of the Lanczos coefficients is one
-    float64 array that grows by doubling with the basis.  It stops once the
-    top Ritz pair's residual |beta_j s_j| / max(|theta|, 1) is at most tol,
-    on Krylov breakdown, or after min(n, max_iter) steps.  The reported
-    value is the Rayleigh quotient rho = y^H G y of the unit Ritz vector y,
-    taken with one more matvec, so up to rounding it is a lower bound on
-    lambda_max.  It is raised to the floors max_i G[i, i] and 1^H G 1 / n
-    (the Rayleigh quotients of the coordinate and all-ones vectors) and
-    capped by a true upper bound: for a matrix the Gershgorin bound
-    max_i sum_j |G[i, j]|, for the operator min(||A||_F^2, ||A||_1 ||A||_inf).
+    (boosted at the largest diagonal entry).  The dtype sets the
+    arithmetic: a real dtype gets a real start vector, the first
+    standard-normal draw of the seed, and a float64 basis; a complex dtype
+    gets the start vector whose real part is that draw and whose imaginary
+    part is the next, and a complex128 basis.  The tridiagonal T of the
+    Lanczos coefficients is one float64 array that grows by doubling with
+    the basis.  It stops once the top Ritz pair's residual
+    |beta_j s_j| / max(|theta|, 1) is at most tol, on Krylov breakdown, or
+    after min(n, max_iter) steps.  The reported value is the Rayleigh
+    quotient rho = y^H G y of the unit Ritz vector y, taken with one more
+    matvec, so up to rounding it is a lower bound on lambda_max.  It is
+    raised to the floors max_i G[i, i] and 1^H G 1 / n (the Rayleigh
+    quotients of the coordinate and all-ones vectors) and capped by the
+    upper bound of `bounds()`.
 
     `residual` is ||G y - rho y|| / max(|rho|, 1).  For Hermitian G it
     bounds the distance from rho to *some* eigenvalue, not necessarily to
@@ -611,52 +639,53 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     non-square, non-finite or non-Hermitian matrix, on a non-finite or
     negative tol, and when the Rayleigh quotient or the residual overflows
     (entries near the float64 range); the solve stops at the first
-    non-finite beta.
+    non-finite beta, and the overflows on the way raise no warning.
     """
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    operator = isinstance(G, _KhatriRao)
-    M = G if operator else G.matrix if isinstance(G, GramMatrix) else np.asarray(G)
+    M = G.matrix if isinstance(G, GramMatrix) else G
+    if not hasattr(M, "bounds"):
+        M = np.asarray(M)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
     if n == 0:
         return NormEstimate(0.0, 0.0, 0, "lanczos")
-    diag, total, ceiling = G.bounds() if operator else _dense_bounds(M)
+    diag, total, ceiling = M.bounds() if hasattr(M, "bounds") else _dense_bounds(M)
     floor = max(float(diag.max()), total / n)
 
-    real = not (operator or np.iscomplexobj(M))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
-    if not real:
+    if np.iscomplexobj(M):
         v = v + 1j * rng.standard_normal(n)
     v[int(np.argmax(diag))] += 2.0 * np.abs(v).max()
     steps = max(1, min(n, int(max_iter)))
     basis = np.empty((min(steps, 32), n), dtype=v.dtype)
     T = np.zeros((len(basis),) * 2)
     basis[0] = v / np.linalg.norm(v)
-    for j in range(steps):
-        w = M @ basis[j]
-        T[j, j] = np.vdot(basis[j], w).real
-        for _ in range(2):  # classical Gram-Schmidt, twice, conjugating no basis row
-            w -= np.conj(basis[: j + 1] @ w.conj()) @ basis[: j + 1]
-        b = float(np.linalg.norm(w))
-        theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
-        ritz_res = b * abs(S[-1, -1]) / max(abs(theta[-1]), 1.0)
-        if (ritz_res <= tol or b <= np.finfo(np.float64).eps * ceiling or j + 1 == steps
-                or not isfinite(b)):
-            break
-        if j + 1 == len(basis):  # grow the basis and T by doubling, never past n rows
-            rows = min(2 * len(basis), steps)
-            basis, T = _grown(basis, (rows, n)), _grown(T, (rows, rows))
-        basis[j + 1] = w / b
-        T[j, j + 1] = T[j + 1, j] = b
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
+        for j in range(steps):
+            w = M @ basis[j]
+            T[j, j] = np.vdot(basis[j], w).real
+            for _ in range(2):  # classical Gram-Schmidt, twice, conjugating no basis row
+                w -= np.conj(basis[: j + 1] @ w.conj()) @ basis[: j + 1]
+            b = float(np.linalg.norm(w))
+            theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+            ritz_res = b * abs(S[-1, -1]) / max(abs(theta[-1]), 1.0)
+            if (ritz_res <= tol or b <= np.finfo(np.float64).eps * ceiling or j + 1 == steps
+                    or not isfinite(b)):
+                break
+            if j + 1 == len(basis):  # grow the basis and T by doubling, never past n rows
+                rows = min(2 * len(basis), steps)
+                basis, T = _grown(basis, (rows, n)), _grown(T, (rows, rows))
+            basis[j + 1] = w / b
+            T[j, j + 1] = T[j + 1, j] = b
 
-    y = S[:, -1] @ basis[: j + 1]
-    y /= np.linalg.norm(y)
-    Gy = M @ y
-    rho = float(np.vdot(y, Gy).real)
-    res = float(np.linalg.norm(Gy - rho * y)) / max(abs(rho), 1.0)
+        y = S[:, -1] @ basis[: j + 1]
+        y /= np.linalg.norm(y)
+        Gy = M @ y
+        rho = float(np.vdot(y, Gy).real)
+        res = float(np.linalg.norm(Gy - rho * y)) / max(abs(rho), 1.0)
     if not (isfinite(rho) and isfinite(res)):
         raise ValueError("the Lanczos solve overflowed: its Rayleigh quotient or residual "
                          "is not finite")
@@ -700,17 +729,19 @@ def _family_route_bytes(n, F, nodes, rows):
             + max(8 * b * (F + nodes + 6), solve))
 
 
-def _solve(fam, gram, tol, route="auto"):
-    """The one route rule.  "pairs" solves gram(), the pair-side matrix or
-    a Gram of its spectrum; "family" solves H = A^H A for A the
-    `_KhatriRao` operator of the member values V (rows the index, columns
-    the members) and the phases P (rows the index, columns the quadrature
-    nodes), never formed; its nonzero
-    spectrum is the pair side's up to the quadrature of I_T.  "auto" takes
-    the family side past _PAIR_ROUTE_MAX indices when members x nodes <
-    indices, counting the members as S at the index 1/1, where every member
-    is 1.  Either route first raises ValueError when its size estimate, at
-    the deepest Lanczos basis on the family side, passes _ROUTE_BYTES.  The
+def _solve(fam, tol, route="auto"):
+    """The one route rule: every Delta hands it its family, built once, and
+    it builds the operator of the route it takes from that family alone.
+    "pairs" solves the real symmetric pair-side matrix `_pair_gram(fam)`;
+    "family" solves H = A^H A for A the `_KhatriRao` operator of the member
+    values V (rows the index, columns the members) and the phases P (rows
+    the index, columns the quadrature nodes), never formed; its nonzero
+    spectrum is the pair side's up to the quadrature of I_T.  No route
+    builds a `GramMatrix` or a point object.  "auto" takes the family side
+    past _PAIR_ROUTE_MAX indices when members x nodes < indices, counting
+    the members F as S at the index 1/1, where every member is 1.  Either
+    route first raises ValueError when its size estimate, at the deepest
+    Lanczos basis on the family side, passes _ROUTE_BYTES.  The
     NormEstimate records the route that ran."""
     n = len(fam.a)
     Lmax = float(np.abs(fam.L).max(initial=0.0))
@@ -719,8 +750,7 @@ def _solve(fam, gram, tol, route="auto"):
     # overflowing Lmax T stays refused and never reaches int(inf)
     nodes = 1 if fam.T is None else max(48, int(min(Lmax * fam.T / 2, _ROUTE_BYTES)) + 40)
     one = np.ones(1, dtype=np.int64)
-    count = n > _PAIR_ROUTE_MAX or route == "family"
-    F = int(_congruence_sum(one, one, fam.terms)[0, 0]) if count else 0
+    F = int(_congruence_sum(one, one, fam.terms)[0, 0])
     if route == "auto":
         route = "family" if n > _PAIR_ROUTE_MAX and F * nodes < n else "pairs"
     if route == "pairs":
@@ -730,11 +760,11 @@ def _solve(fam, gram, tol, route="auto"):
         need = _family_route_bytes(n, F, nodes, min(F * nodes, _MAX_ITER))
     _check_bytes(f"{route} route on {sizes}", need, _ROUTE_BYTES)
     if route == "pairs":
-        est = top_eigenvalue(gram(), tol=tol)
-    else:
+        operator = _pair_gram(fam)
+    else:  # P before V: its outer-product temporary then has no V beside it
         P = _phase_matrix(fam.L, fam.T, nodes)
-        est = top_eigenvalue(_KhatriRao(_member_matrix(fam.members(), fam.a, fam.b), P), tol=tol)
-    return replace(est, route=route)
+        operator = _KhatriRao(_member_matrix(fam.members(), fam.a, fam.b), P)
+    return replace(top_eigenvalue(operator, tol=tol), route=route)
 
 
 def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):
@@ -744,21 +774,20 @@ def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):
     if route not in _ROUTES:
         raise ValueError(f"route must be one of {_ROUTES}, got {route!r}")
     spec = FamilySpec(Q, k, T, parity)
-    fam = _multiplicative(spec, *_coprime_pairs(N, "dyadic"))
-    return _solve(fam, lambda: _pair_gram(fam), tol, route)
+    return _solve(_multiplicative(spec, *_coprime_pairs(N, "dyadic")), tol, route)
 
 
 def delta_add(Q, N, tol=1e-9):
     """Additive-family norm (Ramanujan-sum Gram) on the dyadic window."""
     FamilySpec(Q)
-    return _solve(_additive(Q, N), lambda: gram_additive(Q, N), tol)
+    return _solve(_additive(Q, N), tol)
 
 
 def delta_rational(Q, N, tol=1e-9):
     """Rational-family norm: all q <= Q, primitive characters, columns the
     positive rationals with ht <= N."""
     FamilySpec(Q)
-    return _solve(_rational(Q, N), lambda: gram_rational(Q, N), tol)
+    return _solve(_rational(Q, N), tol)
 
 
 # ----------------------------------------------------------------------

@@ -74,15 +74,22 @@ class SievePlan:
         return Fraction(w, p - w)
 
 
-def sifted_set(plan):
-    """All positive rationals of ht <= N avoiding Omega_p at every plan
-    prime where v_p(n) = 0 (the unit mask of the reduction mod p)."""
+def _sift(plan):
+    """The sifted set as int64 arrays (a, b): the coprime pairs of ab <= N
+    whose reduction mod each plan prime p misses Omega_p where it is a unit
+    (v_p(a/b) = 0)."""
     a, b = _coprime_pairs(plan.N)
     keep = np.ones(len(a), dtype=bool)
     for p, forbidden in plan.omega.items():
         red, unit = _reduce(a, b, p)
         keep &= ~(unit & np.isin(red, sorted(forbidden)))
-    return _points(RationalPoint, a[keep], b[keep])
+    return a[keep], b[keep]
+
+
+def sifted_set(plan):
+    """All positive rationals of ht <= N avoiding Omega_p at every plan
+    prime where v_p(n) = 0 (the unit mask of the reduction mod p)."""
+    return _points(RationalPoint, *_sift(plan))
 
 
 def big_H(Q, plan):
@@ -112,12 +119,13 @@ class SiftedReport:
 
 
 def sieve_inequality_report(plan, Q, tol=1e-9):
-    """|S|, H, Delta_rational(Q, N) and the ratio |S| H / Delta.  The ratio
-    is soft-asserted <= 1 + 1e-6: a violation prints a prominent diagnostic
+    """|S|, H, Delta_rational(Q, N) and the ratio |S| H / Delta.  |S| is
+    counted on the index arrays; no point object is built.  The ratio is
+    soft-asserted <= 1 + 1e-6: a violation prints a prominent diagnostic
     and flags the report, it does not raise."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    size = len(sifted_set(plan))
+    size = len(_sift(plan)[0])
     H = big_H(Q, plan)
     dl = delta_rational(Q, plan.N, tol=tol).value
     ratio = float(size * H) / dl if dl > 0 else 0.0

@@ -97,6 +97,7 @@ def test_norm_rational_family_exact_count(capsys):
     assert float(rows[0]["value"]) == float(len(rationals_up_to(20)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("T", ["1e200", "1e308"])
 def test_norm_with_an_overflowing_window_exits_2(T, capsys):
     # 1e200 overflowed the Lanczos norms and printed "nan"; 1e308 raised

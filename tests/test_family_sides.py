@@ -37,7 +37,7 @@ def _assert_norms_agree(pair, fam, rel):
     member count, the congruence sum at the index 1/1, is the number of
     members."""
     want = norms.top_eigenvalue(pair, tol=1e-12).value
-    got = norms._solve(fam, None, 1e-12, route="family").value
+    got = norms._solve(fam, 1e-12, route="family").value
     assert abs(got - want) <= rel * max(1.0, want), (got, want)
     one = np.ones(1, dtype=np.int64)
     assert norms._congruence_sum(one, one, fam.terms)[0, 0] == len(fam.members())

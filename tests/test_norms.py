@@ -233,9 +233,8 @@ def test_discrete_grams_are_real_exact_congruence_sums(family, Q, N):
 def test_discrete_norms_agree_across_routes(family, Q, N):
     # delta_add and delta_rational take no route argument: the one route
     # rule is called with each route in turn
-    build, gram = _DISCRETE[family]
-    pairs, fam = (norms._solve(build(Q, N), lambda: gram(Q, N), 1e-9, route)
-                  for route in ("pairs", "family"))
+    build, _ = _DISCRETE[family]
+    pairs, fam = (norms._solve(build(Q, N), 1e-9, route) for route in ("pairs", "family"))
     assert (pairs.route, fam.route) == ("pairs", "family")
     assert abs(pairs.value - fam.value) <= 1e-9 * pairs.value, (pairs, fam)
     norm = delta_add if family == "additive" else delta_rational
@@ -375,6 +374,30 @@ def test_top_eigenvalue_matches_eigvalsh_on_random_real_symmetric(n, kind):
     assert est.residual <= 1e-9
 
 
+class _Operator:
+    """A matrix behind the solver's contract alone: shape, dtype, @ and
+    bounds(); it records the dtype of every vector it is applied to."""
+
+    def __init__(self, M):
+        self.shape, self.dtype = M.shape, M.dtype
+        self.bounds = functools.partial(norms._dense_bounds, M)
+        self.matrix, self.applied_to = M, set()
+
+    def __matmul__(self, x):
+        self.applied_to.add(x.dtype)
+        return self.matrix @ x
+
+
+@pytest.mark.parametrize("M,basis", [(_random_symmetric(300, "indefinite", seed=4), np.float64),
+                                     (_random_psd(300, "wishart", seed=4), np.complex128)])
+def test_top_eigenvalue_reads_one_operator_contract(M, basis):
+    # an operator that is no ndarray, GramMatrix or _KhatriRao gets the
+    # same solve as its bare matrix, in the arithmetic its dtype names
+    op = _Operator(M)
+    assert top_eigenvalue(op) == top_eigenvalue(M)
+    assert op.applied_to == {np.dtype(basis)}
+
+
 def test_top_eigenvalue_rejects_real_non_symmetric():
     with pytest.raises(ValueError, match="not Hermitian"):
         top_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -427,6 +450,7 @@ def test_top_eigenvalue_rejects_non_finite():
             top_eigenvalue(np.eye(3), tol=tol)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_top_eigenvalue_rejects_an_overflowing_solve():
     # finite entries whose Lanczos norms overflow give a ValueError, not a
     # NaN value; delta reached them from T near 1e155
@@ -546,10 +570,9 @@ def test_rational_and_additive_norms_take_the_family_side_past_the_cutoff(monkey
     def pair_side(*args):
         raise AssertionError("the pair-side Gram was built past the cutoff")
 
-    # with the pair-side builders raising, the norms can only come from
-    # the family side
-    for name in cases:
-        monkeypatch.setattr(norms, name, pair_side)
+    # with the pair-side matrix raising, the norms can only come from the
+    # family side
+    monkeypatch.setattr(norms, "_pair_gram", pair_side)
     for name, (norm, Q, N) in cases.items():
         got = norm(Q, N).value
         assert abs(got - want[name]) <= 1e-12 * want[name], (name, got, want[name])
@@ -583,8 +606,7 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
     def pair_side(*args):
         raise AssertionError("the pair-side Gram was built")
 
-    monkeypatch.setattr(norms, "gram_additive", pair_side)
-    monkeypatch.setattr(norms, "gram_rational", pair_side)
+    monkeypatch.setattr(norms, "_pair_gram", pair_side)
     n = len(enumerate_pairs(20, "dyadic", 1))
     assert n > norms._PAIR_ROUTE_MAX
     assert delta_add(1, 20).value == n
@@ -663,6 +685,48 @@ def test_public_gram_estimates_cover_the_measured_peak(kind, monkeypatch):
     peak = _traced_peak(build)
     need, = [need for what, need in needs if what == f"Gram on {n} indices"]
     assert 8 * n * n <= peak <= need, (peak / (n * n), need / (n * n))
+
+
+def _additive_sizes(Q, N):
+    """n indices and F = sum phi(q) members of the additive family."""
+    return len(enumerate_pairs(N)), sum(totient(q) for q in range(int(Q / 2) + 1, int(Q) + 1))
+
+
+def test_additive_matrix_refuses_an_oversized_job(monkeypatch):
+    # the public coefficient matrix refuses with its estimate before the
+    # rows, the member tables or V exist
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", 1 << 20)
+
+    def built(*args):
+        raise AssertionError("the additive matrix was built past the cap")
+
+    monkeypatch.setattr(norms, "_member_matrix", built)
+    monkeypatch.setattr(norms, "_additive_rows", built)
+    n, F = _additive_sizes(150, 500)
+    with pytest.raises(ValueError, match=f"the additive matrix on {n} indices x {F} members "
+                                         "needs an estimated [\\d.]+ MiB, over the 1.0 MiB cap"):
+        additive_matrix(150, 500)
+
+
+@pytest.mark.parametrize("Q,N", [(150, 500), (200, 100), (40, 2000), (2, 3000)])
+def test_additive_matrix_estimate_covers_the_measured_peak(Q, N, monkeypatch):
+    # V dominates at (150, 500) and (40, 2000), the member tables at
+    # (200, 100) and the index at (2, 3000)
+    needs = []
+    check = norms._check_bytes
+
+    def record(what, need, cap):
+        needs.append((what, need))
+        check(what, need, cap)
+
+    monkeypatch.setattr(norms, "_check_bytes", record)
+    additive_matrix(Q, N)  # fills the caches of divisors first
+    needs.clear()
+    peak = _traced_peak(lambda: additive_matrix(Q, N))
+    n, F = _additive_sizes(Q, N)
+    what = f"additive matrix on {n} indices x {F} members"
+    need, = [need for w, need in needs if w == what]
+    assert 16 * n * F <= peak <= need, (peak, need)
 
 
 @pytest.mark.parametrize("call,what", [
@@ -759,20 +823,23 @@ def test_family_gram_is_the_entrywise_A_AH(kind):
 
 def test_family_route_builds_no_point_objects(monkeypatch):
     # the index stays int64 arrays from enumeration through the solve, on
-    # the family route and on delta's pair route (70 indices at N = 40)
+    # the family route and on the pair route of every family
     built = []
     for cls in (CoprimePair, RationalPoint):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
     assert delta(12.0, 1, 4.0, 1000.0).route == "family"
     assert delta_rational(12, 600).route == "family"
     assert delta(4.0, 1, 1.0, 40.0).route == "pairs"
+    assert delta_add(12, 300).route == "pairs"
+    assert delta_rational(12, 200).route == "pairs"
     assert built == []
 
 
 def test_pair_route_builds_the_index_once(monkeypatch):
-    # delta enumerates its dyadic index once and hands the arrays to one
-    # pair-side matrix; the solve builds no second index or term list
-    calls, sides = [], []
+    # each Delta enumerates its index once and hands the arrays to one
+    # pair-side matrix; the solve builds no second index, term list or
+    # point object
+    calls, sides, built = [], [], []
     enumerate_once, pair_gram = norms._coprime_pairs, norms._pair_gram
 
     def counted_pairs(*args):
@@ -785,10 +852,19 @@ def test_pair_route_builds_the_index_once(monkeypatch):
 
     monkeypatch.setattr(norms, "_coprime_pairs", counted_pairs)
     monkeypatch.setattr(norms, "_pair_gram", counted_gram)
-    assert delta(4.0, 1, 1.0, 40.0).route == "pairs"
-    assert calls == [(40.0, "dyadic")]
-    assert len(sides) == 1
-    assert sides[0].shape == (70, 70)
+    for cls in (CoprimePair, RationalPoint):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+    for norm, args, n in [(lambda: delta(4.0, 1, 1.0, 40.0), (40.0, "dyadic"), 70),
+                          (lambda: delta_add(12, 300), (300, "dyadic"),
+                           len(_coprime_pairs(300, "dyadic")[0])),
+                          (lambda: delta_rational(12, 200), (200,), len(_coprime_pairs(200)[0]))]:
+        calls.clear()
+        sides.clear()
+        assert norm().route == "pairs"
+        assert calls == [args]
+        assert len(sides) == 1
+        assert sides[0].shape == (n, n)
+    assert built == []
 
 
 def test_family_operator_rejects_non_finite():

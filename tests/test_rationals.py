@@ -95,10 +95,11 @@ def test_point_views_refuse_past_the_cap_before_building(monkeypatch, capsys):
         with pytest.raises(ValueError, match=f"the list of {count} point objects needs an "
                                              f"estimated [\\d.]+ MiB, over the "):
             view()
-    # the CLI paths that reach a view exit 2 with the estimate
+    # the CLI path that reaches a view exits 2 with the estimate; the sieve
+    # counts its survivors on the index arrays and reaches none
     assert cli.run(["bdh", "-X", "3000", "-Q", "4", "--trials", "1"]) == 2
-    assert cli.run(["sieve", "-N", "3000", "-Q", "4", "--trials", "1"]) == 2
-    assert capsys.readouterr().err.count(f"list of {full} point objects") == 2
+    assert cli.run(["sieve", "-N", "3000", "-Q", "4", "--trials", "1"]) in (0, 1)
+    assert capsys.readouterr().err.count(f"list of {full} point objects") == 1
     assert built == []
 
 

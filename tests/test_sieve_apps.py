@@ -167,6 +167,17 @@ def test_report_fields_are_consistent():
         assert rep.ok == (rep.ratio <= 1 + 1e-6)
 
 
+def test_report_counts_survivors_without_building_them(monkeypatch):
+    # |S| is the length of the sifted index arrays, and the rational norm
+    # solves on index arrays: the report builds no point object
+    plan = SievePlan(300, {2: {1}, 3: {0, 2}, 7: {1, 2, 4}})
+    want = len(sifted_set(plan))
+    built = []
+    monkeypatch.setattr(RationalPoint, "__post_init__", lambda self: built.append(self))
+    assert sieve_inequality_report(plan, 12).size == want
+    assert built == []
+
+
 # ----------------------------------------------------------------------
 # plan files
 # ----------------------------------------------------------------------
