@@ -424,7 +424,8 @@ def cmd_norm(cfg):
     for (Q, k, T, N), (est, ms) in zip(grid, results):
         records.append(make_record(
             f"norm_{cfg.family}", Q=Q, k=k, T=T, N=N,
-            extra={"method": est.method, "route": est.route, "iterations": est.iterations},
+            extra={"method": est.method, "route": est.route, "size": est.size,
+                   "iterations": est.iterations},
             value=est.value, residual=est.residual, ok=True,
             seed=cfg.seed, millis=ms))
     write_records(records, cfg)
@@ -438,11 +439,16 @@ def cmd_scan(cfg):
     records = []
     values = {}
     for (Q, k, T, N), (est, ms) in zip(grid, results):
-        ratio = est.value / (Q * Q * k * T + N)
+        # against the trivial bound Q^2 k T + N, and against Q^2 k T + n for
+        # the index count n, about (6/pi^2) N log N, which tracks Delta
+        # without the log N drift at fixed Q
+        budget = Q * Q * k * T
         values[(Q, k, T, N)] = est.value
         records.append(make_record(
             f"scan_{cfg.family}", Q=Q, k=k, T=T, N=N,
-            extra={"method": est.method, "ratio_trivial": ratio},
+            extra={"method": est.method, "route": est.route, "size": est.size,
+                   "ratio_trivial": est.value / (budget + N),
+                   "ratio_index": est.value / (budget + est.size)},
             value=est.value, residual=est.residual, ok=True,
             seed=cfg.seed, millis=ms))
 
@@ -480,7 +486,13 @@ _RESIDUE_BYTES = 240
 
 
 def cmd_sieve(cfg):
+    """One report per plan: the plan file's, or an empty-plan control and
+    `trials` random plans.  Delta_rational(Q, N) is solved once for each
+    distinct (Q, N) and its value passed to every report of that (Q, N); the
+    first record of each (Q, N), the control in a random run, carries the
+    solve in its millis."""
     from .arith import primes_in
+    from .norms import delta_rational
     from .rationals import _ROUTE_BYTES, _check_bytes
     from .sieve_apps import SievePlan, read_plan, sieve_inequality_report
 
@@ -508,10 +520,18 @@ def cmd_sieve(cfg):
                     omega[p] = frozenset(rng.sample(range(p), size))
             jobs.append((SievePlan(N, omega), Q, f"random_{t}"))
 
+    tol = cfg.tol or 1e-9
+    deltas = {}
+
+    def report(plan, Q):
+        if (Q, plan.N) not in deltas:
+            deltas[Q, plan.N] = delta_rational(Q, plan.N, tol=tol).value
+        return sieve_inequality_report(plan, Q, tol, deltas[Q, plan.N])
+
     records = []
     all_ok = True
     for plan, Q, tag in jobs:
-        rep, ms = _timed(sieve_inequality_report, plan, Q, cfg.tol or 1e-9)
+        rep, ms = _timed(report, plan, Q)
         all_ok = all_ok and rep.ok
         records.append(make_record(
             "sieve", Q=Q, N=plan.N,

@@ -33,13 +33,13 @@ factor phi(k)), and a parity eps = +-1, the projector
 eps c/2.  One exact routine, `_congruence_sum`, evaluates every list into
 the whole pair side, a float64 matrix of multiples of 1/2 below 2^52:
 residue-indicator products for small phi(d), matched residues for the rest.
-Either route, each public Gram builder and `additive_matrix` refuse a job
+Each route, each public Gram builder and `additive_matrix` refuse a job
 whose size estimate passes _ROUTE_BYTES, and so does the index, from N
 alone, and the term list, from Q alone, before anything is built.
 
 Every family holds its index as the int64 arrays a, b of `rationals`
-with L = log(a/b), and reduces it there (`_reduce`); neither route
-builds a pair or point object.
+with L = log(a/b), and reduces it there (`_reduce`); no route builds a
+pair or point object.
 
 The pair side solves one real symmetric float64 matrix for every family:
 the integer matrix S itself for a discrete family (additive, rational: no
@@ -62,9 +62,16 @@ the all-ones form and a true upper bound).  A plain matrix has no
 `bounds()` and gets them from its entries.  It runs in the dtype, real for
 a real symmetric matrix and complex otherwise, from a start vector the
 seed fixes for each dtype.  Its value is a Rayleigh quotient (a lower
-bound up to rounding) capped by the upper bound.  Past _PAIR_ROUTE_MAX
-indices a family whose members x nodes are fewer than its indices takes
-the family side.  There the coefficient matrix is the row-wise Khatri-Rao
+bound up to rounding) capped by the upper bound.
+
+Three routes solve a family.  A discrete family takes the buckets
+(`_Buckets`): S applied through one label a row for each gate, O(n) a
+gate and matvec, with the exact diagonal, the exact all-ones form and a
+cap over the Gershgorin row sums as its bounds, and as many Lanczos steps
+as keep its basis within _ROUTE_BYTES.  With a window, past
+_PAIR_ROUTE_MAX indices a family whose members x nodes are fewer than its
+indices takes the family side, and otherwise the pair side S o K.  On
+the family side the coefficient matrix is the row-wise Khatri-Rao
 product A = V o P of the member values V (`_member_matrix`, through the
 reduction map a/b -> a bbar mod m) and the phases P of Gauss-Legendre
 quadrature of I_T for a window (P = 1 for the exact additive and rational
@@ -72,14 +79,15 @@ families), and Delta = ||A||^2 is the top eigenvalue of H = A^H A, whose
 nonzero spectrum is that of A A^H = (V V^H) o (P P^H), the pair side's.
 The solver applies H as x -> A^H (A x) (`_KhatriRao`) and forms neither A
 nor H, so the family side holds O(n (members + nodes)) numbers plus the
-Lanczos basis.  The two sides share the definition of a family, stated
-once as data (`_Family`), and no arithmetic, so each is the other's oracle
-in the tests.
+Lanczos basis.  The routes share the definition of a family, stated
+once as data (`_Family`): the pair side and the buckets read its terms
+(exactly, and to rounding in another summation order), the family side its
+members, so the routes are one another's oracles in the tests.
 """
 
 import struct
 from dataclasses import dataclass, replace
-from math import gcd, isfinite, log
+from math import gcd, isfinite, isqrt, log
 
 import numpy as np
 
@@ -151,7 +159,8 @@ class NormEstimate:
     residual: float
     iterations: int
     method: str
-    route: str | None = None  # "pairs" or "family", set by the Delta norms
+    route: str | None = None  # "pairs", "family" or "buckets", set by the Delta norms
+    size: int | None = None  # the index count n, set by the Delta norms
 
 
 def _moduli(Q, k=1):
@@ -533,6 +542,91 @@ def _block_rows(F, J):
     return max(1, _PRODUCT_BLOCK // max(F, J, 1))
 
 
+# ----- bucket side: S applied through residue buckets -------------------
+
+class _Buckets:
+    """The pair-side S of a discrete family (T None), applied through residue
+    buckets and never formed.  Each term (g, d, c, s) has d | g, so on the
+    gated rows, gcd(a_n b_n, g) = 1, its congruence reads the one residue
+    r_n = a_n bbar_n mod g of its gate: a_n b_m = s a_m b_n mod d is r_n = s
+    r_m mod d.  Each gate keeps one small label a row: the rank of r_n among
+    the residues its rows occupy, and past them a dump bin for the rows off
+    the gate.  A matvec takes, for each gate, the bucket sums B = bincount
+    of x over its labels; then two bincounts over the terms' entries, one
+    for each occupied residue r of the term's gate (`entries`), fold B to
+    B_d over r mod d and add c B_d[s r mod d] into C[r]; and then
+    (S x)_n = sum over the gates of C[label_n], with C 0 at the dump bin.
+    That is O(n) a gate and O(entries), against O(n^2) for S.
+
+    `bounds()` gives the exact diagonal sum c [r = s r mod d], the all-ones
+    form sum_r count[r] C1[r] for the bucket counts and their C1, both
+    exact sums of halves, and the cap max_n sum over the terms of |c| times
+    the count of m matching n, never below the Gershgorin row sum; with
+    `shape` and the float64 `dtype`, the contract of `top_eigenvalue`."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, fam):
+        if fam.T is not None:
+            raise ValueError("the bucket route serves the discrete families only")
+        n = len(fam.a)
+        self.shape = (n, n)
+        gates = {}
+        for g, d, c, s in fam.terms:
+            gates.setdefault(g, []).append((d, c, s))
+        self.gates = []  # (first bin, bins, labels) of each gate
+        pos, fold, read, weight = [], [], [], []
+        first = key = 0
+        for g, terms in gates.items():
+            red, unit = _reduce(fam.a, fam.b, g)
+            values, labels = np.unique(np.where(unit, red, g), return_inverse=True)
+            self.gates.append((first, len(values),
+                               labels.astype(np.min_scalar_type(max(len(values) - 1, 0)))))
+            residues = values[values < g].astype(np.int64)  # bins 0, ..., len - 1
+            for d, c, s in terms:
+                pos.append(first + np.arange(len(residues)))
+                fold.append(key + residues % d)
+                read.append(key + s * residues % d)
+                weight.append(np.full(len(residues), float(c)))
+                key += d
+            first += len(values)
+        self.bins = first
+        self.pos, self.weight = np.concatenate(pos), np.concatenate(weight)
+        # number the (term, residue mod d) keys that occur, folded or read
+        distinct, keys = np.unique(np.concatenate(fold + read), return_inverse=True)
+        self.fold, self.read = keys[: len(self.pos)], keys[len(self.pos):]
+        self.keys = len(distinct)
+
+    def _sum_over_gates(self, stacked):
+        """y_n = sum over the gates of stacked[first + label_n]."""
+        y = np.zeros(self.shape[0])
+        for first, bins, labels in self.gates:
+            y += stacked[first:first + bins][labels]
+        return y
+
+    def _buckets(self, x=None):
+        """The bucket sums of x (the counts for None) of every gate, stacked."""
+        B = np.empty(self.bins)
+        for first, bins, labels in self.gates:
+            B[first:first + bins] = np.bincount(labels, x, bins)
+        return B
+
+    def _apply(self, B, weight):
+        """C[r] = sum over the entries (term, r) of weight B_d[s r mod d]."""
+        Bd = np.bincount(self.fold, B[self.pos], self.keys)
+        return np.bincount(self.pos, weight * Bd[self.read], self.bins)
+
+    def __matmul__(self, x):
+        return self._sum_over_gates(self._apply(self._buckets(x), self.weight))
+
+    def bounds(self):
+        count = self._buckets()
+        diag = np.bincount(self.pos, self.weight * (self.fold == self.read), self.bins)
+        ones = float(count @ self._apply(count, self.weight))
+        cap = self._sum_over_gates(self._apply(count, np.abs(self.weight)))
+        return self._sum_over_gates(diag), ones, float(cap.max(initial=0.0))
+
+
 def _family_gram(fam, nodes):
     """Oracle: the pair-side Gram as A A^H from the family side.  For the
     row-wise Khatri-Rao A = V o P, A A^H = (V V^H) o (P P^H): the explicit
@@ -729,6 +823,30 @@ def _family_route_bytes(n, F, nodes, rows):
             + max(8 * b * (F + nodes + 6), solve))
 
 
+def _bucket_sizes(n, terms):
+    """The gates of a term list, the bytes of their labels on n indices and
+    the terms' entries, each bounded before anything is built: a gate g
+    has at most min(n, g) occupied residues, and its labels take the
+    smallest unsigned integer type that holds their count."""
+    gates = {g for g, _, _, _ in terms}
+    labels = sum(n * np.min_scalar_type(min(n, g)).itemsize for g in gates)
+    return len(gates), labels, sum(min(n, g) for g, _, _, _ in terms)
+
+
+def _bucket_route_bytes(n, labels, entries, rows):
+    """Peak bytes of the bucket route on n indices, `labels` bytes of
+    labels and `entries` term entries, with a Lanczos basis of at most
+    `rows` vectors: the index arrays a, b and L, 24 bytes an index; the
+    labels; 160 bytes an entry, its four stacked arrays beside the lists
+    and the sort that build them; twelve more float64 or int64 vectors,
+    the residues, masks and sort of a gate's labels in setup and the bucket
+    sums, gathers and vectors of a solve; and 16 n rows + 32 rows^2, the
+    basis and the float64 tridiagonal T at capacity rows beside their
+    smaller copies at the last doubling (`top_eigenvalue`), with eigh's two
+    rows x rows arrays."""
+    return labels + 24 * n + 160 * entries + 96 * n + 16 * n * rows + 32 * rows * rows
+
+
 def _solve(fam, tol, route="auto"):
     """The one route rule: every Delta hands it its family, built once, and
     it builds the operator of the route it takes from that family alone.
@@ -736,14 +854,30 @@ def _solve(fam, tol, route="auto"):
     "family" solves H = A^H A for A the `_KhatriRao` operator of the member
     values V (rows the index, columns the members) and the phases P (rows
     the index, columns the quadrature nodes), never formed; its nonzero
-    spectrum is the pair side's up to the quadrature of I_T.  No route
-    builds a `GramMatrix` or a point object.  "auto" takes the family side
-    past _PAIR_ROUTE_MAX indices when members x nodes < indices, counting
-    the members F as S at the index 1/1, where every member is 1.  Either
-    route first raises ValueError when its size estimate, at the deepest
-    Lanczos basis on the family side, passes _ROUTE_BYTES.  The
-    NormEstimate records the route that ran."""
+    spectrum is the pair side's up to the quadrature of I_T.  "buckets"
+    solves the pair side S of a discrete family through `_Buckets`, never
+    formed, with as many Lanczos steps as keep its basis within
+    _ROUTE_BYTES.  No route builds a `GramMatrix` or a point object.  "auto"
+    takes the buckets for a discrete family (T None); with a window, it
+    takes the family side past _PAIR_ROUTE_MAX indices when members x nodes
+    < indices, counting the members F as S at the index 1/1, where every
+    member is 1, and the pair side otherwise.  Each route first raises
+    ValueError when its size estimate, at the deepest Lanczos basis on the
+    family and bucket sides, passes _ROUTE_BYTES.  The NormEstimate records
+    the route that ran and the index count n."""
     n = len(fam.a)
+    if route == "auto" and fam.T is None:
+        route = "buckets"
+    if route == "buckets":
+        gates, labels, entries = _bucket_sizes(n, fam.terms)
+        # the most steps, at most min(n, _MAX_ITER), whose basis fits: the
+        # integer root of 32 rows^2 + 16 n rows <= the room the rest leaves
+        room = _ROUTE_BYTES - _bucket_route_bytes(n, labels, entries, 0)
+        steps = max(1, min(n, _MAX_ITER, (isqrt(64 * n * n + 32 * max(room, 0)) - 8 * n) // 32))
+        _check_bytes(f"buckets route on {n} indices x {gates} gates",
+                     _bucket_route_bytes(n, labels, entries, steps), _ROUTE_BYTES)
+        estimate = top_eigenvalue(_Buckets(fam), tol=tol, max_iter=steps)
+        return replace(estimate, route=route, size=n)
     Lmax = float(np.abs(fam.L).max(initial=0.0))
     # past _ROUTE_BYTES nodes the family estimate (16 n nodes bytes and more)
     # passes the cap whatever n is, so the count is clamped there: an
@@ -764,7 +898,7 @@ def _solve(fam, tol, route="auto"):
     else:  # P before V: its outer-product temporary then has no V beside it
         P = _phase_matrix(fam.L, fam.T, nodes)
         operator = _KhatriRao(_member_matrix(fam.members(), fam.a, fam.b), P)
-    return replace(top_eigenvalue(operator, tol=tol), route=route)
+    return replace(top_eigenvalue(operator, tol=tol), route=route, size=n)
 
 
 def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):

@@ -17,11 +17,11 @@ point.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, isfinite, log
+from math import floor, gcd, isfinite, isqrt, log
 
 import numpy as np
 
-from .arith import totient, valuation
+from .arith import mobius, totient, valuation
 
 _CANDIDATE_BYTES = 40  # the enumerator's peak, about 32 bytes a candidate pair
 _ROUTE_BYTES = 4 << 30  # the memory cap of a job: its index, its terms and its route
@@ -138,18 +138,39 @@ def _check_bytes(what, need, cap):
                          f"over the {cap / 2**20:.1f} MiB cap")
 
 
-def _coprime_pairs(N, window="full", coprime_to=1):
-    """`enumerate_pairs` as int64 arrays (a, b), the full window by default;
-    ValueError when its at most floor(N)(1 + ln N) candidates ab <= N would
-    pass _ROUTE_BYTES."""
+def _heights(N, window):
+    """The heights lo <= ab <= hi of a window, "dyadic" (N/2 < ab <= N) or
+    "full" (1 <= ab <= N); ValueError on a bad N or window, and when the
+    at most floor(N)(1 + ln N) candidates of `_coprime_pairs` would pass
+    _ROUTE_BYTES."""
     if not isfinite(N) or N < 1:
         raise ValueError(f"N must be a finite number >= 1, got {N!r}")
     if window not in ("dyadic", "full"):
         raise ValueError(f"unknown window {window!r}")
     hi = floor(N)
     lo = floor(N / 2) + 1 if window == "dyadic" else 1
-    need = _CANDIDATE_BYTES * hi * (1 + log(hi))
-    _check_bytes(f"index of height <= {hi}", need, _ROUTE_BYTES)
+    _check_bytes(f"index of height <= {hi}", _CANDIDATE_BYTES * hi * (1 + log(hi)), _ROUTE_BYTES)
+    return lo, hi
+
+
+def _coprime_count(x):
+    """The number of coprime pairs with ab <= x, exactly:
+    sum_{d <= sqrt x} mu(d) D(x // d^2), for the divisor summatory function
+    D(y) = sum_{m <= y} d(m) = 2 sum_{i <= sqrt y} y // i - isqrt(y)^2."""
+    total = 0
+    for d in range(1, isqrt(x) + 1):
+        mu = mobius(d)
+        if mu:
+            y = x // (d * d)
+            r = isqrt(y)
+            total += mu * (2 * sum(y // i for i in range(1, r + 1)) - r * r)
+    return total
+
+
+def _coprime_pairs(N, window="full", coprime_to=1):
+    """`enumerate_pairs` as int64 arrays (a, b), the full window by default;
+    ValueError from `_heights` before any array is built."""
+    lo, hi = _heights(N, window)
     a = np.arange(1, hi + 1, dtype=np.int64)
     first = (lo - 1) // a + 1  # b runs over first, ..., hi // a
     count = hi // a - first + 1
@@ -176,25 +197,37 @@ def _reduce(a, b, m):
     return red, np.gcd(a * b, m) == 1
 
 
+def _check_points(count):
+    """ValueError when count point objects at _POINT_BYTES would pass
+    _ROUTE_BYTES."""
+    _check_bytes(f"list of {count} point objects", _POINT_BYTES * count, _ROUTE_BYTES)
+
+
 def _points(point, *columns):
     """[point(*row) for each row of the int64 columns]; ValueError, before any
     object is built, when _POINT_BYTES an object would pass _ROUTE_BYTES."""
-    count = len(columns[0])
-    _check_bytes(f"list of {count} point objects", _POINT_BYTES * count, _ROUTE_BYTES)
+    _check_points(len(columns[0]))
     return list(map(point, *(c.tolist() for c in columns)))
 
 
 def enumerate_pairs(N, window="dyadic", coprime_to=1):
     """Coprime pairs (a,b) with ab in the window: N/2 < ab <= N (dyadic)
     or 1 <= ab <= N (full), skipping ab sharing a factor with coprime_to.
-    Output is sorted a-major, then b."""
+    Output is sorted a-major, then b.  With coprime_to = 1 the count is
+    exact from N, so an oversized list is refused before the index arrays
+    are built."""
+    if coprime_to == 1:
+        lo, hi = _heights(N, window)
+        _check_points(_coprime_count(hi) - _coprime_count(lo - 1))
     return _points(CoprimePair, *_coprime_pairs(N, window, coprime_to))
 
 
 def rationals_up_to(N, sign=False):
     """Positive rationals with ht <= N (both signs when sign=True),
-    ordered a-major then b, negatives after positives."""
-    a, b = _coprime_pairs(N)
+    ordered a-major then b, negatives after positives.  An oversized list
+    is refused from its exact count before the index arrays are built."""
     signs = np.array((1, -1) if sign else (1,))
+    _check_points(len(signs) * _coprime_count(_heights(N, "full")[1]))
+    a, b = _coprime_pairs(N)
     return _points(RationalPoint, np.tile(a, len(signs)), np.tile(b, len(signs)),
                    np.repeat(signs, len(a)))

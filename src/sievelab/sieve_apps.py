@@ -118,16 +118,17 @@ class SiftedReport:
     ok: bool
 
 
-def sieve_inequality_report(plan, Q, tol=1e-9):
-    """|S|, H, Delta_rational(Q, N) and the ratio |S| H / Delta.  |S| is
-    counted on the index arrays; no point object is built.  The ratio is
+def sieve_inequality_report(plan, Q, tol=1e-9, delta=None):
+    """|S|, H, Delta_rational(Q, N) and the ratio |S| H / Delta.  Delta is
+    solved here at tol unless the caller passes its value as `delta`.  |S|
+    is counted on the index arrays; no point object is built.  The ratio is
     soft-asserted <= 1 + 1e-6: a violation prints a prominent diagnostic
     and flags the report, it does not raise."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
     size = len(_sift(plan)[0])
     H = big_H(Q, plan)
-    dl = delta_rational(Q, plan.N, tol=tol).value
+    dl = delta_rational(Q, plan.N, tol=tol).value if delta is None else delta
     ratio = float(size * H) / dl if dl > 0 else 0.0
     ok = ratio <= 1 + 1e-6
     if not ok:

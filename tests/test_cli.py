@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,10 +86,15 @@ def test_norm_matches_library(capsys):
 
 
 def test_norm_record_names_the_family_route(capsys):
-    # 2809 rationals at N = 600: past the cutoff the family side runs
+    # 2702 pairs at N = 1000: past the cutoff the windowed family side
+    # runs; the 2809 rationals at N = 600 take the buckets, as every
+    # discrete family does.  Each record gives the index count
+    assert run(["norm", "-Q", "12", "-T", "4", "-N", "1000"]) == 0
+    extra = json.loads(_rows(capsys.readouterr().out)[0]["extra_params"])
+    assert (extra["method"], extra["route"], extra["size"]) == ("lanczos", "family", 2702)
     assert run(["norm", "--family", "rational", "-Q", "12", "-N", "600"]) == 0
     extra = json.loads(_rows(capsys.readouterr().out)[0]["extra_params"])
-    assert (extra["method"], extra["route"]) == ("lanczos", "family")
+    assert (extra["method"], extra["route"], extra["size"]) == ("lanczos", "buckets", 2809)
 
 
 def test_norm_rational_family_exact_count(capsys):
@@ -214,6 +220,21 @@ def test_scan_emits_fit_and_plot(tmp_path, capsys):
         assert float(x) > 0 and float(y) > 0
 
 
+def test_scan_records_the_route_and_the_ratio_to_the_index(capsys):
+    # Delta / (Q^2 k T + n) beside Delta / (Q^2 k T + N), for the index
+    # count n of the route that ran
+    assert run(["scan", "--family", "rational", "-Q", "6", "-N", "40", "-N", "80",
+                "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 2
+    for rec, N in zip(records, (40, 80)):
+        extra = json.loads(rec["extra_params"])
+        value, n = float(rec["value"]), len(rationals_up_to(N))
+        assert (extra["route"], extra["size"]) == ("buckets", n)
+        assert extra["ratio_index"] == value / (36.0 + n)
+        assert extra["ratio_trivial"] == value / (36.0 + N)
+
+
 def test_scan_fits_the_Q_aspect(capsys):
     assert run(["scan", "-Q", "4", "-Q", "8", "-Q", "16", "-N", "32", "--seed", "2"]) == 0
     rows = _rows(capsys.readouterr().out)
@@ -296,6 +317,29 @@ def test_sieve_random_trials(capsys):
     assert json.loads(rows[0]["extra_params"])["tag"] == "control"
     assert rows[0]["pass"] == "True"
     assert (code == 1) == any(r["pass"] == "False" for r in rows)
+
+
+def test_sieve_solves_delta_once_for_its_plans(monkeypatch, capsys):
+    # eleven plans of one (Q, N) share one Delta_rational, solved once and
+    # passed to every report; each ratio is |S| H over that one value
+    from sievelab import norms, sieve_apps
+
+    calls = []
+    solve = norms.delta_rational
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    for module in (norms, sieve_apps):
+        monkeypatch.setattr(module, "delta_rational", counted)
+    assert run(["sieve", "-N", "200", "-Q", "12", "--trials", "10", "--format", "json"]) in (0, 1)
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 11 and calls == [(12.0, 200)]
+    want = solve(12, 200).value
+    for rec in records:
+        extra = json.loads(rec["extra_params"])
+        assert float(rec["value"]) == float(extra["size"] * Fraction(extra["H"])) / want
 
 
 def test_sieve_refuses_oversized_random_plans_before_drawing(monkeypatch, tmp_path, capsys):

@@ -80,9 +80,9 @@ def test_rational_pair_side_equals_family_side(Q, N):
 
 
 # a term (g, d, c, s): d | g, an integer or half weight c, s = +-1
-terms = st.lists(st.tuples(st.integers(1, 40), st.integers(1, 4), st.integers(-40, 40),
-                           st.sampled_from([1, -1]))
-                 .map(lambda t: (t[0] * t[1], t[0], t[2] / 2, t[3])), max_size=12)
+term = st.tuples(st.integers(1, 40), st.integers(1, 4), st.integers(-40, 40),
+                 st.sampled_from([1, -1])).map(lambda t: (t[0] * t[1], t[0], t[2] / 2, t[3]))
+terms = st.lists(term, max_size=12)
 
 
 @settings(PROPERTY, max_examples=300)
@@ -98,3 +98,26 @@ def test_congruence_sum_equals_its_loops(ab, terms, block, dense_phi):
         mp.setattr(norms, "_DENSE_PHI", dense_phi)
         got = norms._congruence_sum(a, b, terms)
     assert np.array_equal(got, _congruence_sum_by_loops(terms, a, b))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(ab=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 300)), min_size=1, max_size=24),
+       terms=st.lists(term, min_size=1, max_size=12))
+def test_buckets_apply_the_congruence_sum(ab, terms):
+    # every discrete family has at least one term.  The buckets sum S x in
+    # another order than the dense product, so they agree to rounding in
+    # the sum of |c| |x_m| over the terms, which cancelling weights make
+    # larger than |S x|.  Their bounds are the exact diagonal and all-ones
+    # form and a cap over the Gershgorin row sums
+    a, b = np.array(ab, dtype=np.int64).T
+    S = norms._congruence_sum(a, b, terms)
+    op = norms._Buckets(norms._Family(a, b, terms, None))
+    assert op.shape == S.shape and op.dtype == np.float64
+    x = np.random.default_rng(len(a)).standard_normal(len(a))
+    absolute = norms._congruence_sum(a, b, [(g, d, abs(c), s) for g, d, c, s in terms])
+    scale = np.linalg.norm(absolute @ np.abs(x))
+    assert np.linalg.norm(op @ x - S @ x) <= 1e-13 * scale
+    diag, ones, cap = op.bounds()
+    assert np.array_equal(diag, S.diagonal())
+    assert ones == S.sum()
+    assert cap >= np.abs(S).sum(axis=1).max()

@@ -5,6 +5,7 @@ and the binary dump format."""
 
 import functools
 import math
+import re
 import struct
 import time
 import tracemalloc
@@ -234,11 +235,15 @@ def test_discrete_norms_agree_across_routes(family, Q, N):
     # delta_add and delta_rational take no route argument: the one route
     # rule is called with each route in turn
     build, _ = _DISCRETE[family]
-    pairs, fam = (norms._solve(build(Q, N), 1e-9, route) for route in ("pairs", "family"))
-    assert (pairs.route, fam.route) == ("pairs", "family")
+    pairs, fam, buckets = (norms._solve(build(Q, N), 1e-9, route)
+                           for route in ("pairs", "family", "buckets"))
+    assert (pairs.route, fam.route, buckets.route) == ("pairs", "family", "buckets")
     assert abs(pairs.value - fam.value) <= 1e-9 * pairs.value, (pairs, fam)
+    # the buckets sum S x in another order than the dense S: these four
+    # moved by at most 4.4e-16 relative
+    assert abs(buckets.value - pairs.value) <= 1e-12 * pairs.value, (pairs, buckets)
     norm = delta_add if family == "additive" else delta_rational
-    assert norm(Q, N).value == pairs.value  # "auto" keeps the pair side here
+    assert norm(Q, N) == buckets  # "auto" takes the buckets
 
 
 def test_every_gram_is_hermitian_exactly():
@@ -547,8 +552,9 @@ def test_trivial_family_norms_are_exact_counts():
     # Q = 1 leaves the all-ones Gram: top eigenvalue is the index size.
     # The certified floor makes the value >= n exactly; the dense solver
     # may only add rounding on the high side.
-    # N = 500 (n = 2285) and N = 1000 (n = 2702) are past the pair cutoff:
-    # there the count comes from the family side
+    # N = 500 (n = 2285) and N = 1000 (n = 2702) are past the pair cutoff,
+    # which the discrete families no longer read: every count comes from
+    # the buckets
     for N in (10, 30, 75, 500):
         n = len(rationals_up_to(N))
         val = delta_rational(1, N).value
@@ -570,8 +576,9 @@ def test_rational_and_additive_norms_take_the_family_side_past_the_cutoff(monkey
     def pair_side(*args):
         raise AssertionError("the pair-side Gram was built past the cutoff")
 
-    # with the pair-side matrix raising, the norms can only come from the
-    # family side
+    # with the pair-side matrix raising, the norms can only come from a
+    # route that forms no S: the buckets, since the discrete families take
+    # them at every size
     monkeypatch.setattr(norms, "_pair_gram", pair_side)
     for name, (norm, Q, N) in cases.items():
         got = norm(Q, N).value
@@ -593,20 +600,30 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
     for name, (_, g, size) in larger.items():
         assert norms._PAIR_ROUTE_MAX < g.dim <= size, (name, g.dim)
         want[name] = top_eigenvalue(g).value
+    # a single member (Q = 1, T = 1: 48 nodes) is the smaller side for 70
+    # indices
+    single = top_eigenvalue(gram_multiplicative(FamilySpec(1.0), enumerate_pairs(40))).value
 
     def member_values(*args):
         raise AssertionError("the family side was built although it is larger")
 
+    # the window keeps the pair side bitwise; the discrete families take
+    # the buckets, which sum S x in another order
     with monkeypatch.context() as m:
         m.setattr(norms, "_member_matrix", member_values)
-        for name, (norm, _, _) in larger.items():
-            assert norm().value == want[name], name
+        assert larger["multiplicative"][0]().value == want["multiplicative"]
+        for name in ("additive", "rational"):
+            got = larger[name][0]()
+            assert got.route == "buckets"
+            assert abs(got.value - want[name]) <= 1e-12 * want[name], name
 
-    # a single member (Q = 1) is the smaller side: the family side runs
     def pair_side(*args):
         raise AssertionError("the pair-side Gram was built")
 
     monkeypatch.setattr(norms, "_pair_gram", pair_side)
+    est = delta(1.0, 1, 1.0, 40.0)
+    assert est.route == "family" and abs(est.value - single) <= 1e-9 * single
+    # neither side for a discrete family with one member
     n = len(enumerate_pairs(20, "dyadic", 1))
     assert n > norms._PAIR_ROUTE_MAX
     assert delta_add(1, 20).value == n
@@ -618,6 +635,7 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
 
     # with the cap lowered to 1 MiB the bench-sized pair routes are over it;
     # the pair-side builders raise, so no test allocates the oversized matrix
+    rational = delta_rational(12, 200)
     monkeypatch.setattr(norms, "_ROUTE_BYTES", 1 << 20)
 
     def pair_side(*args):
@@ -625,18 +643,22 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
 
     for name in ("gram_rational", "gram_additive", "gram_multiplicative", "_pair_gram"):
         monkeypatch.setattr(norms, name, pair_side)
-    for norm, n in [(lambda: delta_rational(12, 200), len(rationals_up_to(200))),
+    for norm, n in [(lambda: norms._solve(norms._rational(12, 200), 1e-9, "pairs"),
+                     len(rationals_up_to(200))),
                     (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
                      len(enumerate_pairs(400, "dyadic")))]:
         estimate = f"{norms._pair_route_bytes(n) / 2**20:.1f} MiB"
         with pytest.raises(ValueError, match=f"pairs route on {n} indices .* {estimate}, "
                                              "over the 1.0 MiB cap"):
             norm()
-    assert cli.run(["norm", "--family", "rational", "-Q", "12", "-N", "200"]) == 2
+    # delta(12, 3, 4, 400) takes the pair side by the route rule
+    assert cli.run(["norm", "-Q", "12", "-k", "3", "-T", "4", "-N", "400"]) == 2
     err = capsys.readouterr().err
-    assert f"{norms._pair_route_bytes(len(rationals_up_to(200))) / 2**20:.1f} MiB" in err
+    assert f"{norms._pair_route_bytes(len(enumerate_pairs(400))) / 2**20:.1f} MiB" in err
     assert "1.0 MiB cap" in err
-    # the family side is still taken where it is the smaller matrix
+    # the discrete families take the buckets, which hold no n x n matrix
+    # and fit under the lowered cap with the steps this solve needs
+    assert delta_rational(12, 200) == rational
     assert delta_rational(1, 500).value >= len(rationals_up_to(500))
 
 
@@ -759,11 +781,15 @@ def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
     with pytest.raises(ValueError, match=f"family route on {F} members x \\d+ nodes needs an "
                                          "estimated .* MiB, over the 1.0 MiB cap"):
         delta(12.0, 3, 4.0, 400.0, route="family")
-    # past 2000 rationals the rational norm takes the family side
-    assert cli.run(["norm", "--family", "rational", "-Q", "12", "-N", "600"]) == 2
+    # past 2000 pairs delta(12, 1, 4, 1000) takes the family side
+    assert cli.run(["norm", "-Q", "12", "-T", "4", "-N", "1000"]) == 2
     err = capsys.readouterr().err
+    F = len(family_members(FamilySpec(12.0, 1, 4.0)))
+    assert re.search(f"family route on {F} members x \\d+ nodes", err) and "1.0 MiB cap" in err
+    # an explicit family route on a discrete family refuses the same way
     F = sum(len(primitive_chars(q)) for q in range(1, 13))
-    assert f"family route on {F} members x 1 nodes" in err and "1.0 MiB cap" in err
+    with pytest.raises(ValueError, match=f"family route on {F} members x 1 nodes .* 1.0 MiB cap"):
+        norms._solve(norms._rational(12, 600), 1e-9, "family")
 
 
 _OPERATOR_FAMILIES = {
@@ -828,17 +854,19 @@ def test_family_route_builds_no_point_objects(monkeypatch):
     for cls in (CoprimePair, RationalPoint):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
     assert delta(12.0, 1, 4.0, 1000.0).route == "family"
-    assert delta_rational(12, 600).route == "family"
+    assert norms._solve(norms._rational(12, 600), 1e-9, "family").route == "family"
     assert delta(4.0, 1, 1.0, 40.0).route == "pairs"
-    assert delta_add(12, 300).route == "pairs"
-    assert delta_rational(12, 200).route == "pairs"
+    assert norms._solve(norms._additive(12, 300), 1e-9, "pairs").route == "pairs"
+    assert delta_add(12, 300).route == "buckets"
+    assert delta_rational(12, 200).route == "buckets"
+    assert delta_rational(12, 600).route == "buckets"
     assert built == []
 
 
 def test_pair_route_builds_the_index_once(monkeypatch):
-    # each Delta enumerates its index once and hands the arrays to one
-    # pair-side matrix; the solve builds no second index, term list or
-    # point object
+    # each Delta enumerates its index once; the pair route hands the arrays
+    # to one pair-side matrix, and the buckets build none.  No solve builds
+    # a second index, term list or point object
     calls, sides, built = [], [], []
     enumerate_once, pair_gram = norms._coprime_pairs, norms._pair_gram
 
@@ -854,17 +882,76 @@ def test_pair_route_builds_the_index_once(monkeypatch):
     monkeypatch.setattr(norms, "_pair_gram", counted_gram)
     for cls in (CoprimePair, RationalPoint):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
-    for norm, args, n in [(lambda: delta(4.0, 1, 1.0, 40.0), (40.0, "dyadic"), 70),
-                          (lambda: delta_add(12, 300), (300, "dyadic"),
-                           len(_coprime_pairs(300, "dyadic")[0])),
-                          (lambda: delta_rational(12, 200), (200,), len(_coprime_pairs(200)[0]))]:
+    for norm, args, route in [(lambda: delta(4.0, 1, 1.0, 40.0), (40.0, "dyadic"), "pairs"),
+                              (lambda: delta_add(12, 300), (300, "dyadic"), "buckets"),
+                              (lambda: delta_rational(12, 200), (200,), "buckets")]:
         calls.clear()
         sides.clear()
-        assert norm().route == "pairs"
+        est = norm()
+        assert est.route == route
         assert calls == [args]
-        assert len(sides) == 1
-        assert sides[0].shape == (n, n)
+        assert est.size == len(_coprime_pairs(*args)[0])
+        assert [S.shape for S in sides] == ([(est.size,) * 2] if route == "pairs" else [])
     assert built == []
+
+
+def test_discrete_norms_build_neither_side(monkeypatch):
+    # on the auto route the discrete families solve through the buckets:
+    # no pair-side matrix, no member values and no phases
+    def built(*args):
+        raise AssertionError("a pair or family side was built")
+
+    want = [norms._solve(norms._additive(12, 300), 1e-9, "buckets"),
+            norms._solve(norms._rational(12, 200), 1e-9, "buckets")]
+    for name in ("_pair_gram", "_member_matrix", "_phase_matrix"):
+        monkeypatch.setattr(norms, name, built)
+    assert [delta_add(12, 300), delta_rational(12, 200)] == want
+    assert [est.route for est in want] == ["buckets", "buckets"]
+
+
+def test_bucket_route_caps_its_steps_to_fit_and_refuses_past_the_cap(monkeypatch):
+    # the Lanczos steps are capped by _ROUTE_BYTES: with room for 5 rows
+    # the solve stops there and reports its residual; with no room for one
+    # row the route refuses before the operator is built
+    fam = norms._rational(12, 200)
+    n = len(fam.a)
+    gates, labels, entries = norms._bucket_sizes(n, fam.terms)
+    assert gates == 12
+    full = delta_rational(12, 200)
+    assert full.iterations > 6
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", norms._bucket_route_bytes(n, labels, entries, 5))
+    capped = delta_rational(12, 200)
+    assert (capped.route, capped.iterations) == ("buckets", 6)
+    assert capped.residual > 1e-9 and capped.value <= full.value * (1 + 1e-12)
+
+    def operator(*args):
+        raise AssertionError("the buckets were built past the cap")
+
+    monkeypatch.setattr(norms, "_Buckets", operator)
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", norms._bucket_route_bytes(n, labels, entries, 1) - 1)
+    with pytest.raises(ValueError, match=f"buckets route on {n} indices x 12 gates needs an "
+                                         "estimated [\\d.]+ MiB, over the "):
+        delta_rational(12, 200)
+
+
+@pytest.mark.parametrize("family", [
+    lambda: norms._rational(9, 300),
+    lambda: norms._additive(12, 400),
+    lambda: norms._multiplicative(FamilySpec(8.0, 1, 2.0), *_coprime_pairs(300, "dyadic")),
+    lambda: norms._multiplicative(FamilySpec(8.0, 3, 2.0, "odd"), *_coprime_pairs(300, "dyadic")),
+    lambda: norms._multiplicative(FamilySpec(7.0, 1, 4.0, "even"), *_coprime_pairs(300, "dyadic")),
+], ids=["rational", "additive", "multiplicative", "odd", "even"])
+def test_pair_side_is_invariant_under_a_over_b_to_b_over_a(family):
+    # sigma maps the index entry a/b to b/a; the gate and each congruence
+    # a_n b_m = s a_m b_n (mod d) are sigma-invariant and the window is even
+    # in L, so M[sigma][:, sigma] == M exactly.  A pair side that reads a
+    # and b unequally, or a window odd in L, breaks it
+    fam = family()
+    at = {(a, b): i for i, (a, b) in enumerate(zip(fam.a.tolist(), fam.b.tolist()))}
+    sigma = np.array([at[b, a] for a, b in zip(fam.a.tolist(), fam.b.tolist())])
+    assert not np.array_equal(sigma, np.arange(len(sigma)))
+    M = norms._pair_gram(fam)
+    assert np.array_equal(M[sigma][:, sigma], M)
 
 
 def test_family_operator_rejects_non_finite():
@@ -885,29 +972,54 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
+def _capacity(rows, steps):
+    """The rows of the Lanczos basis after `rows` steps of at most `steps`:
+    doubled from 32, as in top_eigenvalue."""
+    capacity = 32
+    while capacity < rows:
+        capacity *= 2
+    return min(capacity, steps)
+
+
 def test_route_estimates_cover_the_measured_peak(monkeypatch):
     family_route_bytes = norms._family_route_bytes
+    bucket_route_bytes = norms._bucket_route_bytes
     estimates = []
-    for name in ("_pair_route_bytes", "_family_route_bytes"):
+    for name in ("_pair_route_bytes", "_family_route_bytes", "_bucket_route_bytes"):
         def record(*args, estimate=getattr(norms, name), name=name):
             estimates.append((name, args, estimate(*args)))
             return estimates[-1][2]
         monkeypatch.setattr(norms, name, record)
     for norm in [lambda: delta(12.0, 3, 4.0, 400.0),  # a window, pairs
                  lambda: delta(12.0, 3, 4.0, 400.0, parity="odd"),
-                 lambda: delta_rational(12, 200),  # discrete, pairs
+                 lambda: delta_rational(12, 200),  # discrete, buckets
+                 lambda: delta_add(40, 300),
+                 lambda: delta_rational(30, 2000),  # the basis doubles past 64 rows
                  lambda: delta(12.0, 1, 4.0, 1000.0)]:  # the family side
         norm()  # fills the caches of characters and divisors first
         estimates.clear()
         results = []
         peak = _traced_peak(lambda: results.append(norm()))
-        (name, args, need), = estimates
+        # the route is checked against its last estimate; the bucket route
+        # first estimates without a basis, for the room its steps may take
+        (name, args, need) = estimates[-1]
+        assert {name for name, _, _ in estimates} == {name}
         assert peak <= need, (name, args, peak, need)
         if name == "_pair_route_bytes":
             # the pair side really holds S, 8 bytes an entry, at its peak,
             # with or without a window
             (n,) = args
             assert 8 * n * n <= peak
+        elif name == "_bucket_route_bytes":
+            # the most steps that fit under the cap; no n x n matrix, and the
+            # estimate at the basis the solve reached still covers the peak
+            n, labels, entries, steps = args
+            assert steps == min(n, norms._MAX_ITER) or (
+                bucket_route_bytes(n, labels, entries, steps + 1) > norms._ROUTE_BYTES)
+            assert peak < 8 * n * n
+            ran = bucket_route_bytes(n, labels, entries,
+                                     _capacity(results[0].iterations - 1, steps))
+            assert peak <= ran <= 2 * peak, (args, peak, ran)
         else:
             # the solve held iterations - 1 Lanczos vectors: the last matvec
             # is the Rayleigh quotient of the Ritz vector

@@ -75,7 +75,8 @@ def test_non_finite_heights_are_refused():
 
 def test_point_views_refuse_past_the_cap_before_building(monkeypatch, capsys):
     # each object view of an index refuses once _POINT_BYTES an object
-    # passes the cap, after the int64 index and before any object
+    # passes the cap, before any object; the views whose count is exact
+    # from N alone (coprime_to = 1) refuse before the int64 index too
     from sievelab import cli, rationals
     from sievelab.norms import _rational
     from sievelab.sieve_apps import SievePlan, sifted_set
@@ -83,24 +84,45 @@ def test_point_views_refuse_past_the_cap_before_building(monkeypatch, capsys):
     built = []
     for cls in (CoprimePair, RationalPoint):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+
+    def enumerated(*args):
+        raise AssertionError("the index was built before the refusal")
+
     full, dyadic = (len(rationals._coprime_pairs(3000, w)[0]) for w in ("full", "dyadic"))
-    for view, count in [(lambda: enumerate_pairs(3000), dyadic),
-                        (lambda: rationals_up_to(3000), full),
-                        (lambda: rationals_up_to(3000, sign=True), 2 * full),
-                        (lambda: sifted_set(SievePlan(3000, {})), full),
-                        (lambda: _rational(1, 3000).index, full)]:
+    for view, count, counted in [(lambda: enumerate_pairs(3000), dyadic, True),
+                                 (lambda: rationals_up_to(3000), full, True),
+                                 (lambda: rationals_up_to(3000, sign=True), 2 * full, True),
+                                 (lambda: sifted_set(SievePlan(3000, {})), full, False),
+                                 (lambda: _rational(1, 3000).index, full, False)]:
         cap = rationals._POINT_BYTES * count - 1
         assert 40 * 3000 * (1 + math.log(3000)) <= cap  # the index itself fits
         monkeypatch.setattr(rationals, "_ROUTE_BYTES", cap)
-        with pytest.raises(ValueError, match=f"the list of {count} point objects needs an "
-                                             f"estimated [\\d.]+ MiB, over the "):
-            view()
-    # the CLI path that reaches a view exits 2 with the estimate; the sieve
-    # counts its survivors on the index arrays and reaches none
-    assert cli.run(["bdh", "-X", "3000", "-Q", "4", "--trials", "1"]) == 2
+        with monkeypatch.context() as m:
+            if counted:
+                m.setattr(rationals, "_coprime_pairs", enumerated)
+            with pytest.raises(ValueError, match=f"the list of {count} point objects needs an "
+                                                 f"estimated [\\d.]+ MiB, over the "):
+                view()
+    # the CLI path that reaches a view exits 2 with the estimate, before the
+    # index; the sieve counts its survivors on the index arrays and reaches
+    # no view
+    with monkeypatch.context() as m:
+        m.setattr(rationals, "_coprime_pairs", enumerated)
+        assert cli.run(["bdh", "-X", "3000", "-Q", "4", "--trials", "1"]) == 2
     assert cli.run(["sieve", "-N", "3000", "-Q", "4", "--trials", "1"]) in (0, 1)
     assert capsys.readouterr().err.count(f"list of {full} point objects") == 1
     assert built == []
+
+
+@pytest.mark.parametrize("N", [1, 2, 7.5, 10, 99, 1000, 4321, 10**5])
+def test_index_count_is_exact_from_N(N):
+    # sum_{d <= sqrt N} mu(d) D(N / d^2) against the enumerated index, in
+    # both windows; the dyadic window is count(N) - count(N/2)
+    from sievelab.rationals import _coprime_count
+
+    assert _coprime_count(math.floor(N)) == len(_coprime_pairs(N)[0])
+    dyadic = _coprime_count(math.floor(N)) - _coprime_count(math.floor(N / 2))
+    assert dyadic == len(_coprime_pairs(N, "dyadic")[0])
 
 
 def test_point_estimate_covers_the_measured_peak():
