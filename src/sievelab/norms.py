@@ -38,51 +38,31 @@ whose size estimate passes _ROUTE_BYTES, and so does the index, from N
 alone, and the term list, from Q alone, before anything is built.
 
 Every family holds its index as the int64 arrays a, b of `rationals`
-with L = log(a/b), and reduces it there (`_reduce`); no route builds a
-pair or point object.
+with L = log(a/b), and reduces it there (`_reduce`).  Every Delta builds
+its family once and solves it by the route rule (`_solve`); the public
+`gram_*` builders return matrices for the verify suites, the oracles and
+the tests.
 
-The pair side solves one real symmetric float64 matrix for every family:
-the integer matrix S itself for a discrete family (additive, rational: no
-window), float64 from its first product on, and S o K for a window, with
-K[n, m] = (T/2) sinc((L_n - L_m) T/4) the real factor of I_T.  The phase
-of I_T factors out as d_n conj(d_m), d = e^{3iTL/4}, so the Hermitian
-Gram S I_T is D (S o K) D^H for the unitary D = diag(d), with the same
-spectrum; only `gram_multiplicative` forms it.
+The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`) on
+one operator contract, `shape`, `dtype`, `@` and `bounds()`: a Rayleigh
+quotient, a lower bound up to rounding, capped by the upper bound.
 
-Every Delta builds its family once, index arrays and term list, and hands
-it to the route rule (`_solve`), which builds the operator of the route it
-takes from that family alone; no Delta builds a GramMatrix or a point
-object.  The public `gram_*` builders return matrices for their callers
-(the verify suites, the oracles, the tests); the Delta path does not use
-them.
-
-The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`), which
-reads one contract: `shape`, `dtype`, `@` and `bounds()` (the diagonal,
-the all-ones form and a true upper bound).  A plain matrix has no
-`bounds()` and gets them from its entries.  It runs in the dtype, real for
-a real symmetric matrix and complex otherwise, from a start vector the
-seed fixes for each dtype.  Its value is a Rayleigh quotient (a lower
-bound up to rounding) capped by the upper bound.
-
-Three routes solve a family.  A discrete family takes the buckets
-(`_Buckets`): S applied through one label a row for each gate, O(n) a
-gate and matvec, with the exact diagonal, the exact all-ones form and a
-cap over the Gershgorin row sums as its bounds, and as many Lanczos steps
-as keep its basis within _ROUTE_BYTES.  With a window, past
-_PAIR_ROUTE_MAX indices a family whose members x nodes are fewer than its
-indices takes the family side, and otherwise the pair side S o K.  On
-the family side the coefficient matrix is the row-wise Khatri-Rao
-product A = V o P of the member values V (`_member_matrix`, through the
-reduction map a/b -> a bbar mod m) and the phases P of Gauss-Legendre
-quadrature of I_T for a window (P = 1 for the exact additive and rational
-families), and Delta = ||A||^2 is the top eigenvalue of H = A^H A, whose
-nonzero spectrum is that of A A^H = (V V^H) o (P P^H), the pair side's.
-The solver applies H as x -> A^H (A x) (`_KhatriRao`) and forms neither A
-nor H, so the family side holds O(n (members + nodes)) numbers plus the
-Lanczos basis.  The routes share the definition of a family, stated
-once as data (`_Family`): the pair side and the buckets read its terms
-(exactly, and to rounding in another summation order), the family side its
-members, so the routes are one another's oracles in the tests.
+Three routes solve a family, each in float64.  A discrete family takes
+the buckets (`_Buckets`): S applied through one label a row for each
+gate, O(n) a gate and matvec, with as many Lanczos steps as keep its
+basis within _ROUTE_BYTES.  With a window, past _PAIR_ROUTE_MAX indices
+a family whose members x nodes are fewer than its indices takes the
+family side, and otherwise the pair side S o K, with K[n, m] =
+(T/2) sinc((L_n - L_m) T/4) the real factor of I_T; its phase factors out
+as D = diag(e^{3iTL/4}), and only `gram_multiplicative` forms the
+Hermitian D (S o K) D^H.  On the family side Delta = ||A||^2 for the
+row-wise Khatri-Rao product A = V o P of the member values V and the
+phases P of Gauss-Legendre quadrature of I_T; A A^H = (V V^H) o (P P^H)
+is the pair side.  The index is closed under a/b -> b/a, which conjugates
+the characters and the phases, so H = A^H A is real, and `_KhatriRao`
+applies it on the rows a <= b alone.  The routes and the oracles (the
+discrete families' member values, with P = 1) read one definition of a
+family (`_Family`) and check one another in the tests.
 """
 
 import struct
@@ -232,7 +212,7 @@ def _hermitize(G):
 class _Family:
     """The pair side reads the index arrays a, b, the terms and the window
     [T/2, T] (T None: discrete); the family side a, b, the window and
-    members(), the residue tables, built on call like `index`."""
+    members(), the reads of residue tables, built on call like `index`."""
 
     def __init__(self, a, b, terms, members, T=None, point=CoprimePair):
         self.a, self.b = a, b
@@ -277,7 +257,7 @@ def _multiplicative(spec, a, b):
     _check_terms(spec.Q)
     terms = _congruence_terms(_moduli(spec.Q, spec.k), totient, spec.k, spec.parity)
     return _Family(a, b, terms,
-                   lambda: [(value_table(chi), value_table(theta))
+                   lambda: [((value_table(chi), 1), (value_table(theta), 1))
                             for _, chi, theta in family_members(spec)],
                    spec.T)
 
@@ -291,9 +271,12 @@ def _additive(Q, N):
     _check_terms(Q)
     a, b = _coprime_pairs(N, "dyadic")
     moduli = _moduli(Q)
-    return _Family(a, b, _congruence_terms(moduli, lambda d: d),
-                   lambda: [(np.exp(2j * np.pi * t * np.arange(q) / q),)
-                            for q, t in _additive_rows(moduli)])
+
+    def members():  # reads of one e_q table for all of q's members
+        tables = {q: np.exp(2j * np.pi * np.arange(q) / q) for q in moduli}
+        return [((tables[q], t),) for q, t in _additive_rows(moduli)]
+
+    return _Family(a, b, _congruence_terms(moduli, lambda d: d), members)
 
 
 def _rational(Q, N):
@@ -301,7 +284,7 @@ def _rational(Q, N):
     a, b = _coprime_pairs(N)
     moduli = range(1, int(Q) + 1)
     return _Family(a, b, _congruence_terms(moduli, totient),
-                   lambda: [(value_table(chi),) for q in moduli
+                   lambda: [((value_table(chi), 1),) for q in moduli
                             for chi in primitive_chars(q)],
                    point=RationalPoint)
 
@@ -456,21 +439,20 @@ def gram_rational(Q, N):
 # ----- family side: one member-value matrix ----------------------------
 
 def _member_matrix(members, a, b):
-    """V[n, f] = product over member f's residue tables of
-    table[red_m(a_n / b_n)], where m = len(table) and
-    red_m(a/b) = a bbar mod m is the reduction map; the entry is 0 where
-    gcd(a_n b_n, m) > 1.  A multiplicative member is (chi table, theta
-    table), a rational member (chi table,), an additive member
-    (e_q(t .) table,)."""
+    """V[n, f] = product over member f's reads (table, t) of
+    table[t red_m(a_n / b_n) mod m], m = len(table), red_m(a/b) = a bbar
+    mod m; 0 where gcd(a_n b_n, m) > 1.  A character is read at t = 1; an
+    additive member (q, t) reads e_q at t, one table for all of q's members.
+    One reduction is held at a time."""
     V = np.ones((len(a), len(members)), dtype=np.complex128)
-    reductions = {}
-    for f, tables in enumerate(members):
-        for table in tables:
-            m = len(table)
-            if m not in reductions:
-                reductions[m] = _reduce(a, b, m)
-            red, unit = reductions[m]
-            V[:, f] *= np.where(unit, table[red], 0)
+    reads = {}
+    for f, member in enumerate(members):
+        for table, t in member:
+            reads.setdefault(len(table), []).append((f, table, t))
+    for m, group in reads.items():
+        red, unit = _reduce(a, b, m)
+        for f, table, t in group:
+            V[:, f] *= np.where(unit, table[red * t % m], 0)
     return V
 
 
@@ -493,47 +475,61 @@ def _phase_matrix(L, T, nodes):
 
 class _KhatriRao:
     """H = A^H A for A = V (row-wise Khatri-Rao) P, A[n, (f, j)] =
-    V[n, f] P[n, j], on the (member, node) space of size F J.  Neither A
-    nor H is formed: H x is A^H (A x), with X = x.reshape(F, J),
-
-        A x = ((P X^T) o V) 1,    A^H y = conj((V o conj(y))^T P),
-
-    summed over row blocks of at most _PRODUCT_BLOCK entries of V or P, so
-    each temporary is one block.  `bounds()` gives the exact diagonal
-    sum_n |V[n, f]|^2 |P[n, j]|^2, the all-ones form ||A 1||^2 and the
-    upper bound min(||A||_F^2, ||A||_1 ||A||_inf) on ||A||^2 =
-    lambda_max(H); with `shape` and the complex `dtype`, the contract of
+    V[n, f] P[n, j], on the (member, node) space of size F J, from V and P
+    on the rows R = {a <= b} of an index closed under a/b -> b/a, where
+    A[b/a] = conj A[a/b]: H is real and, with w = 2 (1 at 1/1) and
+    X = x.reshape(F, J), H x = Re(A_R^H (w o A_R x)) for
+    A_R x = ((P X^T) o V) 1 and Re(A_R^H u) = Re((V o conj(u))^T P), summed
+    over row blocks of at most _PRODUCT_BLOCK entries of V or P; neither A
+    nor H is formed.  `bounds()` gives the exact diagonal
+    sum_R w |V|^2 |P|^2, the all-ones form sum_R w |A_R 1|^2 and the bound
+    min(||A||_F^2, ||A||_1 ||A||_inf) >= lambda_max(H), with w-weighted
+    column sums; with `shape` and the float64 `dtype`, the contract of
     `top_eigenvalue`.  Raises ValueError on non-finite V or P."""
 
-    dtype = np.dtype(np.complex128)
+    dtype = np.dtype(np.float64)
 
-    def __init__(self, V, P):
+    def __init__(self, V, P, w):
         if not (np.isfinite(V).all() and np.isfinite(P).all()):
             raise ValueError("member or phase matrix has non-finite entries")
         self.grid = (V.shape[1], P.shape[1])  # (F, J)
         self.shape = (V.shape[1] * P.shape[1],) * 2
         step = _block_rows(*self.grid)
-        self.blocks = [(V[s:s + step], P[s:s + step]) for s in range(0, len(V), step)]
+        self.blocks = [(V[s:s + step], P[s:s + step], w[s:s + step])
+                       for s in range(0, len(V), step)]
 
     def __matmul__(self, x):
         X = x.reshape(self.grid).T
-        z = np.zeros(self.grid, dtype=np.complex128)
-        for V, P in self.blocks:
-            y = np.einsum("nf,nf->n", V, P @ X)
-            z += (V * y.conj()[:, None]).T @ P
-        return np.conj(z).reshape(-1)
+        z = np.zeros(self.grid)
+        for V, P, w in self.blocks:
+            u = w * np.einsum("nf,nf->n", V, P @ X)
+            z += ((V * u.conj()[:, None]).T @ P).real
+        return z.reshape(-1)
 
     def bounds(self):
         diag, norm_1 = np.zeros(self.grid), np.zeros(self.grid)
         norm_inf = ones = 0.0
-        for V, P in self.blocks:
+        for V, P, w in self.blocks:
             aV, aP = np.abs(V), np.abs(P)
-            norm_1 += aV.T @ aP
             norm_inf = max(norm_inf, float((aV.sum(axis=1) * aP.sum(axis=1)).max()))
-            diag += np.square(aV, out=aV).T @ np.square(aP, out=aP)
+            wV = aV * w[:, None]
+            norm_1 += wV.T @ aP
+            wV *= aV
+            diag += wV.T @ np.square(aP, out=aP)
             y = V.sum(axis=1) * P.sum(axis=1)
-            ones += float(np.vdot(y, y).real)
-        return diag.reshape(-1), ones, min(float(diag.sum()), float(norm_1.max()) * norm_inf)
+            ones += float(np.vdot(y, w * y).real)
+        cap = min(float(diag.sum()), float(norm_1.max(initial=0.0)) * norm_inf)
+        return diag.reshape(-1), ones, cap
+
+
+def _fold(a, b):
+    """The rows a <= b of an index closed under a/b -> b/a, with weights 2,
+    or 1 at a fixed point a = b; ValueError when it is not closed."""
+    first, twin = np.lexsort((b, a)), np.lexsort((a, b))
+    if not (np.array_equal(a[first], b[twin]) and np.array_equal(b[first], a[twin])):
+        raise ValueError("the family route needs an index closed under a/b -> b/a")
+    reps = np.flatnonzero(a <= b)
+    return reps, np.where(a[reps] == b[reps], 1.0, 2.0)
 
 
 def _block_rows(F, J):
@@ -657,10 +653,10 @@ def additive_matrix(Q, N):
     fam = _additive(Q, N)
     moduli = _moduli(Q)
     n, F = len(fam.a), sum(map(totient, moduli))
-    # V, 16 bytes an entry; each member's table of q <= Q values and its
-    # row (q, t); each index's point object, its residues and unit masks
-    # (9 bytes a modulus) and the row temporaries of `_member_matrix`
-    need = 16 * n * F + (16 * Q + 400) * F + (_POINT_BYTES + 9 * len(moduli) + 64) * n
+    # V, 16 bytes an entry; each modulus's table of q <= Q values; each
+    # member's read and row (q, t); each index's point object and the
+    # temporaries of one reduction in `_member_matrix`
+    need = 16 * n * F + (16 * Q + 128) * len(moduli) + 256 * F + (_POINT_BYTES + 64) * n
     _check_bytes(f"additive matrix on {n} indices x {F} members", need, _ROUTE_BYTES)
     V = _member_matrix(fam.members(), fam.a, fam.b)
     return _additive_rows(moduli), fam.index, V.T
@@ -706,7 +702,7 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
 
     G meets one contract: `shape` (n, n), `dtype`, `G @ x` and `bounds()`,
     which returns the diagonal, the all-ones form 1^H G 1 and a true upper
-    bound on lambda_max, as `_KhatriRao` does for H = A^H A.  An ndarray or
+    bound on lambda_max, as `_KhatriRao` and `_Buckets` do.  An ndarray or
     a GramMatrix, which has no `bounds()`, is solved as its matrix with
     `_dense_bounds`: the Gershgorin bound max_i sum_j |G[i, j]|, after the
     checks that its entries are finite and Hermitian.
@@ -802,25 +798,27 @@ def _pair_route_bytes(n):
 
 def _family_route_bytes(n, F, nodes, rows):
     """Peak bytes of the family route on n indices and F members x nodes,
-    with a Lanczos basis of `rows` vectors: the index arrays a, b (int64)
-    and L (float64), 24 bytes an entry; V and P (n x F and n x nodes,
-    complex); two ufunc buffers; and the larger of two stages over row
-    blocks of b rows (`_block_rows`).  Setup holds the float moduli of a
-    block in `bounds` and three length-b vectors.  The solve holds the
-    basis and the float64 tridiagonal T at their capacity (doubled from 32
-    rows up to F nodes, as in `top_eigenvalue`), four more vectors, two
-    rows x rows arrays (the Ritz vectors and eigh's copy of T), and the
-    b x F temporary of a matvec with its two length-b vectors."""
+    with a Lanczos basis of `rows` vectors: a, b and L, 24 bytes an index;
+    on the m = (n + 1) / 2 rows a <= b, their numbers and weights, 16 bytes
+    a row, and V and P (m x F and m x nodes, complex); two ufunc buffers;
+    and the larger of two stages over row blocks of b rows (`_block_rows`).
+    Setup holds the float moduli of a block in `bounds`, the weighted |V|
+    beside them and three length-b vectors.  The solve holds the float64
+    basis and tridiagonal T at their capacity (doubled from 32 rows up to
+    F nodes, as in `top_eigenvalue`), six more vectors, two rows x rows
+    arrays (the Ritz vectors and eigh's copy of T), and the b x F
+    temporary of a matvec with its two length-b vectors."""
     size = F * nodes
-    b = min(n, _block_rows(F, nodes))
+    m = (n + 1) // 2
+    b = min(m, _block_rows(F, nodes))
     capacity = 32
     while capacity < rows:
         capacity *= 2
     capacity = min(capacity, size, _MAX_ITER)
-    solve = (16 * size * (capacity + 4) + 8 * capacity * capacity + 16 * rows * rows
+    solve = (8 * size * (capacity + 6) + 8 * capacity * capacity + 16 * rows * rows
              + 16 * b * (F + 2))
-    return (24 * n + 16 * n * (F + nodes) + 32 * np.getbufsize()
-            + max(8 * b * (F + nodes + 6), solve))
+    return (24 * n + 16 * m * (F + nodes + 1) + 32 * np.getbufsize()
+            + max(8 * b * (2 * F + nodes + 6), solve))
 
 
 def _bucket_sizes(n, terms):
@@ -849,22 +847,22 @@ def _bucket_route_bytes(n, labels, entries, rows):
 
 def _solve(fam, tol, route="auto"):
     """The one route rule: every Delta hands it its family, built once, and
-    it builds the operator of the route it takes from that family alone.
-    "pairs" solves the real symmetric pair-side matrix `_pair_gram(fam)`;
-    "family" solves H = A^H A for A the `_KhatriRao` operator of the member
-    values V (rows the index, columns the members) and the phases P (rows
-    the index, columns the quadrature nodes), never formed; its nonzero
-    spectrum is the pair side's up to the quadrature of I_T.  "buckets"
-    solves the pair side S of a discrete family through `_Buckets`, never
-    formed, with as many Lanczos steps as keep its basis within
-    _ROUTE_BYTES.  No route builds a `GramMatrix` or a point object.  "auto"
-    takes the buckets for a discrete family (T None); with a window, it
-    takes the family side past _PAIR_ROUTE_MAX indices when members x nodes
-    < indices, counting the members F as S at the index 1/1, where every
-    member is 1, and the pair side otherwise.  Each route first raises
-    ValueError when its size estimate, at the deepest Lanczos basis on the
-    family and bucket sides, passes _ROUTE_BYTES.  The NormEstimate records
-    the route that ran and the index count n."""
+    it builds the operator of the route it takes from that family alone,
+    never a `GramMatrix` or a point object.  "pairs" solves the real
+    symmetric `_pair_gram(fam)`; "family", for a window only, the real
+    H = A^H A of `_KhatriRao`, with the member values V and the phases P
+    on the rows a <= b (`_fold`), whose nonzero spectrum is the pair
+    side's up to the quadrature of I_T; "buckets" the S of a discrete
+    family through `_Buckets`, with as many Lanczos steps as keep its basis
+    within _ROUTE_BYTES.  "auto" takes the buckets for a discrete family
+    (T None); with a window, the family side past _PAIR_ROUTE_MAX indices
+    when members x nodes < indices, counting the members F as S at the
+    index 1/1, where every member is 1, and the pair side otherwise.  Each
+    route first raises ValueError when its size estimate, at the deepest
+    Lanczos basis on the family and bucket sides, passes _ROUTE_BYTES; the
+    family route also on a discrete family or an index not closed under
+    a/b -> b/a, before V is built.  The NormEstimate records the route
+    that ran and the index count n."""
     n = len(fam.a)
     if route == "auto" and fam.T is None:
         route = "buckets"
@@ -878,26 +876,28 @@ def _solve(fam, tol, route="auto"):
                      _bucket_route_bytes(n, labels, entries, steps), _ROUTE_BYTES)
         estimate = top_eigenvalue(_Buckets(fam), tol=tol, max_iter=steps)
         return replace(estimate, route=route, size=n)
-    Lmax = float(np.abs(fam.L).max(initial=0.0))
-    # past _ROUTE_BYTES nodes the family estimate (16 n nodes bytes and more)
-    # passes the cap whatever n is, so the count is clamped there: an
-    # overflowing Lmax T stays refused and never reaches int(inf)
-    nodes = 1 if fam.T is None else max(48, int(min(Lmax * fam.T / 2, _ROUTE_BYTES)) + 40)
-    one = np.ones(1, dtype=np.int64)
-    F = int(_congruence_sum(one, one, fam.terms)[0, 0])
-    if route == "auto":
-        route = "family" if n > _PAIR_ROUTE_MAX and F * nodes < n else "pairs"
+    if route != "pairs":
+        if fam.T is None:
+            raise ValueError("the family route serves the windowed families only")
+        Lmax = float(np.abs(fam.L).max(initial=0.0))
+        # past _ROUTE_BYTES nodes the family estimate (16 bytes a node on
+        # each row a <= b) passes the cap whatever n is, so the count is
+        # clamped there: an overflowing Lmax T never reaches int(inf)
+        nodes = max(48, int(min(Lmax * fam.T / 2, _ROUTE_BYTES)) + 40)
+        one = np.ones(1, dtype=np.int64)
+        F = int(_congruence_sum(one, one, fam.terms)[0, 0])
+        if route == "auto":
+            route = "family" if n > _PAIR_ROUTE_MAX and F * nodes < n else "pairs"
     if route == "pairs":
-        sizes, need = f"{n} indices", _pair_route_bytes(n)
-    else:
-        sizes = f"{F} members x {nodes} nodes"
-        need = _family_route_bytes(n, F, nodes, min(F * nodes, _MAX_ITER))
-    _check_bytes(f"{route} route on {sizes}", need, _ROUTE_BYTES)
-    if route == "pairs":
+        _check_bytes(f"pairs route on {n} indices", _pair_route_bytes(n), _ROUTE_BYTES)
         operator = _pair_gram(fam)
-    else:  # P before V: its outer-product temporary then has no V beside it
-        P = _phase_matrix(fam.L, fam.T, nodes)
-        operator = _KhatriRao(_member_matrix(fam.members(), fam.a, fam.b), P)
+    else:
+        reps, weight = _fold(fam.a, fam.b)
+        _check_bytes(f"family route on {F} members x {nodes} nodes",
+                     _family_route_bytes(n, F, nodes, min(F * nodes, _MAX_ITER)), _ROUTE_BYTES)
+        # P before V: its outer-product temporary then has no V beside it
+        P = _phase_matrix(fam.L[reps], fam.T, nodes)
+        operator = _KhatriRao(_member_matrix(fam.members(), fam.a[reps], fam.b[reps]), P, weight)
     return replace(top_eigenvalue(operator, tol=tol), route=route, size=n)
 
 

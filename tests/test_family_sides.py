@@ -13,7 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sievelab import norms  # noqa: E402
-from sievelab.rationals import enumerate_pairs  # noqa: E402
+from sievelab.rationals import _coprime_pairs, enumerate_pairs  # noqa: E402
 from test_norms import _congruence_sum_by_loops  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -31,13 +31,14 @@ def _rel_diff(G, H):
     return float(np.max(np.abs(G - H), initial=0.0)) / scale
 
 
-def _assert_norms_agree(pair, fam, rel):
-    """lambda_max of the pair-side Gram against the family side of the
-    route rule (H = A^H A), whatever the index size; and the route rule's
-    member count, the congruence sum at the index 1/1, is the number of
-    members."""
+def _assert_norms_agree(pair, members, fam, rel):
+    """lambda_max of the pair-side Gram against the member side `members`,
+    whatever the index size: the family route's H = A^H A for a window, a
+    dense oracle from the member values for a discrete family, which the
+    family route does not serve; and the route rule's member count, the
+    congruence sum at the index 1/1, is the number of members."""
     want = norms.top_eigenvalue(pair, tol=1e-12).value
-    got = norms._solve(fam, 1e-12, route="family").value
+    got = members.value
     assert abs(got - want) <= rel * max(1.0, want), (got, want)
     one = np.ones(1, dtype=np.int64)
     assert norms._congruence_sum(one, one, fam.terms)[0, 0] == len(fam.members())
@@ -54,9 +55,10 @@ def test_multiplicative_pair_side_equals_family_side(Q, k, T, N, parity, coprime
     assert pair.index == family.index
     assert _rel_diff(pair.matrix, family.matrix) <= 1e-8
     fam = norms._multiplicative(spec, *norms._pair_arrays(index))
-    _assert_norms_agree(pair, fam, 1e-8)
+    members = norms._solve(fam, 1e-12, route="family")
+    _assert_norms_agree(pair, members, fam, 1e-8)
     # the real S o K that delta's pair route solves has the same spectrum
-    _assert_norms_agree(norms._pair_gram(fam), fam, 1e-8)
+    _assert_norms_agree(norms._pair_gram(fam), members, fam, 1e-8)
 
 
 @PROPERTY
@@ -66,7 +68,8 @@ def test_additive_pair_side_equals_family_side(Q, N):
     rows, index, mat = norms.additive_matrix(Q, N)
     assert pair.index == index and len(rows) == mat.shape[0]
     assert _rel_diff(pair.matrix, mat.conj().T @ mat) <= 1e-9
-    _assert_norms_agree(pair, norms._additive(Q, N), 1e-9)
+    members = norms.top_eigenvalue(norms._hermitize(mat @ mat.conj().T), tol=1e-12)
+    _assert_norms_agree(pair, members, norms._additive(Q, N), 1e-9)
 
 
 @PROPERTY
@@ -76,7 +79,47 @@ def test_rational_pair_side_equals_family_side(Q, N):
     family = norms.gram_rational_bruteforce(Q, N)
     assert pair.index == family.index
     assert _rel_diff(pair.matrix, family.matrix) <= 1e-9
-    _assert_norms_agree(pair, norms._rational(Q, N), 1e-9)
+    members = norms.top_eigenvalue(family, tol=1e-12)
+    _assert_norms_agree(pair, members, norms._rational(Q, N), 1e-9)
+
+
+@PROPERTY
+@given(Q=Qs, k=st.sampled_from([1, 3]), T=st.floats(1.0, 4.0), N=Ns,
+       parity=st.sampled_from([None, "even", "odd"]), window=st.sampled_from(["dyadic", "full"]),
+       block=st.integers(1, 6))
+def test_folded_family_operator_is_A_H_A_on_the_whole_index(Q, k, T, N, parity, window, block):
+    # sigma maps a/b to b/a.  The member values and phases at sigma n are
+    # the conjugates of those at n, so H = A^H A on the whole index is the
+    # real operator on the rows a <= b, weighted 2, and 1 at 1/1, which the
+    # full window holds and the dyadic one only at N = 1.  A _PRODUCT_BLOCK
+    # of block rows splits it into several row blocks
+    spec = norms.FamilySpec(Q, k, T, parity)
+    fam = norms._multiplicative(spec, *_coprime_pairs(N, window))
+    at = {(a, b): i for i, (a, b) in enumerate(zip(fam.a.tolist(), fam.b.tolist()))}
+    sigma = np.array([at[b, a] for a, b in zip(fam.a.tolist(), fam.b.tolist())])
+    V = norms._member_matrix(fam.members(), fam.a, fam.b)
+    P = norms._phase_matrix(fam.L, fam.T, 12)
+    assert np.abs(V[sigma] - V.conj()).max(initial=0.0) <= 1e-14
+    assert np.abs(P[sigma] - P.conj()).max(initial=0.0) <= 1e-14
+    A = (V[:, :, None] * P[:, None, :]).reshape(len(fam.a), -1)
+    H = A.conj().T @ A
+    reps, w = norms._fold(fam.a, fam.b)
+    assert len(reps) == (len(fam.a) + 1) // 2 and w.sum() == len(fam.a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_PRODUCT_BLOCK", block * max(V.shape[1], 12))
+        op = norms._KhatriRao(V[reps], P[reps], w)
+    assert op.dtype == np.float64 and op.shape == H.shape
+    assert len(op.blocks) == -(-len(reps) // block)
+    x = np.random.default_rng(len(fam.a)).standard_normal(H.shape[0])
+    scale = max(1.0, float(np.abs(H).max(initial=0.0)))
+    assert np.abs(op @ x - H.real @ x).max(initial=0.0) <= 1e-12 * scale * np.abs(x).sum()
+    diag, ones, cap = op.bounds()
+    assert np.abs(diag - H.diagonal().real).max(initial=0.0) <= 1e-12 * scale
+    assert abs(ones - H.sum().real) <= 1e-12 * scale * H.size
+    aA = np.abs(A)
+    bound = min(float((aA * aA).sum()), float(aA.sum(axis=0).max(initial=0.0))
+                * float(aA.sum(axis=1).max(initial=0.0)))
+    assert abs(cap - bound) <= 1e-12 * max(1.0, bound)
 
 
 # a term (g, d, c, s): d | g, an integer or half weight c, s = +-1

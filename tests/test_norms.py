@@ -229,16 +229,28 @@ def test_discrete_grams_are_real_exact_congruence_sums(family, Q, N):
     assert np.abs(g.matrix - slow).max() <= 1e-9 * np.abs(slow).max(), (Q, N)
 
 
+def _member_side(family, Q, N):
+    """lambda_max of a discrete family's dense oracle from its member
+    values, which shares no arithmetic with the congruence sum: M M^H for
+    the additive coefficient matrix M, the rational Gram by explicit
+    character sums."""
+    if family == "additive":
+        mat = additive_matrix(Q, N)[2]
+        return top_eigenvalue(norms._hermitize(mat @ mat.conj().T), tol=1e-12).value
+    return top_eigenvalue(gram_rational_bruteforce(Q, N), tol=1e-12).value
+
+
 @pytest.mark.parametrize("family,Q,N", [("additive", 12, 300), ("additive", 40, 300),
                                         ("rational", 12, 200), ("rational", 5, 100)])
 def test_discrete_norms_agree_across_routes(family, Q, N):
     # delta_add and delta_rational take no route argument: the one route
-    # rule is called with each route in turn
+    # rule is called with each route in turn.  The family route serves the
+    # windowed families only, so the member side is the dense oracle
     build, _ = _DISCRETE[family]
-    pairs, fam, buckets = (norms._solve(build(Q, N), 1e-9, route)
-                           for route in ("pairs", "family", "buckets"))
-    assert (pairs.route, fam.route, buckets.route) == ("pairs", "family", "buckets")
-    assert abs(pairs.value - fam.value) <= 1e-9 * pairs.value, (pairs, fam)
+    pairs, buckets = (norms._solve(build(Q, N), 1e-9, route) for route in ("pairs", "buckets"))
+    assert (pairs.route, buckets.route) == ("pairs", "buckets")
+    members = _member_side(family, Q, N)
+    assert abs(pairs.value - members) <= 1e-9 * members, (pairs, members)
     # the buckets sum S x in another order than the dense S: these four
     # moved by at most 4.4e-16 relative
     assert abs(buckets.value - pairs.value) <= 1e-12 * pairs.value, (pairs, buckets)
@@ -751,6 +763,26 @@ def test_additive_matrix_estimate_covers_the_measured_peak(Q, N, monkeypatch):
     assert 16 * n * F <= peak <= need, (peak, need)
 
 
+def test_additive_members_share_one_table_a_modulus(monkeypatch):
+    # an additive member (q, t) reads e_q(t a bbar) at t a bbar mod q from
+    # one table for q, so the tables hold sum q numbers where a table a
+    # member held sum q phi(q): 77 MB here, far past V (0.7 MB)
+    needs = []
+    check = norms._check_bytes
+
+    def record(what, need, cap):
+        needs.append(need)
+        check(what, need, cap)
+
+    monkeypatch.setattr(norms, "_check_bytes", record)
+    additive_matrix(300, 2)  # fills the caches of divisors first
+    needs.clear()
+    peak = _traced_peak(lambda: additive_matrix(300, 2))
+    n, F = _additive_sizes(300, 2)
+    per_member = 16 * sum(q * totient(q) for q in range(151, 301))
+    assert 16 * n * F <= peak <= needs[-1] < per_member, (peak, needs, per_member)
+
+
 @pytest.mark.parametrize("call,what", [
     pytest.param(lambda: delta_add(1e9, 10), "term list of Q = 1e\\+09", id="additive-Q-1e9"),
     pytest.param(lambda: delta_rational(2, 1e8), "index of height <= 100000000",
@@ -767,7 +799,6 @@ def test_huge_sizes_are_refused_before_any_work(call, what):
 
 def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
     from sievelab import cli
-    from sievelab.characters import primitive_chars
 
     # the same lowered cap; the member values raise, so the refusal must
     # come from the estimate, before the family side is built
@@ -786,10 +817,25 @@ def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
     err = capsys.readouterr().err
     F = len(family_members(FamilySpec(12.0, 1, 4.0)))
     assert re.search(f"family route on {F} members x \\d+ nodes", err) and "1.0 MiB cap" in err
-    # an explicit family route on a discrete family refuses the same way
-    F = sum(len(primitive_chars(q)) for q in range(1, 13))
-    with pytest.raises(ValueError, match=f"family route on {F} members x 1 nodes .* 1.0 MiB cap"):
-        norms._solve(norms._rational(12, 600), 1e-9, "family")
+
+
+def test_family_route_refuses_a_discrete_family_or_an_unfolded_index(monkeypatch):
+    # the family route solves H on the rows a <= b, as A[b/a] = conj A[a/b]:
+    # it serves the windowed families only, whose index is closed under
+    # a/b -> b/a.  Both refusals come before the member values are built
+    def member_values(*args):
+        raise AssertionError("the family side was built")
+
+    monkeypatch.setattr(norms, "_member_matrix", member_values)
+    for fam in (norms._rational(12, 600), norms._additive(12, 300)):
+        with pytest.raises(ValueError, match="windowed families only"):
+            norms._solve(fam, 1e-9, "family")
+    a, b = _coprime_pairs(60, "dyadic")
+    twin = (a == 5) & (b == 7)  # 5/7 goes, 7/5 stays
+    assert twin.sum() == 1 and ((a == 7) & (b == 5)).sum() == 1
+    fam = norms._multiplicative(FamilySpec(6.0, 2, 2.0), a[~twin], b[~twin])
+    with pytest.raises(ValueError, match="closed under a/b -> b/a"):
+        norms._solve(fam, 1e-9, "family")
 
 
 _OPERATOR_FAMILIES = {
@@ -814,25 +860,39 @@ def _entrywise_A(fam):
 @pytest.mark.parametrize("block", [None, 100])
 @pytest.mark.parametrize("kind", list(_OPERATOR_FAMILIES))
 def test_family_operator_matches_the_dense_H(kind, block, monkeypatch):
-    # H = A^H A with A built entrywise; a small _PRODUCT_BLOCK splits the
-    # operator's rows into several blocks
+    # H = A^H A with A built entrywise on the whole index; a small
+    # _PRODUCT_BLOCK splits the operator's rows, and the pair side's
+    # congruence product, into several blocks
     if block:
         monkeypatch.setattr(norms, "_PRODUCT_BLOCK", block)
-    V, P, A = _entrywise_A(_OPERATOR_FAMILIES[kind]())
+    fam = _OPERATOR_FAMILIES[kind]()
+    V, P, A = _entrywise_A(fam)
     H = A.conj().T @ A
-    op = norms._KhatriRao(V, P)
-    assert op.shape == H.shape
-    assert (len(op.blocks) > 1) == bool(block)
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        x = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
-        assert np.linalg.norm(op @ x - H @ x) <= 1e-12 * np.linalg.norm(H @ x)
-    diag, ones, cap = op.bounds()
-    assert np.abs(diag - H.diagonal().real).max() <= 1e-12 * H.diagonal().real.max()
-    assert abs(ones - H.sum().real) <= 1e-12 * abs(H.sum())
     top = float(np.linalg.eigvalsh(H).max())
-    assert cap >= top
-    assert abs(top_eigenvalue(op).value - top) <= 1e-12 * top
+    if fam.T is None:
+        # the family route serves the windowed families only: a discrete
+        # member side checks the pair and bucket routes, and the dense
+        # oracle (V V^H) o (P P^H) of the same member values
+        for route in ("pairs", "buckets"):
+            assert abs(norms._solve(fam, 1e-12, route).value - top) <= 1e-12 * top, route
+        assert abs(top_eigenvalue(norms._family_gram(fam, 1)).value - top) <= 1e-12 * top
+    else:
+        # the operator holds the rows a <= b alone, weighted 2 (1 at 1/1),
+        # and applies the real H
+        reps, w = norms._fold(fam.a, fam.b)
+        op = norms._KhatriRao(V[reps], P[reps], w)
+        assert op.shape == H.shape and op.dtype == np.float64
+        assert (len(op.blocks) > 1) == bool(block)
+        assert np.abs(H.imag).max() <= 1e-12 * np.abs(H).max()
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x = rng.standard_normal(H.shape[0])
+            assert np.linalg.norm(op @ x - H.real @ x) <= 1e-12 * np.linalg.norm(H @ x)
+        diag, ones, cap = op.bounds()
+        assert np.abs(diag - H.diagonal().real).max() <= 1e-12 * H.diagonal().real.max()
+        assert abs(ones - H.sum().real) <= 1e-12 * abs(H.sum())
+        assert cap >= top
+        assert abs(top_eigenvalue(op).value - top) <= 1e-12 * top
 
 
 @pytest.mark.parametrize("kind", ["odd", "additive", "rational"])
@@ -849,12 +909,13 @@ def test_family_gram_is_the_entrywise_A_AH(kind):
 
 def test_family_route_builds_no_point_objects(monkeypatch):
     # the index stays int64 arrays from enumeration through the solve, on
-    # the family route and on the pair route of every family
+    # the family route, with and without a parity, and on the pair route of
+    # every family
     built = []
     for cls in (CoprimePair, RationalPoint):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
     assert delta(12.0, 1, 4.0, 1000.0).route == "family"
-    assert norms._solve(norms._rational(12, 600), 1e-9, "family").route == "family"
+    assert delta(10.0, 3, 4.0, 1000.0, parity="odd").route == "family"
     assert delta(4.0, 1, 1.0, 40.0).route == "pairs"
     assert norms._solve(norms._additive(12, 300), 1e-9, "pairs").route == "pairs"
     assert delta_add(12, 300).route == "buckets"
@@ -959,7 +1020,7 @@ def test_family_operator_rejects_non_finite():
     for M, bad in [(V, np.nan), (P, np.inf), (P, complex(0, np.nan))]:
         M[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            norms._KhatriRao(V, P)
+            norms._KhatriRao(V, P, np.ones(5))
         M[2, 1] = 1
 
 
