@@ -31,8 +31,9 @@ by theta mod k joins each Moebius term by CRT (gate qk, modulus dk, a
 factor phi(k)), and a parity eps = +-1, the projector
 (1 + eps chi theta(-1))/2, weighs each term c/2 and its s = -1 twin
 eps c/2.  One exact routine, `_congruence_sum`, evaluates every list into
-the whole pair side, a float64 matrix of multiples of 1/2 below 2^52:
-residue-indicator products for small phi(d), matched residues for the rest.
+the pair side, on any rows against the whole index, a float64 matrix of
+multiples of 1/2 below 2^52: residue-indicator products for small phi(d),
+matched residues for the rest.
 Each route, each public Gram builder and `additive_matrix` refuse a job
 whose size estimate passes _ROUTE_BYTES, and so does the index, from N
 alone, and the term list, from Q alone, before anything is built.
@@ -58,9 +59,11 @@ as D = diag(e^{3iTL/4}), and only `gram_multiplicative` forms the
 Hermitian D (S o K) D^H.  On the family side Delta = ||A||^2 for the
 row-wise Khatri-Rao product A = V o P of the member values V and the
 phases P of Gauss-Legendre quadrature of I_T; A A^H = (V V^H) o (P P^H)
-is the pair side.  The index is closed under a/b -> b/a, which conjugates
-the characters and the phases, so H = A^H A is real, and `_KhatriRao`
-applies it on the rows a <= b alone.  The routes and the oracles (the
+is the pair side.  The index is closed under sigma: a/b -> b/a, so both
+windowed routes hold the rows a <= b alone: sigma leaves S o K invariant,
+so its spectrum is that of an even and an odd block (`_pair_blocks`), and
+it conjugates the characters and the phases, so H = A^H A is real, and
+`_KhatriRao` applies it there.  The routes and the oracles (the
 discrete families' member values, with P = 1) read one definition of a
 family (`_Family`) and check one another in the tests.
 """
@@ -291,18 +294,19 @@ def _rational(Q, N):
 
 # ----- pair side: one exact congruence sum -----------------------------
 
-def _congruence_sum(a, b, terms):
-    """The float64 matrix
+def _congruence_sum(a, b, terms, rows=None):
+    """The float64 matrix on the indices `rows` (all by default) against
+    the whole index,
 
-        S[n, m] = sum of c over the terms (g, d, c, s) with
+        S[i, m] = sum of c over the terms (g, d, c, s) with, for n = rows[i],
             gcd(a_n b_n a_m b_m, g) = 1 and a_n b_m = s a_m b_n mod d.
 
-    Each d divides its g, so on the gated rows, gcd(a_n b_n, g) = 1, the
+    Each d divides its g, so on the gated indices, gcd(a_n b_n, g) = 1, the
     congruence is u_n = s u_m for u = a bbar mod d.  A term with phi(d) <=
-    _DENSE_PHI owns phi(d) columns, one per unit residue mod d: row n of U
-    holds c in the column of u_n and row n of U_s holds 1 in the column of
-    s u_n, and these terms sum to U U_s^T, taken as float64 GEMMs over
-    chunks of whole terms, each step = min(_PRODUCT_BLOCK / n, n / 2)
+    _DENSE_PHI owns phi(d) columns, one per unit residue mod d: row i of U
+    holds c in the column of u_n and row m of U_s holds 1 in the column of
+    s u_m, and these terms sum to U U_s^T, taken as float64 GEMMs over
+    chunks of whole terms, each step = min(_PRODUCT_BLOCK / n, rows / 2)
     columns or over by less than one term, added to S in blocks of
     _CHECK_ROWS rows.  A term with larger phi(d) matches about
     n^2 / phi(d) pairs, far fewer than its n^2 phi(d) GEMM terms; it adds c
@@ -310,82 +314,88 @@ def _congruence_sum(a, b, terms):
     slices of step rows.  For weights c that are multiples of 1/2, every
     partial sum of either kind is a multiple of 1/2 of size at most
     sum |c| < 2^52, so S is exact whatever the BLAS summation order or
-    thread count."""
+    thread count, and equal to the rows of the square S."""
     n = len(a)
+    rows = np.arange(n) if rows is None else rows
     prod = a * b
-    gates, dense, sparse = {}, [], []  # (gated rows, d, c, s)
+    gates, dense, sparse = {}, [], []  # (gated rows, gated columns, d, c, s)
     for g, d, c, s in terms:
         if g not in gates:
-            gates[g] = np.flatnonzero(np.gcd(prod, g) == 1)
-        (dense if totient(d) <= _DENSE_PHI else sparse).append((gates[g], d, c, s))
+            unit = np.gcd(prod, g) == 1
+            gates[g] = np.flatnonzero(unit[rows]), np.flatnonzero(unit)
+        (dense if totient(d) <= _DENSE_PHI else sparse).append((*gates[g], d, c, s))
     if sum(abs(c) for _, _, c, _ in terms) >= 2**52:
         raise ValueError("congruence weights too large for an exact float64 product")
     # S is an exact sum, so the order of the terms is free: in order of d,
     # each d's residues are built once and dropped after its last term
-    dense.sort(key=lambda term: term[1])
-    sparse.sort(key=lambda term: term[1])
+    dense.sort(key=lambda term: term[2])
+    sparse.sort(key=lambda term: term[2])
     residues = {}
 
-    def labels(rows, d, s):
+    def labels(gated, cols, d, s):
         if d not in residues:
             residues.clear()
             # column[r] numbers the units r mod d as 0, ..., phi(d) - 1
             residues[d] = np.cumsum(np.gcd(np.arange(d), d) == 1) - 1, _reduce(a, b, d)[0]
         column, u = residues[d]
-        u = u[rows]
-        return column, u, s * u % d
+        return column, u[rows[gated]], s * u[cols] % d
 
     def add_product(chunk, width):
         """S += U U_s^T over the whole terms of one chunk."""
-        U, Us = np.zeros((n, width)), np.zeros((n, width))
+        U, Us = np.zeros((len(rows), width)), np.zeros((n, width))
         first = 0
-        for rows, d, c, s in chunk:
-            column, u, us = labels(rows, d, s)
-            U[rows, first + column[u]] = c
-            Us[rows, first + column[us]] = 1
+        for gated, cols, d, c, s in chunk:
+            column, u, us = labels(gated, cols, d, s)
+            U[gated, first + column[u]] = c
+            Us[cols, first + column[us]] = 1
             first += totient(d)
-        for r in range(0, n, _CHECK_ROWS):
+        for r in range(0, len(rows), _CHECK_ROWS):
             S[r:r + _CHECK_ROWS] += U[r:r + _CHECK_ROWS] @ Us.T
 
     # U and U_s together stay within 8 bytes per entry of S plus fewer than
     # _DENSE_PHI columns, and each chunk's product goes into S in row blocks,
-    # so no second n x n array sits beside S (_pair_route_bytes)
-    step = max(1, min(_PRODUCT_BLOCK // max(n, 1), n // 2))
-    S = np.zeros((n, n))
+    # so no second array of the size of S sits beside it (_pair_route_bytes)
+    step = max(1, min(_PRODUCT_BLOCK // max(n, 1), len(rows) // 2))
+    S = np.zeros((len(rows), n))
     chunk, width = [], 0
     for t, term in enumerate(dense, 1):
         chunk.append(term)
-        width += totient(term[1])
+        width += totient(term[2])
         if width >= step or t == len(dense):
             add_product(chunk, width)
             chunk, width = [], 0
     flat = S.reshape(-1)
-    for rows, d, c, s in sparse:
-        _, u, us = labels(rows, d, s)
+    for gated, cols, d, c, s in sparse:
+        _, u, us = labels(gated, cols, d, s)
         order = np.argsort(us)
         us = us[order]
-        for lo in range(0, len(rows), step):
+        for lo in range(0, len(gated), step):
             start = np.searchsorted(us, u[lo:lo + step], "left")
             count = np.searchsorted(us, u[lo:lo + step], "right") - start
             # row i matches the sorted us at start_i, ..., start_i + count_i - 1;
             # within one term and one slice each (row, column) comes once
-            i = np.repeat(rows[lo:lo + step], count)
+            i = np.repeat(gated[lo:lo + step], count)
             j = np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)
-            flat[i * n + rows[order[j]]] += c
+            flat[i * n + cols[order[j]]] += c
     return S
 
 
-def _pair_gram(fam):
-    """The pair-side matrix of a family, real symmetric float64: the
-    congruence sum S of its terms (integers, or halves for a parity) for a
-    discrete family (T None), and S o K for a window, K[n, m] = _window(L_n
-    - L_m, T), multiplied into S in place in row blocks so that the
-    temporaries stay small; _window is even, so S o K is exactly symmetric."""
-    S = _congruence_sum(fam.a, fam.b, fam.terms)
+def _pair_gram(fam, order=None, rows=None):
+    """The pair-side matrix of a family, float64: the congruence sum S of
+    its terms (integers, or halves for a parity) for a discrete family
+    (T None), and S o K for a window, K[n, m] = _window(L_n - L_m, T),
+    multiplied into S in place in row blocks so that the temporaries stay
+    small.  Its columns are the index in `order` and its rows the
+    positions `rows` of those (all of each by default: the square, real
+    symmetric, as _window is even)."""
+    a, b, L = fam.a, fam.b, fam.L
+    if order is not None:
+        a, b, L = a[order], b[order], L[order]
+    S = _congruence_sum(a, b, fam.terms, rows)
     if fam.T is not None:
-        L = fam.L
-        for s in range(0, len(L), _CHECK_ROWS):
-            S[s:s + _CHECK_ROWS] *= _window(L[s:s + _CHECK_ROWS, None] - L, fam.T)
+        Lr = L if rows is None else L[rows]
+        for s in range(0, len(Lr), _CHECK_ROWS):
+            S[s:s + _CHECK_ROWS] *= _window(Lr[s:s + _CHECK_ROWS, None] - L, fam.T)
     return S
 
 
@@ -523,13 +533,41 @@ class _KhatriRao:
 
 
 def _fold(a, b):
-    """The rows a <= b of an index closed under a/b -> b/a, with weights 2,
-    or 1 at a fixed point a = b; ValueError when it is not closed."""
+    """The rows a <= b of an index closed under sigma: a/b -> b/a, with
+    weights 2, or 1 at a fixed point a = b, and the position sigma(r) of
+    each one's twin; ValueError when it is not closed."""
     first, twin = np.lexsort((b, a)), np.lexsort((a, b))
     if not (np.array_equal(a[first], b[twin]) and np.array_equal(b[first], a[twin])):
-        raise ValueError("the family route needs an index closed under a/b -> b/a")
+        raise ValueError("the folded routes need an index closed under a/b -> b/a")
+    sigma = np.empty_like(first)
+    sigma[first] = twin  # the k-th of (a, b) order is the twin of the k-th of (b, a)
     reps = np.flatnonzero(a <= b)
-    return reps, np.where(a[reps] == b[reps], 1.0, 2.0)
+    return reps, np.where(a[reps] == b[reps], 1.0, 2.0), sigma[reps]
+
+
+def _pair_blocks(fam):
+    """The even and odd blocks of the pair side M, whose spectra together
+    are M's.  sigma: a/b -> b/a leaves M invariant, M[sigma, sigma] = M, so
+    on the reps R = {a <= b} (`_fold`), with A = M[R, R] and
+    B = M[R, sigma R], the even block is E = A + B and the odd block
+    O = A - B on the free reps, except at a fixed point f = 1/1: E keeps
+    M[f, f], and the rest of its row and column is sqrt(2) M[., f].  Both
+    are views of one rectangle, M on the rows R, free reps first, against
+    the columns [R | sigma(free R)], which `_pair_gram` builds and the fold
+    overwrites in place, row block by row block, beside a _CHECK_ROWS-row
+    copy of A."""
+    reps, weight, twin = _fold(fam.a, fam.b)
+    free = weight == 2
+    m, p = len(reps), int(free.sum())
+    X = _pair_gram(fam, np.concatenate([reps[free], reps[~free], twin[free]]), np.arange(m))
+    for s in range(0, p, _CHECK_ROWS):
+        e = min(s + _CHECK_ROWS, p)
+        A = X[s:e, :p].copy()
+        X[s:e, :p] += X[s:e, m:]
+        np.subtract(A, X[s:e, m:], out=X[s:e, m:])
+    X[:p, p:m] *= np.sqrt(2)
+    X[p:m, :p] = X[:p, p:m].T
+    return X[:, :m], X[:p, m:]
 
 
 def _block_rows(F, J):
@@ -788,12 +826,19 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
 # ----------------------------------------------------------------------
 
 def _pair_route_bytes(n):
-    """Peak bytes of the pair route on n indices: 16 an entry, the float64
-    S beside its indicator chunks inside _congruence_sum (8 bytes an entry
-    of S between them), which a window then multiplies in place.  Plus
-    fewer than sixteen float64 _CHECK_ROWS x n arrays: a chunk's overrun
-    (under _DENSE_PHI columns) and the row blocks of product and window."""
-    return 16 * n * n + 8 * 16 * _CHECK_ROWS * n
+    """Peak bytes of the pair route on n indices: the float64 rectangle of
+    the m = (n + 1) / 2 rows a <= b against the n columns (`_pair_blocks`),
+    8 m n, beside one chunk of its indicator columns inside
+    _congruence_sum, U (m x width) and U_s (n x width) with width under
+    step + _DENSE_PHI, step = min(_PRODUCT_BLOCK / n, m / 2).  The window
+    and the fold then run in place.  Plus fewer than sixteen float64
+    _CHECK_ROWS x n arrays: the row blocks of the product and the window,
+    and the fold's copy of a row block.  A block solve's Lanczos basis
+    fits in the room the chunk leaves while it takes fewer than step
+    steps."""
+    m = (n + 1) // 2
+    step = max(1, min(_PRODUCT_BLOCK // max(n, 1), m // 2))
+    return 8 * m * n + 8 * (m + n) * (step + _DENSE_PHI) + 8 * 16 * _CHECK_ROWS * n
 
 
 def _family_route_bytes(n, F, nodes, rows):
@@ -848,20 +893,23 @@ def _bucket_route_bytes(n, labels, entries, rows):
 def _solve(fam, tol, route="auto"):
     """The one route rule: every Delta hands it its family, built once, and
     it builds the operator of the route it takes from that family alone,
-    never a `GramMatrix` or a point object.  "pairs" solves the real
-    symmetric `_pair_gram(fam)`; "family", for a window only, the real
-    H = A^H A of `_KhatriRao`, with the member values V and the phases P
-    on the rows a <= b (`_fold`), whose nonzero spectrum is the pair
-    side's up to the quadrature of I_T; "buckets" the S of a discrete
-    family through `_Buckets`, with as many Lanczos steps as keep its basis
-    within _ROUTE_BYTES.  "auto" takes the buckets for a discrete family
-    (T None); with a window, the family side past _PAIR_ROUTE_MAX indices
-    when members x nodes < indices, counting the members F as S at the
-    index 1/1, where every member is 1, and the pair side otherwise.  Each
-    route first raises ValueError when its size estimate, at the deepest
-    Lanczos basis on the family and bucket sides, passes _ROUTE_BYTES; the
-    family route also on a discrete family or an index not closed under
-    a/b -> b/a, before V is built.  The NormEstimate records the route
+    never a `GramMatrix` or a point object.  "pairs" solves the even and
+    odd blocks of the real symmetric pair side (`_pair_blocks`), each with
+    `top_eigenvalue`, and reports the larger value with that block's
+    residual, and the matvecs of both solves as `iterations`; "family", for
+    a window only, the real H = A^H A of `_KhatriRao`, with the member
+    values V and the phases P on the rows a <= b (`_fold`), whose nonzero
+    spectrum is the pair side's up to the quadrature of I_T; "buckets" the
+    S of a discrete family through `_Buckets`, with as many Lanczos steps
+    as keep its basis within _ROUTE_BYTES.  "auto" takes the buckets for a
+    discrete family (T None); with a window, the family side past
+    _PAIR_ROUTE_MAX indices when members x nodes < indices, counting the
+    members F as S at the index 1/1, where every member is 1, and the pair
+    side otherwise.  Each route first raises ValueError when its size
+    estimate, at the deepest Lanczos basis on the family and bucket sides,
+    passes _ROUTE_BYTES; the family route also on a discrete family, and
+    the pair and family routes on an index not closed under a/b -> b/a,
+    before their matrices are built.  The NormEstimate records the route
     that ran and the index count n."""
     n = len(fam.a)
     if route == "auto" and fam.T is None:
@@ -890,14 +938,15 @@ def _solve(fam, tol, route="auto"):
             route = "family" if n > _PAIR_ROUTE_MAX and F * nodes < n else "pairs"
     if route == "pairs":
         _check_bytes(f"pairs route on {n} indices", _pair_route_bytes(n), _ROUTE_BYTES)
-        operator = _pair_gram(fam)
-    else:
-        reps, weight = _fold(fam.a, fam.b)
-        _check_bytes(f"family route on {F} members x {nodes} nodes",
-                     _family_route_bytes(n, F, nodes, min(F * nodes, _MAX_ITER)), _ROUTE_BYTES)
-        # P before V: its outer-product temporary then has no V beside it
-        P = _phase_matrix(fam.L[reps], fam.T, nodes)
-        operator = _KhatriRao(_member_matrix(fam.members(), fam.a[reps], fam.b[reps]), P, weight)
+        even, odd = (top_eigenvalue(block, tol=tol) for block in _pair_blocks(fam))
+        top = max(even, odd, key=lambda estimate: estimate.value)
+        return replace(top, iterations=even.iterations + odd.iterations, route=route, size=n)
+    reps, weight, _ = _fold(fam.a, fam.b)
+    _check_bytes(f"family route on {F} members x {nodes} nodes",
+                 _family_route_bytes(n, F, nodes, min(F * nodes, _MAX_ITER)), _ROUTE_BYTES)
+    # P before V: its outer-product temporary then has no V beside it
+    P = _phase_matrix(fam.L[reps], fam.T, nodes)
+    operator = _KhatriRao(_member_matrix(fam.members(), fam.a[reps], fam.b[reps]), P, weight)
     return replace(top_eigenvalue(operator, tol=tol), route=route, size=n)
 
 

@@ -103,7 +103,7 @@ def test_folded_family_operator_is_A_H_A_on_the_whole_index(Q, k, T, N, parity, 
     assert np.abs(P[sigma] - P.conj()).max(initial=0.0) <= 1e-14
     A = (V[:, :, None] * P[:, None, :]).reshape(len(fam.a), -1)
     H = A.conj().T @ A
-    reps, w = norms._fold(fam.a, fam.b)
+    reps, w, _ = norms._fold(fam.a, fam.b)
     assert len(reps) == (len(fam.a) + 1) // 2 and w.sum() == len(fam.a)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(norms, "_PRODUCT_BLOCK", block * max(V.shape[1], 12))

@@ -181,6 +181,29 @@ def test_congruence_terms_match_their_definition(moduli, k, parity, weight, dens
     assert np.array_equal(got, _pair_side_by_loops(moduli, weight, k, parity))
 
 
+@pytest.mark.parametrize("moduli", _MODULI[2:])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("parity", [None, "even", "odd"])
+@_DENSE
+def test_congruence_sum_on_rows_is_the_rows_of_the_square(moduli, k, parity, dense_phi,
+                                                          monkeypatch):
+    # S on some rows against the columns, in any order of the columns, is
+    # bitwise those rows and columns of the square S: the half weights, the
+    # s = -1 twins and the twist included.  The rows are the first half of
+    # the columns, as the pair route folds them, or any positions
+    terms = norms._congruence_terms(tuple(q for q in moduli if math.gcd(q, k) == 1),
+                                    totient, k, parity)
+    monkeypatch.setattr(norms, "_PRODUCT_BLOCK", 3 * len(_A))
+    monkeypatch.setattr(norms, "_DENSE_PHI", dense_phi)
+    square = norms._congruence_sum(_A, _B, terms)
+    rng = np.random.default_rng(11)
+    cols = rng.permutation(len(_A))
+    for rows in (np.arange(len(_A) // 2 + 1), rng.choice(len(_A), 7), np.arange(1)):
+        got = norms._congruence_sum(_A[cols], _B[cols], terms, rows)
+        assert got.shape == (len(rows), len(_A))
+        assert np.array_equal(got, square[cols][:, cols][rows])
+
+
 def test_congruence_sum_refuses_weights_past_exact_float64():
     # the partial sums are multiples of 1/2, exact below 2^52
     one = np.ones(1, dtype=np.int64)
@@ -619,11 +642,13 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
     def member_values(*args):
         raise AssertionError("the family side was built although it is larger")
 
-    # the window keeps the pair side bitwise; the discrete families take
-    # the buckets, which sum S x in another order
+    # the window keeps the pair side, which solves its even and odd blocks;
+    # the discrete families take the buckets, which sum S x in another order
     with monkeypatch.context() as m:
         m.setattr(norms, "_member_matrix", member_values)
-        assert larger["multiplicative"][0]().value == want["multiplicative"]
+        got = larger["multiplicative"][0]()
+        assert got.route == "pairs"
+        assert abs(got.value - want["multiplicative"]) <= 1e-12 * want["multiplicative"]
         for name in ("additive", "rational"):
             got = larger[name][0]()
             assert got.route == "buckets"
@@ -879,7 +904,7 @@ def test_family_operator_matches_the_dense_H(kind, block, monkeypatch):
     else:
         # the operator holds the rows a <= b alone, weighted 2 (1 at 1/1),
         # and applies the real H
-        reps, w = norms._fold(fam.a, fam.b)
+        reps, w, _ = norms._fold(fam.a, fam.b)
         op = norms._KhatriRao(V[reps], P[reps], w)
         assert op.shape == H.shape and op.dtype == np.float64
         assert (len(op.blocks) > 1) == bool(block)
@@ -926,8 +951,9 @@ def test_family_route_builds_no_point_objects(monkeypatch):
 
 def test_pair_route_builds_the_index_once(monkeypatch):
     # each Delta enumerates its index once; the pair route hands the arrays
-    # to one pair-side matrix, and the buckets build none.  No solve builds
-    # a second index, term list or point object
+    # to one pair-side matrix, the rectangle of the rows a <= b against the
+    # whole index, and the buckets build none.  No solve builds a second
+    # index, term list or point object
     calls, sides, built = [], [], []
     enumerate_once, pair_gram = norms._coprime_pairs, norms._pair_gram
 
@@ -935,8 +961,8 @@ def test_pair_route_builds_the_index_once(monkeypatch):
         calls.append(args)
         return enumerate_once(*args)
 
-    def counted_gram(fam):
-        sides.append(pair_gram(fam))
+    def counted_gram(fam, *args):
+        sides.append(pair_gram(fam, *args))
         return sides[-1]
 
     monkeypatch.setattr(norms, "_coprime_pairs", counted_pairs)
@@ -952,7 +978,8 @@ def test_pair_route_builds_the_index_once(monkeypatch):
         assert est.route == route
         assert calls == [args]
         assert est.size == len(_coprime_pairs(*args)[0])
-        assert [S.shape for S in sides] == ([(est.size,) * 2] if route == "pairs" else [])
+        n = est.size
+        assert [S.shape for S in sides] == ([((n + 1) // 2, n)] if route == "pairs" else [])
     assert built == []
 
 
@@ -1013,6 +1040,55 @@ def test_pair_side_is_invariant_under_a_over_b_to_b_over_a(family):
     assert not np.array_equal(sigma, np.arange(len(sigma)))
     M = norms._pair_gram(fam)
     assert np.array_equal(M[sigma][:, sigma], M)
+    # the folded routes read this sigma from `_fold`
+    reps, _, twin = norms._fold(fam.a, fam.b)
+    assert np.array_equal(twin, sigma[reps])
+
+
+def _windowed(Q, k, T, parity, N, window="dyadic"):
+    return norms._multiplicative(FamilySpec(Q, k, T, parity), *_coprime_pairs(N, window))
+
+
+_FOLDED = {
+    "rational": lambda: norms._rational(9, 40),  # holds 1/1
+    "additive": lambda: norms._additive(12, 200),
+    **{f"k{k}-{parity}-{window}": functools.partial(_windowed, 8.0, k, 2.0, parity, 120, window)
+       for k in (1, 3) for parity in (None, "odd", "even") for window in ("dyadic", "full")},
+    "odd-block": functools.partial(_windowed, 6.0, 3, 2.0, "odd", 200),
+    "only-1/1": functools.partial(_windowed, 4.0, 1, 1.0, None, 1),
+    "no-fixed-point": functools.partial(_windowed, 4.0, 1, 1.0, None, 2),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FOLDED))
+def test_folded_pair_route_is_the_top_eigenvalue_of_the_square(kind, monkeypatch):
+    # the pair route solves the even and odd blocks of M on the rows a <= b
+    # and reports the larger; against eigvalsh of the square M.  The odd
+    # block is empty when the index is 1/1 alone, and the multiplicative
+    # odd family puts lambda_max in the odd block
+    fam = _FOLDED[kind]()
+    n = len(fam.a)
+    want = float(np.linalg.eigvalsh(norms._pair_gram(fam)).max())
+    solves = []
+    solve = norms.top_eigenvalue
+
+    def record(G, **kwargs):
+        solves.append((G.shape, solve(G, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(norms, "top_eigenvalue", record)
+    got = norms._solve(fam, 1e-12, "pairs")
+    assert (got.route, got.size) == ("pairs", n)
+    assert abs(got.value - want) <= 1e-12 * want, (got.value, want)
+    fixed = int(((fam.a == 1) & (fam.b == 1)).sum())
+    (even_shape, even), (odd_shape, odd) = solves
+    assert even_shape == ((n + fixed) // 2,) * 2 and odd_shape == ((n - fixed) // 2,) * 2
+    assert got.iterations == even.iterations + odd.iterations
+    assert got.residual == max(even, odd, key=lambda e: e.value).residual
+    if kind == "only-1/1":
+        assert got.value == 1.0 and odd_shape == (0, 0)
+    if kind == "odd-block":
+        assert odd.value > even.value
 
 
 def test_family_operator_rejects_non_finite():
@@ -1067,10 +1143,11 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
         assert {name for name, _, _ in estimates} == {name}
         assert peak <= need, (name, args, peak, need)
         if name == "_pair_route_bytes":
-            # the pair side really holds S, 8 bytes an entry, at its peak,
-            # with or without a window
+            # the pair side really holds the rectangle of the m rows a <= b
+            # against the n columns, 8 bytes an entry, at its peak, with or
+            # without a window, and no square S
             (n,) = args
-            assert 8 * n * n <= peak
+            assert 8 * ((n + 1) // 2) * n <= peak < 8 * n * n
         elif name == "_bucket_route_bytes":
             # the most steps that fit under the cap; no n x n matrix, and the
             # estimate at the basis the solve reached still covers the peak
@@ -1093,15 +1170,25 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
     assert [name for name, _, _ in estimates] == ["_family_route_bytes"]
 
 
-def test_discrete_pair_gram_stays_within_its_estimate():
+def test_discrete_pair_gram_stays_within_its_estimate(monkeypatch):
     # gram_additive(150, 500): n = 1248 and 826 indicator columns, so the
     # congruence product runs in two column chunks.  Added as one n x n
     # temporary beside S, the product would hold 24 bytes an entry, past
-    # the 16-byte estimate
+    # the 16-byte estimate of the square that `_checked` charges
+    needs = []
+    check = norms._check_bytes
+
+    def record(what, need, cap):
+        needs.append((what, need))
+        check(what, need, cap)
+
+    monkeypatch.setattr(norms, "_check_bytes", record)
     n = len(_coprime_pairs(500, "dyadic")[0])
     gram_additive(150, 500)  # fills the caches of divisors first
+    needs.clear()
     peak = _traced_peak(lambda: gram_additive(150, 500))
-    assert 16 * n * n <= peak <= norms._pair_route_bytes(n) < 24 * n * n
+    need, = [need for what, need in needs if what == f"Gram on {n} indices"]
+    assert 16 * n * n <= peak <= need < 24 * n * n
 
 
 def test_discrete_pair_gram_holds_S_alone():
@@ -1143,7 +1230,8 @@ def test_multiplicative_gram_is_the_phased_pair_matrix(spec):
 
 
 def test_delta_pair_route_solves_a_real_matrix(monkeypatch):
-    # delta hands top_eigenvalue the real S o K, not the complex Gram
+    # delta hands top_eigenvalue the even and odd blocks of the real S o K,
+    # not the complex Gram
     dtypes = []
     solve = norms.top_eigenvalue
 
@@ -1153,15 +1241,17 @@ def test_delta_pair_route_solves_a_real_matrix(monkeypatch):
 
     monkeypatch.setattr(norms, "top_eigenvalue", record)
     assert delta(12.0, 3, 4.0, 400.0).route == "pairs"
-    assert dtypes == [np.float64]
+    assert dtypes == [np.float64, np.float64]
 
 
 def test_windowed_pair_route_peak_stays_below_16_bytes_an_entry():
-    # S o K in place: no complex n x n Gram beside S (27 bytes an entry)
+    # S o K in place on the rectangle of the m rows a <= b: no complex
+    # n x n Gram beside it (27 bytes an entry), and no square S either
     n = len(_coprime_pairs(400, "dyadic")[0])
+    m = (n + 1) // 2
     delta(12.0, 3, 4.0, 400.0)  # fills the caches of characters and divisors first
     peak = _traced_peak(lambda: delta(12.0, 3, 4.0, 400.0))
-    assert 8 * n * n <= peak < 16 * n * n, peak / (n * n)
+    assert 8 * m * n <= peak < 8 * n * n, peak / (n * n)
 
 
 def test_family_route_peak_stays_below_the_size_of_A(monkeypatch):
