@@ -71,6 +71,7 @@ family (`_Family`) and check one another in the tests.
 import struct
 from dataclasses import dataclass, replace
 from math import gcd, isfinite, isqrt, log
+from numbers import Integral
 
 import numpy as np
 
@@ -80,6 +81,7 @@ from .rationals import (_POINT_BYTES, _ROUTE_BYTES, CoprimePair, RationalPoint, 
                         _coprime_pairs, _points, _reduce)
 
 _START_SEED = 0x5EED
+_CHECK_STRIDE = 4
 _PAIR_ROUTE_MAX = 2000
 _CHECK_ROWS = 64
 _PRODUCT_BLOCK = 1 << 22
@@ -728,11 +730,15 @@ def _dense_bounds(M):
     return M.diagonal().real, float(M.sum().real), ceiling
 
 
-def _grown(a, shape):
-    """a copied into the top left corner of a zero array of the given shape."""
-    out = np.zeros(shape, dtype=a.dtype)
-    out[: a.shape[0], : a.shape[1]] = a
-    return out
+def _start(k, seed):
+    """k draws (z >> 11) 2^-52 - 1 in [-1, 1), z the SplitMix64 output at the
+    state (seed + i) gamma, i < k, on uint64 arrays, which wrap where scalars warn."""
+    z = np.arange(k, dtype=np.uint64) + np.uint64(seed)
+    for mul, shift in ((0x9E3779B97F4A7C15, 30), (0xBF58476D1CE4E5B9, 27),
+                       (0x94D049BB133111EB, 31)):
+        z *= np.uint64(mul)
+        z ^= z >> np.uint64(shift)
+    return (z >> np.uint64(11)) * 2.0**-52 - 1.0
 
 
 def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
@@ -741,36 +747,37 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     G meets one contract: `shape` (n, n), `dtype`, `G @ x` and `bounds()`,
     which returns the diagonal, the all-ones form 1^H G 1 and a true upper
     bound on lambda_max, as `_KhatriRao` and `_Buckets` do.  An ndarray or
-    a GramMatrix, which has no `bounds()`, is solved as its matrix with
-    `_dense_bounds`: the Gershgorin bound max_i sum_j |G[i, j]|, after the
-    checks that its entries are finite and Hermitian.
+    a GramMatrix is solved as its matrix with `_dense_bounds`, the
+    Gershgorin bound, once its entries are checked finite and Hermitian.
 
-    Lanczos with full reorthogonalization from a deterministic seeded start
-    (boosted at the largest diagonal entry).  The dtype sets the
-    arithmetic: a real dtype gets a real start vector, the first
-    standard-normal draw of the seed, and a float64 basis; a complex dtype
-    gets the start vector whose real part is that draw and whose imaginary
-    part is the next, and a complex128 basis.  The tridiagonal T of the
-    Lanczos coefficients is one float64 array that grows by doubling with
-    the basis.  It stops once the top Ritz pair's residual
-    |beta_j s_j| / max(|theta|, 1) is at most tol, on Krylov breakdown, or
-    after min(n, max_iter) steps.  The reported value is the Rayleigh
-    quotient rho = y^H G y of the unit Ritz vector y, taken with one more
-    matvec, so up to rounding it is a lower bound on lambda_max.  It is
-    raised to the floors max_i G[i, i] and 1^H G 1 / n (the Rayleigh
-    quotients of the coordinate and all-ones vectors) and capped by the
-    upper bound of `bounds()`.
+    Lanczos with full reorthogonalization, in a float64 or complex128 basis
+    as the dtype is real or complex, from the first n `_start` draws of the
+    seed (the next n are the imaginary parts for a complex dtype), boosted
+    at the largest diagonal entry.  T, the Lanczos tridiagonal, grows by
+    doubling with the basis.  Every _CHECK_STRIDE steps it takes the top
+    Ritz pair of T and stops once |beta_j s_j| / max(|theta|, 1) is at most
+    tol; it takes the pair and stops at any step on Krylov breakdown, a
+    non-finite beta or the min(n, max_iter)-th step.  The value is the
+    Rayleigh quotient rho = y^H G y of the unit Ritz vector y, taken with
+    one more matvec, so up to rounding a lower bound on lambda_max, raised
+    to the floors max_i G[i, i] and 1^H G 1 / n (the Rayleigh quotients of
+    the coordinate and all-ones vectors) and capped by the upper bound of
+    `bounds()`.
 
     `residual` is ||G y - rho y|| / max(|rho|, 1).  For Hermitian G it
     bounds the distance from rho to *some* eigenvalue, not necessarily to
     lambda_max; `iterations` counts the matvecs.  Raises ValueError on a
-    non-square, non-finite or non-Hermitian matrix, on a non-finite or
-    negative tol, and when the Rayleigh quotient or the residual overflows
-    (entries near the float64 range); the solve stops at the first
-    non-finite beta, and the overflows on the way raise no warning.
+    non-square, non-finite or non-Hermitian matrix, a non-finite or
+    negative tol, a max_iter that is no integer >= 1, a seed outside
+    [0, 2^64), and when rho or the residual overflows (entries near the
+    float64 range); the overflows on the way raise no warning.
     """
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not (isinstance(max_iter, Integral) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     M = G.matrix if isinstance(G, GramMatrix) else G
     if not hasattr(M, "bounds"):
         M = np.asarray(M)
@@ -782,12 +789,10 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     diag, total, ceiling = M.bounds() if hasattr(M, "bounds") else _dense_bounds(M)
     floor = max(float(diag.max()), total / n)
 
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    if np.iscomplexobj(M):
-        v = v + 1j * rng.standard_normal(n)
+    v = _start(2 * n, seed)
+    v = v[:n] + 1j * v[n:] if np.iscomplexobj(M) else v[:n]
     v[int(np.argmax(diag))] += 2.0 * np.abs(v).max()
-    steps = max(1, min(n, int(max_iter)))
+    steps = min(n, max_iter)
     basis = np.empty((min(steps, 32), n), dtype=v.dtype)
     T = np.zeros((len(basis),) * 2)
     basis[0] = v / np.linalg.norm(v)
@@ -798,14 +803,14 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
             for _ in range(2):  # classical Gram-Schmidt, twice, conjugating no basis row
                 w -= np.conj(basis[: j + 1] @ w.conj()) @ basis[: j + 1]
             b = float(np.linalg.norm(w))
-            theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
-            ritz_res = b * abs(S[-1, -1]) / max(abs(theta[-1]), 1.0)
-            if (ritz_res <= tol or b <= np.finfo(np.float64).eps * ceiling or j + 1 == steps
-                    or not isfinite(b)):
-                break
+            last = b <= np.finfo(np.float64).eps * ceiling or j + 1 == steps or not isfinite(b)
+            if last or (j + 1) % _CHECK_STRIDE == 0:
+                theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+                if last or b * abs(S[-1, -1]) / max(abs(theta[-1]), 1.0) <= tol:
+                    break
             if j + 1 == len(basis):  # grow the basis and T by doubling, never past n rows
                 rows = min(2 * len(basis), steps)
-                basis, T = _grown(basis, (rows, n)), _grown(T, (rows, rows))
+                basis, T = np.pad(basis, ((0, rows - j - 1), (0, 0))), np.pad(T, (0, rows - j - 1))
             basis[j + 1] = w / b
             T[j, j + 1] = T[j + 1, j] = b
 

@@ -1,11 +1,14 @@
 """The package imports nothing beyond the standard library and numpy:
 numpy is its only runtime dependency, so scipy or hypothesis, which may
-be installed for development, must not creep into src/.  And each module
-uses every name it imports at module level, and src/ uses every private
-name a module defines at module level."""
+be installed for development, must not creep into src/, and neither must
+numpy.random.  And each module uses every name it imports at module
+level, and src/ uses every private name a module defines at module level."""
 
 import ast
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sievelab"
@@ -75,3 +78,44 @@ def test_every_private_module_level_name_is_used():
     dead = [f"{name}:{line}: {private}" for name, tree in trees.items()
             for line, private in _private_definitions(tree) if private not in used]
     assert not dead, dead
+
+
+def _reads_numpy_random(tree):
+    """The lines of a module that import numpy.random or read np.random."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}".replace("np.", "numpy.", 1)]
+        else:
+            continue
+        if any(name == "numpy.random" or name.startswith("numpy.random.") for name in names):
+            yield node.lineno
+
+
+def test_package_never_touches_numpy_random():
+    # importing numpy.random costs a fresh process milliseconds and about
+    # 5 MB of RSS (numpy 2.4); the Lanczos start vector has its own stream
+    hits = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _reads_numpy_random(ast.parse(path.read_text(), filename=str(path)))]
+    assert not hits, hits
+
+
+def test_every_route_and_the_sieve_command_leave_numpy_random_unimported():
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from sievelab import cli, delta, delta_rational
+        routes = [delta(6.0, 1, 1.0, 100.0, route="pairs").route,
+                  delta(4.0, 1, 1.0, 900.0, route="family").route,
+                  delta_rational(6, 60).route]
+        assert routes == ["pairs", "family", "buckets"], routes
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["sieve", "-N", "60", "-Q", "6", "--trials", "2"]) in (0, 1)
+        print("numpy.random" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"], out.stdout

@@ -9,6 +9,7 @@ import re
 import struct
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,10 @@ def test_top_eigenvalue_matches_eigvalsh_on_random_psd(n, kind):
     assert est.method == "lanczos"
     assert abs(est.value - true) <= 1e-12 * true, (est, true)
     assert est.residual <= 1e-9
+    # the Ritz test runs every _CHECK_STRIDE steps, so a solve that neither
+    # broke down nor reached its step cap took a multiple of them, plus the
+    # matvec of the Rayleigh quotient
+    assert est.iterations - 1 < n and (est.iterations - 1) % norms._CHECK_STRIDE == 0, est
 
 
 def _random_symmetric(n, kind, seed):
@@ -412,6 +417,8 @@ def test_top_eigenvalue_matches_eigvalsh_on_random_real_symmetric(n, kind):
     true = float(np.linalg.eigvalsh(M)[-1])
     assert abs(est.value - true) <= 1e-9 * abs(true), (est, true)
     assert est.residual <= 1e-9
+    # Ritz tests every _CHECK_STRIDE steps, as in the complex case above
+    assert est.iterations - 1 < n and (est.iterations - 1) % norms._CHECK_STRIDE == 0, est
 
 
 class _Operator:
@@ -454,6 +461,82 @@ def test_top_eigenvalue_all_ones_breaks_down_exactly():
     est = top_eigenvalue(np.ones((n, n), dtype=complex))
     assert est.value == float(n)
     assert est.iterations <= 3
+
+
+@pytest.mark.parametrize("max_iter", [float("inf"), float("nan"), 0, -3, 2.5, "6"])
+def test_top_eigenvalue_refuses_a_bad_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        top_eigenvalue(np.eye(3), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0, float("nan"), None])
+def test_top_eigenvalue_refuses_a_seed_outside_the_stream(seed):
+    with pytest.raises(ValueError, match="seed"):
+        top_eigenvalue(np.eye(3), seed=seed)
+
+
+def _splitmix_draw(seed, i):
+    """The loop reference of `norms._start` in Python integers."""
+    z = (seed + i) * 0x9E3779B97F4A7C15 % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return ((z ^ z >> 31) >> 11) * 2.0**-52 - 1.0
+
+
+def test_start_stream_is_pinned():
+    # pinned so the start vector, and with it every solve, is the same on
+    # every platform: the first draws of _START_SEED, and for seed 0 the
+    # draws 1 and 2, the SplitMix64 stream of state 0 (0xe220a8397b1dcdaf,
+    # 0x6e789e6aa1b965f4)
+    assert norms._start(4, norms._START_SEED).tolist() == [
+        0.9305911382252656, -0.9056085943056216, -0.937839880720043, 0.7471417786161445]
+    assert norms._start(3, 0)[1:].tolist() == [
+        (0xE220A8397B1DCDAF >> 11) * 2.0**-52 - 1.0, (0x6E789E6AA1B965F4 >> 11) * 2.0**-52 - 1.0]
+    # the uint64 arrays wrap without a RuntimeWarning, at either end of the
+    # seed range, and agree with the loop in Python integers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, norms._START_SEED, 2**63, 2**64 - 1):
+            draws = norms._start(1000, seed)
+            assert draws.dtype == np.float64 and draws.min() >= -1.0 and draws.max() < 1.0
+            assert draws.tolist() == [_splitmix_draw(seed, i) for i in range(1000)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_start_vector_is_the_stream_boosted_at_the_top_diagonal(dtype):
+    # a real solve starts from n draws, a complex one from 2n: real parts
+    # first, then imaginary parts; the largest diagonal entry gets a boost
+    n = 6
+    M = np.diag(np.arange(1.0, n + 1)).astype(dtype)
+    first = []
+    draws = norms._start(n * (2 if dtype is np.complex128 else 1), norms._START_SEED)
+    v = draws[:n] + 1j * draws[n:] if dtype is np.complex128 else draws
+    v[n - 1] += 2.0 * np.abs(v).max()
+
+    class Recording(_Operator):
+        def __matmul__(self, x):
+            first.append(x.copy())
+            return self.matrix @ x
+
+    top_eigenvalue(Recording(M), max_iter=1)
+    assert first[0].dtype == dtype
+    assert np.array_equal(first[0], v / np.linalg.norm(v))
+
+
+def test_top_eigenvalue_is_bitwise_repeatable():
+    for M in (_random_symmetric(300, "indefinite", seed=6), _random_psd(300, "wishart", seed=6)):
+        one, two = top_eigenvalue(M), top_eigenvalue(M)
+        assert one == two
+        assert struct.pack("<2d", one.value, one.residual) == struct.pack(
+            "<2d", two.value, two.residual)
+
+
+def test_top_eigenvalue_stops_at_max_iter_off_the_stride():
+    M = _random_symmetric(200, "indefinite", seed=2)
+    assert norms._CHECK_STRIDE > 1 and 6 % norms._CHECK_STRIDE
+    capped = top_eigenvalue(M, max_iter=6)
+    assert capped.iterations == 7
+    assert capped.residual > 1e-9
 
 
 def test_top_eigenvalue_between_floors_and_gershgorin():
