@@ -425,7 +425,7 @@ def cmd_norm(cfg):
         records.append(make_record(
             f"norm_{cfg.family}", Q=Q, k=k, T=T, N=N,
             extra={"method": est.method, "route": est.route, "size": est.size,
-                   "iterations": est.iterations},
+                   "nodes": est.nodes, "iterations": est.iterations},
             value=est.value, residual=est.residual, ok=True,
             seed=cfg.seed, millis=ms))
     write_records(records, cfg)
@@ -447,7 +447,7 @@ def cmd_scan(cfg):
         records.append(make_record(
             f"scan_{cfg.family}", Q=Q, k=k, T=T, N=N,
             extra={"method": est.method, "route": est.route, "size": est.size,
-                   "ratio_trivial": est.value / (budget + N),
+                   "nodes": est.nodes, "ratio_trivial": est.value / (budget + N),
                    "ratio_index": est.value / (budget + est.size)},
             value=est.value, residual=est.residual, ok=True,
             seed=cfg.seed, millis=ms))

@@ -59,7 +59,11 @@ as D = diag(e^{3iTL/4}), and only `gram_multiplicative` forms the
 Hermitian D (S o K) D^H.  On the family side Delta = ||A||^2 for the
 row-wise Khatri-Rao product A = V o P of the member values V and the
 phases P of Gauss-Legendre quadrature of I_T; A A^H = (V V^H) o (P P^H)
-is the pair side.  The index is closed under sigma: a/b -> b/a, so both
+is the pair side up to the quadrature, on the fewest nodes J whose
+Bernstein-ellipse bound (Trefethen, SIAM Review 50, 2008), joined to the
+Schur-product bound for the PSD S (Horn and Johnson, Topics in Matrix
+Analysis, 5.5), moves Delta by at most 1e-12 relative
+(`_quadrature_nodes`).  The index is closed under sigma: a/b -> b/a, so both
 windowed routes hold the rows a <= b alone: sigma leaves S o K invariant,
 so its spectrum is that of an even and an odd block (`_pair_blocks`), and
 it conjugates the characters and the phases, so H = A^H A is real, and
@@ -69,8 +73,9 @@ family (`_Family`) and check one another in the tests.
 """
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from math import gcd, isfinite, isqrt, log
+from math import ceil, gcd, isfinite, isqrt, log
 from numbers import Integral
 
 import numpy as np
@@ -88,6 +93,8 @@ _PRODUCT_BLOCK = 1 << 22
 _DENSE_PHI = 16
 _MAX_ITER = 20000
 _TERM_BYTES = 136  # a term (g, d, c, s): its tuple, its ints and its list slot
+_QUADRATURE_TOL = 1e-12  # the most the family route's quadrature may move Delta, relative
+_RHO = 1 + np.geomspace(1e-4, 1e4, 96)  # the Bernstein ellipses E_rho of the node bound
 _ROUTES = ("auto", "pairs", "family")
 
 
@@ -146,6 +153,7 @@ class NormEstimate:
     method: str
     route: str | None = None  # "pairs", "family" or "buckets", set by the Delta norms
     size: int | None = None  # the index count n, set by the Delta norms
+    nodes: int | None = None  # the quadrature nodes J, set on the family route
 
 
 def _moduli(Q, k=1):
@@ -471,6 +479,25 @@ def _member_matrix(members, a, b):
 def _gauss_nodes(lo, hi, n):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+
+
+def _quadrature_nodes(n, Lmax, T):
+    """The fewest Gauss-Legendre nodes J on [T/2, T] that move the Delta of
+    n indices with |L| <= Lmax by at most _QUADRATURE_TOL relative.  With
+    t = 3T/4 + (T/4) x, an entry of P P^H is the J-point rule for
+    (T/4) e^{iwx}, |w| <= w* = T Lmax / 2, at most e^{w* (rho - 1/rho) / 2}
+    on the Bernstein ellipse E_rho; so the entries of E = P P^H - I_T err
+    by at most eps_J = (T/4) (64/15) e^{w* (rho - 1/rho) / 2}
+    rho^(2 - 2J) / (rho^2 - 1) for each rho > 1 (Trefethen, SIAM Review 50,
+    2008, whose rule has n + 1 = J points).  S is PSD, so
+    |Delta_J - Delta| <= max S_nn ||E|| <= max S_nn n eps_J (Horn and
+    Johnson, Topics in Matrix Analysis, 5.5), and Delta >= (T/2) max S_nn:
+    J is the least with 2 n eps_J / T <= _QUADRATURE_TOL at some rho of
+    _RHO, clamped at _ROUTE_BYTES, where the family estimate passes the cap
+    whatever n is, so an overflowing T Lmax raises nothing."""
+    x = (log(32 * max(n, 1) / (15 * _QUADRATURE_TOL)) + T * Lmax * (_RHO - 1 / _RHO) / 4
+         - np.log(_RHO * _RHO - 1)) / (2 * np.log(_RHO))
+    return 1 + ceil(min(x.min(), _ROUTE_BYTES))
 
 
 def _phase_matrix(L, T, nodes):
@@ -904,18 +931,19 @@ def _solve(fam, tol, route="auto"):
     residual, and the matvecs of both solves as `iterations`; "family", for
     a window only, the real H = A^H A of `_KhatriRao`, with the member
     values V and the phases P on the rows a <= b (`_fold`), whose nonzero
-    spectrum is the pair side's up to the quadrature of I_T; "buckets" the
-    S of a discrete family through `_Buckets`, with as many Lanczos steps
-    as keep its basis within _ROUTE_BYTES.  "auto" takes the buckets for a
-    discrete family (T None); with a window, the family side past
-    _PAIR_ROUTE_MAX indices when members x nodes < indices, counting the
-    members F as S at the index 1/1, where every member is 1, and the pair
-    side otherwise.  Each route first raises ValueError when its size
-    estimate, at the deepest Lanczos basis on the family and bucket sides,
-    passes _ROUTE_BYTES; the family route also on a discrete family, and
-    the pair and family routes on an index not closed under a/b -> b/a,
-    before their matrices are built.  The NormEstimate records the route
-    that ran and the index count n."""
+    spectrum is the pair side's up to the quadrature of I_T, on the J nodes
+    of `_quadrature_nodes`, which move Delta by at most _QUADRATURE_TOL
+    relative; "buckets" the S of a discrete family through `_Buckets`.  The
+    family and bucket routes take as many Lanczos steps as keep the basis
+    within _ROUTE_BYTES.  "auto" takes the buckets for a discrete family
+    (T None); with a window, the family side past _PAIR_ROUTE_MAX indices
+    when members x nodes < indices, counting the members F as S at the
+    index 1/1, where every member is 1, and the pair side otherwise.  Each
+    route first raises ValueError when its size estimate, with one Lanczos
+    vector on the family and bucket sides, passes _ROUTE_BYTES; the family
+    route also on a discrete family, and the pair and family routes on an
+    index not closed under a/b -> b/a, before their matrices are built.  The NormEstimate records the route
+    that ran, the index count n and, on the family route, J."""
     n = len(fam.a)
     if route == "auto" and fam.T is None:
         route = "buckets"
@@ -932,11 +960,7 @@ def _solve(fam, tol, route="auto"):
     if route != "pairs":
         if fam.T is None:
             raise ValueError("the family route serves the windowed families only")
-        Lmax = float(np.abs(fam.L).max(initial=0.0))
-        # past _ROUTE_BYTES nodes the family estimate (16 bytes a node on
-        # each row a <= b) passes the cap whatever n is, so the count is
-        # clamped there: an overflowing Lmax T never reaches int(inf)
-        nodes = max(48, int(min(Lmax * fam.T / 2, _ROUTE_BYTES)) + 40)
+        nodes = _quadrature_nodes(n, float(np.abs(fam.L).max(initial=0.0)), fam.T)
         one = np.ones(1, dtype=np.int64)
         F = int(_congruence_sum(one, one, fam.terms)[0, 0])
         if route == "auto":
@@ -947,12 +971,16 @@ def _solve(fam, tol, route="auto"):
         top = max(even, odd, key=lambda estimate: estimate.value)
         return replace(top, iterations=even.iterations + odd.iterations, route=route, size=n)
     reps, weight, _ = _fold(fam.a, fam.b)
+    # the deepest basis, at most min(F nodes, _MAX_ITER) rows, that fits
+    steps = max(1, bisect_right(range(1, min(F * nodes, _MAX_ITER) + 1), _ROUTE_BYTES,
+                                key=lambda rows: _family_route_bytes(n, F, nodes, rows)))
     _check_bytes(f"family route on {F} members x {nodes} nodes",
-                 _family_route_bytes(n, F, nodes, min(F * nodes, _MAX_ITER)), _ROUTE_BYTES)
+                 _family_route_bytes(n, F, nodes, steps), _ROUTE_BYTES)
     # P before V: its outer-product temporary then has no V beside it
     P = _phase_matrix(fam.L[reps], fam.T, nodes)
     operator = _KhatriRao(_member_matrix(fam.members(), fam.a[reps], fam.b[reps]), P, weight)
-    return replace(top_eigenvalue(operator, tol=tol), route=route, size=n)
+    estimate = top_eigenvalue(operator, tol=tol, max_iter=steps)
+    return replace(estimate, route=route, size=n, nodes=nodes)
 
 
 def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):

@@ -88,13 +88,16 @@ def test_norm_matches_library(capsys):
 def test_norm_record_names_the_family_route(capsys):
     # 2702 pairs at N = 1000: past the cutoff the windowed family side
     # runs; the 2809 rationals at N = 600 take the buckets, as every
-    # discrete family does.  Each record gives the index count
+    # discrete family does.  Each record gives the index count, and the
+    # family route its quadrature nodes
     assert run(["norm", "-Q", "12", "-T", "4", "-N", "1000"]) == 0
     extra = json.loads(_rows(capsys.readouterr().out)[0]["extra_params"])
     assert (extra["method"], extra["route"], extra["size"]) == ("lanczos", "family", 2702)
+    assert extra["nodes"] == 22
     assert run(["norm", "--family", "rational", "-Q", "12", "-N", "600"]) == 0
     extra = json.loads(_rows(capsys.readouterr().out)[0]["extra_params"])
     assert (extra["method"], extra["route"], extra["size"]) == ("lanczos", "buckets", 2809)
+    assert extra["nodes"] is None
 
 
 def test_norm_rational_family_exact_count(capsys):
@@ -230,9 +233,18 @@ def test_scan_records_the_route_and_the_ratio_to_the_index(capsys):
     for rec, N in zip(records, (40, 80)):
         extra = json.loads(rec["extra_params"])
         value, n = float(rec["value"]), len(rationals_up_to(N))
-        assert (extra["route"], extra["size"]) == ("buckets", n)
+        assert (extra["route"], extra["size"], extra["nodes"]) == ("buckets", n, None)
         assert extra["ratio_index"] == value / (36.0 + n)
         assert extra["ratio_trivial"] == value / (36.0 + N)
+
+
+def test_scan_records_the_family_route_nodes(capsys):
+    # past the pair cutoff a windowed scan point runs on the family route
+    # and records its quadrature nodes beside the route and the index count
+    assert run(["scan", "-Q", "12", "-T", "4", "-N", "1000", "--format", "json"]) == 0
+    (rec,) = json.loads(capsys.readouterr().out)
+    extra = json.loads(rec["extra_params"])
+    assert (extra["route"], extra["size"], extra["nodes"]) == ("family", 2702, 22)
 
 
 def test_scan_fits_the_Q_aspect(capsys):

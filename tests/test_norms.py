@@ -708,9 +708,10 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
     # >= indices stays on the pair side: H would be the larger matrix
     monkeypatch.setattr(norms, "_PAIR_ROUTE_MAX", 10)
     index = enumerate_pairs(60, "dyadic")
+    nodes = norms._quadrature_nodes(len(index), math.log(60), 1.0)  # 1/60 has the largest |L|
     larger = {  # (norm, pair-side Gram, indices, members x nodes)
         "multiplicative": (lambda: delta(12.0, 1, 1.0, 60.0),
-                           gram_multiplicative(FamilySpec(12.0), index), 21 * 48),
+                           gram_multiplicative(FamilySpec(12.0), index), 21 * nodes),
         "additive": (lambda: delta_add(12, 20), gram_additive(12, 20), 34),
         "rational": (lambda: delta_rational(12, 6), gram_rational(12, 6), 27),
     }
@@ -718,8 +719,8 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
     for name, (_, g, size) in larger.items():
         assert norms._PAIR_ROUTE_MAX < g.dim <= size, (name, g.dim)
         want[name] = top_eigenvalue(g).value
-    # a single member (Q = 1, T = 1: 48 nodes) is the smaller side for 70
-    # indices
+    # a single member (Q = 1, T = 1) is the smaller side for 70 indices
+    assert norms._quadrature_nodes(70, math.log(40), 1.0) < 70
     single = top_eigenvalue(gram_multiplicative(FamilySpec(1.0), enumerate_pairs(40))).value
 
     def member_values(*args):
@@ -925,6 +926,81 @@ def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
     err = capsys.readouterr().err
     F = len(family_members(FamilySpec(12.0, 1, 4.0)))
     assert re.search(f"family route on {F} members x \\d+ nodes", err) and "1.0 MiB cap" in err
+
+
+def test_family_route_runs_the_steps_that_fit_under_the_cap(monkeypatch):
+    # the family route caps its Lanczos basis at the deepest one whose
+    # estimate fits, as the bucket route does, so a cap below the estimate
+    # at min(F J, _MAX_ITER) rows no longer refuses a job that converges in
+    # fewer steps
+    want = delta(12.0, 1, 4.0, 1000.0, route="pairs").value
+    n, F, nodes = len(_coprime_pairs(1000, "dyadic")[0]), 21, 22
+    cap = norms._family_route_bytes(n, F, nodes, 128)
+    assert norms._family_route_bytes(n, F, nodes, min(F * nodes, norms._MAX_ITER)) > cap
+    steps = []
+    solve = norms.top_eigenvalue
+
+    def record(G, tol, max_iter):
+        steps.append(max_iter)
+        return solve(G, tol=tol, max_iter=max_iter)
+
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", cap)
+    monkeypatch.setattr(norms, "top_eigenvalue", record)
+    got = delta(12.0, 1, 4.0, 1000.0)
+    assert (got.route, got.size, got.nodes) == ("family", n, nodes)
+    assert 128 <= steps[0] < F * nodes and got.iterations <= steps[0]
+    assert norms._family_route_bytes(n, F, nodes, steps[0] + 1) > cap
+    assert abs(got.value - want) <= 1e-12 * want
+    # refused only when not even a one-vector basis fits
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", norms._family_route_bytes(n, F, nodes, 1) - 1)
+    with pytest.raises(ValueError, match=f"family route on {F} members x {nodes} nodes"):
+        delta(12.0, 1, 4.0, 1000.0)
+
+
+def test_family_route_takes_the_bounded_node_count_at_the_bench_sizes():
+    # the three bench family_route calls run on 22 nodes (the former guess
+    # took 53), and delta(12, 3, 4, 400) stays on the pair side
+    for args in [(10, 3, 4.0, 1000.0, None), (10, 3, 4.0, 1000.0, "odd"),
+                 (12, 1, 4.0, 1000.0, None)]:
+        got = delta(*args[:4], parity=args[4])
+        assert (got.route, got.size, got.nodes) == ("family", 2702, 22), args
+    got = delta(12.0, 3, 4.0, 400.0)
+    assert (got.route, got.nodes) == ("pairs", None)
+    assert delta_rational(12, 200).nodes is None
+
+
+def test_bounded_node_count_certifies_delta_and_half_of_it_does_not(monkeypatch):
+    # a small family with a large T Lmax: w* = 32 log(200) / 2 = 85.  On the
+    # bound's J nodes the family route meets the pair route; on half of them
+    # it misses by far more than the value gate
+    want = delta(6.0, 1, 32.0, 200.0, tol=1e-12, route="pairs").value
+    got = delta(6.0, 1, 32.0, 200.0, tol=1e-12, route="family")
+    assert got.nodes == norms._quadrature_nodes(got.size, math.log(200), 32.0) > 40
+    assert abs(got.value - want) <= 1e-12 * want
+    nodes = norms._quadrature_nodes
+    monkeypatch.setattr(norms, "_quadrature_nodes", lambda n, Lmax, T: nodes(n, Lmax, T) // 2)
+    half = delta(6.0, 1, 32.0, 200.0, tol=1e-12, route="family")
+    assert half.nodes == got.nodes // 2
+    assert abs(half.value - want) > 1e-9 * want
+
+
+def test_node_count_edge_cases():
+    # an empty family: no entry to bound, a node count all the same
+    empty = np.zeros(0, dtype=np.int64)
+    assert norms._quadrature_nodes(0, 0.0, 2.0) >= 1
+    got = norms._solve(norms._multiplicative(FamilySpec(4.0, 1, 2.0), empty, empty), 1e-9,
+                       "family")
+    assert (got.value, got.size, got.route) == (0.0, 0, "family")
+    # the single index 1/1 (Lmax = 0): both routes give F T / 2, F = 2
+    for route in ("family", "pairs"):
+        assert abs(delta(4.0, 1, 2.0, 1.0, route=route).value - 2.0) <= 1e-14
+    # an overflowing T Lmax is clamped, not an error of its own: the pair
+    # route's solve overflows, and the family estimate refuses
+    with pytest.raises(ValueError, match="overflowed"):
+        delta(4.0, 1, 1e200, 40.0)
+    assert norms._quadrature_nodes(70, math.log(40), 1e308) == norms._ROUTE_BYTES + 1
+    with pytest.raises(ValueError, match="family route on 2 members x \\d+ nodes needs an "):
+        delta(4.0, 1, 1e308, 40.0, route="family")
 
 
 def test_family_route_refuses_a_discrete_family_or_an_unfolded_index(monkeypatch):
@@ -1221,7 +1297,8 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
         results = []
         peak = _traced_peak(lambda: results.append(norm()))
         # the route is checked against its last estimate; the bucket route
-        # first estimates without a basis, for the room its steps may take
+        # first estimates without a basis, for the room its steps may take,
+        # and the family route searches for the deepest basis that fits
         (name, args, need) = estimates[-1]
         assert {name for name, _, _ in estimates} == {name}
         assert peak <= need, (name, args, peak, need)
@@ -1246,11 +1323,13 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch):
             # is the Rayleigh quotient of the Ritz vector
             n, F, nodes, rows = args
             rows_used = results[0].iterations - 1
-            assert rows == min(F * nodes, norms._MAX_ITER) and rows_used < rows
+            assert rows == min(F * nodes, norms._MAX_ITER) or (
+                family_route_bytes(n, F, nodes, rows + 1) > norms._ROUTE_BYTES)
+            assert rows_used < rows
             ran = family_route_bytes(n, F, nodes, rows_used)
             assert peak <= ran <= 1.1 * peak, (args, rows_used, peak, ran)
             assert ran <= need
-    assert [name for name, _, _ in estimates] == ["_family_route_bytes"]
+    assert {name for name, _, _ in estimates} == {"_family_route_bytes"}
 
 
 def test_discrete_pair_gram_stays_within_its_estimate(monkeypatch):
