@@ -336,8 +336,8 @@ def descend(chi, m):
     This is the primitive part when cond(chi) | m, and the component of
     chi at the primes of m when m is a unitary divisor of q."""
     q = chi.modulus
-    if q % m != 0:
-        raise ValueError(f"{m} does not divide the modulus {q}")
+    if not isinstance(m, (int, np.integer)) or m < 1 or q % m != 0:
+        raise ValueError(f"m must be a positive divisor of the modulus {q}, got {m!r}")
     rest = q
     for p, _ in factorize(m):
         rest //= p ** valuation(rest, p)

@@ -15,6 +15,17 @@ for the coset check's F, into a numpy array; both sides are then masks
 and gathers over that array by product, conjugate and conductor index,
 summed as numpy reductions.  So the residuals depend on numpy's
 summation order and may move in the last bits between numpy versions.
+The theta check takes all the tuples of one k' at once.
+
+The kernel and the factorization stay off per-term Python objects.  The
+kernel's coefficients are accumulated as int64 numerators q c_ell, one
+fancy-index add per squarefree d | q; only the nonzero entries become
+`Fraction`s.  The detection sum at every character of a modulus is one
+vector, with one gather of the group's integer turns per conductor;
+`PrimitivityKernel.pair_induced` stays as the character-by-character
+reference.  `chi_factorize` returns a `NamedTuple` record (immutable,
+and far cheaper to build than a frozen dataclass) and takes its eight
+components from two cached lookups, one per character.
 
 Conventions that matter:
 
@@ -34,11 +45,14 @@ Conventions that matter:
   |j1 - j2| = 2 terms are genuinely nonzero.
 """
 
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import groupby, product, starmap
 from math import ceil, gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,7 +122,8 @@ class PrimitivityKernel:
     def pair_induced(self, psi):
         """sum_ell c_ell psi*(ell), the detection sum.  Equals 1 on
         primitive psi mod q and 0 otherwise.  psi*'s table is 0 at the
-        ell that are not units mod cond(psi), so those terms drop out."""
+        ell that are not units mod cond(psi), so those terms drop out.
+        This is the reference for `kernel_detection_value`."""
         star = primitive_part(psi)
         ells, c = self._terms
         return complex(c @ value_table(star)[ells % star.modulus])
@@ -120,23 +135,43 @@ class PrimitivityKernel:
         return complex(c @ value_table(psi)[ells % psi.modulus])
 
 
+def _positive(n, name):
+    """n as an int, or a ValueError naming the argument unless n is a
+    positive integer."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be a positive integer, got {n!r}") from None
+    if n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+    return n
+
+
 @lru_cache(maxsize=None)
-def primitivity_kernel(q):
-    """c(ell mod q) = sum_{d | q} (mu(d)/d) [ell = 1 mod q/d]."""
-    coef = {}
+def _kernel_numerators(q):
+    """q c(ell) for ell = 0..q-1 as int64: mu(d) (q/d) added at the
+    residues ell = 1 mod q/d, one fancy-index add per squarefree d | q."""
+    num = np.zeros(q, dtype=np.int64)
     for d in divisors(q):
         mu = mobius(d)
-        if mu == 0:
-            continue
-        m = q // d
-        w = Fraction(mu, d)
-        for j in range(d):
-            ell = (1 + j * m) % q
-            coef[ell] = coef.get(ell, Fraction(0)) + w
-    coef = {ell: c for ell, c in coef.items() if c != 0}
-    kern = PrimitivityKernel(q, coef)
-    assert kern.abs_sum() <= len(divisors(q))
-    return kern
+        if mu:
+            m = q // d
+            num[(1 + m * np.arange(d)) % q] += mu * m
+    assert np.abs(num).sum() <= len(divisors(q)) * q  # sum |c_ell| <= tau(q)
+    return _frozen(num)
+
+
+def primitivity_kernel(q):
+    """c(ell mod q) = sum_{d | q} (mu(d)/d) [ell = 1 mod q/d]."""
+    return _primitivity_kernel(_positive(q, "q"))
+
+
+@lru_cache(maxsize=None)
+def _primitivity_kernel(q):
+    num = _kernel_numerators(q)
+    ells = np.flatnonzero(num)
+    return PrimitivityKernel(
+        q, {ell: Fraction(c, q) for ell, c in zip(ells.tolist(), num[ells].tolist())})
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +199,8 @@ def coset_reps(q, r):
     A character lies in the image of G_r exactly when its conductor
     divides r, so classes are the fibers of chi |-> chi * G_r.
     """
-    if q % r != 0:
-        raise ValueError(f"{r} does not divide {q}")
+    if r < 1 or q % r != 0:
+        raise ValueError(f"r must be a positive divisor of q = {q}, got {r!r}")
     group = char_group(q)
     sub = _induced(q, r)
     seen = np.zeros(len(group.chars), dtype=bool)
@@ -192,13 +227,15 @@ def coset_identity_check(q, r, F, tol=1e-9):
     F is called once per ordered pair, into a phi(q) x phi(q) array; the
     left side masks it by the conductor of the product index and the right
     side gathers each coset's block of pairs from it."""
+    q, r = _positive(q, "q"), _positive(r, "r")
+    reps = [gamma.index for gamma in coset_reps(q, r).representatives]
     f = _lookup(F)
     group = char_group(q)
-    vals = np.array([[f(c1, c2) for c2 in group.chars] for c1 in group.chars],
-                    dtype=np.complex128)
+    n = len(group.chars)
+    vals = np.fromiter(starmap(f, product(group.chars, repeat=2)), np.complex128,
+                       n * n).reshape(n, n)
     mass = float(np.abs(vals).sum())
     lhs = complex(vals[r % group.conductors[group.mul[:, group.conj]] == 0].sum())
-    reps = [gamma.index for gamma in coset_reps(q, r).representatives]
     lifted = group.mul[np.ix_(reps, _induced(q, r))]
     rhs = complex(vals[lifted[:, :, None], lifted[:, None, :]].sum())
     res = _relative(lhs, rhs, scale=mass)
@@ -240,16 +277,40 @@ def dk_tuples(k):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def kernel_detection_value(psi):
-    """The detection sum of the primitivity kernel mod psi's modulus at psi."""
-    return primitivity_kernel(psi.modulus).pair_induced(psi)
+    """The detection sum of the primitivity kernel mod psi's modulus at
+    psi, read from the modulus' detection vector."""
+    return complex(_detection_vector(psi.modulus)[psi.index])
 
 
 @lru_cache(maxsize=None)
 def _detection_vector(k):
-    """kernel_detection_value at every character mod k, in index order."""
-    return _frozen(np.array([kernel_detection_value(psi) for psi in char_group(k)]))
+    """The detection sum at every character mod k, in index order.
+
+    A character psi of conductor f pairs through psi*, whose value at a
+    unit ell mod f is psi at the lift of ell that is 1 at the primes of k
+    outside f (as `descend` defines it).  So each conductor f takes one
+    gather of the group's integer turns: its characters' rows at the lifts
+    of the kernel's residues that are units mod f."""
+    group = char_group(k)
+    num = _kernel_numerators(k)
+    ells = np.flatnonzero(num)
+    # complex @ complex: a complex @ float64 product took ms, not us, under threaded OpenBLAS
+    coef = (num[ells] / k).astype(np.complex128)
+    logs, _ = group._unit_logs
+    out = np.zeros(len(group.chars), dtype=np.complex128)
+    for f in set(group.conductors.tolist()):
+        rest = k
+        for p, _ in factorize(f):
+            rest //= p ** valuation(rest, p)
+        unit = np.gcd(ells, f) == 1
+        ell = ells[unit] % f
+        # x = ell mod f and x = 1 mod rest, with x < f rest <= k
+        lifts = ell if rest == 1 else ell + f * ((1 - ell) * pow(f, -1, rest) % rest)
+        rows = np.flatnonzero(group.conductors == f)
+        turns = group._exps[rows] @ logs[:, lifts] % group.exponent
+        out[rows] = group.roots[turns] @ coef[unit]
+    return _frozen(out)
 
 
 @dataclass(frozen=True)
@@ -279,13 +340,14 @@ def theta_separation_check(k, b, tol=1e-9):
 
     v1 = 0j
     v2 = 0j
-    for tup in dk_tuples(k):
-        kp = tup.kprime
+    # dk_tuples lists the tuples of each k' together; take each k' at once
+    for kp, tuples in groupby(dk_tuples(k), operator.attrgetter("kprime")):
         gkp = char_group(kp)
-        # b at delta * theta for each theta mod k', in the order of G_k'
-        bt = vals[group.mul[tup.delta.index, _induced(k, kp)]]
-        # A(psi) = sum over theta2 of b(delta (psi theta2)) conj(b(delta theta2))
-        a_psi = (bt[gkp.mul] * bt.conj()).sum(axis=1)
+        deltas = [tup.delta.index for tup in tuples]
+        # b at delta * theta for each delta and each theta mod k', in the order of G_k'
+        bt = vals[group.mul[np.ix_(deltas, _induced(k, kp))]]
+        # A(psi) = sum over delta and theta2 of b(delta (psi theta2)) conj(b(delta theta2))
+        a_psi = np.einsum("dij,dj->i", bt[:, gkp.mul], bt.conj())
         v1 += complex(_detection_vector(kp) @ a_psi)
         v2 += complex(a_psi[gkp.conductors == kp].sum())
 
@@ -298,8 +360,9 @@ def theta_separation_check(k, b, tol=1e-9):
 # two-character factorization
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChiFactorization:
+class ChiFactorization(NamedTuple):
+    """The split of a pair of primitive characters; an immutable record."""
+
     chi1: DirichletChar
     chi2: DirichletChar
     q1_prime: int
@@ -337,26 +400,36 @@ class ChiFactorization:
 
 @lru_cache(maxsize=None)
 def _split_parts(q1, q2):
-    """Split q1 and q2 prime by prime by comparing valuations: primes of
-    one modulus only (q1p, q2p), primes where q1 dominates (A, with q2's
-    part a), where q2 dominates (B, with q1's part b), and primes of equal
-    valuation (r).  The dict is cached; callers only read it."""
-    out = {"q1p": 1, "q2p": 1, "A": 1, "a": 1, "B": 1, "b": 1, "r": 1}
+    """Split q1 and q2 prime by prime by comparing valuations, in the order
+    of ChiFactorization's moduli: primes of one modulus only (q1', q2'),
+    primes where q1 dominates (q1+, with q2's part q2-), where q2
+    dominates (q2+, with q1's part q1-), and primes of equal valuation
+    (r)."""
+    q1p = q2p = q1_plus = q1_minus = q2_plus = q2_minus = r = 1
     for p in sorted({p for p, _ in factorize(q1)} | {p for p, _ in factorize(q2)}):
         v1, v2 = valuation(q1, p), valuation(q2, p)
         if v2 == 0:
-            out["q1p"] *= p**v1
+            q1p *= p**v1
         elif v1 == 0:
-            out["q2p"] *= p**v2
+            q2p *= p**v2
         elif v1 > v2:
-            out["A"] *= p**v1  # q1's dominant part
-            out["a"] *= p**v2  # q2's dominated part
+            q1_plus *= p**v1
+            q2_minus *= p**v2
         elif v2 > v1:
-            out["B"] *= p**v2
-            out["b"] *= p**v1
+            q2_plus *= p**v2
+            q1_minus *= p**v1
         else:
-            out["r"] *= p**v1
-    return out
+            r *= p**v1
+    return q1p, q2p, q1_plus, q1_minus, q2_plus, q2_minus, r
+
+
+@lru_cache(maxsize=None)
+def _components(chi, moduli):
+    """descend(chi, m) for each m in moduli, for a primitive chi.  Each
+    modulus is a unitary divisor, so descending gives the component."""
+    if not is_primitive(chi):
+        raise ValueError("chi_factorize expects primitive characters")
+    return tuple(descend(chi, m) for m in moduli)
 
 
 def chi_factorize(chi1, chi2):
@@ -364,18 +437,12 @@ def chi_factorize(chi1, chi2):
     their moduli prime by prime: primes seen by only one modulus (q_i'),
     primes where one valuation strictly dominates (q+ above, q- below),
     and primes of equal valuation (r)."""
-    if not is_primitive(chi1) or not is_primitive(chi2):
-        raise ValueError("chi_factorize expects primitive characters")
-    p = _split_parts(chi1.modulus, chi2.modulus)
-    # q1+ = A and q1- = b; q2+ = B and q2- = a
-    moduli = (p["q1p"], p["q2p"], p["A"], p["b"], p["B"], p["a"], p["r"])
-    chis = (chi1, chi2, chi1, chi1, chi2, chi2, chi1)
-    # each modulus is a unitary divisor, so descending gives the component
-    return ChiFactorization(
-        chi1, chi2, *moduli,
-        *(descend(chi, m) for chi, m in zip(chis, moduli)),
-        descend(chi2, p["r"]),
-    )
+    parts = _split_parts(chi1.modulus, chi2.modulus)
+    q1p, q2p, q1_plus, q1_minus, q2_plus, q2_minus, r = parts
+    x1p, x1_plus, x1_minus, x1_r = _components(chi1, (q1p, q1_plus, q1_minus, r))
+    x2p, x2_plus, x2_minus, x2_r = _components(chi2, (q2p, q2_plus, q2_minus, r))
+    return ChiFactorization(chi1, chi2, *parts, x1p, x2p, x1_plus, x1_minus,
+                            x2_plus, x2_minus, x1_r, x2_r)
 
 
 # ----------------------------------------------------------------------
@@ -399,8 +466,7 @@ def _separation_index(moduli):
     index = []
     for q1 in moduli:
         for q2 in moduli:
-            parts = _split_parts(q1, q2)
-            r = parts["r"]
+            q1p, q2p, q1_plus, q1_minus, q2_plus, q2_minus, r = _split_parts(q1, q2)
             grp = char_group(r)
             rpart_pairs = []
             for tup in dk_tuples(r):
@@ -413,12 +479,12 @@ def _separation_index(moduli):
             assert len(set(rpart_pairs)) == len(rpart_pairs)
 
             bucket = []
-            for c1p in primitive_chars(parts["q1p"]):
-                for c1A in primitive_chars(parts["A"]):
-                    for c1b in primitive_chars(parts["b"]):
-                        for c2p in primitive_chars(parts["q2p"]):
-                            for c2B in primitive_chars(parts["B"]):
-                                for c2a in primitive_chars(parts["a"]):
+            for c1p in primitive_chars(q1p):
+                for c1A in primitive_chars(q1_plus):
+                    for c1b in primitive_chars(q1_minus):
+                        for c2p in primitive_chars(q2p):
+                            for c2B in primitive_chars(q2_plus):
+                                for c2a in primitive_chars(q2_minus):
                                     for x1r, x2r in rpart_pairs:
                                         chi1 = crt_product([c1p, c1A, c1b, x1r])
                                         chi2 = crt_product([c2p, c2B, c2a, x2r])

@@ -197,6 +197,14 @@ def test_char_group_rejects_a_non_integer_modulus():
     assert group is char_group(12)
 
 
+def test_descend_refuses_a_bad_modulus():
+    chi = char_group(12).chars[3]
+    for bad in (0, -4, 5, 2.0, "4", None):
+        with pytest.raises(ValueError, match="m must be a positive divisor"):
+            descend(chi, bad)
+    assert descend(chi, np.int64(4)) is descend(chi, 4)
+
+
 def test_value_table_is_read_only():
     chi = next(iter(char_group(7)))
     table = value_table(chi)

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab.arith import divisors, factorize, prime_factors, totient
+from sievelab.arith import divisors, mobius, prime_factors, totient
 from sievelab.characters import (
     char_group,
     conductor,
+    descend,
     induce,
-    is_primitive,
     primitive_chars,
     trivial_char,
 )
@@ -34,11 +34,22 @@ from sievelab.kernels import (
 # primitivity kernel: detection identity and coefficient-mass bound
 # ----------------------------------------------------------------------
 
+def _primitive_by_definition(psi):
+    """psi mod q is primitive iff, for every proper divisor d of q, some
+    unit n = 1 mod d has psi(n) != 1.  Reads only psi's values."""
+    q = psi.modulus
+    units = [n for n in range(1, q + 1) if math.gcd(n, q) == 1]
+    return all(
+        any(abs(psi(n) - 1) >= 1e-9 for n in units if (n - 1) % d == 0)
+        for d in divisors(q) if d < q
+    )
+
+
 def test_kernel_detects_primitivity_all_q_120():
     for q in range(1, 121):
         for psi in char_group(q):
             got = kernel_detection_value(psi)
-            want = 1.0 if is_primitive(psi) else 0.0
+            want = 1.0 if _primitive_by_definition(psi) else 0.0
             assert abs(got - want) <= 1e-9, (q, psi)
 
 
@@ -47,6 +58,37 @@ def test_kernel_coefficient_mass_bound_exact():
         mass = primitivity_kernel(q).abs_sum()
         assert isinstance(mass, Fraction)
         assert mass <= len(divisors(q)), q
+
+
+def _closed_form_coefficients(q):
+    # sum_{d | q} (mu(d)/d) [ell = 1 mod q/d], accumulated in Fractions
+    coef = {}
+    for d in divisors(q):
+        mu = mobius(d)
+        for j in range(d):
+            ell = (1 + j * (q // d)) % q
+            coef[ell] = coef.get(ell, Fraction(0)) + Fraction(mu, d)
+    return {ell: c for ell, c in coef.items() if c != 0}
+
+
+def test_kernel_coefficients_equal_the_fraction_closed_form():
+    for q in range(1, 121):
+        coef = primitivity_kernel(q).coefficients
+        assert coef == _closed_form_coefficients(q), q
+        assert all(type(ell) is int and type(c) is Fraction for ell, c in coef.items()), q
+
+
+def test_detection_value_matches_the_reference_pairing():
+    for q in range(1, 121):
+        ker = primitivity_kernel(q)
+        for psi in char_group(q):
+            assert abs(kernel_detection_value(psi) - ker.pair_induced(psi)) <= 1e-12, (q, psi)
+
+
+@pytest.mark.parametrize("q", [0, -3, 2.0, "12", None])
+def test_primitivity_kernel_refuses_a_bad_modulus(q):
+    with pytest.raises(ValueError, match="q must be a positive integer"):
+        primitivity_kernel(q)
 
 
 def test_kernel_literal_convention_differs_on_nonunits():
@@ -74,6 +116,15 @@ def test_coset_identity_full_grid():
                 F = lambda c1, c2: tab[c1] * tab[c2].conjugate()
                 rep = coset_identity_check(q, r, F)
                 assert rep.ok, (q, r, rep.residual)
+
+
+@pytest.mark.parametrize("q, r", [(12, 0), (12, -4), (12, 5), (12, 2.0), (0, 1)])
+def test_coset_identity_refuses_a_bad_modulus_before_reading_F(q, r):
+    def F(c1, c2):
+        raise AssertionError("F was read")
+
+    with pytest.raises(ValueError, match=f"{'q' if q == 0 else 'r'} must be a positive"):
+        coset_identity_check(q, r, F)
 
 
 def test_coset_identity_counting_example():
@@ -198,6 +249,38 @@ def test_chi_factorize_stated_examples():
     f = chi_factorize(chi7, chi7)
     assert f.r == 7
     assert f.product_conductor_formula() == 1
+
+
+# each component of the record, the character it comes from, and its modulus
+CHIFACT_FIELDS = [
+    ("chi1_prime", "chi1", "q1_prime"),
+    ("chi2_prime", "chi2", "q2_prime"),
+    ("chi1_plus", "chi1", "q1_plus"),
+    ("chi1_minus", "chi1", "q1_minus"),
+    ("chi2_plus", "chi2", "q2_plus"),
+    ("chi2_minus", "chi2", "q2_minus"),
+    ("chi1_r", "chi1", "r"),
+    ("chi2_r", "chi2", "r"),
+]
+
+
+def test_chi_factorize_components_descend_from_their_characters():
+    prims = [c for q in range(1, 25) for c in primitive_chars(q)]
+    for c1 in prims:
+        for c2 in prims:
+            f = chi_factorize(c1, c2)
+            for component, chi, modulus in CHIFACT_FIELDS:
+                want = descend(getattr(f, chi), getattr(f, modulus))
+                assert getattr(f, component) is want, (c1, c2, component)
+
+
+def test_chi_factorization_is_immutable():
+    chi5 = next(c for c in primitive_chars(5))
+    f = chi_factorize(chi5, chi5)
+    with pytest.raises(AttributeError):
+        f.r = 1
+    with pytest.raises(AttributeError):
+        f.chi1_r = chi5
 
 
 def test_chi_factorize_rejects_imprimitive():
