@@ -65,7 +65,9 @@ Schur-product bound for the PSD S (Horn and Johnson, Topics in Matrix
 Analysis, 5.5), moves Delta by at most 1e-12 relative
 (`_quadrature_nodes`).  The index is closed under sigma: a/b -> b/a, so both
 windowed routes hold the rows a <= b alone: sigma leaves S o K invariant,
-so its spectrum is that of an even and an odd block (`_pair_blocks`), and
+so its spectrum is that of an even and an odd block (`_pair_blocks`): the
+pair route solves one and proves the other's top eigenvalue below it by
+a Cholesky with Rump's margin (`_below`), or solves it too, and
 it conjugates the characters and the phases, so H = A^H A is real, and
 `_KhatriRao` applies it there.  The routes and the oracles (the
 discrete families' member values, with P = 1) read one definition of a
@@ -180,9 +182,10 @@ def family_members(spec):
 # ----------------------------------------------------------------------
 
 def _window(L, T):
-    """(T/2) sinc(LT/4), the real factor of I_T(L); even in L, and exactly
-    T/2 at L = 0.  A window past the float64 range gives NaN without a
-    warning; the solver refuses the non-finite entries."""
+    """(T/2) sinc(LT/4), the real factor of I_T(L), for `t_integral`; even
+    in L, and exactly T/2 at L = 0.  A window past the float64 range gives
+    NaN without a warning.  The pair side builds the same factor from the
+    sine addition formula (`_pair_gram`)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return (T / 2) * np.sinc(L * (T / (4 * np.pi)))
 
@@ -393,19 +396,39 @@ def _congruence_sum(a, b, terms, rows=None):
 def _pair_gram(fam, order=None, rows=None):
     """The pair-side matrix of a family, float64: the congruence sum S of
     its terms (integers, or halves for a parity) for a discrete family
-    (T None), and S o K for a window, K[n, m] = _window(L_n - L_m, T),
+    (T None), and S o K for a window, K[n, m] = (T/2) sinc((L_n - L_m) T/4),
     multiplied into S in place in row blocks so that the temporaries stay
     small.  Its columns are the index in `order` and its rows the
-    positions `rows` of those (all of each by default: the square, real
-    symmetric, as _window is even)."""
+    positions `rows` of those (all of each by default: the square).
+
+    K comes from the sine addition formula on s = 2 sin(alpha L) and
+    c = cos(alpha L), alpha = T/4, taken once an index:
+    K[n, m] = (s_n c_m - c_n s_m) / (L_n - L_m), and exactly T/2 where
+    L_n = L_m.  That is O(n) sines and cosines where sinc takes one an
+    entry.  The products commute and a negation is exact, so K is exactly
+    symmetric, and sigma: L -> -L leaves it exactly invariant, as sin is
+    odd and cos even.  Against sinc it loses the cancellation of the
+    products, about eps (16/T + Lmax) / |L_n - L_m| of T/2 for eps =
+    2^-52 (`tests/test_window_property.py`).  A window past the float64
+    range gives non-finite entries without a warning, which the solver
+    refuses."""
     a, b, L = fam.a, fam.b, fam.L
     if order is not None:
         a, b, L = a[order], b[order], L[order]
     S = _congruence_sum(a, b, fam.terms, rows)
     if fam.T is not None:
-        Lr = L if rows is None else L[rows]
-        for s in range(0, len(Lr), _CHECK_ROWS):
-            S[s:s + _CHECK_ROWS] *= _window(Lr[s:s + _CHECK_ROWS, None] - L, fam.T)
+        rows = slice(None) if rows is None else rows
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s, c = 2 * np.sin(fam.T / 4 * L), np.cos(fam.T / 4 * L)
+            Lr, sr, cr = L[rows], s[rows], c[rows]
+            for i in range(0, len(Lr), _CHECK_ROWS):
+                r = slice(i, i + _CHECK_ROWS)
+                D = np.subtract.outer(Lr[r], L)
+                K = np.multiply.outer(sr[r], c)
+                K -= np.multiply.outer(cr[r], s)
+                K /= D
+                K[D == 0] = fam.T / 2
+                S[r] *= K
     return S
 
 
@@ -477,7 +500,14 @@ def _member_matrix(members, a, b):
 
 
 def _gauss_nodes(lo, hi, n):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """The n-point Gauss-Legendre nodes and weights on [lo, hi] by Golub
+    and Welsch (Math. Comp. 23, 1969): the nodes on [-1, 1] are the
+    eigenvalues of the Jacobi matrix of the Legendre polynomials, with
+    off-diagonal k / sqrt(4k^2 - 1), and the weights 2 v_0^2 for the first
+    entries v_0 of its unit eigenvectors; both made symmetric about 0."""
+    k = np.arange(1.0, n)
+    x, V = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))  # eigh reads the lower half
+    x, w = (x - x[::-1]) / 2, V[0] ** 2 + V[0, ::-1] ** 2
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
@@ -740,21 +770,86 @@ def gram_rational_bruteforce(Q, N):
 
 def _dense_bounds(M):
     """The diagonal, the all-ones form sum(M) and the Gershgorin bound
-    max_i sum_j |M[i, j]| of a Hermitian matrix M.  Row blocks keep the
-    temporaries of the checks far below the size of M."""
-    amax = ceiling = asym = 0.0
+    max_i sum_j |M[i, j]| of a square matrix M; ValueError, and no
+    warning, when an entry is not finite or a sum overflows.  Row blocks
+    keep the temporaries far below the size of M."""
+    ceiling = 0.0
+    with np.errstate(over="ignore"):
+        for s in range(0, M.shape[0], _CHECK_ROWS):
+            a = np.abs(M[s:s + _CHECK_ROWS])
+            if not isfinite(float(a.max())):
+                raise ValueError("matrix has non-finite entries")
+            ceiling = max(ceiling, float(a.sum(axis=1).max()))
+        total = float(M.sum().real)
+    if not (isfinite(ceiling) and isfinite(total)):
+        raise ValueError("matrix sums overflow float64")
+    return M.diagonal().real, total, ceiling
+
+
+def _require_hermitian(M):
+    """ValueError unless the finite square M is Hermitian to 1e-12 of its
+    largest entry, checked in row blocks."""
+    amax = asym = 0.0
     for s in range(0, M.shape[0], _CHECK_ROWS):
         rows = M[s:s + _CHECK_ROWS]
-        a = np.abs(rows)
-        top = float(a.max())
-        if not isfinite(top):
-            raise ValueError("matrix has non-finite entries")
-        amax = max(amax, top)
-        ceiling = max(ceiling, float(a.sum(axis=1).max()))
+        amax = max(amax, float(np.abs(rows).max()))
         asym = max(asym, float(np.abs(rows - M[:, s:s + _CHECK_ROWS].conj().T).max()))
     if asym > 1e-12 * max(amax, 1.0):
         raise ValueError("matrix is not Hermitian")
-    return M.diagonal().real, float(M.sum().real), ceiling
+
+
+class _Dense:
+    """A finite Hermitian ndarray as an operator of `top_eigenvalue`, with
+    its `_dense_bounds` taken once, on construction; the caller vouches
+    that it is Hermitian."""
+
+    def __init__(self, M):
+        self.matrix, self.shape, self.dtype = M, M.shape, M.dtype
+        self._bounds = _dense_bounds(M)
+
+    def __matmul__(self, x):
+        return self.matrix @ x
+
+    def bounds(self):
+        return self._bounds
+
+
+def _below(B, mu):
+    """True when a Cholesky proves lambda_max(B) < mu for the real symmetric
+    k x k array B.  It factors A - cI for A = mu I - B with Rump's margin
+    c = 2 (k + 2) eps tr(A), eps = 2^-52: a float64 Cholesky of A - cI
+    that runs to completion proves A positive definite once c passes
+    (k + 1) u tr(A) / (1 - (k + 1) u), u = eps / 2 (Rump, BIT 46, 2006),
+    and the margin is four times that, which also covers the rounding of
+    mu - B_ii.  False when A - cI has a diagonal entry that is not
+    positive or finite, or the factor breaks down or has a pivot that is
+    not finite, as it does on any non-finite entry; no warning is raised.
+    The factor runs in place on B's storage: B is negated, its diagonal
+    set to that of A - cI, factored and negated back, and its diagonal
+    restored, so B comes back bitwise unchanged and the factor, with
+    LAPACK's copy of it, 16 k^2 bytes, is the only new memory.  An empty B
+    has no eigenvalue: True."""
+    k = len(B)
+    if k == 0:
+        return True
+    saved = B.diagonal().copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = mu - saved
+        shifted -= 2 * (k + 2) * 2.0**-52 * shifted.sum()
+    if not (shifted > 0).all():
+        return False
+    diagonal = np.einsum("ii->i", B)  # a writable view
+    np.negative(B, out=B)
+    diagonal[:] = shifted
+    try:
+        # a NaN pivot passes the test for a positive one, so read the pivots:
+        # any non-finite entry of B's lower half reaches its row's pivot
+        return bool(np.isfinite(np.linalg.cholesky(B).diagonal()).all())
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.negative(B, out=B)
+        diagonal[:] = saved
 
 
 def _start(k, seed):
@@ -773,9 +868,10 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
 
     G meets one contract: `shape` (n, n), `dtype`, `G @ x` and `bounds()`,
     which returns the diagonal, the all-ones form 1^H G 1 and a true upper
-    bound on lambda_max, as `_KhatriRao` and `_Buckets` do.  An ndarray or
-    a GramMatrix is solved as its matrix with `_dense_bounds`, the
-    Gershgorin bound, once its entries are checked finite and Hermitian.
+    bound on lambda_max, as `_KhatriRao`, `_Buckets` and `_Dense` do.  An
+    ndarray or a GramMatrix is solved as the `_Dense` of its matrix, with
+    the Gershgorin bound, once its entries are checked finite and
+    Hermitian.
 
     Lanczos with full reorthogonalization, in a float64 or complex128 basis
     as the dtype is real or complex, from the first n `_start` draws of the
@@ -808,12 +904,15 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     M = G.matrix if isinstance(G, GramMatrix) else G
     if not hasattr(M, "bounds"):
         M = np.asarray(M)
-    n = M.shape[0]
-    if M.shape != (n, n):
+    if len(M.shape) != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
+    if isinstance(M, np.ndarray):
+        M = _Dense(M)
+        _require_hermitian(M.matrix)
+    n = M.shape[0]
     if n == 0:
         return NormEstimate(0.0, 0.0, 0, "lanczos")
-    diag, total, ceiling = M.bounds() if hasattr(M, "bounds") else _dense_bounds(M)
+    diag, total, ceiling = M.bounds()
     floor = max(float(diag.max()), total / n)
 
     v = _start(2 * n, seed)
@@ -867,7 +966,10 @@ def _pair_route_bytes(n):
     _CHECK_ROWS x n arrays: the row blocks of the product and the window,
     and the fold's copy of a row block.  A block solve's Lanczos basis
     fits in the room the chunk leaves while it takes fewer than step
-    steps."""
+    steps.  The certificate of `_solve` holds, beside the rectangle alone,
+    its factor and LAPACK's copy of it, 16 k^2 bytes for a block of k <= m
+    rows; it runs only when those fit under _ROUTE_BYTES, so the n at
+    which this estimate refuses the route does not depend on it."""
     m = (n + 1) // 2
     step = max(1, min(_PRODUCT_BLOCK // max(n, 1), m // 2))
     return 8 * m * n + 8 * (m + n) * (step + _DENSE_PHI) + 8 * 16 * _CHECK_ROWS * n
@@ -925,10 +1027,17 @@ def _bucket_route_bytes(n, labels, entries, rows):
 def _solve(fam, tol, route="auto"):
     """The one route rule: every Delta hands it its family, built once, and
     it builds the operator of the route it takes from that family alone,
-    never a `GramMatrix` or a point object.  "pairs" solves the even and
-    odd blocks of the real symmetric pair side (`_pair_blocks`), each with
-    `top_eigenvalue`, and reports the larger value with that block's
-    residual, and the matvecs of both solves as `iterations`; "family", for
+    never a `GramMatrix` or a point object.  "pairs" takes the even and
+    odd blocks of the real symmetric pair side (`_pair_blocks`), exactly
+    symmetric by construction, as `_Dense` operators, whose bounds are
+    taken once and need no Hermitian scan.  It solves the nonempty block
+    with the larger Gershgorin cap with `top_eigenvalue`, and then tries
+    to prove the other's lambda_max below that value by a Cholesky
+    (`_below`), when its factor fits under _ROUTE_BYTES beside the
+    rectangle.  Proven, it reports the first solve, whose value is then
+    the larger; otherwise it solves the other block too and reports the
+    larger value with that block's residual.  `iterations` counts the
+    matvecs of the solves that ran; "family", for
     a window only, the real H = A^H A of `_KhatriRao`, with the member
     values V and the phases P on the rows a <= b (`_fold`), whose nonzero
     spectrum is the pair side's up to the quadrature of I_T, on the J nodes
@@ -967,9 +1076,21 @@ def _solve(fam, tol, route="auto"):
             route = "family" if n > _PAIR_ROUTE_MAX and F * nodes < n else "pairs"
     if route == "pairs":
         _check_bytes(f"pairs route on {n} indices", _pair_route_bytes(n), _ROUTE_BYTES)
-        even, odd = (top_eigenvalue(block, tol=tol) for block in _pair_blocks(fam))
-        top = max(even, odd, key=lambda estimate: estimate.value)
-        return replace(top, iterations=even.iterations + odd.iterations, route=route, size=n)
+        # even first, and never empty: it has (n + 1) // 2 rows
+        blocks = [_Dense(block) for block in _pair_blocks(fam) if len(block)]
+        first, *rest = sorted(blocks, key=lambda block: -block.bounds()[2])
+        top = top_eigenvalue(first, tol=tol)
+        if rest:
+            (other,) = rest
+            k = len(other.matrix)
+            # the certificate holds its factor and LAPACK's copy beside the rectangle
+            fits = 8 * ((n + 1) // 2) * n + 16 * k * k <= _ROUTE_BYTES
+            if not (fits and _below(other.matrix, top.value)):
+                second = top_eigenvalue(other, tol=tol)
+                even, odd = (top, second) if first is blocks[0] else (second, top)
+                top = replace(max(even, odd, key=lambda estimate: estimate.value),
+                              iterations=even.iterations + odd.iterations)
+        return replace(top, route=route, size=n)
     reps, weight, _ = _fold(fam.a, fam.b)
     # the deepest basis, at most min(F nodes, _MAX_ITER) rows, that fits
     steps = max(1, bisect_right(range(1, min(F * nodes, _MAX_ITER) + 1), _ROUTE_BYTES,

@@ -103,8 +103,10 @@ def test_package_never_touches_numpy_random():
     assert not hits, hits
 
 
-def test_every_route_and_the_sieve_command_leave_numpy_random_unimported():
-    script = textwrap.dedent("""
+def _imported_after_every_route(module):
+    """Whether `module` is in sys.modules of a fresh process once every
+    route and the sieve command have run."""
+    script = textwrap.dedent(f"""
         import contextlib, io, sys
         from sievelab import cli, delta, delta_rational
         routes = [delta(6.0, 1, 1.0, 100.0, route="pairs").route,
@@ -113,9 +115,19 @@ def test_every_route_and_the_sieve_command_leave_numpy_random_unimported():
         assert routes == ["pairs", "family", "buckets"], routes
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(["sieve", "-N", "60", "-Q", "6", "--trials", "2"]) in (0, 1)
-        print("numpy.random" in sys.modules)
+        print({module!r} in sys.modules)
     """)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False"], out.stdout
+    return out.stdout.split()
+
+
+def test_every_route_and_the_sieve_command_leave_numpy_random_unimported():
+    assert _imported_after_every_route("numpy.random") == ["False"]
+
+
+def test_every_route_and_the_sieve_command_leave_numpy_polynomial_unimported():
+    # numpy.polynomial loads lazily, about 3.5 ms in a fresh process; the
+    # family route's Gauss-Legendre nodes come from eigh instead
+    assert _imported_after_every_route("numpy.polynomial") == ["False"]

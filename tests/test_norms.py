@@ -321,6 +321,26 @@ def test_t_integral_matches_quadrature():
             assert abs(t_integral(L, T) - want) <= 1e-9, (T, L)
 
 
+def test_gauss_nodes_match_leggauss():
+    # Golub-Welsch against numpy's companion-matrix rule with its Newton
+    # step.  Past J = 140 leggauss's own weights err by up to 1.2e-14
+    # (against 40-digit Newton roots, where these err by 5e-16), so the
+    # weights get 2e-14 of it, and an oracle of their own: the rule is
+    # exact to degree 2J - 1, so it keeps the Legendre polynomials below
+    # degree J orthogonal, with norms 2 / (2a + 1)
+    for J in range(1, 201):
+        x, w = norms._gauss_nodes(-1.0, 1.0, J)
+        want_x, want_w = np.polynomial.legendre.leggauss(J)
+        assert np.abs(x - want_x).max() <= 1e-14, J
+        assert np.abs(w - want_w).max() <= 2e-14, J
+        P = np.polynomial.legendre.legvander(x, J - 1)
+        gram = P.T @ (w[:, None] * P)
+        assert np.abs(gram - np.diag(2 / (2 * np.arange(J) + 1.0))).max() <= 1e-13, J
+    x, w = norms._gauss_nodes(2.0, 4.0, 5)  # mapped onto [T/2, T]
+    want_x, want_w = np.polynomial.legendre.leggauss(5)
+    assert np.abs(x - (3.0 + want_x)).max() <= 1e-14 and np.abs(w - want_w).max() <= 1e-14
+
+
 def test_t_integral_taylor_branch_bound():
     for T in (1.0, 2.0, 4.0, 8.0, 16.0):
         for mag in [0.0] + list(np.geomspace(1e-18, 1e-6, 60)):
@@ -1219,35 +1239,146 @@ _FOLDED = {
 }
 
 
+def _record_pair_route(monkeypatch):
+    """Lists the pair route's block solves, (block, estimate), and its
+    certificates, (block, mu, proven), as they run."""
+    solves, proofs = [], []
+    solve, below = norms.top_eigenvalue, norms._below
+
+    def record_solve(G, **kwargs):
+        solves.append((np.array(G.matrix), solve(G, **kwargs)))
+        return solves[-1][1]
+
+    def record_proof(B, mu):
+        proofs.append((np.array(B), mu, below(B, mu)))
+        return proofs[-1][2]
+
+    monkeypatch.setattr(norms, "top_eigenvalue", record_solve)
+    monkeypatch.setattr(norms, "_below", record_proof)
+    return solves, proofs
+
+
 @pytest.mark.parametrize("kind", list(_FOLDED))
 def test_folded_pair_route_is_the_top_eigenvalue_of_the_square(kind, monkeypatch):
-    # the pair route solves the even and odd blocks of M on the rows a <= b
-    # and reports the larger; against eigvalsh of the square M.  The odd
-    # block is empty when the index is 1/1 alone, and the multiplicative
-    # odd family puts lambda_max in the odd block
+    # the pair route solves one of the even and odd blocks of M on the rows
+    # a <= b, and the other only when a Cholesky cannot prove its top
+    # eigenvalue below the first value; it reports the larger.  Against
+    # eigvalsh of the square M and of each block.  The odd block is empty
+    # when the index is 1/1 alone, and the multiplicative odd family puts
+    # lambda_max in the odd block
     fam = _FOLDED[kind]()
     n = len(fam.a)
     want = float(np.linalg.eigvalsh(norms._pair_gram(fam)).max())
-    solves = []
-    solve = norms.top_eigenvalue
-
-    def record(G, **kwargs):
-        solves.append((G.shape, solve(G, **kwargs)))
-        return solves[-1][1]
-
-    monkeypatch.setattr(norms, "top_eigenvalue", record)
+    fixed = int(((fam.a == 1) & (fam.b == 1)).sum())
+    even, odd = (np.array(block) for block in norms._pair_blocks(fam))
+    assert even.shape == ((n + fixed) // 2,) * 2 and odd.shape == ((n - fixed) // 2,) * 2
+    solves, proofs = _record_pair_route(monkeypatch)
     got = norms._solve(fam, 1e-12, "pairs")
     assert (got.route, got.size) == ("pairs", n)
     assert abs(got.value - want) <= 1e-12 * want, (got.value, want)
-    fixed = int(((fam.a == 1) & (fam.b == 1)).sum())
-    (even_shape, even), (odd_shape, odd) = solves
-    assert even_shape == ((n + fixed) // 2,) * 2 and odd_shape == ((n - fixed) // 2,) * 2
-    assert got.iterations == even.iterations + odd.iterations
-    assert got.residual == max(even, odd, key=lambda e: e.value).residual
+    for B, mu, proven in proofs:  # the certificate against its oracle
+        assert not proven or float(np.linalg.eigvalsh(B).max()) < mu
     if kind == "only-1/1":
-        assert got.value == 1.0 and odd_shape == (0, 0)
+        assert got.value == 1.0 and odd.shape == (0, 0)
+        assert len(solves) == 1 and not proofs
+    else:
+        (other, mu, proven), = proofs
+        assert len(solves) == 1 + (not proven)
+        assert mu == solves[0][1].value
+        assert {other.shape, solves[0][0].shape} == {even.shape, odd.shape}
+        estimates = [estimate for _, estimate in solves]
+        assert got.iterations == sum(estimate.iterations for estimate in estimates)
+        assert got.residual == max(estimates, key=lambda e: e.value).residual
     if kind == "odd-block":
-        assert odd.value > even.value
+        assert np.linalg.eigvalsh(odd).max() > np.linalg.eigvalsh(even).max()
+
+
+def test_bench_pair_call_solves_one_block(monkeypatch):
+    # delta(12, 3, 4, 400): the odd block has the larger Gershgorin cap and
+    # lambda_max, and a Cholesky proves the even block below it, so one
+    # Lanczos solve runs and `iterations` counts its matvecs alone
+    solves, proofs = _record_pair_route(monkeypatch)
+    got = delta(12.0, 3, 4.0, 400.0)
+    (B, estimate), = solves
+    assert [proven for _, _, proven in proofs] == [True]
+    assert got.iterations == estimate.iterations
+    assert abs(got.value - np.linalg.eigvalsh(B).max()) <= 1e-12 * got.value
+
+
+def test_pair_route_solves_both_blocks_when_the_cap_picks_the_loser(monkeypatch):
+    # delta(8, 2, 2, 500): the odd block has the larger cap but the even
+    # block holds lambda_max, so the certificate fails and both blocks are
+    # solved, as when the route solved both always
+    solves, proofs = _record_pair_route(monkeypatch)
+    got = delta(8.0, 2, 2.0, 500.0)
+    fam = norms._multiplicative(FamilySpec(8.0, 2, 2.0), *_coprime_pairs(500, "dyadic"))
+    want = float(np.linalg.eigvalsh(norms._pair_gram(fam)).max())
+    assert [proven for _, _, proven in proofs] == [False]
+    assert len(solves) == 2
+    assert got.iterations == sum(estimate.iterations for _, estimate in solves)
+    assert abs(got.value - want) <= 1e-12 * want, (got.value, want)
+
+
+def test_pair_route_runs_the_certificate_only_when_its_factor_fits(monkeypatch):
+    # the certificate holds its factor and LAPACK's copy, 16 k^2 bytes,
+    # beside the rectangle's 8 m n; one byte less under the cap and both
+    # blocks are solved, as before the certificate.  `_pair_route_bytes`
+    # is zeroed so that the route itself always fits
+    n = len(_coprime_pairs(400, "dyadic")[0])
+    m = k = (n + 1) // 2  # no 1/1 in the dyadic window: both blocks have m rows
+    monkeypatch.setattr(norms, "_pair_route_bytes", lambda n: 0)
+    solves, proofs = _record_pair_route(monkeypatch)
+    for cap, certified in ((8 * m * n + 16 * k * k, True), (8 * m * n + 16 * k * k - 1, False)):
+        monkeypatch.setattr(norms, "_ROUTE_BYTES", cap)
+        solves.clear()
+        proofs.clear()
+        delta(12.0, 3, 4.0, 400.0)
+        assert (len(proofs), len(solves)) == ((1, 1) if certified else (0, 2))
+
+
+def _spd(k, seed):
+    X = np.random.default_rng(seed).standard_normal((k, k + 3))
+    return X @ X.T
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 60, 300])
+def test_certificate_proves_only_a_true_bound(k):
+    # a Cholesky of mu I - B, shifted by Rump's margin, proves
+    # lambda_max(B) < mu: never just below lambda_max, always just above;
+    # on a strided view, which comes back bitwise unchanged
+    for seed in range(3):
+        rect = np.concatenate([_spd(k, seed), _spd(k, seed + 10)], axis=1)
+        before = rect.copy()
+        B = rect[:, :k]
+        top = float(np.linalg.eigvalsh(B).max())
+        assert not norms._below(B, top * (1 - 1e-9))
+        assert np.array_equal(rect.view(np.uint64), before.view(np.uint64))
+        assert norms._below(B, top * (1 + 1e-9))
+        assert np.array_equal(rect.view(np.uint64), before.view(np.uint64))
+
+
+def test_certificate_keeps_rumps_margin():
+    # B = diag(0, ..., 0, lam), k = 300: tr(mu I - B) is about 299 lam, so
+    # the margin 2 (k + 2) eps tr is about 4e-11 lam.  A gap of 1e-12 lam
+    # is true but below the margin, and a Cholesky without it would claim it
+    k, lam = 300, 7.0
+    B = np.zeros((k, k))
+    B[-1, -1] = lam
+    assert not norms._below(B, lam * (1 + 1e-12))
+    assert norms._below(B, lam * (1 + 1e-9))
+
+
+def test_certificate_of_an_empty_or_non_finite_block():
+    assert norms._below(np.zeros((0, 0)), 1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        for at in ((2, 2), (1, 3)):
+            B = _spd(5, 0)
+            B[at] = B[at[::-1]] = bad
+            before = B.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not norms._below(B, 1e6)
+            assert np.array_equal(B.view(np.uint64), before.view(np.uint64))
 
 
 def test_family_operator_rejects_non_finite():
@@ -1392,18 +1523,18 @@ def test_multiplicative_gram_is_the_phased_pair_matrix(spec):
 
 
 def test_delta_pair_route_solves_a_real_matrix(monkeypatch):
-    # delta hands top_eigenvalue the even and odd blocks of the real S o K,
-    # not the complex Gram
+    # delta hands top_eigenvalue the even or odd block of the real S o K,
+    # or both, not the complex Gram
     dtypes = []
     solve = norms.top_eigenvalue
 
     def record(G, **kwargs):
-        dtypes.append(np.asarray(G).dtype)
+        dtypes.append((G.dtype, G.matrix.dtype))
         return solve(G, **kwargs)
 
     monkeypatch.setattr(norms, "top_eigenvalue", record)
     assert delta(12.0, 3, 4.0, 400.0).route == "pairs"
-    assert dtypes == [np.float64, np.float64]
+    assert dtypes and all(dtype == (np.float64, np.float64) for dtype in dtypes)
 
 
 def test_windowed_pair_route_peak_stays_below_16_bytes_an_entry():
