@@ -75,11 +75,8 @@ from .norms import (
     gram_multiplicative,
     gram_rational,
     gram_rational_bruteforce,
-    load_gram,
     monotonicity_check_N,
     monotonicity_check_Q,
-    save_gram,
-    save_gram_csv,
     t_integral,
     top_eigenvalue,
 )

@@ -48,12 +48,13 @@ The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`) on
 one operator contract, `shape`, `dtype`, `@` and `bounds()`: a Rayleigh
 quotient, a lower bound up to rounding, capped by the upper bound.
 
-Three routes solve a family, each in float64.  A discrete family takes
-the buckets (`_Buckets`): S applied through one label a row for each
-gate, O(n) a gate and matvec, with as many Lanczos steps as keep its
-basis within _ROUTE_BYTES.  With a window, past _PAIR_ROUTE_MAX indices
-a family whose members x nodes are fewer than its indices takes the
-family side, and otherwise the pair side S o K, with K[n, m] =
+Three routes solve a family, each in float64, and each sizes its Lanczos
+basis from the solver's own memory model (`_lanczos_bytes`): the deepest
+basis that fits beside the route's other bytes (`_basis_rows`).  A
+discrete family takes the buckets (`_Buckets`): S applied through one
+label a row for each gate, O(n) a gate and matvec.  With a window, a
+family of F members on J nodes with 2 F J < n indices takes the family
+side, and otherwise the pair side S o K, with K[n, m] =
 (T/2) sinc((L_n - L_m) T/4) the real factor of I_T; its phase factors out
 as D = diag(e^{3iTL/4}), and only `gram_multiplicative` forms the
 Hermitian D (S o K) D^H.  On the family side Delta = ||A||^2 for the
@@ -74,10 +75,9 @@ discrete families' member values, with P = 1) read one definition of a
 family (`_Family`) and check one another in the tests.
 """
 
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from math import ceil, gcd, isfinite, isqrt, log
+from math import ceil, gcd, isfinite, log
 from numbers import Integral
 
 import numpy as np
@@ -89,7 +89,7 @@ from .rationals import (_POINT_BYTES, _ROUTE_BYTES, CoprimePair, RationalPoint, 
 
 _START_SEED = 0x5EED
 _CHECK_STRIDE = 4
-_PAIR_ROUTE_MAX = 2000
+_FIRST_ROWS = 32  # the rows of the first Lanczos basis, doubled as it fills
 _CHECK_ROWS = 64
 _PRODUCT_BLOCK = 1 << 22
 _DENSE_PHI = 16
@@ -919,7 +919,7 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     v = v[:n] + 1j * v[n:] if np.iscomplexobj(M) else v[:n]
     v[int(np.argmax(diag))] += 2.0 * np.abs(v).max()
     steps = min(n, max_iter)
-    basis = np.empty((min(steps, 32), n), dtype=v.dtype)
+    basis = np.empty((min(steps, _FIRST_ROWS), n), dtype=v.dtype)
     T = np.zeros((len(basis),) * 2)
     basis[0] = v / np.linalg.norm(v)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
@@ -952,52 +952,59 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     return NormEstimate(value, res, j + 2, "lanczos")
 
 
+def _lanczos_bytes(dim, rows):
+    """Peak bytes of `top_eigenvalue`'s own arrays on a float64 operator of
+    dimension `dim` with a basis of at most `rows` vectors (its max_iter).
+    Throughout, the basis at its capacity of `rows`, sixteen length-rows
+    vectors and at most eight vectors of dim: the start draws (two) and the
+    diagonal of `bounds()`, and at the end the last step's matvec, the Ritz
+    vector, its matvec and the two of the residual.  Beside them, the
+    larger of two moments: the last doubling, where np.pad still holds the
+    old basis and T, of `prev` rows, beside the new T and the Ritz vectors
+    of the eigh just before; and the last eigh, with T, the previous Ritz
+    vectors and eigh's four rows x rows arrays (its copy of T, the two of
+    syevd's workspace and the new Ritz vectors).  The operator's own
+    temporaries are the route's."""
+    prev = 1 << ((rows - 1).bit_length() - 1) if rows > _FIRST_ROWS else 0
+    grow = dim * prev + rows * rows + 2 * prev * prev
+    return 8 * (dim * (rows + 8) + 16 * rows + max(grow, 6 * rows * rows))
+
+
 # ----------------------------------------------------------------------
 # the Delta norms
 # ----------------------------------------------------------------------
 
 def _pair_route_bytes(n):
-    """Peak bytes of the pair route on n indices: the float64 rectangle of
-    the m = (n + 1) / 2 rows a <= b against the n columns (`_pair_blocks`),
-    8 m n, beside one chunk of its indicator columns inside
-    _congruence_sum, U (m x width) and U_s (n x width) with width under
-    step + _DENSE_PHI, step = min(_PRODUCT_BLOCK / n, m / 2).  The window
-    and the fold then run in place.  Plus fewer than sixteen float64
-    _CHECK_ROWS x n arrays: the row blocks of the product and the window,
-    and the fold's copy of a row block.  A block solve's Lanczos basis
-    fits in the room the chunk leaves while it takes fewer than step
-    steps.  The certificate of `_solve` holds, beside the rectangle alone,
-    its factor and LAPACK's copy of it, 16 k^2 bytes for a block of k <= m
-    rows; it runs only when those fit under _ROUTE_BYTES, so the n at
-    which this estimate refuses the route does not depend on it."""
+    """Peak bytes of the pair route on n indices beside its Lanczos basis:
+    the float64 rectangle of the m = (n + 1) / 2 rows a <= b against the n
+    columns (`_pair_blocks`), 8 m n, beside one chunk of its indicator
+    columns inside _congruence_sum, U (m x width) and U_s (n x width) with
+    width under step + _DENSE_PHI, step = min(_PRODUCT_BLOCK / n, m / 2).
+    The window and the fold then run in place.  Plus fewer than sixteen
+    float64 _CHECK_ROWS x n arrays: the row blocks of the product and the
+    window, and the fold's copy of a row block."""
     m = (n + 1) // 2
     step = max(1, min(_PRODUCT_BLOCK // max(n, 1), m // 2))
     return 8 * m * n + 8 * (m + n) * (step + _DENSE_PHI) + 8 * 16 * _CHECK_ROWS * n
 
 
-def _family_route_bytes(n, F, nodes, rows):
+def _family_route_bytes(n, F, nodes):
     """Peak bytes of the family route on n indices and F members x nodes,
-    with a Lanczos basis of `rows` vectors: a, b and L, 24 bytes an index;
-    on the m = (n + 1) / 2 rows a <= b, their numbers and weights, 16 bytes
-    a row, and V and P (m x F and m x nodes, complex); two ufunc buffers;
-    and the larger of two stages over row blocks of b rows (`_block_rows`).
-    Setup holds the float moduli of a block in `bounds`, the weighted |V|
-    beside them and three length-b vectors.  The solve holds the float64
-    basis and tridiagonal T at their capacity (doubled from 32 rows up to
-    F nodes, as in `top_eigenvalue`), six more vectors, two rows x rows
-    arrays (the Ritz vectors and eigh's copy of T), and the b x F
-    temporary of a matvec with its two length-b vectors."""
-    size = F * nodes
+    as (setup, solve), the two stages over row blocks of b rows
+    (`_block_rows`); one frees its temporaries before the other starts.
+    Both hold a, b and L, 24 bytes an index; on the m = (n + 1) / 2 rows
+    a <= b, their numbers and weights, 16 bytes a row, and V and P (m x F
+    and m x nodes, complex); and two ufunc buffers.  Setup, in `bounds`,
+    before the Lanczos basis exists, adds the float moduli of a block, the
+    weighted |V| beside them and six length-b vectors, and three float
+    F x nodes arrays: the diagonal, the column sums and a block's product.
+    The solve, beside the basis, adds a matvec's b x F complex temporary
+    with two complex length-b vectors and its F x nodes complex product."""
     m = (n + 1) // 2
     b = min(m, _block_rows(F, nodes))
-    capacity = 32
-    while capacity < rows:
-        capacity *= 2
-    capacity = min(capacity, size, _MAX_ITER)
-    solve = (8 * size * (capacity + 6) + 8 * capacity * capacity + 16 * rows * rows
-             + 16 * b * (F + 2))
-    return (24 * n + 16 * m * (F + nodes + 1) + 32 * np.getbufsize()
-            + max(8 * b * (2 * F + nodes + 6), solve))
+    held = 24 * n + 16 * m * (F + nodes + 1) + 32 * np.getbufsize()
+    return (held + 8 * b * (2 * F + nodes + 6) + 24 * F * nodes,
+            held + 16 * b * (F + 2) + 16 * F * nodes)
 
 
 def _bucket_sizes(n, terms):
@@ -1010,18 +1017,27 @@ def _bucket_sizes(n, terms):
     return len(gates), labels, sum(min(n, g) for g, _, _, _ in terms)
 
 
-def _bucket_route_bytes(n, labels, entries, rows):
+def _bucket_route_bytes(n, labels, entries):
     """Peak bytes of the bucket route on n indices, `labels` bytes of
-    labels and `entries` term entries, with a Lanczos basis of at most
-    `rows` vectors: the index arrays a, b and L, 24 bytes an index; the
-    labels; 160 bytes an entry, its four stacked arrays beside the lists
-    and the sort that build them; twelve more float64 or int64 vectors,
-    the residues, masks and sort of a gate's labels in setup and the bucket
-    sums, gathers and vectors of a solve; and 16 n rows + 32 rows^2, the
-    basis and the float64 tridiagonal T at capacity rows beside their
-    smaller copies at the last doubling (`top_eigenvalue`), with eigh's two
-    rows x rows arrays."""
-    return labels + 24 * n + 160 * entries + 96 * n + 16 * n * rows + 32 * rows * rows
+    labels and `entries` term entries beside its Lanczos basis: the index
+    arrays a, b and L, 24 bytes an index; the labels; 160 bytes an entry,
+    its four stacked arrays beside the lists and the sort that build them;
+    and twelve more float64 or int64 vectors, the residues, masks and sort
+    of a gate's labels in setup and the bucket sums and gathers of a
+    matvec."""
+    return labels + 24 * n + 160 * entries + 96 * n
+
+
+def _basis_rows(what, fixed, dim):
+    """The deepest Lanczos basis, at most min(dim, _MAX_ITER) rows, whose
+    `_lanczos_bytes` on an operator of dimension dim fit beside a route's
+    `fixed` bytes under _ROUTE_BYTES; ValueError naming `what` and its
+    estimate with one row when not even that fits."""
+    rows = bisect_right(range(1, min(dim, _MAX_ITER) + 1), _ROUTE_BYTES - fixed,
+                        key=lambda rows: _lanczos_bytes(dim, rows))
+    rows = max(rows, 1)
+    _check_bytes(what, fixed + _lanczos_bytes(dim, rows), _ROUTE_BYTES)
+    return rows
 
 
 def _solve(fam, tol, route="auto"):
@@ -1033,37 +1049,33 @@ def _solve(fam, tol, route="auto"):
     taken once and need no Hermitian scan.  It solves the nonempty block
     with the larger Gershgorin cap with `top_eigenvalue`, and then tries
     to prove the other's lambda_max below that value by a Cholesky
-    (`_below`), when its factor fits under _ROUTE_BYTES beside the
-    rectangle.  Proven, it reports the first solve, whose value is then
-    the larger; otherwise it solves the other block too and reports the
-    larger value with that block's residual.  `iterations` counts the
-    matvecs of the solves that ran; "family", for
-    a window only, the real H = A^H A of `_KhatriRao`, with the member
-    values V and the phases P on the rows a <= b (`_fold`), whose nonzero
-    spectrum is the pair side's up to the quadrature of I_T, on the J nodes
-    of `_quadrature_nodes`, which move Delta by at most _QUADRATURE_TOL
-    relative; "buckets" the S of a discrete family through `_Buckets`.  The
-    family and bucket routes take as many Lanczos steps as keep the basis
-    within _ROUTE_BYTES.  "auto" takes the buckets for a discrete family
-    (T None); with a window, the family side past _PAIR_ROUTE_MAX indices
-    when members x nodes < indices, counting the members F as S at the
-    index 1/1, where every member is 1, and the pair side otherwise.  Each
-    route first raises ValueError when its size estimate, with one Lanczos
-    vector on the family and bucket sides, passes _ROUTE_BYTES; the family
-    route also on a discrete family, and the pair and family routes on an
-    index not closed under a/b -> b/a, before their matrices are built.  The NormEstimate records the route
-    that ran, the index count n and, on the family route, J."""
+    (`_below`), when its factor fits in the room the basis has.  Proven,
+    it reports the first solve, whose value is then the larger; otherwise
+    it solves the other block too and reports the larger value with that
+    block's residual.  `iterations` counts the matvecs of the solves that
+    ran; "family", for a window only, the real H = A^H A of `_KhatriRao`,
+    with the member values V and the phases P on the rows a <= b
+    (`_fold`), whose nonzero spectrum is the pair side's up to the
+    quadrature of I_T, on the J nodes of `_quadrature_nodes`, which move
+    Delta by at most _QUADRATURE_TOL relative; "buckets" the S of a
+    discrete family through `_Buckets`.  "auto" takes the buckets for a
+    discrete family (T None); with a window, the family side when
+    2 F J < n, counting the members F as S at the index 1/1, where every
+    member is 1, and the pair side otherwise.  Every route takes the
+    deepest Lanczos basis that fits beside its size estimate
+    (`_basis_rows`), and raises ValueError when not even one vector fits,
+    or, on the family route, when its setup stage, which runs before the
+    basis exists, does not fit; the family route also on a discrete
+    family, and the pair and family routes on an index not closed under
+    a/b -> b/a, before their matrices are built.  The NormEstimate records
+    the route that ran, the index count n and, on the family route, J."""
     n = len(fam.a)
     if route == "auto" and fam.T is None:
         route = "buckets"
     if route == "buckets":
         gates, labels, entries = _bucket_sizes(n, fam.terms)
-        # the most steps, at most min(n, _MAX_ITER), whose basis fits: the
-        # integer root of 32 rows^2 + 16 n rows <= the room the rest leaves
-        room = _ROUTE_BYTES - _bucket_route_bytes(n, labels, entries, 0)
-        steps = max(1, min(n, _MAX_ITER, (isqrt(64 * n * n + 32 * max(room, 0)) - 8 * n) // 32))
-        _check_bytes(f"buckets route on {n} indices x {gates} gates",
-                     _bucket_route_bytes(n, labels, entries, steps), _ROUTE_BYTES)
+        steps = _basis_rows(f"buckets route on {n} indices x {gates} gates",
+                            _bucket_route_bytes(n, labels, entries), n)
         estimate = top_eigenvalue(_Buckets(fam), tol=tol, max_iter=steps)
         return replace(estimate, route=route, size=n)
     if route != "pairs":
@@ -1073,30 +1085,30 @@ def _solve(fam, tol, route="auto"):
         one = np.ones(1, dtype=np.int64)
         F = int(_congruence_sum(one, one, fam.terms)[0, 0])
         if route == "auto":
-            route = "family" if n > _PAIR_ROUTE_MAX and F * nodes < n else "pairs"
+            route = "family" if 2 * F * nodes < n else "pairs"
     if route == "pairs":
-        _check_bytes(f"pairs route on {n} indices", _pair_route_bytes(n), _ROUTE_BYTES)
-        # even first, and never empty: it has (n + 1) // 2 rows
+        fixed = _pair_route_bytes(n)
+        # the even block is the larger, and never empty: it has (n + 1) // 2 rows
+        steps = _basis_rows(f"pairs route on {n} indices", fixed, (n + 1) // 2)
         blocks = [_Dense(block) for block in _pair_blocks(fam) if len(block)]
         first, *rest = sorted(blocks, key=lambda block: -block.bounds()[2])
-        top = top_eigenvalue(first, tol=tol)
+        top = top_eigenvalue(first, tol=tol, max_iter=steps)
         if rest:
             (other,) = rest
             k = len(other.matrix)
-            # the certificate holds its factor and LAPACK's copy beside the rectangle
-            fits = 8 * ((n + 1) // 2) * n + 16 * k * k <= _ROUTE_BYTES
+            # the certificate holds its factor and LAPACK's copy where the basis was
+            fits = fixed + 16 * k * k <= _ROUTE_BYTES
             if not (fits and _below(other.matrix, top.value)):
-                second = top_eigenvalue(other, tol=tol)
+                second = top_eigenvalue(other, tol=tol, max_iter=steps)
                 even, odd = (top, second) if first is blocks[0] else (second, top)
                 top = replace(max(even, odd, key=lambda estimate: estimate.value),
                               iterations=even.iterations + odd.iterations)
         return replace(top, route=route, size=n)
     reps, weight, _ = _fold(fam.a, fam.b)
-    # the deepest basis, at most min(F nodes, _MAX_ITER) rows, that fits
-    steps = max(1, bisect_right(range(1, min(F * nodes, _MAX_ITER) + 1), _ROUTE_BYTES,
-                                key=lambda rows: _family_route_bytes(n, F, nodes, rows)))
-    _check_bytes(f"family route on {F} members x {nodes} nodes",
-                 _family_route_bytes(n, F, nodes, steps), _ROUTE_BYTES)
+    what = f"family route on {F} members x {nodes} nodes"
+    setup, fixed = _family_route_bytes(n, F, nodes)
+    _check_bytes(what, setup, _ROUTE_BYTES)
+    steps = _basis_rows(what, fixed, F * nodes)
     # P before V: its outer-product temporary then has no V beside it
     P = _phase_matrix(fam.L[reps], fam.T, nodes)
     operator = _KhatriRao(_member_matrix(fam.members(), fam.a[reps], fam.b[reps]), P, weight)
@@ -1241,7 +1253,7 @@ def monotonicity_check_Q(Q, k, T, N, P, tol=1e-6):
 
 
 # ----------------------------------------------------------------------
-# duality, fits, export
+# duality and fits
 # ----------------------------------------------------------------------
 
 def duality_check(rows, cols, mat, tol=1e-9):
@@ -1283,38 +1295,3 @@ def exponent_fit(samples):
     fitted = A @ np.array([slope, intercept])
     rms = float(np.sqrt(np.mean((fitted - ly) ** 2)))
     return FitResult(float(slope), float(intercept), rms)
-
-
-_MAGIC = b"SLGM"
-
-
-def save_gram(path, gram):
-    """Binary dump: 16-byte header (magic 'SLGM', u32 dim, u64 reserved),
-    then row-major little-endian interleaved re/im float64."""
-    M = np.ascontiguousarray(gram.matrix, dtype=np.complex128)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", M.shape[0], 0))
-        fh.write(M.astype("<c16").tobytes("C"))
-
-
-def load_gram(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError("not a Gram dump")
-        dim, _ = struct.unpack("<IQ", fh.read(12))
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(dim, dim)
-    return GramMatrix(tuple(range(dim)), data.astype(np.complex128))
-
-
-def save_gram_csv(path, gram):
-    """Entry-per-line CSV for small matrices: i, j, re, im."""
-    if gram.dim > 64:
-        raise ValueError("CSV export is for small matrices (dim <= 64)")
-    with open(path, "w") as fh:
-        fh.write("i,j,re,im\n")
-        for i in range(gram.dim):
-            for j in range(gram.dim):
-                z = gram.matrix[i, j]
-                fh.write(f"{i},{j},{float(z.real)!r},{float(z.imag)!r}\n")

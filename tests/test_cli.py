@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,7 +85,7 @@ def test_norm_matches_library(capsys):
 
 
 def test_norm_record_names_the_family_route(capsys):
-    # 2702 pairs at N = 1000: past the cutoff the windowed family side
+    # 2702 pairs at N = 1000, 2 F J = 924 < n: the windowed family side
     # runs; the 2809 rationals at N = 600 take the buckets, as every
     # discrete family does.  Each record gives the index count, and the
     # family route its quadrature nodes
@@ -239,7 +238,7 @@ def test_scan_records_the_route_and_the_ratio_to_the_index(capsys):
 
 
 def test_scan_records_the_family_route_nodes(capsys):
-    # past the pair cutoff a windowed scan point runs on the family route
+    # a windowed scan point with 2 F J < n runs on the family route
     # and records its quadrature nodes beside the route and the index count
     assert run(["scan", "-Q", "12", "-T", "4", "-N", "1000", "--format", "json"]) == 0
     (rec,) = json.loads(capsys.readouterr().out)
@@ -375,7 +374,7 @@ def test_sieve_refuses_oversized_random_plans_before_drawing(monkeypatch, tmp_pa
     assert time.perf_counter() - start < 1.0
 
 
-def test_sieve_plan_estimate_covers_the_measured_peak(monkeypatch, tmp_path):
+def test_sieve_plan_estimate_covers_the_measured_peak(monkeypatch, tmp_path, traced_peak):
     from sievelab import rationals
 
     needs = []
@@ -387,12 +386,9 @@ def test_sieve_plan_estimate_covers_the_measured_peak(monkeypatch, tmp_path):
 
     monkeypatch.setattr(rationals, "_check_bytes", record)
     argv = ["sieve", "-N", "10", "-Q", "1000", "--trials", "2", "--out", str(tmp_path / "r.csv")]
-    tracemalloc.start()
-    try:
-        assert run(argv) in (0, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    codes = []
+    peak = traced_peak(lambda: codes.append(run(argv)))
+    assert codes[0] in (0, 1)
     need, = [need for what, need in needs if what.startswith("random plan draw")]
     assert peak <= need, (peak, need)
 

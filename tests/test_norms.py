@@ -8,7 +8,6 @@ import math
 import re
 import struct
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +17,6 @@ from sievelab import norms
 from sievelab.arith import divisors, mobius, primes_in, totient
 from sievelab.norms import (
     FamilySpec,
-    GramMatrix,
     additive_matrix,
     default_delta_prime_grid,
     delta,
@@ -33,11 +31,8 @@ from sievelab.norms import (
     gram_multiplicative,
     gram_rational,
     gram_rational_bruteforce,
-    load_gram,
     monotonicity_check_N,
     monotonicity_check_Q,
-    save_gram,
-    save_gram_csv,
     t_integral,
     top_eigenvalue,
 )
@@ -660,7 +655,7 @@ def test_delta_routes_agree():
 
 
 def test_delta_route_dispatch_at_scale():
-    # past the pair-route cutoff "auto" takes the family route
+    # with 2 F J = 48 < n = 2400 "auto" takes the family route
     auto = delta(4.0, 1, 1.0, 900.0, route="auto").value
     fam = delta(4.0, 1, 1.0, 900.0, route="family").value
     assert auto == fam
@@ -671,14 +666,17 @@ def test_delta_route_dispatch_at_scale():
 
 
 def test_family_route_record_is_a_lanczos_solve():
-    # 2400 pairs at N = 900: past the cutoff, "auto" takes the family route
+    # 2400 pairs at N = 900 and F = 2 members: 2 F J < n, so "auto" takes
+    # the family route
     est = delta(4.0, 1, 1.0, 900.0)
     assert est.method == "lanczos"
     assert est.iterations > 1
     assert est.residual <= 1e-8
-    assert est.route == "family"
-    # at N = 640 (1592 pairs) "auto" keeps the pair route
-    assert delta(4.0, 1, 1.0, 640.0).route == "pairs"
+    assert est.route == "family" and 2 * 2 * est.nodes < est.size
+    # delta(12, 3, 4, 400): 2 F J = 2 x 32 x 20 >= n = 970 keeps the pair route
+    est = delta(12.0, 3, 4.0, 400.0)
+    assert (est.route, est.size) == ("pairs", 970)
+    assert 2 * 32 * norms._quadrature_nodes(970, math.log(400), 4.0) >= 970
     # the window (1, 2] holds no primitive character: an empty family
     for route in ("auto", "pairs", "family"):
         empty = delta(2.0, 1, 1.0, 40.0, route=route)
@@ -690,9 +688,8 @@ def test_trivial_family_norms_are_exact_counts():
     # Q = 1 leaves the all-ones Gram: top eigenvalue is the index size.
     # The certified floor makes the value >= n exactly; the dense solver
     # may only add rounding on the high side.
-    # N = 500 (n = 2285) and N = 1000 (n = 2702) are past the pair cutoff,
-    # which the discrete families no longer read: every count comes from
-    # the buckets
+    # up to N = 500 (n = 2285) and N = 1000 (n = 2702), every count comes
+    # from the buckets
     for N in (10, 30, 75, 500):
         n = len(rationals_up_to(N))
         val = delta_rational(1, N).value
@@ -708,25 +705,25 @@ def test_rational_and_additive_norms_take_the_family_side_past_the_cutoff(monkey
     want = {}
     for name, (_, Q, N) in cases.items():
         g = getattr(norms, name)(Q, N)
-        assert g.dim > norms._PAIR_ROUTE_MAX
-        want[name] = top_eigenvalue(g).value
+        want[name] = (g.dim, top_eigenvalue(g).value)
 
     def pair_side(*args):
-        raise AssertionError("the pair-side Gram was built past the cutoff")
+        raise AssertionError("the pair-side Gram was built for a discrete family")
 
     # with the pair-side matrix raising, the norms can only come from a
-    # route that forms no S: the buckets, since the discrete families take
-    # them at every size
+    # route that forms no S: the buckets, which the route rule gives every
+    # family without a window (T None), whatever its size
     monkeypatch.setattr(norms, "_pair_gram", pair_side)
     for name, (norm, Q, N) in cases.items():
-        got = norm(Q, N).value
-        assert abs(got - want[name]) <= 1e-12 * want[name], (name, got, want[name])
+        got = norm(Q, N)
+        dim, value = want[name]
+        assert (got.route, got.size) == ("buckets", dim), (name, got)
+        assert abs(got.value - value) <= 1e-12 * value, (name, got.value, value)
 
 
 def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypatch):
-    # with the cutoff lowered to 10 indices, a family with members x nodes
-    # >= indices stays on the pair side: H would be the larger matrix
-    monkeypatch.setattr(norms, "_PAIR_ROUTE_MAX", 10)
+    # at any size, a windowed family with 2 members x nodes >= indices
+    # stays on the pair side: H would be the costlier operator
     index = enumerate_pairs(60, "dyadic")
     nodes = norms._quadrature_nodes(len(index), math.log(60), 1.0)  # 1/60 has the largest |L|
     larger = {  # (norm, pair-side Gram, indices, members x nodes)
@@ -737,10 +734,10 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
     }
     want = {}
     for name, (_, g, size) in larger.items():
-        assert norms._PAIR_ROUTE_MAX < g.dim <= size, (name, g.dim)
+        assert g.dim <= 2 * size, (name, g.dim)
         want[name] = top_eigenvalue(g).value
-    # a single member (Q = 1, T = 1) is the smaller side for 70 indices
-    assert norms._quadrature_nodes(70, math.log(40), 1.0) < 70
+    # a single member (Q = 1, T = 1) is the cheaper side for 70 indices
+    assert 2 * norms._quadrature_nodes(70, math.log(40), 1.0) < 70
     single = top_eigenvalue(gram_multiplicative(FamilySpec(1.0), enumerate_pairs(40))).value
 
     def member_values(*args):
@@ -765,9 +762,7 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
     est = delta(1.0, 1, 1.0, 40.0)
     assert est.route == "family" and abs(est.value - single) <= 1e-9 * single
     # neither side for a discrete family with one member
-    n = len(enumerate_pairs(20, "dyadic", 1))
-    assert n > norms._PAIR_ROUTE_MAX
-    assert delta_add(1, 20).value == n
+    assert delta_add(1, 20).value == len(enumerate_pairs(20, "dyadic", 1))
     assert delta_rational(1, 6).value == len(rationals_up_to(6))
 
 
@@ -784,18 +779,21 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
 
     for name in ("gram_rational", "gram_additive", "gram_multiplicative", "_pair_gram"):
         monkeypatch.setattr(norms, name, pair_side)
+    def estimate(n):  # with a one-vector basis on the even block
+        need = norms._pair_route_bytes(n) + norms._lanczos_bytes((n + 1) // 2, 1)
+        return f"{need / 2**20:.1f} MiB"
+
     for norm, n in [(lambda: norms._solve(norms._rational(12, 200), 1e-9, "pairs"),
                      len(rationals_up_to(200))),
                     (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
                      len(enumerate_pairs(400, "dyadic")))]:
-        estimate = f"{norms._pair_route_bytes(n) / 2**20:.1f} MiB"
-        with pytest.raises(ValueError, match=f"pairs route on {n} indices .* {estimate}, "
+        with pytest.raises(ValueError, match=f"pairs route on {n} indices .* {estimate(n)}, "
                                              "over the 1.0 MiB cap"):
             norm()
     # delta(12, 3, 4, 400) takes the pair side by the route rule
     assert cli.run(["norm", "-Q", "12", "-k", "3", "-T", "4", "-N", "400"]) == 2
     err = capsys.readouterr().err
-    assert f"{norms._pair_route_bytes(len(enumerate_pairs(400))) / 2**20:.1f} MiB" in err
+    assert estimate(len(enumerate_pairs(400))) in err
     assert "1.0 MiB cap" in err
     # the discrete families take the buckets, which hold no n x n matrix
     # and fit under the lowered cap with the steps this solve needs
@@ -833,7 +831,7 @@ def test_public_grams_refuse_an_oversized_job(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", list(_PUBLIC_GRAMS))
-def test_public_gram_estimates_cover_the_measured_peak(kind, monkeypatch):
+def test_public_gram_estimates_cover_the_measured_peak(kind, monkeypatch, traced_peak):
     needs = []
     check = norms._check_bytes
 
@@ -845,7 +843,7 @@ def test_public_gram_estimates_cover_the_measured_peak(kind, monkeypatch):
     build, n = _PUBLIC_GRAMS[kind]
     build()  # fills the caches of characters and divisors first
     needs.clear()
-    peak = _traced_peak(build)
+    peak = traced_peak(build)
     need, = [need for what, need in needs if what == f"Gram on {n} indices"]
     assert 8 * n * n <= peak <= need, (peak / (n * n), need / (n * n))
 
@@ -872,7 +870,7 @@ def test_additive_matrix_refuses_an_oversized_job(monkeypatch):
 
 
 @pytest.mark.parametrize("Q,N", [(150, 500), (200, 100), (40, 2000), (2, 3000)])
-def test_additive_matrix_estimate_covers_the_measured_peak(Q, N, monkeypatch):
+def test_additive_matrix_estimate_covers_the_measured_peak(Q, N, monkeypatch, traced_peak):
     # V dominates at (150, 500) and (40, 2000), the member tables at
     # (200, 100) and the index at (2, 3000)
     needs = []
@@ -885,14 +883,14 @@ def test_additive_matrix_estimate_covers_the_measured_peak(Q, N, monkeypatch):
     monkeypatch.setattr(norms, "_check_bytes", record)
     additive_matrix(Q, N)  # fills the caches of divisors first
     needs.clear()
-    peak = _traced_peak(lambda: additive_matrix(Q, N))
+    peak = traced_peak(lambda: additive_matrix(Q, N))
     n, F = _additive_sizes(Q, N)
     what = f"additive matrix on {n} indices x {F} members"
     need, = [need for w, need in needs if w == what]
     assert 16 * n * F <= peak <= need, (peak, need)
 
 
-def test_additive_members_share_one_table_a_modulus(monkeypatch):
+def test_additive_members_share_one_table_a_modulus(monkeypatch, traced_peak):
     # an additive member (q, t) reads e_q(t a bbar) at t a bbar mod q from
     # one table for q, so the tables hold sum q numbers where a table a
     # member held sum q phi(q): 77 MB here, far past V (0.7 MB)
@@ -906,7 +904,7 @@ def test_additive_members_share_one_table_a_modulus(monkeypatch):
     monkeypatch.setattr(norms, "_check_bytes", record)
     additive_matrix(300, 2)  # fills the caches of divisors first
     needs.clear()
-    peak = _traced_peak(lambda: additive_matrix(300, 2))
+    peak = traced_peak(lambda: additive_matrix(300, 2))
     n, F = _additive_sizes(300, 2)
     per_member = 16 * sum(q * totient(q) for q in range(151, 301))
     assert 16 * n * F <= peak <= needs[-1] < per_member, (peak, needs, per_member)
@@ -941,7 +939,7 @@ def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
     with pytest.raises(ValueError, match=f"family route on {F} members x \\d+ nodes needs an "
                                          "estimated .* MiB, over the 1.0 MiB cap"):
         delta(12.0, 3, 4.0, 400.0, route="family")
-    # past 2000 pairs delta(12, 1, 4, 1000) takes the family side
+    # delta(12, 1, 4, 1000) takes the family side: 2 F J = 924 < n = 2702
     assert cli.run(["norm", "-Q", "12", "-T", "4", "-N", "1000"]) == 2
     err = capsys.readouterr().err
     F = len(family_members(FamilySpec(12.0, 1, 4.0)))
@@ -955,8 +953,10 @@ def test_family_route_runs_the_steps_that_fit_under_the_cap(monkeypatch):
     # fewer steps
     want = delta(12.0, 1, 4.0, 1000.0, route="pairs").value
     n, F, nodes = len(_coprime_pairs(1000, "dyadic")[0]), 21, 22
-    cap = norms._family_route_bytes(n, F, nodes, 128)
-    assert norms._family_route_bytes(n, F, nodes, min(F * nodes, norms._MAX_ITER)) > cap
+    setup, fixed = norms._family_route_bytes(n, F, nodes)
+    cap = fixed + norms._lanczos_bytes(F * nodes, 128)
+    assert setup <= cap
+    assert fixed + norms._lanczos_bytes(F * nodes, min(F * nodes, norms._MAX_ITER)) > cap
     steps = []
     solve = norms.top_eigenvalue
 
@@ -969,12 +969,19 @@ def test_family_route_runs_the_steps_that_fit_under_the_cap(monkeypatch):
     got = delta(12.0, 1, 4.0, 1000.0)
     assert (got.route, got.size, got.nodes) == ("family", n, nodes)
     assert 128 <= steps[0] < F * nodes and got.iterations <= steps[0]
-    assert norms._family_route_bytes(n, F, nodes, steps[0] + 1) > cap
+    assert fixed + norms._lanczos_bytes(F * nodes, steps[0] + 1) > cap
     assert abs(got.value - want) <= 1e-12 * want
     # refused only when not even a one-vector basis fits
-    monkeypatch.setattr(norms, "_ROUTE_BYTES", norms._family_route_bytes(n, F, nodes, 1) - 1)
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + norms._lanczos_bytes(F * nodes, 1) - 1)
     with pytest.raises(ValueError, match=f"family route on {F} members x {nodes} nodes"):
         delta(12.0, 1, 4.0, 1000.0)
+    # and when its setup stage, before the basis, does not fit
+    assert setup > fixed + norms._lanczos_bytes(F * nodes, 1)
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", setup - 1)
+    with pytest.raises(ValueError, match=f"family route on {F} members x {nodes} nodes"):
+        delta(12.0, 1, 4.0, 1000.0)
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", setup)
+    assert delta(12.0, 1, 4.0, 1000.0).route == "family"
 
 
 def test_family_route_takes_the_bounded_node_count_at_the_bench_sizes():
@@ -1120,7 +1127,7 @@ def test_family_route_builds_no_point_objects(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
     assert delta(12.0, 1, 4.0, 1000.0).route == "family"
     assert delta(10.0, 3, 4.0, 1000.0, parity="odd").route == "family"
-    assert delta(4.0, 1, 1.0, 40.0).route == "pairs"
+    assert delta(4.0, 1, 1.0, 40.0, route="pairs").route == "pairs"
     assert norms._solve(norms._additive(12, 300), 1e-9, "pairs").route == "pairs"
     assert delta_add(12, 300).route == "buckets"
     assert delta_rational(12, 200).route == "buckets"
@@ -1148,7 +1155,8 @@ def test_pair_route_builds_the_index_once(monkeypatch):
     monkeypatch.setattr(norms, "_pair_gram", counted_gram)
     for cls in (CoprimePair, RationalPoint):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
-    for norm, args, route in [(lambda: delta(4.0, 1, 1.0, 40.0), (40.0, "dyadic"), "pairs"),
+    for norm, args, route in [(lambda: delta(4.0, 1, 1.0, 40.0, route="pairs"),
+                               (40.0, "dyadic"), "pairs"),
                               (lambda: delta_add(12, 300), (300, "dyadic"), "buckets"),
                               (lambda: delta_rational(12, 200), (200,), "buckets")]:
         calls.clear()
@@ -1186,7 +1194,8 @@ def test_bucket_route_caps_its_steps_to_fit_and_refuses_past_the_cap(monkeypatch
     assert gates == 12
     full = delta_rational(12, 200)
     assert full.iterations > 6
-    monkeypatch.setattr(norms, "_ROUTE_BYTES", norms._bucket_route_bytes(n, labels, entries, 5))
+    fixed = norms._bucket_route_bytes(n, labels, entries)
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + norms._lanczos_bytes(n, 5))
     capped = delta_rational(12, 200)
     assert (capped.route, capped.iterations) == ("buckets", 6)
     assert capped.residual > 1e-9 and capped.value <= full.value * (1 + 1e-12)
@@ -1195,7 +1204,7 @@ def test_bucket_route_caps_its_steps_to_fit_and_refuses_past_the_cap(monkeypatch
         raise AssertionError("the buckets were built past the cap")
 
     monkeypatch.setattr(norms, "_Buckets", operator)
-    monkeypatch.setattr(norms, "_ROUTE_BYTES", norms._bucket_route_bytes(n, labels, entries, 1) - 1)
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + norms._lanczos_bytes(n, 1) - 1)
     with pytest.raises(ValueError, match=f"buckets route on {n} indices x 12 gates needs an "
                                          "estimated [\\d.]+ MiB, over the "):
         delta_rational(12, 200)
@@ -1306,11 +1315,11 @@ def test_bench_pair_call_solves_one_block(monkeypatch):
 
 
 def test_pair_route_solves_both_blocks_when_the_cap_picks_the_loser(monkeypatch):
-    # delta(8, 2, 2, 500): the odd block has the larger cap but the even
-    # block holds lambda_max, so the certificate fails and both blocks are
-    # solved, as when the route solved both always
+    # delta(8, 2, 2, 500) on the pair route: the odd block has the larger
+    # cap but the even block holds lambda_max, so the certificate fails and
+    # both blocks are solved, as when the route solved both always
     solves, proofs = _record_pair_route(monkeypatch)
-    got = delta(8.0, 2, 2.0, 500.0)
+    got = delta(8.0, 2, 2.0, 500.0, route="pairs")
     fam = norms._multiplicative(FamilySpec(8.0, 2, 2.0), *_coprime_pairs(500, "dyadic"))
     want = float(np.linalg.eigvalsh(norms._pair_gram(fam)).max())
     assert [proven for _, _, proven in proofs] == [False]
@@ -1320,15 +1329,15 @@ def test_pair_route_solves_both_blocks_when_the_cap_picks_the_loser(monkeypatch)
 
 
 def test_pair_route_runs_the_certificate_only_when_its_factor_fits(monkeypatch):
-    # the certificate holds its factor and LAPACK's copy, 16 k^2 bytes,
-    # beside the rectangle's 8 m n; one byte less under the cap and both
-    # blocks are solved, as before the certificate.  `_pair_route_bytes`
-    # is zeroed so that the route itself always fits
+    # the certificate holds its factor and LAPACK's copy, 16 k^2 bytes, in
+    # the room that the route's estimate leaves for the basis under the
+    # cap; one byte less and both blocks are solved, as before the
+    # certificate.  `_pair_route_bytes` is zeroed so that the room is the cap
     n = len(_coprime_pairs(400, "dyadic")[0])
-    m = k = (n + 1) // 2  # no 1/1 in the dyadic window: both blocks have m rows
+    k = (n + 1) // 2  # no 1/1 in the dyadic window: both blocks have k rows
     monkeypatch.setattr(norms, "_pair_route_bytes", lambda n: 0)
     solves, proofs = _record_pair_route(monkeypatch)
-    for cap, certified in ((8 * m * n + 16 * k * k, True), (8 * m * n + 16 * k * k - 1, False)):
+    for cap, certified in ((16 * k * k, True), (16 * k * k - 1, False)):
         monkeypatch.setattr(norms, "_ROUTE_BYTES", cap)
         solves.clear()
         proofs.clear()
@@ -1390,15 +1399,6 @@ def test_family_operator_rejects_non_finite():
         M[2, 1] = 1
 
 
-def _traced_peak(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _capacity(rows, steps):
     """The rows of the Lanczos basis after `rows` steps of at most `steps`:
     doubled from 32, as in top_eigenvalue."""
@@ -1408,62 +1408,162 @@ def _capacity(rows, steps):
     return min(capacity, steps)
 
 
-def test_route_estimates_cover_the_measured_peak(monkeypatch):
-    family_route_bytes = norms._family_route_bytes
-    bucket_route_bytes = norms._bucket_route_bytes
-    estimates = []
-    for name in ("_pair_route_bytes", "_family_route_bytes", "_bucket_route_bytes"):
-        def record(*args, estimate=getattr(norms, name), name=name):
-            estimates.append((name, args, estimate(*args)))
-            return estimates[-1][2]
-        monkeypatch.setattr(norms, name, record)
+def test_route_estimates_cover_the_measured_peak(monkeypatch, traced_peak):
+    searches = []  # (what, fixed, dim, rows) of each basis search
+    basis_rows = norms._basis_rows
+
+    def record(what, fixed, dim):
+        searches.append((what, fixed, dim, basis_rows(what, fixed, dim)))
+        return searches[-1][3]
+
+    monkeypatch.setattr(norms, "_basis_rows", record)
     for norm in [lambda: delta(12.0, 3, 4.0, 400.0),  # a window, pairs
-                 lambda: delta(12.0, 3, 4.0, 400.0, parity="odd"),
+                 lambda: delta(12.0, 3, 4.0, 400.0, parity="odd", route="pairs"),
                  lambda: delta_rational(12, 200),  # discrete, buckets
                  lambda: delta_add(40, 300),
                  lambda: delta_rational(30, 2000),  # the basis doubles past 64 rows
                  lambda: delta(12.0, 1, 4.0, 1000.0)]:  # the family side
         norm()  # fills the caches of characters and divisors first
-        estimates.clear()
+        searches.clear()
         results = []
-        peak = _traced_peak(lambda: results.append(norm()))
-        # the route is checked against its last estimate; the bucket route
-        # first estimates without a basis, for the room its steps may take,
-        # and the family route searches for the deepest basis that fits
-        (name, args, need) = estimates[-1]
-        assert {name for name, _, _ in estimates} == {name}
-        assert peak <= need, (name, args, peak, need)
-        if name == "_pair_route_bytes":
+        peak = traced_peak(lambda: results.append(norm()))
+        # each route searches once, for the deepest basis that fits beside
+        # its estimate, and is checked against both together; the family
+        # route also checks its setup stage, which runs before the basis
+        (what, fixed, dim, rows), = searches
+        est = results[0]
+        n = est.size
+        setup = 0
+        if est.route == "family":
+            setup, solve = norms._family_route_bytes(n, dim // est.nodes, est.nodes)
+            assert solve == fixed
+        need = max(setup, fixed + norms._lanczos_bytes(dim, rows))
+        assert what.startswith(f"{est.route} route")
+        assert peak <= need, (what, peak, need)
+        assert rows == min(dim, norms._MAX_ITER) or (
+            fixed + norms._lanczos_bytes(dim, rows + 1) > norms._ROUTE_BYTES)
+        if est.route == "pairs":
             # the pair side really holds the rectangle of the m rows a <= b
             # against the n columns, 8 bytes an entry, at its peak, with or
             # without a window, and no square S
-            (n,) = args
             assert 8 * ((n + 1) // 2) * n <= peak < 8 * n * n
-        elif name == "_bucket_route_bytes":
-            # the most steps that fit under the cap; no n x n matrix, and the
-            # estimate at the basis the solve reached still covers the peak
-            n, labels, entries, steps = args
-            assert steps == min(n, norms._MAX_ITER) or (
-                bucket_route_bytes(n, labels, entries, steps + 1) > norms._ROUTE_BYTES)
+            continue
+        # the solve held iterations - 1 Lanczos vectors: the last matvec is
+        # the Rayleigh quotient of the Ritz vector; the estimate at the
+        # basis it reached still covers the peak
+        used = est.iterations - 1
+        ran = max(setup, fixed + norms._lanczos_bytes(dim, _capacity(used, rows)))
+        assert peak <= ran, (what, peak, ran)
+        if est.route == "buckets":
             assert peak < 8 * n * n
-            ran = bucket_route_bytes(n, labels, entries,
-                                     _capacity(results[0].iterations - 1, steps))
-            assert peak <= ran <= 2 * peak, (args, peak, ran)
+            assert ran <= 2 * peak, (what, peak, ran)
         else:
-            # the solve held iterations - 1 Lanczos vectors: the last matvec
-            # is the Rayleigh quotient of the Ritz vector
-            n, F, nodes, rows = args
-            rows_used = results[0].iterations - 1
-            assert rows == min(F * nodes, norms._MAX_ITER) or (
-                family_route_bytes(n, F, nodes, rows + 1) > norms._ROUTE_BYTES)
-            assert rows_used < rows
-            ran = family_route_bytes(n, F, nodes, rows_used)
-            assert peak <= ran <= 1.1 * peak, (args, rows_used, peak, ran)
-            assert ran <= need
-    assert {name for name, _, _ in estimates} == {"_family_route_bytes"}
+            # and at the rows it used, not by much
+            assert used < rows
+            tight = max(setup, fixed + norms._lanczos_bytes(dim, used))
+            assert tight <= 1.1 * peak, (what, peak, tight)
+    assert est.route == "family"
 
 
-def test_discrete_pair_gram_stays_within_its_estimate(monkeypatch):
+class _Diagonal:
+    """diag(d) as an operator of `top_eigenvalue`; its `bounds()` allocate nothing."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, d):
+        self.d, self.shape = d, (len(d), len(d))
+
+    def __matmul__(self, x):
+        return self.d * x
+
+    def bounds(self):
+        return self.d, float(self.d.sum()), float(self.d.max())
+
+
+def test_lanczos_model_covers_the_traced_peak(traced_peak):
+    # at tol = 0 on distinct eigenvalues the solve runs max_iter steps, so
+    # each depth fills the basis: the first one of 32 rows, one doubling
+    # past it, two doublings; the model holds the copies of the last one
+    dim = 100_000
+    op = _Diagonal(np.linspace(1.0, 2.0, dim))
+    for rows in (1, 32, 33, 64, 65, 128):
+        results = []
+        peak = traced_peak(lambda: results.append(top_eigenvalue(op, tol=0, max_iter=rows)))
+        assert results[0].iterations == rows + 1
+        assert peak <= norms._lanczos_bytes(dim, rows), (rows, peak)
+
+
+def test_pair_route_caps_each_block_solve_at_the_basis_that_fits(monkeypatch, traced_peak):
+    # with room for r = 40 basis rows beside the route's estimate, fewer
+    # than the 485 rows of a block, each block solve at tol = 0 stops after
+    # r steps, the certificate's 16 k^2 bytes do not fit, and the traced run
+    # stays under the checked bytes; with room for less than one vector the
+    # route refuses with its estimate
+    n = len(_coprime_pairs(400, "dyadic")[0])
+    m, r = (n + 1) // 2, 40
+    fixed = norms._pair_route_bytes(n)
+    delta(12.0, 3, 4.0, 400.0, tol=0, route="pairs")  # fills the caches first
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + norms._lanczos_bytes(m, r))
+    needs, solves = [], []
+    check, solve = norms._check_bytes, norms.top_eigenvalue
+
+    def record_check(what, need, cap):
+        needs.append((what, need))
+        check(what, need, cap)
+
+    def record_solve(G, tol, max_iter):
+        solves.append((max_iter, solve(G, tol=tol, max_iter=max_iter)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(norms, "_check_bytes", record_check)
+    monkeypatch.setattr(norms, "top_eigenvalue", record_solve)
+    peak = traced_peak(lambda: delta(12.0, 3, 4.0, 400.0, tol=0, route="pairs"))
+    assert [(max_iter, est.iterations) for max_iter, est in solves] == [(r, r + 1)] * 2
+    need, = [need for what, need in needs if what == f"pairs route on {n} indices"]
+    assert need == norms._ROUTE_BYTES
+    assert peak <= need, (peak, need)
+    one = (fixed + norms._lanczos_bytes(m, 1)) / 2**20
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + norms._lanczos_bytes(m, 1) - 1)
+    with pytest.raises(ValueError, match=f"pairs route on {n} indices needs an estimated "
+                                         f"{one:.1f} MiB, over the "):
+        delta(12.0, 3, 4.0, 400.0, tol=0, route="pairs")
+
+
+def test_pair_route_checks_its_certificate_past_5500_indices(monkeypatch, traced_peak):
+    # past n = 5500 the certificate's factor and LAPACK's copy, 16 k^2
+    # bytes, pass the build's temporaries that `_pair_route_bytes` counts
+    # beside the rectangle.  With the room under the cap set to exactly the
+    # certificate's bytes, it runs, and the traced run stays under the
+    # bytes the route checked.  Q = 1 keeps the solve cheap: one term, so
+    # the even block is all twos but at 1/1, and the odd block is zero
+    fam = norms._rational(1, 1600)
+    n = len(fam.a)
+    m = (n + 1) // 2
+    fixed = norms._pair_route_bytes(n)
+    k = m - 1  # the odd block, which 1/1 leaves out
+    assert n > 5500 and 16 * k * k > fixed - 8 * m * n
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + 16 * k * k)
+    needs, proofs = [], []
+    check, below = norms._check_bytes, norms._below
+
+    def record_check(what, need, cap):
+        needs.append((what, need))
+        check(what, need, cap)
+
+    def record_proof(B, mu):
+        proofs.append((len(B), below(B, mu)))
+        return proofs[-1][1]
+
+    monkeypatch.setattr(norms, "_check_bytes", record_check)
+    monkeypatch.setattr(norms, "_below", record_proof)
+    results = []
+    peak = traced_peak(lambda: results.append(norms._solve(fam, 1e-9, "pairs")))
+    assert proofs == [(k, True)] and abs(results[0].value - n) <= 1e-12 * n
+    need, = [need for what, need in needs if what == f"pairs route on {n} indices"]
+    assert peak <= need, (peak / 2**20, need / 2**20)
+
+
+def test_discrete_pair_gram_stays_within_its_estimate(monkeypatch, traced_peak):
     # gram_additive(150, 500): n = 1248 and 826 indicator columns, so the
     # congruence product runs in two column chunks.  Added as one n x n
     # temporary beside S, the product would hold 24 bytes an entry, past
@@ -1479,17 +1579,17 @@ def test_discrete_pair_gram_stays_within_its_estimate(monkeypatch):
     n = len(_coprime_pairs(500, "dyadic")[0])
     gram_additive(150, 500)  # fills the caches of divisors first
     needs.clear()
-    peak = _traced_peak(lambda: gram_additive(150, 500))
+    peak = traced_peak(lambda: gram_additive(150, 500))
     need, = [need for what, need in needs if what == f"Gram on {n} indices"]
     assert 16 * n * n <= peak <= need < 24 * n * n
 
 
-def test_discrete_pair_gram_holds_S_alone():
+def test_discrete_pair_gram_holds_S_alone(traced_peak):
     # gram_rational(12, 200): one column chunk, so the float64 S is the
     # whole peak, with no int64 or float64 copy of it beside
     n = len(_coprime_pairs(200)[0])
     gram_rational(12, 200)  # fills the caches of divisors first
-    peak = _traced_peak(lambda: gram_rational(12, 200))
+    peak = traced_peak(lambda: gram_rational(12, 200))
     assert 8 * n * n <= peak < 14 * n * n, peak / (n * n)
 
 
@@ -1537,17 +1637,17 @@ def test_delta_pair_route_solves_a_real_matrix(monkeypatch):
     assert dtypes and all(dtype == (np.float64, np.float64) for dtype in dtypes)
 
 
-def test_windowed_pair_route_peak_stays_below_16_bytes_an_entry():
+def test_windowed_pair_route_peak_stays_below_16_bytes_an_entry(traced_peak):
     # S o K in place on the rectangle of the m rows a <= b: no complex
     # n x n Gram beside it (27 bytes an entry), and no square S either
     n = len(_coprime_pairs(400, "dyadic")[0])
     m = (n + 1) // 2
     delta(12.0, 3, 4.0, 400.0)  # fills the caches of characters and divisors first
-    peak = _traced_peak(lambda: delta(12.0, 3, 4.0, 400.0))
+    peak = traced_peak(lambda: delta(12.0, 3, 4.0, 400.0))
     assert 8 * m * n <= peak < 8 * n * n, peak / (n * n)
 
 
-def test_family_route_peak_stays_below_the_size_of_A(monkeypatch):
+def test_family_route_peak_stays_below_the_size_of_A(monkeypatch, traced_peak):
     # A = V (row-wise Khatri-Rao) P is n x (F nodes) complex; the family
     # route forms neither A nor H = A^H A
     sizes = []
@@ -1559,7 +1659,7 @@ def test_family_route_peak_stays_below_the_size_of_A(monkeypatch):
 
     monkeypatch.setattr(norms, "_family_route_bytes", record)
     delta(12.0, 1, 4.0, 1000.0)  # fills the caches of characters and divisors first
-    peak = _traced_peak(lambda: delta(12.0, 1, 4.0, 1000.0))
+    peak = traced_peak(lambda: delta(12.0, 1, 4.0, 1000.0))
     n, F, nodes = sizes[-1]
     assert peak < 16 * n * F * nodes, (peak, n, F, nodes)
 
@@ -1682,48 +1782,6 @@ def test_exponent_fit_rejects_bad_input():
         exponent_fit([(2.0, 4.0), (4.0, -16.0), (8.0, 64.0)])
     with pytest.raises(ValueError):
         exponent_fit([(2.0, 4.0), (2.0, 5.0), (2.0, 6.0)])
-
-
-# ----------------------------------------------------------------------
-# binary dump and CSV export
-# ----------------------------------------------------------------------
-
-def test_gram_dump_roundtrip(tmp_path):
-    g = gram_multiplicative(FamilySpec(6.0, 1, 2.0), enumerate_pairs(30, "dyadic", 1))
-    path = tmp_path / "g.slgm"
-    save_gram(path, g)
-    raw = path.read_bytes()
-    assert raw[:4] == b"SLGM"
-    dim, reserved = struct.unpack("<IQ", raw[4:16])
-    assert dim == g.dim and reserved == 0
-    assert len(raw) == 16 + 16 * dim * dim
-    back = load_gram(path)
-    assert np.array_equal(back.matrix, g.matrix)
-
-
-def test_gram_dump_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.slgm"
-    path.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(ValueError):
-        load_gram(path)
-
-
-def test_gram_csv_export(tmp_path):
-    g = gram_rational(3, 12)
-    path = tmp_path / "g.csv"
-    save_gram_csv(path, g)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,re,im"
-    assert len(lines) == 1 + g.dim * g.dim
-    i, j, re, im = lines[1].split(",")
-    assert (int(i), int(j)) == (0, 0)
-    assert complex(float(re), float(im)) == g.matrix[0, 0]
-
-
-def test_gram_csv_export_rejects_large(tmp_path):
-    big = GramMatrix(tuple(range(65)), np.zeros((65, 65), dtype=complex))
-    with pytest.raises(ValueError):
-        save_gram_csv(tmp_path / "big.csv", big)
 
 
 # ----------------------------------------------------------------------

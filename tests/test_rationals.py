@@ -4,7 +4,6 @@ property of reduction."""
 
 import math
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -125,7 +124,7 @@ def test_index_count_is_exact_from_N(N):
     assert dyadic == len(_coprime_pairs(N, "dyadic")[0])
 
 
-def test_point_estimate_covers_the_measured_peak():
+def test_point_estimate_covers_the_measured_peak(traced_peak):
     # the worst case: every coordinate past the small-int cache, so each
     # object holds ints of its own, and a sign column; (a + M b, b + M a')
     # stays coprime
@@ -136,12 +135,7 @@ def test_point_estimate_covers_the_measured_peak():
     b = b + 10**6 * a
     sign = np.ones(len(a), dtype=np.int64)
     for point, columns in [(CoprimePair, (a, b)), (RationalPoint, (a, b, sign))]:
-        tracemalloc.start()
-        try:
-            _points(point, *columns)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: _points(point, *columns))
         assert 100 * len(a) <= peak <= _POINT_BYTES * len(a), peak / len(a)
 
 
