@@ -487,14 +487,18 @@ _RESIDUE_BYTES = 240
 
 def cmd_sieve(cfg):
     """One report per plan: the plan file's, or an empty-plan control and
-    `trials` random plans.  Delta_rational(Q, N) is solved once for each
-    distinct (Q, N) and its value passed to every report of that (Q, N); the
-    first record of each (Q, N), the control in a random run, carries the
-    solve in its millis."""
+    `trials` random plans.  Each distinct N has one sift table
+    (`sieve_apps.sift_table`): its coprime pairs of ab <= N, built once,
+    and the reduction mod each prime of its plans, made once; every plan of
+    that N is sifted from it.  Delta_rational(Q, N) is solved once for
+    each distinct (Q, N) and its value passed to every report of that
+    (Q, N).  The first record of each N carries the table build in its
+    millis, and the first of each (Q, N) the solve: both land on the
+    control in a random run."""
     from .arith import primes_in
     from .norms import delta_rational
     from .rationals import _ROUTE_BYTES, _check_bytes
-    from .sieve_apps import SievePlan, read_plan, sieve_inequality_report
+    from .sieve_apps import SievePlan, read_plan, sieve_inequality_report, sift_table
 
     jobs = []
     if cfg.plan:
@@ -521,12 +525,17 @@ def cmd_sieve(cfg):
             jobs.append((SievePlan(N, omega), Q, f"random_{t}"))
 
     tol = cfg.tol or 1e-9
-    deltas = {}
+    primes = {}
+    for plan, _, _ in jobs:
+        primes.setdefault(plan.N, set()).update(plan.omega)
+    tables, deltas = {}, {}
 
     def report(plan, Q):
+        if plan.N not in tables:
+            tables[plan.N] = sift_table(plan.N, primes[plan.N])
         if (Q, plan.N) not in deltas:
             deltas[Q, plan.N] = delta_rational(Q, plan.N, tol=tol).value
-        return sieve_inequality_report(plan, Q, tol, deltas[Q, plan.N])
+        return sieve_inequality_report(plan, Q, tol, deltas[Q, plan.N], tables[plan.N])
 
     records = []
     all_ok = True

@@ -67,8 +67,9 @@ Analysis, 5.5), moves Delta by at most 1e-12 relative
 (`_quadrature_nodes`).  The index is closed under sigma: a/b -> b/a, so both
 windowed routes hold the rows a <= b alone: sigma leaves S o K invariant,
 so its spectrum is that of an even and an odd block (`_pair_blocks`): the
-pair route solves one and proves the other's top eigenvalue below it by
-a Cholesky with Rump's margin (`_below`), or solves it too, and
+pair route solves one and proves the other's top eigenvalue no larger,
+by its Gershgorin cap or a Cholesky with Rump's margin (`_below`), or
+solves it too, and
 it conjugates the characters and the phases, so H = A^H A is real, and
 `_KhatriRao` applies it there.  The routes and the oracles (the
 discrete families' member values, with P = 1) read one definition of a
@@ -1047,8 +1048,9 @@ def _solve(fam, tol, route="auto"):
     odd blocks of the real symmetric pair side (`_pair_blocks`), exactly
     symmetric by construction, as `_Dense` operators, whose bounds are
     taken once and need no Hermitian scan.  It solves the nonempty block
-    with the larger Gershgorin cap with `top_eigenvalue`, and then tries
-    to prove the other's lambda_max below that value by a Cholesky
+    with the larger Gershgorin cap with `top_eigenvalue`, and then proves
+    the other's lambda_max at most that value by its cap when the cap is
+    at most the value, or else tries to prove it below by a Cholesky
     (`_below`), when its factor fits in the room the basis has.  Proven,
     it reports the first solve, whose value is then the larger; otherwise
     it solves the other block too and reports the larger value with that
@@ -1098,7 +1100,8 @@ def _solve(fam, tol, route="auto"):
             k = len(other.matrix)
             # the certificate holds its factor and LAPACK's copy where the basis was
             fits = fixed + 16 * k * k <= _ROUTE_BYTES
-            if not (fits and _below(other.matrix, top.value)):
+            proven = other.bounds()[2] <= top.value or (fits and _below(other.matrix, top.value))
+            if not proven:
                 second = top_eigenvalue(other, tol=tol, max_iter=steps)
                 even, odd = (top, second) if first is blocks[0] else (second, top)
                 top = replace(max(even, odd, key=lambda estimate: estimate.value),

@@ -32,13 +32,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import is_prime, is_squarefree, prime_factors, primes_in, totient
+from .arith import is_prime, primes_in, totient
 from .characters import char_group, trivial_char, value_table
 from .norms import delta_rational
-from .rationals import (RationalPoint, _coprime_pairs, _points, _reduce, as_point, ht,
+from .rationals import (_ROUTE_BYTES, RationalPoint, _check_bytes, _coprime_count,
+                        _coprime_pairs, _heights, _points, _reduce, as_point, ht,
                         rationals_up_to)
 
 
@@ -74,39 +76,84 @@ class SievePlan:
         return Fraction(w, p - w)
 
 
-def _sift(plan):
-    """The sifted set as int64 arrays (a, b): the coprime pairs of ab <= N
-    whose reduction mod each plan prime p misses Omega_p where it is a unit
-    (v_p(a/b) = 0)."""
-    a, b = _coprime_pairs(plan.N)
-    keep = np.ones(len(a), dtype=bool)
-    for p, forbidden in plan.omega.items():
+class SiftTable(NamedTuple):
+    """What every plan of height N sifts: the coprime pairs (a, b) of
+    ab <= N as int64 arrays, and for each prime p of the table red_p(a/b)
+    as one array of the smallest unsigned dtype that holds p, with p
+    marking the non-units (v_p(a/b) != 0)."""
+
+    N: int
+    a: np.ndarray
+    b: np.ndarray
+    residues: dict  # prime p -> red_p(a/b), or p where gcd(ab, p) > 1
+
+
+def sift_table(N, primes):
+    """The SiftTable of height N for the given primes, each reduced once.
+    ValueError, before the index is built, when its bytes pass
+    _ROUTE_BYTES: 16 a pair, counted exactly by `_coprime_count`, one
+    residue array a distinct prime, and the (p + 1)-byte lookup that
+    `_sift` builds for the largest p."""
+    primes = sorted(set(primes))
+    dtypes = [np.min_scalar_type(p) for p in primes]
+    hi = _heights(N, "full")[1]
+    n = _coprime_count(hi)
+    need = n * (16 + sum(dtype.itemsize for dtype in dtypes)) + (primes[-1] + 1 if primes else 0)
+    _check_bytes(f"sift table of height <= {hi} at {len(primes)} primes", need, _ROUTE_BYTES)
+    a, b = _coprime_pairs(N)
+    residues = {}
+    for p, dtype in zip(primes, dtypes):
         red, unit = _reduce(a, b, p)
-        keep &= ~(unit & np.isin(red, sorted(forbidden)))
-    return a[keep], b[keep]
+        red = red.astype(dtype)
+        red[~unit] = p
+        residues[p] = red
+    return SiftTable(N, a, b, residues)
+
+
+def _sift(plan, table=None):
+    """(a, b, keep): the pairs of the plan's sift table and the mask of the
+    sifted set, the pairs whose reduction misses Omega_p at each plan prime
+    p where it is a unit.  Each prime is one gather from a (p + 1)-entry
+    table of the allowed residues, p, the non-unit marker, among them.
+    Without a table, a one-plan table is built for the plan's primes."""
+    if table is None:
+        table = sift_table(plan.N, plan.omega)
+    elif table.N != plan.N or not plan.omega.keys() <= table.residues.keys():
+        raise ValueError(f"the sift table of height {table.N} does not cover the plan")
+    keep = np.ones(len(table.a), dtype=bool)
+    for p, forbidden in plan.omega.items():
+        if forbidden:
+            allowed = np.ones(p + 1, dtype=bool)
+            allowed[list(forbidden)] = False
+            keep &= allowed[table.residues[p]]
+    return table.a, table.b, keep
 
 
 def sifted_set(plan):
     """All positive rationals of ht <= N avoiding Omega_p at every plan
     prime where v_p(n) = 0 (the unit mask of the reduction mod p)."""
-    return _points(RationalPoint, *_sift(plan))
+    a, b, keep = _sift(plan)
+    return _points(RationalPoint, a[keep], b[keep])
 
 
 def big_H(Q, plan):
     """H = sum over squarefree q <= Q with all prime factors in the plan
-    of prod_{p | q} h(p); exact Fraction, q = 1 contributing 1."""
-    total = Fraction(1)
-    for q in range(2, int(Q) + 1):
-        if not is_squarefree(q):
-            continue
-        ps = prime_factors(q)
-        if not all(p in plan.omega for p in ps):
-            continue
-        term = Fraction(1)
-        for p in ps:
-            term *= plan.h(p)
-        total += term
-    return total
+    of prod_{p | q} h(p); exact Fraction, q = 1 contributing 1.  The
+    products of the plan's primes are walked depth first in increasing
+    order, a branch ending where q passes Q or h(p) = 0 zeroes it."""
+    primes = sorted(plan.omega)
+    weights = [plan.h(p) for p in primes]
+
+    def walk(start, q, term):
+        total = term
+        for i in range(start, len(primes)):
+            if q * primes[i] > Q:
+                break
+            if weights[i]:
+                total += walk(i + 1, q * primes[i], term * weights[i])
+        return total
+
+    return walk(0, 1, Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -118,15 +165,16 @@ class SiftedReport:
     ok: bool
 
 
-def sieve_inequality_report(plan, Q, tol=1e-9, delta=None):
+def sieve_inequality_report(plan, Q, tol=1e-9, delta=None, table=None):
     """|S|, H, Delta_rational(Q, N) and the ratio |S| H / Delta.  Delta is
-    solved here at tol unless the caller passes its value as `delta`.  |S|
-    is counted on the index arrays; no point object is built.  The ratio is
+    solved here at tol unless the caller passes its value as `delta`, and
+    the plan is sifted from `table` when one is given.  |S| is counted on
+    the survivor mask; no point object is built.  The ratio is
     soft-asserted <= 1 + 1e-6: a violation prints a prominent diagnostic
     and flags the report, it does not raise."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    size = len(_sift(plan)[0])
+    size = int(np.count_nonzero(_sift(plan, table)[2]))
     H = big_H(Q, plan)
     dl = delta_rational(Q, plan.N, tol=tol).value if delta is None else delta
     ratio = float(size * H) / dl if dl > 0 else 0.0

@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -353,6 +354,46 @@ def test_sieve_solves_delta_once_for_its_plans(monkeypatch, capsys):
         assert float(rec["value"]) == float(extra["size"] * Fraction(extra["H"])) / want
 
 
+def test_sieve_builds_one_sift_table_for_its_plans(call_counts, capsys):
+    # eleven plans of one N sift one table: its index is built once and
+    # each distinct plan prime reduced once, whatever the plans share
+    from sievelab import sieve_apps
+
+    pairs = call_counts(sieve_apps, "_coprime_pairs")
+    reductions = call_counts(sieve_apps, "_reduce")
+    assert run(["sieve", "-N", "200", "-Q", "12", "--trials", "10", "--format", "json"]) in (0, 1)
+    records = json.loads(capsys.readouterr().out)
+    primes = {int(p) for rec in records for p in json.loads(rec["extra_params"])["omega"]}
+    assert len(records) == 11 and pairs == [(200,)]
+    assert sorted(args[2] for args in reductions) == sorted(primes)
+
+
+def test_sieve_refuses_an_oversized_sift_table_before_building_it(monkeypatch, call_counts,
+                                                                   tmp_path, capsys):
+    # the table holds 16 bytes a pair for (a, b) and a residue array for
+    # each plan prime: one byte a pair for 2, 3, 5 and 7 (the empty Omega_7
+    # too), two for 257; the sift adds a 258-byte lookup for 257.  One byte
+    # under that, the command exits 2 naming the estimate before the index
+    # is built; at it, the table is built
+    from sievelab import sieve_apps
+    from sievelab.rationals import _coprime_count
+
+    plan = tmp_path / "plan.txt"
+    plan.write_text("N=20000\nQ=12\n2: 1\n3: 2\n5: 1,4\n7:\n257: 3,200\n")
+    need = _coprime_count(20000) * (16 + 4 + 2) + 258
+    monkeypatch.setattr(sieve_apps, "_ROUTE_BYTES", need - 1)
+    pairs = call_counts(sieve_apps, "_coprime_pairs")
+    assert run(["sieve", "--plan", str(plan)]) == 2
+    captured = capsys.readouterr()
+    assert (f"sift table of height <= 20000 at 5 primes needs an estimated "
+            f"{need / 2**20:.1f} MiB, over the " in captured.err)
+    assert captured.out == "" and pairs == []
+    monkeypatch.setattr(sieve_apps, "_ROUTE_BYTES", need)
+    table = sieve_apps.sift_table(20000, [2, 3, 5, 7, 257])
+    assert pairs == [(20000,)]
+    assert len(table.a) * 16 + sum(red.nbytes for red in table.residues.values()) + 258 == need
+
+
 def test_sieve_refuses_oversized_random_plans_before_drawing(monkeypatch, tmp_path, capsys):
     from sievelab import rationals
 
@@ -391,6 +432,25 @@ def test_sieve_plan_estimate_covers_the_measured_peak(monkeypatch, tmp_path, tra
     assert codes[0] in (0, 1)
     need, = [need for what, need in needs if what.startswith("random plan draw")]
     assert peak <= need, (peak, need)
+    # with Delta stubbed, the sift table of about 50 primes is the run's
+    # largest allocation (10.2 MB of estimate against the draw's 5.7 and
+    # the index build's 8.7).  The table stays while each reduction's
+    # int64 temporaries, about 33 bytes a pair, come and go, under the
+    # index build's 40 bytes a candidate.  The run traced 14.9 MB, past the
+    # draw's and the index's estimates together (14.5 MB)
+    from sievelab import norms, sieve_apps
+
+    monkeypatch.setattr(sieve_apps, "_check_bytes", record)
+    monkeypatch.setattr(norms, "delta_rational", lambda Q, N, tol: SimpleNamespace(value=1.0))
+    needs.clear()
+    argv = ["sieve", "-N", "20000", "-Q", "300", "--trials", "2",
+            "--out", str(tmp_path / "r.csv")]
+    peak = traced_peak(lambda: codes.append(run(argv)))
+    assert codes[1] in (0, 1)
+    draw, = [need for what, need in needs if what.startswith("random plan draw")]
+    table, = [need for what, need in needs if what.startswith("sift table")]
+    index = max(need for what, need in needs if what.startswith("index of height"))
+    assert max(draw, index) < table and peak <= draw + index + table, (peak, draw, index, table)
 
 
 # ----------------------------------------------------------------------

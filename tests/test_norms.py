@@ -1270,11 +1270,12 @@ def _record_pair_route(monkeypatch):
 @pytest.mark.parametrize("kind", list(_FOLDED))
 def test_folded_pair_route_is_the_top_eigenvalue_of_the_square(kind, monkeypatch):
     # the pair route solves one of the even and odd blocks of M on the rows
-    # a <= b, and the other only when a Cholesky cannot prove its top
-    # eigenvalue below the first value; it reports the larger.  Against
-    # eigvalsh of the square M and of each block.  The odd block is empty
-    # when the index is 1/1 alone, and the multiplicative odd family puts
-    # lambda_max in the odd block
+    # a <= b, and the other only when neither its Gershgorin cap nor a
+    # Cholesky proves its top eigenvalue at most the first value; the
+    # Cholesky runs only when the cap does not prove it.  It reports the
+    # larger.  Against eigvalsh of the square M and of each block.  The odd
+    # block is empty when the index is 1/1 alone, and the multiplicative
+    # odd family puts lambda_max in the odd block
     fam = _FOLDED[kind]()
     n = len(fam.a)
     want = float(np.linalg.eigvalsh(norms._pair_gram(fam)).max())
@@ -1291,10 +1292,15 @@ def test_folded_pair_route_is_the_top_eigenvalue_of_the_square(kind, monkeypatch
         assert got.value == 1.0 and odd.shape == (0, 0)
         assert len(solves) == 1 and not proofs
     else:
-        (other, mu, proven), = proofs
-        assert len(solves) == 1 + (not proven)
-        assert mu == solves[0][1].value
-        assert {other.shape, solves[0][0].shape} == {even.shape, odd.shape}
+        first, value = solves[0][0], solves[0][1].value
+        other = odd if np.array_equal(first, even) else even
+        assert {other.shape, first.shape} == {even.shape, odd.shape}
+        if norms._Dense(other).bounds()[2] <= value:
+            assert not proofs and len(solves) == 1
+        else:
+            (B, mu, proven), = proofs
+            assert np.array_equal(B, other) and mu == value
+            assert len(solves) == 1 + (not proven)
         estimates = [estimate for _, estimate in solves]
         assert got.iterations == sum(estimate.iterations for estimate in estimates)
         assert got.residual == max(estimates, key=lambda e: e.value).residual
@@ -1529,14 +1535,36 @@ def test_pair_route_caps_each_block_solve_at_the_basis_that_fits(monkeypatch, tr
         delta(12.0, 3, 4.0, 400.0, tol=0, route="pairs")
 
 
+def test_pair_route_skips_the_certificate_when_the_cap_proves_the_bound(monkeypatch):
+    # Q = 4 has real characters alone, so S[n, sigma m] = S[n, m] and the
+    # odd block is zero: its Gershgorin cap, 0, is at most the even value,
+    # which it proves the larger with no Cholesky.  The bench's
+    # delta(12, 3, 4, 400) keeps its certificate: the cap there, about
+    # 1018, passes the first value, about 343, and the solves take 53 matvecs
+    fam = norms._rational(4, 100)
+    even, odd = norms._pair_blocks(fam)
+    assert not odd.any() and norms._Dense(np.array(odd)).bounds()[2] == 0.0
+    want = float(np.linalg.eigvalsh(norms._pair_gram(fam)).max())
+    solves, proofs = _record_pair_route(monkeypatch)
+    got = norms._solve(fam, 1e-12, "pairs")
+    assert not proofs and len(solves) == 1 and solves[0][0].shape == even.shape
+    assert abs(got.value - want) <= 1e-12 * want, (got.value, want)
+    solves.clear()
+    got = delta(12.0, 3, 4.0, 400.0)
+    (B, mu, proven), = proofs
+    assert proven and mu == solves[0][1].value < norms._Dense(B).bounds()[2]
+    assert len(solves) == 1 and got.iterations == 53
+
+
 def test_pair_route_checks_its_certificate_past_5500_indices(monkeypatch, traced_peak):
     # past n = 5500 the certificate's factor and LAPACK's copy, 16 k^2
     # bytes, pass the build's temporaries that `_pair_route_bytes` counts
     # beside the rectangle.  With the room under the cap set to exactly the
     # certificate's bytes, it runs, and the traced run stays under the
-    # bytes the route checked.  Q = 1 keeps the solve cheap: one term, so
-    # the even block is all twos but at 1/1, and the odd block is zero
-    fam = norms._rational(1, 1600)
+    # bytes the route checked.  At Q = 7 the odd block's Gershgorin cap,
+    # 11226, passes the even value, 8447.17, so the cap proves nothing and
+    # the Cholesky runs (eigvalsh: the odd block's lambda_max is 6750.90)
+    fam = norms._rational(7, 1600)
     n = len(fam.a)
     m = (n + 1) // 2
     fixed = norms._pair_route_bytes(n)
@@ -1558,7 +1586,8 @@ def test_pair_route_checks_its_certificate_past_5500_indices(monkeypatch, traced
     monkeypatch.setattr(norms, "_below", record_proof)
     results = []
     peak = traced_peak(lambda: results.append(norms._solve(fam, 1e-9, "pairs")))
-    assert proofs == [(k, True)] and abs(results[0].value - n) <= 1e-12 * n
+    want = 8447.170953342118  # eigvalsh of the even block
+    assert proofs == [(k, True)] and abs(results[0].value - want) <= 1e-9 * want
     need, = [need for what, need in needs if what == f"pairs route on {n} indices"]
     assert peak <= need, (peak / 2**20, need / 2**20)
 

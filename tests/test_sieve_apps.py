@@ -21,6 +21,7 @@ from sievelab.sieve_apps import (
     random_bdh_input,
     read_plan,
     sieve_inequality_report,
+    sift_table,
     sifted_set,
 )
 
@@ -127,6 +128,44 @@ def test_big_H_empty_plan():
     assert big_H(100, SievePlan(50, {})) == 1
 
 
+def _big_H_by_q(Q, plan):
+    """H by its definition, q by q: each squarefree q <= Q whose prime
+    factors all lie in the plan adds prod_{p | q} h(p)."""
+    total = Fraction(0)
+    for q in range(1, int(Q) + 1):
+        term, m = Fraction(1), q
+        for p in range(2, q + 1):
+            if m % p == 0:
+                m //= p
+                if m % p == 0 or p not in plan.omega:
+                    break
+                term *= plan.h(p)
+        else:
+            total += term
+    return total
+
+
+def test_big_H_depth_first_matches_the_sum_over_q():
+    rng = random.Random(66)
+    pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    for _ in range(40):
+        omega = {}
+        for p in rng.sample(pool, rng.randrange(0, len(pool) + 1)):
+            omega[p] = frozenset(rng.sample(range(p), rng.randrange(0, p)))
+        plan = SievePlan(50, omega)
+        for Q in (rng.randrange(1, 400), rng.uniform(1, 60)):
+            assert big_H(Q, plan) == _big_H_by_q(Q, plan), (Q, omega)
+    # the empty plan: H = 1; an empty Omega_p: h(p) = 0 drops every q that p divides
+    assert big_H(500, SievePlan(50, {})) == 1 == _big_H_by_q(500, SievePlan(50, {}))
+    plan = SievePlan(50, {2: {1}, 3: set(), 5: {1, 2}})
+    assert plan.h(3) == 0
+    assert big_H(30, plan) == _big_H_by_q(30, plan) == (1 + plan.h(2)) * (1 + plan.h(5))
+    # Q below the smallest plan prime: q = 1 alone
+    plan = SievePlan(50, {7: {1}, 11: {2, 3}})
+    for Q in (1, 6, 6.9):
+        assert big_H(Q, plan) == _big_H_by_q(Q, plan) == 1
+
+
 # ----------------------------------------------------------------------
 # sieve-inequality reports
 # ----------------------------------------------------------------------
@@ -176,6 +215,17 @@ def test_report_counts_survivors_without_building_them(monkeypatch):
     monkeypatch.setattr(RationalPoint, "__post_init__", lambda self: built.append(self))
     assert sieve_inequality_report(plan, 12).size == want
     assert built == []
+
+
+def test_report_reads_a_shared_sift_table_that_covers_its_plan():
+    # a table of more primes gives the one-plan report; a table of another
+    # height, or missing a plan prime, is refused
+    plan = SievePlan(300, {2: {1}, 3: {0, 2}, 7: {1, 2, 4}})
+    table = sift_table(300, [2, 3, 5, 7, 11])
+    assert sieve_inequality_report(plan, 12, table=table) == sieve_inequality_report(plan, 12)
+    for other in (sift_table(299, [2, 3, 7]), sift_table(300, [2, 3])):
+        with pytest.raises(ValueError, match="does not cover the plan"):
+            sieve_inequality_report(plan, 12, table=other)
 
 
 # ----------------------------------------------------------------------
