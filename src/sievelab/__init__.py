@@ -14,7 +14,6 @@ from .arith import (
     divisors,
     factorize,
     is_prime,
-    is_squarefree,
     mobius,
     prime_factors,
     primes_in,
@@ -24,14 +23,12 @@ from .characters import (
     CharGroup,
     DirichletChar,
     char_group,
-    char_order,
     conductor,
     crt_product,
     induce,
     is_primitive,
     primitive_chars,
     primitive_part,
-    ramanujan_sum,
     rational_eval,
     trivial_char,
     value_table,
@@ -55,17 +52,14 @@ from .kernels import (
     theta_separation_check,
 )
 from .norms import (
-    DeltaPrimeGrid,
     FamilySpec,
     FitResult,
     GramMatrix,
     MonotonicityResult,
     NormEstimate,
     additive_matrix,
-    default_delta_prime_grid,
     delta,
     delta_add,
-    delta_prime_grid,
     delta_rational,
     duality_check,
     exponent_fit,
@@ -99,7 +93,6 @@ from .sieve_apps import (
     bdh_lhs,
     bdh_rhs_chars,
     big_H,
-    half_residue_experiment,
     random_bdh_input,
     read_plan,
     sieve_inequality_report,
@@ -109,7 +102,6 @@ from .specials import (
     delta_factor,
     exponent_sequence,
     nu_factor,
-    trivial_bound,
     z11_euler,
     z_cd_euler,
     z_cd_series,

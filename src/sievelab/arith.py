@@ -76,10 +76,6 @@ def is_prime(n):
     return len(f) == 1 and f[0][1] == 1
 
 
-def is_squarefree(n):
-    return all(e == 1 for _, e in factorize(n))
-
-
 def primes_in(lo, hi):
     """Primes p with lo <= p <= hi, ascending."""
     lo = max(lo, 2)

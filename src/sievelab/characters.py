@@ -40,14 +40,13 @@ import cmath
 import operator
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import gcd, lcm
 
 import numpy as np
 
-from .arith import divisors, factorize, mobius, totient, valuation
+from .arith import factorize, totient, valuation
 
 
 # ----------------------------------------------------------------------
@@ -248,11 +247,6 @@ class DirichletChar:
         lam = g.exponent
         return sum(a * x * (lam // o) for a, x, o in zip(self.exponents, logs, g.orders)) % lam
 
-    def log_value(self, n):
-        """chi(n) as a Fraction of a full turn in [0, 1), or None on non-units."""
-        k = self.turns(n)
-        return None if k is None else Fraction(k, self.group.exponent)
-
     def __call__(self, n):
         k = self.turns(n)
         return 0j if k is None else self.group.roots.item(k)
@@ -377,20 +371,3 @@ def primitive_chars(q):
     g = char_group(q)
     return [g.chars[i] for i in np.flatnonzero(g.conductors == g.q)]
 
-
-def char_order(chi):
-    o = 1
-    for a, m in zip(chi.exponents, chi.group.orders):
-        o = lcm(o, m // gcd(m, a))
-    return o
-
-
-# ----------------------------------------------------------------------
-# Ramanujan sums
-# ----------------------------------------------------------------------
-
-def ramanujan_sum(q, n):
-    """c_q(n) = sum over units a mod q of e(an/q), as an exact integer:
-    c_q(n) = sum_{d | (q, n)} d * mu(q/d).  c_q(0) = phi(q)."""
-    g = gcd(q, abs(n))
-    return sum(d * mobius(q // d) for d in divisors(g))

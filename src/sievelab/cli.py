@@ -489,12 +489,12 @@ def cmd_sieve(cfg):
     """One report per plan: the plan file's, or an empty-plan control and
     `trials` random plans.  Each distinct N has one sift table
     (`sieve_apps.sift_table`): its coprime pairs of ab <= N, built once,
-    and the reduction mod each prime of its plans, made once; every plan of
-    that N is sifted from it.  Delta_rational(Q, N) is solved once for
-    each distinct (Q, N) and its value passed to every report of that
-    (Q, N).  The first record of each N carries the table build in its
-    millis, and the first of each (Q, N) the solve: both land on the
-    control in a random run."""
+    and the reduction mod each prime with a nonempty Omega_p in one of its
+    plans, made once; every plan of that N is sifted from it.
+    Delta_rational(Q, N) is solved once for each distinct (Q, N) and its
+    value passed to every report of that (Q, N).  The first record of
+    each N carries the table build in its millis, and the first of each
+    (Q, N) the solve: both land on the control in a random run."""
     from .arith import primes_in
     from .norms import delta_rational
     from .rationals import _ROUTE_BYTES, _check_bytes
@@ -527,7 +527,7 @@ def cmd_sieve(cfg):
     tol = cfg.tol or 1e-9
     primes = {}
     for plan, _, _ in jobs:
-        primes.setdefault(plan.N, set()).update(plan.omega)
+        primes.setdefault(plan.N, set()).update(p for p, res in plan.omega.items() if res)
     tables, deltas = {}, {}
 
     def report(plan, Q):

@@ -1061,16 +1061,20 @@ def _solve(fam, tol, route="auto"):
     quadrature of I_T, on the J nodes of `_quadrature_nodes`, which move
     Delta by at most _QUADRATURE_TOL relative; "buckets" the S of a
     discrete family through `_Buckets`.  "auto" takes the buckets for a
-    discrete family (T None); with a window, the family side when
-    2 F J < n, counting the members F as S at the index 1/1, where every
-    member is 1, and the pair side otherwise.  Every route takes the
-    deepest Lanczos basis that fits beside its size estimate
-    (`_basis_rows`), and raises ValueError when not even one vector fits,
-    or, on the family route, when its setup stage, which runs before the
-    basis exists, does not fit; the family route also on a discrete
-    family, and the pair and family routes on an index not closed under
-    a/b -> b/a, before their matrices are built.  The NormEstimate records
-    the route that ran, the index count n and, on the family route, J."""
+    discrete family (T None); with a window, it tries the family side
+    first when 2 F J < n, counting the members F as S at the index 1/1,
+    where every member is 1, and the pair side first otherwise, and takes
+    the first of the two whose estimate with a one-vector basis fits
+    under _ROUTE_BYTES, or, when neither fits, the one with the smaller
+    estimate, which then refuses.  Every route takes the deepest Lanczos
+    basis that fits beside its size estimate (`_basis_rows`), and raises
+    ValueError when not even one vector fits, or, on the family route,
+    when its setup stage, which runs before the basis exists, does not
+    fit, even where the other route would.  ValueError also on the family
+    route on a discrete family, and on the pair and family routes on an
+    index not closed under a/b -> b/a, before their matrices are built.
+    The NormEstimate records the route that ran, the index count n and, on
+    the family route, J."""
     n = len(fam.a)
     if route == "auto" and fam.T is None:
         route = "buckets"
@@ -1086,8 +1090,13 @@ def _solve(fam, tol, route="auto"):
         nodes = _quadrature_nodes(n, float(np.abs(fam.L).max(initial=0.0)), fam.T)
         one = np.ones(1, dtype=np.int64)
         F = int(_congruence_sum(one, one, fam.terms)[0, 0])
+        setup, fixed = _family_route_bytes(n, F, nodes)
         if route == "auto":
-            route = "family" if 2 * F * nodes < n else "pairs"
+            order = ("family", "pairs") if 2 * F * nodes < n else ("pairs", "family")
+            # each route's least bytes: its stages beside a one-vector basis
+            need = {"pairs": _pair_route_bytes(n) + _lanczos_bytes((n + 1) // 2, 1),
+                    "family": max(setup, fixed + _lanczos_bytes(F * nodes, 1))}
+            route = next((r for r in order if need[r] <= _ROUTE_BYTES), min(order, key=need.get))
     if route == "pairs":
         fixed = _pair_route_bytes(n)
         # the even block is the larger, and never empty: it has (n + 1) // 2 rows
@@ -1109,7 +1118,6 @@ def _solve(fam, tol, route="auto"):
         return replace(top, route=route, size=n)
     reps, weight, _ = _fold(fam.a, fam.b)
     what = f"family route on {F} members x {nodes} nodes"
-    setup, fixed = _family_route_bytes(n, F, nodes)
     _check_bytes(what, setup, _ROUTE_BYTES)
     steps = _basis_rows(what, fixed, F * nodes)
     # P before V: its outer-product temporary then has no V beside it
@@ -1140,52 +1148,6 @@ def delta_rational(Q, N, tol=1e-9):
     positive rationals with ht <= N."""
     FamilySpec(Q)
     return _solve(_rational(Q, N), tol)
-
-
-# ----------------------------------------------------------------------
-# Delta' grids
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeltaPrimeGrid:
-    tuples: tuple  # (X, R, U, C, ell)
-    values: tuple
-    best: float
-    best_tuple: tuple
-    is_lower_bound: bool = True
-
-
-def delta_prime_grid(Q, k, T, N, grid=None, tol=1e-9):
-    """max over admissible tuples (X, R, U, C, ell) — X R^2 ell U <= Q^2 k T
-    and X <= C — of X * Delta(R, ell, U, N/C).  A finite maximization,
-    hence a lower bound for the full sup."""
-    if grid is None:
-        grid = default_delta_prime_grid(Q, k, T)
-    budget = Q * Q * k * T
-    values = []
-    for X, R, U, C, ell in grid:
-        if X * R * R * ell * U > budget * (1 + 1e-12) or X > C:
-            raise ValueError(f"inadmissible tuple {(X, R, U, C, ell)}")
-        if N / C < 1:
-            values.append(0.0)
-            continue
-        values.append(X * delta(R, ell, U, N / C, tol=tol).value)
-    best_i = int(np.argmax(values)) if values else 0
-    grid = tuple(tuple(t) for t in grid)
-    return DeltaPrimeGrid(grid, tuple(values), max(values) if values else 0.0,
-                          grid[best_i] if grid else ())
-
-
-def default_delta_prime_grid(Q, k, T):
-    """The trivial tuple plus dyadic budget-respecting shrinkages."""
-    grid = [(1, Q, T, 1, k)]
-    X = 4
-    R = Q / 2
-    while R >= 1:
-        grid.append((X, R, T, X, k))
-        X *= 4
-        R /= 2
-    return grid
 
 
 # ----------------------------------------------------------------------

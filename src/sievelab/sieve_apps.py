@@ -31,12 +31,12 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import is_prime, primes_in, totient
+from .arith import is_prime, totient
 from .characters import char_group, trivial_char, value_table
 from .norms import delta_rational
 from .rationals import (_ROUTE_BYTES, RationalPoint, _check_bytes, _coprime_count,
@@ -66,10 +66,6 @@ class SievePlan:
             clean[p] = res
         object.__setattr__(self, "omega", clean)
 
-    @property
-    def primes(self):
-        return frozenset(self.omega)
-
     def h(self, p):
         """h(p) = |Omega_p| / (p - |Omega_p|), exact; 0 off the plan."""
         w = len(self.omega.get(p, ()))
@@ -92,13 +88,17 @@ def sift_table(N, primes):
     """The SiftTable of height N for the given primes, each reduced once.
     ValueError, before the index is built, when its bytes pass
     _ROUTE_BYTES: 16 a pair, counted exactly by `_coprime_count`, one
-    residue array a distinct prime, and the (p + 1)-byte lookup that
-    `_sift` builds for the largest p."""
+    residue array a distinct prime, and, with any prime, the 33 bytes a
+    pair of the one `_reduce` held at a time (four int64 arrays: its
+    residues, its power base, a b and its gcd; and the unit mask) and the
+    (p + 1)-byte lookup that `_sift` builds for the largest p."""
     primes = sorted(set(primes))
     dtypes = [np.min_scalar_type(p) for p in primes]
     hi = _heights(N, "full")[1]
     n = _coprime_count(hi)
-    need = n * (16 + sum(dtype.itemsize for dtype in dtypes)) + (primes[-1] + 1 if primes else 0)
+    need = n * (16 + sum(dtype.itemsize for dtype in dtypes))
+    if primes:
+        need += 33 * n + primes[-1] + 1
     _check_bytes(f"sift table of height <= {hi} at {len(primes)} primes", need, _ROUTE_BYTES)
     a, b = _coprime_pairs(N)
     residues = {}
@@ -113,19 +113,21 @@ def sift_table(N, primes):
 def _sift(plan, table=None):
     """(a, b, keep): the pairs of the plan's sift table and the mask of the
     sifted set, the pairs whose reduction misses Omega_p at each plan prime
-    p where it is a unit.  Each prime is one gather from a (p + 1)-entry
-    table of the allowed residues, p, the non-unit marker, among them.
-    Without a table, a one-plan table is built for the plan's primes."""
+    p where it is a unit.  Each prime with a nonempty Omega_p is one
+    gather from a (p + 1)-entry table of the allowed residues, p, the
+    non-unit marker, among them; a prime with an empty one sifts nothing
+    and needs no reduction.  Without a table, a one-plan table is built
+    for the plan's sifting primes."""
+    sifting = {p: forbidden for p, forbidden in plan.omega.items() if forbidden}
     if table is None:
-        table = sift_table(plan.N, plan.omega)
-    elif table.N != plan.N or not plan.omega.keys() <= table.residues.keys():
+        table = sift_table(plan.N, sifting)
+    elif table.N != plan.N or not sifting.keys() <= table.residues.keys():
         raise ValueError(f"the sift table of height {table.N} does not cover the plan")
     keep = np.ones(len(table.a), dtype=bool)
-    for p, forbidden in plan.omega.items():
-        if forbidden:
-            allowed = np.ones(p + 1, dtype=bool)
-            allowed[list(forbidden)] = False
-            keep &= allowed[table.residues[p]]
+    for p, forbidden in sifting.items():
+        allowed = np.ones(p + 1, dtype=bool)
+        allowed[list(forbidden)] = False
+        keep &= allowed[table.residues[p]]
     return table.a, table.b, keep
 
 
@@ -219,21 +221,6 @@ def read_plan(path):
     if N is None or Q is None:
         raise ValueError("plan file must set N= and Q=")
     return SievePlan(N, omega), Q
-
-
-def half_residue_experiment(N, seed=0):
-    """The H >> Q heuristic, measured: forbid an arbitrary floor((p-1)/2)
-    residue subset at every prime p <= Q = floor(sqrt(N)) and record
-    c = H / Q.  Reported, not asserted."""
-    Q = isqrt(N)
-    rng = random.Random(seed)
-    omega = {}
-    for p in primes_in(2, Q):
-        count = (p - 1) // 2
-        omega[p] = frozenset(rng.sample(range(p), count)) if count else frozenset()
-    plan = SievePlan(N, omega)
-    H = big_H(Q, plan)
-    return {"N": N, "Q": Q, "H": H, "c": float(H) / Q if Q else float(H)}
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Scalar special functions: the Z_{c,d}(s) Euler products, the recursion
-of exponents, and the trivial-bound formula.
+"""Scalar special functions: the Z_{c,d}(s) Euler products and the
+recursion of exponents.
 
 Z_{c,d}(s) = sum over n coprime to cd and m | c^infty of (n/phi(n)) (mn)^{-s}.
 The Euler side factors as
@@ -125,9 +125,3 @@ def exponent_sequence(steps):
         es.append(2 - 1 / es[-1])
     return es
 
-
-def trivial_bound(Q, k, T, N):
-    """Q^2 k T sqrt(N) + N log N with implied constant 1 (reporting only)."""
-    if min(Q, k, T, N) < 1:
-        raise ValueError("all parameters must be >= 1")
-    return Q * Q * k * T * N**0.5 + N * log(N)

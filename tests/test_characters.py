@@ -1,14 +1,12 @@
 """Character-group invariants: orthogonality, the primitive-character
-Moebius closed form, conductor divisibility, Ramanujan sums against
-direct exponential sums, and the integer-turn representation."""
+Moebius closed form, conductor divisibility, and the integer-turn
+representation."""
 
-import cmath
 import itertools
 import math
 import random
 import sys
 import threading
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ import pytest
 from sievelab.arith import divisors, factorize, mobius, totient
 from sievelab.characters import (
     char_group,
-    char_order,
     conductor,
     crt_product,
     descend,
@@ -24,7 +21,6 @@ from sievelab.characters import (
     is_primitive,
     primitive_chars,
     primitive_part,
-    ramanujan_sum,
     trivial_char,
     value_table,
 )
@@ -108,45 +104,6 @@ def test_conductor_basics():
             assert is_primitive(chi) == (c == q)
             # the primitive part induces back to chi
             assert induce(primitive_part(chi), q) == chi
-
-
-def test_character_order_divides_group_order():
-    for q in range(1, 41):
-        phi = totient(q)
-        for chi in char_group(q):
-            n = char_order(chi)
-            assert phi % n == 0
-            # chi^n is trivial: n * log-value of every unit is an integer
-            for w in range(q):
-                f = chi.log_value(w)
-                if f is not None:
-                    assert (n * f) % 1 == Fraction(0)
-
-
-# ----------------------------------------------------------------------
-# Ramanujan sums against the direct exponential sum
-# ----------------------------------------------------------------------
-
-def test_ramanujan_sum_matches_direct_exponential_sum():
-    for q in range(1, 101):
-        units = [a for a in range(q) if math.gcd(a, q) == 1] or [0]
-        roots = [cmath.exp(2j * cmath.pi * m / q) for m in range(q)]
-        for n in range(-100, 101):
-            direct = sum(roots[(a * n) % q] for a in units)
-            got = ramanujan_sum(q, n)
-            assert abs(got - direct) < 1e-8, (q, n)
-            assert got == int(round(direct.real))
-
-
-def test_ramanujan_sum_multiplicative():
-    rng = random.Random(1812)
-    for _ in range(200):
-        q1 = rng.randrange(1, 40)
-        q2 = rng.randrange(1, 40)
-        if math.gcd(q1, q2) != 1:
-            continue
-        n = rng.randrange(-60, 61)
-        assert ramanujan_sum(q1 * q2, n) == ramanujan_sum(q1, n) * ramanujan_sum(q2, n)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -356,14 +357,16 @@ def test_sieve_solves_delta_once_for_its_plans(monkeypatch, capsys):
 
 def test_sieve_builds_one_sift_table_for_its_plans(call_counts, capsys):
     # eleven plans of one N sift one table: its index is built once and
-    # each distinct plan prime reduced once, whatever the plans share
+    # each distinct plan prime with a nonempty Omega_p reduced once,
+    # whatever the plans share
     from sievelab import sieve_apps
 
     pairs = call_counts(sieve_apps, "_coprime_pairs")
     reductions = call_counts(sieve_apps, "_reduce")
     assert run(["sieve", "-N", "200", "-Q", "12", "--trials", "10", "--format", "json"]) in (0, 1)
     records = json.loads(capsys.readouterr().out)
-    primes = {int(p) for rec in records for p in json.loads(rec["extra_params"])["omega"]}
+    primes = {int(p) for rec in records
+              for p, res in json.loads(rec["extra_params"])["omega"].items() if res}
     assert len(records) == 11 and pairs == [(200,)]
     assert sorted(args[2] for args in reductions) == sorted(primes)
 
@@ -371,27 +374,33 @@ def test_sieve_builds_one_sift_table_for_its_plans(call_counts, capsys):
 def test_sieve_refuses_an_oversized_sift_table_before_building_it(monkeypatch, call_counts,
                                                                    tmp_path, capsys):
     # the table holds 16 bytes a pair for (a, b) and a residue array for
-    # each plan prime: one byte a pair for 2, 3, 5 and 7 (the empty Omega_7
-    # too), two for 257; the sift adds a 258-byte lookup for 257.  One byte
-    # under that, the command exits 2 naming the estimate before the index
-    # is built; at it, the table is built
-    from sievelab import sieve_apps
+    # each sifting plan prime: one byte a pair for 2, 3 and 5, none for
+    # the empty Omega_7, two for 257; each reduction holds 33 bytes a pair
+    # while it runs, and the sift adds a 258-byte lookup for 257.  One
+    # byte under that, the command exits 2 naming the estimate before the
+    # index is built; at it, the table is built, with no reduction mod 7
+    from sievelab import norms, sieve_apps
     from sievelab.rationals import _coprime_count
 
     plan = tmp_path / "plan.txt"
     plan.write_text("N=20000\nQ=12\n2: 1\n3: 2\n5: 1,4\n7:\n257: 3,200\n")
-    need = _coprime_count(20000) * (16 + 4 + 2) + 258
+    n = _coprime_count(20000)
+    need = n * (16 + 3 + 2 + 33) + 258
     monkeypatch.setattr(sieve_apps, "_ROUTE_BYTES", need - 1)
     pairs = call_counts(sieve_apps, "_coprime_pairs")
     assert run(["sieve", "--plan", str(plan)]) == 2
     captured = capsys.readouterr()
-    assert (f"sift table of height <= 20000 at 5 primes needs an estimated "
+    assert (f"sift table of height <= 20000 at 4 primes needs an estimated "
             f"{need / 2**20:.1f} MiB, over the " in captured.err)
     assert captured.out == "" and pairs == []
     monkeypatch.setattr(sieve_apps, "_ROUTE_BYTES", need)
-    table = sieve_apps.sift_table(20000, [2, 3, 5, 7, 257])
-    assert pairs == [(20000,)]
-    assert len(table.a) * 16 + sum(red.nbytes for red in table.residues.values()) + 258 == need
+    monkeypatch.setattr(norms, "delta_rational", lambda Q, N, tol: SimpleNamespace(value=1.0))
+    reductions = call_counts(sieve_apps, "_reduce")
+    assert run(["sieve", "--plan", str(plan)]) in (0, 1)
+    assert pairs == [(20000,)] and [args[2] for args in reductions] == [2, 3, 5, 257]
+    table = sieve_apps.sift_table(20000, [2, 3, 5, 257])
+    assert len(table.a) == n
+    assert n * (16 + 33) + sum(red.nbytes for red in table.residues.values()) + 258 == need
 
 
 def test_sieve_refuses_oversized_random_plans_before_drawing(monkeypatch, tmp_path, capsys):
@@ -432,16 +441,27 @@ def test_sieve_plan_estimate_covers_the_measured_peak(monkeypatch, tmp_path, tra
     assert codes[0] in (0, 1)
     need, = [need for what, need in needs if what.startswith("random plan draw")]
     assert peak <= need, (peak, need)
-    # with Delta stubbed, the sift table of about 50 primes is the run's
-    # largest allocation (10.2 MB of estimate against the draw's 5.7 and
+    # with Delta stubbed, the sift table of 47 sifting primes is the run's
+    # largest allocation (14.0 MB of estimate against the draw's 5.7 and
     # the index build's 8.7).  The table stays while each reduction's
-    # int64 temporaries, about 33 bytes a pair, come and go, under the
-    # index build's 40 bytes a candidate.  The run traced 14.9 MB, past the
-    # draw's and the index's estimates together (14.5 MB)
+    # int64 temporaries, 33 bytes a pair, come and go, and the table's
+    # estimate counts them: its build, index included, traced 13.7 MB.
+    # The whole run traced 14.4 MB, under the sum of the three estimates
     from sievelab import norms, sieve_apps
 
     monkeypatch.setattr(sieve_apps, "_check_bytes", record)
     monkeypatch.setattr(norms, "delta_rational", lambda Q, N, tol: SimpleNamespace(value=1.0))
+    build, built = sieve_apps.sift_table, []
+
+    def traced_build(N, primes):
+        # the build's peak over what was traced before it
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = build(N, primes)
+        built.append(tracemalloc.get_traced_memory()[1] - held)
+        return table
+
+    monkeypatch.setattr(sieve_apps, "sift_table", traced_build)
     needs.clear()
     argv = ["sieve", "-N", "20000", "-Q", "300", "--trials", "2",
             "--out", str(tmp_path / "r.csv")]
@@ -451,6 +471,7 @@ def test_sieve_plan_estimate_covers_the_measured_peak(monkeypatch, tmp_path, tra
     table, = [need for what, need in needs if what.startswith("sift table")]
     index = max(need for what, need in needs if what.startswith("index of height"))
     assert max(draw, index) < table and peak <= draw + index + table, (peak, draw, index, table)
+    assert len(built) == 1 and built[0] <= table, (built, table)
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,8 @@ from sievelab.arith import divisors, mobius, primes_in, totient
 from sievelab.norms import (
     FamilySpec,
     additive_matrix,
-    default_delta_prime_grid,
     delta,
     delta_add,
-    delta_prime_grid,
     delta_rational,
     duality_check,
     exponent_fit,
@@ -700,7 +698,7 @@ def test_trivial_family_norms_are_exact_counts():
         assert n <= val <= n * (1 + 1e-12)
 
 
-def test_rational_and_additive_norms_take_the_family_side_past_the_cutoff(monkeypatch):
+def test_rational_and_additive_norms_take_the_bucket_route_at_any_size(monkeypatch):
     cases = {"gram_rational": (delta_rational, 12, 600), "gram_additive": (delta_add, 12, 1200)}
     want = {}
     for name, (_, Q, N) in cases.items():
@@ -790,11 +788,15 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
         with pytest.raises(ValueError, match=f"pairs route on {n} indices .* {estimate(n)}, "
                                              "over the 1.0 MiB cap"):
             norm()
-    # delta(12, 3, 4, 400) takes the pair side by the route rule
+    # delta(12, 3, 4, 400) tries the pair side first by the route rule, but
+    # neither route fits: "auto" refuses with the smaller estimate, the
+    # family route's setup stage
     assert cli.run(["norm", "-Q", "12", "-k", "3", "-T", "4", "-N", "400"]) == 2
     err = capsys.readouterr().err
-    assert estimate(len(enumerate_pairs(400))) in err
-    assert "1.0 MiB cap" in err
+    setup = norms._family_route_bytes(len(enumerate_pairs(400)), 32, 20)[0]
+    assert estimate(len(enumerate_pairs(400))) not in err
+    assert (f"family route on 32 members x 20 nodes needs an estimated {setup / 2**20:.1f} MiB, "
+            "over the 1.0 MiB cap") in err
     # the discrete families take the buckets, which hold no n x n matrix
     # and fit under the lowered cap with the steps this solve needs
     assert delta_rational(12, 200) == rational
@@ -982,6 +984,32 @@ def test_family_route_runs_the_steps_that_fit_under_the_cap(monkeypatch):
         delta(12.0, 1, 4.0, 1000.0)
     monkeypatch.setattr(norms, "_ROUTE_BYTES", setup)
     assert delta(12.0, 1, 4.0, 1000.0).route == "family"
+
+
+def test_auto_route_falls_back_to_the_route_that_fits(monkeypatch):
+    # delta(12, 3, 4, 400) tries the pair side first (2 F J = 1280 >= n =
+    # 970).  Under a cap between the two routes' estimates, each with a
+    # one-vector basis, only the family route fits: "auto" runs it, where a
+    # caller's "pairs" refuses.  Under both, "auto" refuses with the
+    # smaller estimate, the family route's
+    want = delta(12.0, 3, 4.0, 400.0)
+    n, F, nodes = len(_coprime_pairs(400, "dyadic")[0]), 32, 20
+    pairs = norms._pair_route_bytes(n) + norms._lanczos_bytes((n + 1) // 2, 1)
+    setup, fixed = norms._family_route_bytes(n, F, nodes)
+    family = max(setup, fixed + norms._lanczos_bytes(F * nodes, 1))
+    assert want.route == "pairs" and 2 * F * nodes >= n and family < pairs
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", pairs - 1)
+    got = delta(12.0, 3, 4.0, 400.0)
+    assert got == delta(12.0, 3, 4.0, 400.0, route="family")
+    assert (got.route, got.size, got.nodes) == ("family", n, nodes)
+    assert abs(got.value - want.value) <= 1e-9 * want.value
+    with pytest.raises(ValueError, match=f"pairs route on {n} indices needs an estimated "
+                                         f"{pairs / 2**20:.1f} MiB"):
+        delta(12.0, 3, 4.0, 400.0, route="pairs")
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", family - 1)
+    with pytest.raises(ValueError, match=f"family route on {F} members x {nodes} nodes needs an "
+                                         f"estimated {family / 2**20:.1f} MiB"):
+        delta(12.0, 3, 4.0, 400.0)
 
 
 def test_family_route_takes_the_bounded_node_count_at_the_bench_sizes():
@@ -1731,36 +1759,6 @@ def test_additive_gram_matches_row_matrix():
         g = gram_additive(Q, N)
         assert g.index == index
         assert np.max(np.abs(g.matrix - mat.conj().T @ mat)) <= 1e-9, (Q, N)
-
-
-# ----------------------------------------------------------------------
-# grid maximization
-# ----------------------------------------------------------------------
-
-def test_delta_prime_grid_default():
-    g = delta_prime_grid(8.0, 1, 1.0, 32.0)
-    assert g.is_lower_bound
-    assert g.best == max(g.values)
-    assert g.best_tuple in g.tuples
-    # the trivial tuple makes the grid value at least delta itself
-    base = delta(8.0, 1, 1.0, 32.0).value
-    assert g.best >= base - 1e-9 * base
-    for (X, R, U, C, ell) in default_delta_prime_grid(8.0, 1, 1.0):
-        assert X * R * R * ell * U <= 64.0 * (1 + 1e-12)
-        assert X <= C
-
-
-def test_delta_prime_grid_rejects_inadmissible():
-    with pytest.raises(ValueError):
-        delta_prime_grid(4.0, 1, 1.0, 16.0, grid=[(2, 4.0, 1.0, 2, 1)])
-    with pytest.raises(ValueError):
-        delta_prime_grid(4.0, 1, 1.0, 16.0, grid=[(4, 2.0, 1.0, 2, 1)])
-
-
-def test_delta_prime_grid_empty_window_scores_zero():
-    g = delta_prime_grid(4.0, 1, 1.0, 16.0, grid=[(1, 4.0, 1.0, 32.0, 1)])
-    assert g.values == (0.0,)
-    assert g.best == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from sievelab.sieve_apps import (
     bdh_lhs,
     bdh_rhs_chars,
     big_H,
-    half_residue_experiment,
     random_bdh_input,
     read_plan,
     sieve_inequality_report,
@@ -228,6 +227,23 @@ def test_report_reads_a_shared_sift_table_that_covers_its_plan():
             sieve_inequality_report(plan, 12, table=other)
 
 
+def test_a_prime_with_an_empty_omega_is_never_reduced(call_counts):
+    # an empty Omega_p sifts nothing: the one-plan sift reduces only the
+    # other primes, and a table without p covers the plan
+    from sievelab import sieve_apps
+
+    plan = SievePlan(300, {2: {1}, 5: set(), 7: {1, 2, 4}})
+    want = sieve_inequality_report(plan, 12, delta=1.0)
+    reductions = call_counts(sieve_apps, "_reduce")
+    assert sieve_inequality_report(plan, 12, delta=1.0) == want
+    assert [args[2] for args in reductions] == [2, 7]
+    table = sift_table(300, [2, 7])
+    assert sieve_inequality_report(plan, 12, delta=1.0, table=table) == want
+    assert want.size == sum(1 for n in rationals_up_to(300)
+                            if all(vp(n, p) or reduce_mod(n, p) not in plan.omega[p]
+                                   for p in (2, 7)))
+
+
 # ----------------------------------------------------------------------
 # plan files
 # ----------------------------------------------------------------------
@@ -257,21 +273,6 @@ def test_read_plan_rejects_garbage(tmp_path):
     path.write_text("N=10\nnot a plan line\n")
     with pytest.raises(ValueError):
         read_plan(path)
-
-
-# ----------------------------------------------------------------------
-# half-residue experiment
-# ----------------------------------------------------------------------
-
-def test_half_residue_experiment_reports_positive_c():
-    for N in (100, 400):
-        out = half_residue_experiment(N, seed=5)
-        assert set(out) == {"N", "Q", "H", "c"}
-        assert out["N"] == N and out["Q"] == int(N**0.5)
-        assert out["c"] > 0
-        assert abs(out["c"] - float(out["H"]) / out["Q"]) <= 1e-12
-        # reported, not asserted: print the measured constant
-        print(f"half-residue N={N}: H={float(out['H']):.3f} c={out['c']:.3f}")
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Scalar special functions: the Z_{c,d}(s) Euler products against the
-direct double series, the exponent recursion, and the trivial bound."""
+direct double series and the exponent recursion."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,6 @@ from sievelab.specials import (
     delta_factor,
     exponent_sequence,
     nu_factor,
-    trivial_bound,
     z11_euler,
     z_cd_euler,
     z_cd_series,
@@ -72,20 +70,3 @@ def test_exponent_sequence_closed_form_exact():
     for i in range(10**4):
         assert seq[i + 1] == 2 - Fraction(1, 1) / seq[i]
 
-
-# ----------------------------------------------------------------------
-# trivial bound
-# ----------------------------------------------------------------------
-
-def test_trivial_bound_formula():
-    for (Q, k, T, N) in [(4, 1, 1.0, 16.0), (12, 3, 2.0, 200.0), (1, 1, 1.0, 1.0)]:
-        want = Q * Q * k * T * math.sqrt(N) + N * math.log(N)
-        assert abs(trivial_bound(Q, k, T, N) - want) <= 1e-12 * max(1.0, want)
-
-
-def test_trivial_bound_monotone():
-    base = trivial_bound(4, 1, 1.0, 16.0)
-    assert trivial_bound(8, 1, 1.0, 16.0) > base
-    assert trivial_bound(4, 2, 1.0, 16.0) > base
-    assert trivial_bound(4, 1, 2.0, 16.0) > base
-    assert trivial_bound(4, 1, 1.0, 64.0) > base
