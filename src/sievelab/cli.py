@@ -527,7 +527,7 @@ def cmd_sieve(cfg):
     tol = cfg.tol or 1e-9
     primes = {}
     for plan, _, _ in jobs:
-        primes.setdefault(plan.N, set()).update(p for p, res in plan.omega.items() if res)
+        primes.setdefault(plan.N, set()).update(plan.sifting_primes)
     tables, deltas = {}, {}
 
     def report(plan, Q):

@@ -66,6 +66,12 @@ class SievePlan:
             clean[p] = res
         object.__setattr__(self, "omega", clean)
 
+    @property
+    def sifting_primes(self):
+        """The plan primes with a nonempty Omega_p; the others sift nothing
+        and need no reduction."""
+        return [p for p, res in self.omega.items() if res]
+
     def h(self, p):
         """h(p) = |Omega_p| / (p - |Omega_p|), exact; 0 off the plan."""
         w = len(self.omega.get(p, ()))
@@ -113,20 +119,19 @@ def sift_table(N, primes):
 def _sift(plan, table=None):
     """(a, b, keep): the pairs of the plan's sift table and the mask of the
     sifted set, the pairs whose reduction misses Omega_p at each plan prime
-    p where it is a unit.  Each prime with a nonempty Omega_p is one
+    p where it is a unit.  Each of the plan's sifting primes is one
     gather from a (p + 1)-entry table of the allowed residues, p, the
-    non-unit marker, among them; a prime with an empty one sifts nothing
-    and needs no reduction.  Without a table, a one-plan table is built
-    for the plan's sifting primes."""
-    sifting = {p: forbidden for p, forbidden in plan.omega.items() if forbidden}
+    non-unit marker, among them.  Without a table, a one-plan table is
+    built for those primes."""
+    sifting = plan.sifting_primes
     if table is None:
         table = sift_table(plan.N, sifting)
-    elif table.N != plan.N or not sifting.keys() <= table.residues.keys():
+    elif table.N != plan.N or not set(sifting) <= table.residues.keys():
         raise ValueError(f"the sift table of height {table.N} does not cover the plan")
     keep = np.ones(len(table.a), dtype=bool)
-    for p, forbidden in sifting.items():
+    for p in sifting:
         allowed = np.ones(p + 1, dtype=bool)
-        allowed[list(forbidden)] = False
+        allowed[list(plan.omega[p])] = False
         keep &= allowed[table.residues[p]]
     return table.a, table.b, keep
 
