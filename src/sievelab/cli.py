@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import product
@@ -411,6 +410,9 @@ def _run_grid(cfg):
         return _timed(_norm_point, cfg, point)
 
     if cfg.threads > 1:
+        # concurrent.futures pulls in logging, milliseconds of every start
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(worker, grid))
     else:
@@ -425,7 +427,8 @@ def cmd_norm(cfg):
         records.append(make_record(
             f"norm_{cfg.family}", Q=Q, k=k, T=T, N=N,
             extra={"method": est.method, "route": est.route, "size": est.size,
-                   "nodes": est.nodes, "iterations": est.iterations},
+                   "nodes": est.nodes, "bins": est.bins,
+                   "iterations": est.iterations},
             value=est.value, residual=est.residual, ok=True,
             seed=cfg.seed, millis=ms))
     write_records(records, cfg)
@@ -447,7 +450,8 @@ def cmd_scan(cfg):
         records.append(make_record(
             f"scan_{cfg.family}", Q=Q, k=k, T=T, N=N,
             extra={"method": est.method, "route": est.route, "size": est.size,
-                   "nodes": est.nodes, "ratio_trivial": est.value / (budget + N),
+                   "nodes": est.nodes, "bins": est.bins,
+                   "ratio_trivial": est.value / (budget + N),
                    "ratio_index": est.value / (budget + est.size)},
             value=est.value, residual=est.residual, ok=True,
             seed=cfg.seed, millis=ms))

@@ -48,13 +48,18 @@ The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`) on
 one operator contract, `shape`, `dtype`, `@` and `bounds()`: a Rayleigh
 quotient, a lower bound up to rounding, capped by the upper bound.
 
-Three routes solve a family, each in float64, and each sizes its Lanczos
-basis from the solver's own memory model (`_lanczos_bytes`): the deepest
-basis that fits beside the route's other bytes (`_basis_rows`).  A
-discrete family takes the buckets (`_Buckets`): S applied through one
-label a row for each gate, O(n) a gate and matvec.  With a window, a
-family of F members on J nodes with 2 F J < n indices takes the family
-side, and otherwise the pair side S o K, with K[n, m] =
+Four routes solve a family, each in float64.  The three Lanczos routes
+size their basis from the solver's own memory model (`_lanczos_bytes`):
+the deepest basis that fits beside the route's other bytes
+(`_basis_rows`).  A discrete family is held in buckets (`_Buckets`): one
+label a row for each gate, so S = U M U^T for the indicator U of the
+labels and the bins x bins term map M.  It takes the bins route, a dense
+eigh of G = W^{1/2} M W^{1/2}, W = U^T U, whose nonzero spectrum is S's
+(`_bin_space`), when bins^2 <= n gates, where a dense product in bins
+costs no more than one bucket matvec, and otherwise the bucket route,
+Lanczos on S applied through the labels, O(n) a gate and matvec.  With
+a window, a family of F members on J nodes with 2 F J < n indices takes
+the family side, and otherwise the pair side S o K, with K[n, m] =
 (T/2) sinc((L_n - L_m) T/4) the real factor of I_T; its phase factors out
 as D = diag(e^{3iTL/4}), and only `gram_multiplicative` forms the
 Hermitian D (S o K) D^H.  On the family side Delta = ||A||^2 for the
@@ -154,9 +159,10 @@ class NormEstimate:
     residual: float
     iterations: int
     method: str
-    route: str | None = None  # "pairs", "family" or "buckets", set by the Delta norms
+    route: str | None = None  # "pairs", "family", "buckets" or "bins", set by the Delta norms
     size: int | None = None  # the index count n, set by the Delta norms
     nodes: int | None = None  # the quadrature nodes J, set on the family route
+    bins: int | None = None  # the bin count of the buckets, set on the bins route
 
 
 def _moduli(Q, k=1):
@@ -720,6 +726,43 @@ class _Buckets:
         cap = self._sum_over_gates(self._apply(count, np.abs(self.weight)))
         return self._sum_over_gates(diag), ones, float(cap.max(initial=0.0))
 
+    def pairs(self):
+        """The (entry, entry) pairs whose read and fold keys match, the terms
+        of `matrix()`: per key, the reads at it times the folds at it."""
+        return int(np.bincount(self.read, minlength=self.keys)
+                   @ np.bincount(self.fold, minlength=self.keys))
+
+    def matrix(self):
+        """M, bins x bins, the matrix of `_apply`: C = M B, so S = U M U^T
+        for the n x bins indicator U of the labels.  M[p, p'] is the sum of
+        the weights of the entries at p whose read is the fold of an entry
+        at p', each match found by sorting the folds; M is symmetric, as
+        r' = s r mod d is r = s r' for s = +-1, and exact, a sum of halves."""
+        order = np.argsort(self.fold)
+        folds = self.fold[order]
+        start = np.searchsorted(folds, self.read, "left")
+        count = np.searchsorted(folds, self.read, "right") - start
+        # entry e matches the sorted folds at start_e, ..., start_e + count_e - 1
+        e = np.repeat(np.arange(len(self.pos)), count)
+        match = order[np.arange(len(e)) + np.repeat(start - np.cumsum(count) + count, count)]
+        return np.bincount(self.pos[e] * self.bins + self.pos[match], self.weight[e],
+                           self.bins * self.bins).reshape(self.bins, self.bins)
+
+    def counts(self):
+        """W = U^T U, bins x bins: the bucket counts on the diagonal, since a
+        row has one label a gate, and for each pair of gates the joint
+        counts of their labels, one 2-D bincount, O(n gates^2) in all."""
+        W = np.diag(self._buckets())
+        for i, (first, bins, labels) in enumerate(self.gates):
+            labels = labels.astype(np.intp)
+            for other, width, across in self.gates[i + 1:]:
+                key = labels * width
+                key += across
+                block = np.bincount(key, minlength=bins * width).reshape(bins, width)
+                W[first:first + bins, other:other + width] = block
+                W[other:other + width, first:first + bins] = block.T
+        return W
+
 
 def _family_gram(fam, nodes):
     """Oracle: the pair-side Gram as A A^H from the family side.  For the
@@ -942,15 +985,23 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
             T[j, j + 1] = T[j + 1, j] = b
 
         y = S[:, -1] @ basis[: j + 1]
-        y /= np.linalg.norm(y)
-        Gy = M @ y
-        rho = float(np.vdot(y, Gy).real)
-        res = float(np.linalg.norm(Gy - rho * y)) / max(abs(rho), 1.0)
-    if not (isfinite(rho) and isfinite(res)):
-        raise ValueError("the Lanczos solve overflowed: its Rayleigh quotient or residual "
-                         "is not finite")
-    value = max(min(rho, ceiling), floor)
+    value, res = _rayleigh(M, y, floor, ceiling)
     return NormEstimate(value, res, j + 2, "lanczos")
+
+
+def _rayleigh(M, y, floor, ceiling):
+    """The Rayleigh quotient rho of y on the operator M, with one matvec,
+    once y is scaled to a unit vector in place, raised to `floor` and
+    capped by `ceiling`, and its residual ||M y - rho y|| / max(|rho|, 1);
+    ValueError, and no warning, when rho or the residual is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y /= np.linalg.norm(y)
+        My = M @ y
+        rho = float(np.vdot(y, My).real)
+        res = float(np.linalg.norm(My - rho * y)) / max(abs(rho), 1.0)
+    if not (isfinite(rho) and isfinite(res)):
+        raise ValueError("the solve overflowed: its Rayleigh quotient or residual is not finite")
+    return max(min(rho, ceiling), floor), res
 
 
 def _lanczos_bytes(dim, rows):
@@ -1029,6 +1080,57 @@ def _bucket_route_bytes(n, labels, entries):
     return labels + 24 * n + 160 * entries + 96 * n
 
 
+def _bins_route_bytes(bins, pairs):
+    """Peak bytes of the bins route beside the buckets
+    (`_bucket_route_bytes`): six float64 bins x bins arrays, and 48 bytes
+    for each of the `pairs` of `_Buckets.matrix`, its five int64 vectors
+    and its weights, counted whole.  Six is the eigh of G: M Y, G, eigh's
+    copy of G, the two of syevd's workspace and the eigenvectors.  The
+    eigh of W holds W and the same four, and M is built after it, beside
+    Y alone.  The temporaries of the pairwise counts of W and of the sort
+    of the entries fit in those of the buckets' own setup, which are gone
+    by then."""
+    return 48 * bins * bins + 48 * pairs
+
+
+def _bin_space(ops):
+    """lambda_max of the S = U M U^T of `_Buckets` ops, in its bins: with
+    W = U^T U = Y Y^T, the nonzero spectrum of S is that of the bins x bins
+    G = Y^T M Y, and a top pair (theta, y) of G lifts to the eigenvector
+    x = U M Y y of S, since S x = U M W M Y y = U M Y G y = theta x, with
+    ||x|| = theta.  Y is W's eigenvectors times the square roots of its
+    eigenvalues, less those at rounding level (below bins eps times the
+    largest, numpy's `matrix_rank` default), where the gates' columns,
+    each summing to the all-ones vector, make W singular.  The value is the
+    Rayleigh quotient of x on the exact S, with one matvec of `_Buckets`,
+    raised to the floors and capped by the upper bound of `bounds()`, as in
+    `top_eigenvalue`, and the residual is its residual on S.  When x
+    vanishes, G and so S are 0 up to rounding, and x is the coordinate
+    vector of S's largest diagonal entry."""
+    n = ops.shape[0]
+    diag, total, ceiling = ops.bounds()
+    lam, V = np.linalg.eigh(ops.counts())
+    rank = np.searchsorted(lam, len(lam) * np.finfo(np.float64).eps * lam[-1], "right")
+    Y = V[:, rank:] * np.sqrt(lam[rank:])
+    del V  # M is built beside Y alone (_bins_route_bytes)
+    MY = ops.matrix() @ Y
+    G = Y.T @ MY
+    del Y
+    theta, Z = np.linalg.eigh(G)
+    x = ops._sum_over_gates(MY @ Z[:, -1])
+    if not np.linalg.norm(x):
+        x = np.zeros(n)
+        x[np.argmax(diag)] = 1.0
+    value, res = _rayleigh(ops, x, max(float(diag.max()), total / n), ceiling)
+    return NormEstimate(value, res, 1, "eigh", bins=ops.bins)
+
+
+def _first_fit(order, need):
+    """The first route of `order` whose `need` fits under _ROUTE_BYTES, or,
+    when none does, the one with the smallest need, which then refuses."""
+    return next((r for r in order if need[r] <= _ROUTE_BYTES), min(order, key=need.get))
+
+
 def _basis_rows(what, fixed, dim):
     """The deepest Lanczos basis, at most min(dim, _MAX_ITER) rows, whose
     `_lanczos_bytes` on an operator of dimension dim fit beside a route's
@@ -1060,30 +1162,53 @@ def _solve(fam, tol, route="auto"):
     (`_fold`), whose nonzero spectrum is the pair side's up to the
     quadrature of I_T, on the J nodes of `_quadrature_nodes`, which move
     Delta by at most _QUADRATURE_TOL relative; "buckets" the S of a
-    discrete family through `_Buckets`.  "auto" takes the buckets for a
-    discrete family (T None); with a window, it tries the family side
-    first when 2 F J < n, counting the members F as S at the index 1/1,
-    where every member is 1, and the pair side first otherwise, and takes
-    the first of the two whose estimate with a one-vector basis fits
-    under _ROUTE_BYTES, or, when neither fits, the one with the smaller
-    estimate, which then refuses.  Every route takes the deepest Lanczos
+    discrete family through `_Buckets`; "bins", for a discrete family too,
+    the dense eigh of G in the bins of those buckets (`_bin_space`), one
+    matvec of S.  "auto", for a discrete family (T None), tries the bins
+    first when bins^2 <= n gates, where a dense bins x bins product costs
+    no more than a bucket matvec, and the buckets first otherwise; with a
+    window, it tries the family side first when 2 F J < n, counting the
+    members F as S at the index 1/1, where every member is 1, and the
+    pair side first otherwise.  Either way it takes the first of the two
+    whose estimate, with a one-vector basis on a Lanczos route, fits under
+    _ROUTE_BYTES, or, when neither fits, the one with the smaller
+    estimate, which then refuses.  Every Lanczos route takes the deepest
     basis that fits beside its size estimate (`_basis_rows`), and raises
-    ValueError when not even one vector fits, or, on the family route,
-    when its setup stage, which runs before the basis exists, does not
-    fit, even where the other route would.  ValueError also on the family
-    route on a discrete family, and on the pair and family routes on an
-    index not closed under a/b -> b/a, before their matrices are built.
-    The NormEstimate records the route that ran, the index count n and, on
-    the family route, J."""
+    ValueError when not even one vector fits; the discrete routes refuse
+    before the buckets are built when they alone, or on the bucket route
+    with a one-vector basis, do not fit, and the bins route when its
+    `_bins_route_bytes` beside them do not; the family route refuses when
+    its setup stage, which runs before the basis exists, does not fit,
+    even where the other route would.  ValueError also on the family route
+    on a discrete family, on the bins and bucket routes on a window, and
+    on the pair and family routes on an index not closed under
+    a/b -> b/a, before their matrices are built.  The NormEstimate records
+    the route that ran, the index count n, on the family route J and on
+    the bins route the bin count."""
     n = len(fam.a)
-    if route == "auto" and fam.T is None:
-        route = "buckets"
-    if route == "buckets":
+    if route in ("bins", "buckets") or (route == "auto" and fam.T is None):
+        if fam.T is not None:
+            raise ValueError(f"the {route} route serves the discrete families only")
         gates, labels, entries = _bucket_sizes(n, fam.terms)
-        steps = _basis_rows(f"buckets route on {n} indices x {gates} gates",
-                            _bucket_route_bytes(n, labels, entries), n)
-        estimate = top_eigenvalue(_Buckets(fam), tol=tol, max_iter=steps)
-        return replace(estimate, route=route, size=n)
+        fixed = _bucket_route_bytes(n, labels, entries)
+        what = f"buckets route on {n} indices x {gates} gates"
+        if route == "buckets":  # refused before the buckets are built
+            steps = _basis_rows(what, fixed, n)
+        else:  # the buckets, which both routes read, before they are built
+            _check_bytes(what, fixed, _ROUTE_BYTES)
+        ops = _Buckets(fam)
+        if route != "buckets":
+            need = {"bins": fixed + _bins_route_bytes(ops.bins, ops.pairs()),
+                    "buckets": fixed + _lanczos_bytes(n, 1)}
+            if route == "auto":
+                route = _first_fit(("bins", "buckets") if ops.bins**2 <= n * gates
+                                   else ("buckets", "bins"), need)
+            if route == "bins":
+                _check_bytes(f"bins route on {n} indices x {ops.bins} bins", need["bins"],
+                             _ROUTE_BYTES)
+                return replace(_bin_space(ops), route=route, size=n)
+            steps = _basis_rows(what, fixed, n)
+        return replace(top_eigenvalue(ops, tol=tol, max_iter=steps), route=route, size=n)
     if route != "pairs":
         if fam.T is None:
             raise ValueError("the family route serves the windowed families only")
@@ -1096,7 +1221,7 @@ def _solve(fam, tol, route="auto"):
             # each route's least bytes: its stages beside a one-vector basis
             need = {"pairs": _pair_route_bytes(n) + _lanczos_bytes((n + 1) // 2, 1),
                     "family": max(setup, fixed + _lanczos_bytes(F * nodes, 1))}
-            route = next((r for r in order if need[r] <= _ROUTE_BYTES), min(order, key=need.get))
+            route = _first_fit(order, need)
     if route == "pairs":
         fixed = _pair_route_bytes(n)
         # the even block is the larger, and never empty: it has (n + 1) // 2 rows

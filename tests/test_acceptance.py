@@ -43,7 +43,7 @@ from sievelab.norms import (
     monotonicity_check_Q,
 )
 from sievelab.norms import _n_aspect_conditions, _q_aspect_conditions
-from sievelab.rationals import enumerate_pairs, rationals_up_to
+from sievelab.rationals import enumerate_pairs
 from sievelab.sieve_apps import (
     SievePlan,
     bdh_lhs,

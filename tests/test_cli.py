@@ -88,17 +88,17 @@ def test_norm_matches_library(capsys):
 
 def test_norm_record_names_the_family_route(capsys):
     # 2702 pairs at N = 1000, 2 F J = 924 < n: the windowed family side
-    # runs; the 2809 rationals at N = 600 take the buckets, as every
-    # discrete family does.  Each record gives the index count, and the
-    # family route its quadrature nodes
+    # runs; the 2809 rationals at N = 600 fall in 57 bins, 57^2 <= 2809 x 12
+    # gates, so they take the bins.  Each record gives the index count, the
+    # family route its quadrature nodes and the bins route its bin count
     assert run(["norm", "-Q", "12", "-T", "4", "-N", "1000"]) == 0
     extra = json.loads(_rows(capsys.readouterr().out)[0]["extra_params"])
     assert (extra["method"], extra["route"], extra["size"]) == ("lanczos", "family", 2702)
-    assert extra["nodes"] == 22
+    assert (extra["nodes"], extra["bins"]) == (22, None)
     assert run(["norm", "--family", "rational", "-Q", "12", "-N", "600"]) == 0
     extra = json.loads(_rows(capsys.readouterr().out)[0]["extra_params"])
-    assert (extra["method"], extra["route"], extra["size"]) == ("lanczos", "buckets", 2809)
-    assert extra["nodes"] is None
+    assert (extra["method"], extra["route"], extra["size"]) == ("eigh", "bins", 2809)
+    assert (extra["nodes"], extra["bins"], extra["iterations"]) == (None, 57, 1)
 
 
 def test_norm_rational_family_exact_count(capsys):
@@ -234,7 +234,9 @@ def test_scan_records_the_route_and_the_ratio_to_the_index(capsys):
     for rec, N in zip(records, (40, 80)):
         extra = json.loads(rec["extra_params"])
         value, n = float(rec["value"]), len(rationals_up_to(N))
-        assert (extra["route"], extra["size"], extra["nodes"]) == ("buckets", n, None)
+        # 17 bins, 17^2 <= n x 6 gates: the bins route
+        assert (extra["route"], extra["size"], extra["nodes"], extra["bins"]) == (
+            "bins", n, None, 17)
         assert extra["ratio_index"] == value / (36.0 + n)
         assert extra["ratio_trivial"] == value / (36.0 + N)
 

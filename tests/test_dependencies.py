@@ -1,8 +1,9 @@
 """The package imports nothing beyond the standard library and numpy:
 numpy is its only runtime dependency, so scipy or hypothesis, which may
 be installed for development, must not creep into src/, and neither must
-numpy.random.  And each module uses every name it imports at module
-level, and src/ uses every private name a module defines at module level."""
+numpy.random.  And each module, and each test module, uses every name it
+imports at module level, and src/ uses every private name a module
+defines at module level."""
 
 import ast
 import os
@@ -11,7 +12,8 @@ import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sievelab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "sievelab"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "sievelab"}
 
 
@@ -36,8 +38,8 @@ def test_package_imports_only_stdlib_and_numpy():
 
 def test_every_module_level_import_is_used():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":  # re-exports the public names
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        if path == SRC / "__init__.py":  # re-exports the public names
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -108,11 +110,12 @@ def _imported_after_every_route(module):
     route and the sieve command have run."""
     script = textwrap.dedent(f"""
         import contextlib, io, sys
-        from sievelab import cli, delta, delta_rational
+        from sievelab import cli, delta, delta_rational, norms
         routes = [delta(6.0, 1, 1.0, 100.0, route="pairs").route,
                   delta(4.0, 1, 1.0, 900.0, route="family").route,
-                  delta_rational(6, 60).route]
-        assert routes == ["pairs", "family", "buckets"], routes
+                  delta_rational(6, 60).route,
+                  norms._solve(norms._rational(6, 60), 1e-9, "buckets").route]
+        assert routes == ["pairs", "family", "bins", "buckets"], routes
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(["sieve", "-N", "60", "-Q", "6", "--trials", "2"]) in (0, 1)
         print({module!r} in sys.modules)

@@ -264,15 +264,20 @@ def test_discrete_norms_agree_across_routes(family, Q, N):
     # rule is called with each route in turn.  The family route serves the
     # windowed families only, so the member side is the dense oracle
     build, _ = _DISCRETE[family]
-    pairs, buckets = (norms._solve(build(Q, N), 1e-9, route) for route in ("pairs", "buckets"))
-    assert (pairs.route, buckets.route) == ("pairs", "buckets")
+    routes = ("pairs", "buckets", "bins")
+    pairs, buckets, bins = (norms._solve(build(Q, N), 1e-9, route) for route in routes)
+    assert (pairs.route, buckets.route, bins.route) == routes
     members = _member_side(family, Q, N)
     assert abs(pairs.value - members) <= 1e-9 * members, (pairs, members)
-    # the buckets sum S x in another order than the dense S: these four
-    # moved by at most 4.4e-16 relative
+    # the buckets sum S x in another order than the dense S, and the bins
+    # take the Rayleigh quotient of a lifted eigenvector of G: these four
+    # moved by at most 4.4e-16 and 8.5e-16 relative
     assert abs(buckets.value - pairs.value) <= 1e-12 * pairs.value, (pairs, buckets)
+    assert abs(bins.value - pairs.value) <= 1e-12 * pairs.value, (pairs, bins)
     norm = delta_add if family == "additive" else delta_rational
-    assert norm(Q, N) == buckets  # "auto" takes the buckets
+    # "auto" takes the bins where bins^2 <= n gates, and the buckets at
+    # (40, 300): 382 bins against 702 indices and 20 gates
+    assert norm(Q, N) == (buckets if (family, Q) == ("additive", 40) else bins)
 
 
 def test_every_gram_is_hermitian_exactly():
@@ -698,10 +703,11 @@ def test_trivial_family_norms_are_exact_counts():
         assert n <= val <= n * (1 + 1e-12)
 
 
-def test_rational_and_additive_norms_take_the_bucket_route_at_any_size(monkeypatch):
-    cases = {"gram_rational": (delta_rational, 12, 600), "gram_additive": (delta_add, 12, 1200)}
+def test_rational_and_additive_norms_take_a_discrete_route_at_any_size(monkeypatch):
+    cases = {"gram_rational": (norms._rational, delta_rational, 12, 600),
+             "gram_additive": (norms._additive, delta_add, 12, 1200)}
     want = {}
-    for name, (_, Q, N) in cases.items():
+    for name, (_, _, Q, N) in cases.items():
         g = getattr(norms, name)(Q, N)
         want[name] = (g.dim, top_eigenvalue(g).value)
 
@@ -709,14 +715,16 @@ def test_rational_and_additive_norms_take_the_bucket_route_at_any_size(monkeypat
         raise AssertionError("the pair-side Gram was built for a discrete family")
 
     # with the pair-side matrix raising, the norms can only come from a
-    # route that forms no S: the buckets, which the route rule gives every
-    # family without a window (T None), whatever its size
+    # route that forms no S: the bins or the buckets, which the route rule
+    # gives every family without a window (T None), whatever its size;
+    # at these sizes bins^2 <= n gates, so "auto" takes the bins
     monkeypatch.setattr(norms, "_pair_gram", pair_side)
-    for name, (norm, Q, N) in cases.items():
-        got = norm(Q, N)
+    for name, (build, norm, Q, N) in cases.items():
         dim, value = want[name]
-        assert (got.route, got.size) == ("buckets", dim), (name, got)
-        assert abs(got.value - value) <= 1e-12 * value, (name, got.value, value)
+        for got, route in [(norm(Q, N), "bins"), (norms._solve(build(Q, N), 1e-9, "buckets"),
+                                                  "buckets")]:
+            assert (got.route, got.size) == (route, dim), (name, got)
+            assert abs(got.value - value) <= 1e-12 * value, (name, got.value, value)
 
 
 def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypatch):
@@ -1012,6 +1020,115 @@ def test_auto_route_falls_back_to_the_route_that_fits(monkeypatch):
         delta(12.0, 3, 4.0, 400.0)
 
 
+def _bins_rule(fam):
+    """(bins, n, gates) of a discrete family's buckets, which "auto" sends
+    to the bins route when bins^2 <= n gates."""
+    n = len(fam.a)
+    return norms._Buckets(fam).bins, n, norms._bucket_sizes(n, fam.terms)[0]
+
+
+@pytest.mark.parametrize("build,Q,N,route", [
+    (norms._rational, 12, 200, "bins"),  # 57^2 = 3249 <= 801 x 12
+    (norms._additive, 12, 300, "bins"),  # 40^2 = 1600 <= 702 x 6
+    (norms._rational, 60, 3600, "buckets"),  # 1161^2 > 20763 x 60
+    (norms._additive, 40, 300, "buckets"),  # 382^2 > 702 x 20
+    (norms._additive, 20, 60, "buckets"),  # few indices: 61^2 > 70 x 10
+])
+def test_auto_route_takes_the_bins_by_the_rule(build, Q, N, route):
+    # "auto" takes the bins where one dense bins x bins product costs no
+    # more than one bucket matvec, bins^2 <= n gates, and the buckets
+    # otherwise; with both in the memory cap, the side of the rule alone
+    # decides, and the other route gives the same value
+    fam = build(Q, N)
+    bins, n, gates = _bins_rule(fam)
+    assert (bins * bins <= n * gates) == (route == "bins")
+    got = norms._solve(fam, 1e-9)
+    assert got == norms._solve(fam, 1e-9, route)
+    assert (got.route, got.bins) == (route, bins if route == "bins" else None)
+    other = norms._solve(fam, 1e-9, "buckets" if route == "bins" else "bins")
+    assert abs(other.value - got.value) <= 1e-12 * got.value, (got, other)
+
+
+def test_bins_route_on_a_pair_side_of_zero():
+    # delta_add(2, 2) has the one modulus 2 and the index 1/2, 2/1, both
+    # off its gate: S = 0 and G = 0, so the lift x = U M Y y vanishes and
+    # the route takes the coordinate vector of the largest diagonal entry
+    got = delta_add(2, 2)
+    assert (got.route, got.size, got.bins) == ("bins", 2, 1)
+    assert (got.value, got.residual) == (0.0, 0.0)
+    assert norms._solve(norms._additive(2, 2), 1e-9, "buckets").value == 0.0
+
+
+def _discrete_needs(fam):
+    """The shared bytes of the buckets, and the bins and bucket routes'
+    least bytes beside them, the bucket route's with a one-vector basis."""
+    n = len(fam.a)
+    _, labels, entries = norms._bucket_sizes(n, fam.terms)
+    fixed = norms._bucket_route_bytes(n, labels, entries)
+    ops = norms._Buckets(fam)
+    return (fixed, fixed + norms._bins_route_bytes(ops.bins, ops.pairs()),
+            fixed + norms._lanczos_bytes(n, 1))
+
+
+def test_auto_route_falls_back_from_the_bins_to_the_buckets(monkeypatch):
+    # delta_rational(12, 200) tries the bins first.  Under a cap one byte
+    # short of their estimate, above the buckets' with a one-vector basis,
+    # "auto" runs the buckets, where a caller's "bins" refuses with its
+    # estimate; the room left holds 16 basis rows, short of the 28 steps
+    # the solve takes at the full cap, so its lower bound is a little
+    # lower.  Under both, "auto" refuses with the smaller, the buckets'
+    fam = norms._rational(12, 200)
+    n, bins = len(fam.a), norms._Buckets(fam).bins
+    fixed, need_bins, need_buckets = _discrete_needs(fam)
+    want = delta_rational(12, 200)
+    assert want.route == "bins" and need_buckets < need_bins
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", need_bins - 1)
+    got = delta_rational(12, 200)
+    assert got == norms._solve(fam, 1e-9, "buckets")
+    assert (got.route, got.size, got.bins) == ("buckets", n, None)
+    assert want.value * (1 - 1e-6) <= got.value <= want.value * (1 + 1e-12)
+    with pytest.raises(ValueError, match=f"bins route on {n} indices x {bins} bins needs an "
+                                         f"estimated {need_bins / 2**20:.1f} MiB"):
+        norms._solve(fam, 1e-9, "bins")
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", need_buckets - 1)
+    with pytest.raises(ValueError, match=f"buckets route on {n} indices x 12 gates needs an "
+                                         f"estimated {need_buckets / 2**20:.1f} MiB"):
+        delta_rational(12, 200)
+
+
+def test_auto_route_refuses_with_the_smaller_discrete_estimate(monkeypatch):
+    # at N = 2000 the bins need less than one bucket vector: under both
+    # estimates "auto" refuses with the bins'.  Under the buckets alone,
+    # which both routes read, it refuses before they are built
+    fam = norms._rational(12, 2000)
+    n, bins = len(fam.a), norms._Buckets(fam).bins
+    fixed, need_bins, need_buckets = _discrete_needs(fam)
+    assert need_bins < need_buckets
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", need_bins)
+    assert delta_rational(12, 2000).route == "bins"
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", need_bins - 1)
+    with pytest.raises(ValueError, match=f"bins route on {n} indices x {bins} bins needs an "
+                                         f"estimated {need_bins / 2**20:.1f} MiB"):
+        delta_rational(12, 2000)
+
+    def operator(*args):
+        raise AssertionError("the buckets were built past the cap")
+
+    monkeypatch.setattr(norms, "_Buckets", operator)
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed - 1)
+    for route in ("auto", "bins"):
+        with pytest.raises(ValueError, match=f"buckets route on {n} indices x 12 gates needs "
+                                             f"an estimated {fixed / 2**20:.1f} MiB"):
+            norms._solve(fam, 1e-9, route)
+
+
+def test_bins_and_bucket_routes_refuse_a_window():
+    fam = norms._multiplicative(FamilySpec(6.0, 1, 2.0), *_coprime_pairs(60, "dyadic"))
+    for route in ("bins", "buckets"):
+        with pytest.raises(ValueError, match=f"the {route} route serves the discrete families"):
+            norms._solve(fam, 1e-9, route)
+
+
 def test_family_route_takes_the_bounded_node_count_at_the_bench_sizes():
     # the three bench family_route calls run on 22 nodes (the former guess
     # took 53), and delta(12, 3, 4, 400) stays on the pair side
@@ -1157,16 +1274,17 @@ def test_family_route_builds_no_point_objects(monkeypatch):
     assert delta(10.0, 3, 4.0, 1000.0, parity="odd").route == "family"
     assert delta(4.0, 1, 1.0, 40.0, route="pairs").route == "pairs"
     assert norms._solve(norms._additive(12, 300), 1e-9, "pairs").route == "pairs"
-    assert delta_add(12, 300).route == "buckets"
-    assert delta_rational(12, 200).route == "buckets"
-    assert delta_rational(12, 600).route == "buckets"
+    assert delta_add(12, 300).route == "bins"
+    assert delta_rational(12, 200).route == "bins"
+    assert delta_rational(12, 600).route == "bins"
+    assert norms._solve(norms._rational(12, 600), 1e-9, "buckets").route == "buckets"
     assert built == []
 
 
 def test_pair_route_builds_the_index_once(monkeypatch):
     # each Delta enumerates its index once; the pair route hands the arrays
     # to one pair-side matrix, the rectangle of the rows a <= b against the
-    # whole index, and the buckets build none.  No solve builds a second
+    # whole index, and the bins build none.  No solve builds a second
     # index, term list or point object
     calls, sides, built = [], [], []
     enumerate_once, pair_gram = norms._coprime_pairs, norms._pair_gram
@@ -1185,8 +1303,8 @@ def test_pair_route_builds_the_index_once(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
     for norm, args, route in [(lambda: delta(4.0, 1, 1.0, 40.0, route="pairs"),
                                (40.0, "dyadic"), "pairs"),
-                              (lambda: delta_add(12, 300), (300, "dyadic"), "buckets"),
-                              (lambda: delta_rational(12, 200), (200,), "buckets")]:
+                              (lambda: delta_add(12, 300), (300, "dyadic"), "bins"),
+                              (lambda: delta_rational(12, 200), (200,), "bins")]:
         calls.clear()
         sides.clear()
         est = norm()
@@ -1199,17 +1317,21 @@ def test_pair_route_builds_the_index_once(monkeypatch):
 
 
 def test_discrete_norms_build_neither_side(monkeypatch):
-    # on the auto route the discrete families solve through the buckets:
-    # no pair-side matrix, no member values and no phases
+    # on the auto route the discrete families solve through their bins,
+    # and on the bucket route through the buckets: no pair-side matrix,
+    # no member values and no phases
     def built(*args):
         raise AssertionError("a pair or family side was built")
 
-    want = [norms._solve(norms._additive(12, 300), 1e-9, "buckets"),
-            norms._solve(norms._rational(12, 200), 1e-9, "buckets")]
+    want = [norms._solve(norms._additive(12, 300), 1e-9, "bins"),
+            norms._solve(norms._rational(12, 200), 1e-9, "bins")]
     for name in ("_pair_gram", "_member_matrix", "_phase_matrix"):
         monkeypatch.setattr(norms, name, built)
     assert [delta_add(12, 300), delta_rational(12, 200)] == want
-    assert [est.route for est in want] == ["buckets", "buckets"]
+    assert [est.route for est in want] == ["bins", "bins"]
+    assert [norms._solve(build(Q, N), 1e-9, "buckets").route
+            for build, Q, N in [(norms._additive, 12, 300), (norms._rational, 12, 200)]] == [
+        "buckets", "buckets"]
 
 
 def test_bucket_route_caps_its_steps_to_fit_and_refuses_past_the_cap(monkeypatch):
@@ -1220,11 +1342,15 @@ def test_bucket_route_caps_its_steps_to_fit_and_refuses_past_the_cap(monkeypatch
     n = len(fam.a)
     gates, labels, entries = norms._bucket_sizes(n, fam.terms)
     assert gates == 12
-    full = delta_rational(12, 200)
+
+    def buckets():
+        return norms._solve(fam, 1e-9, "buckets")
+
+    full = buckets()
     assert full.iterations > 6
     fixed = norms._bucket_route_bytes(n, labels, entries)
     monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + norms._lanczos_bytes(n, 5))
-    capped = delta_rational(12, 200)
+    capped = buckets()
     assert (capped.route, capped.iterations) == ("buckets", 6)
     assert capped.residual > 1e-9 and capped.value <= full.value * (1 + 1e-12)
 
@@ -1235,7 +1361,7 @@ def test_bucket_route_caps_its_steps_to_fit_and_refuses_past_the_cap(monkeypatch
     monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + norms._lanczos_bytes(n, 1) - 1)
     with pytest.raises(ValueError, match=f"buckets route on {n} indices x 12 gates needs an "
                                          "estimated [\\d.]+ MiB, over the "):
-        delta_rational(12, 200)
+        buckets()
 
 
 @pytest.mark.parametrize("family", [
@@ -1453,9 +1579,10 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch, traced_peak):
     monkeypatch.setattr(norms, "_basis_rows", record)
     for norm in [lambda: delta(12.0, 3, 4.0, 400.0),  # a window, pairs
                  lambda: delta(12.0, 3, 4.0, 400.0, parity="odd", route="pairs"),
-                 lambda: delta_rational(12, 200),  # discrete, buckets
-                 lambda: delta_add(40, 300),
-                 lambda: delta_rational(30, 2000),  # the basis doubles past 64 rows
+                 lambda: norms._solve(norms._rational(12, 200), 1e-9, "buckets"),  # discrete
+                 lambda: delta_add(40, 300),  # auto takes the buckets: 382^2 > 702 x 20
+                 # the basis doubles past 64 rows
+                 lambda: norms._solve(norms._rational(30, 2000), 1e-9, "buckets"),
                  lambda: delta(12.0, 1, 4.0, 1000.0)]:  # the family side
         norm()  # fills the caches of characters and divisors first
         searches.clear()
@@ -1497,6 +1624,28 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch, traced_peak):
             tight = max(setup, fixed + norms._lanczos_bytes(dim, used))
             assert tight <= 1.1 * peak, (what, peak, tight)
     assert est.route == "family"
+
+
+@pytest.mark.parametrize("build,Q,N", [(norms._rational, 12, 200), (norms._additive, 12, 300),
+                                       (norms._rational, 40, 1600), (norms._rational, 30, 20000),
+                                       (norms._additive, 40, 300)])
+def test_bins_route_estimate_covers_the_traced_peak(build, Q, N, traced_peak):
+    # the bins route's estimate beside the buckets covers the traced peak of
+    # the route; tracemalloc sees numpy's arrays, W, M, Y, G and the
+    # eigenvectors, but not LAPACK's workspace, which the estimate counts
+    # too.  W and the eigenvectors of its eigh are live together, so the
+    # peak is at least two bins x bins arrays
+    fam = build(Q, N)
+    n = len(fam.a)
+    _, labels, entries = norms._bucket_sizes(n, fam.terms)
+    ops = norms._Buckets(fam)
+    need = norms._bucket_route_bytes(n, labels, entries) + norms._bins_route_bytes(
+        ops.bins, ops.pairs())
+    norms._solve(fam, 1e-9, "bins")  # fills the caches of divisors and totients first
+    results = []
+    peak = traced_peak(lambda: results.append(norms._solve(fam, 1e-9, "bins")))
+    assert (results[0].route, results[0].bins) == ("bins", ops.bins)
+    assert 16 * ops.bins**2 <= peak <= need, (peak, need)
 
 
 class _Diagonal:
