@@ -656,7 +656,11 @@ class _Buckets:
     for each occupied residue r of the term's gate (`entries`), fold B to
     B_d over r mod d and add c B_d[s r mod d] into C[r]; and then
     (S x)_n = sum over the gates of C[label_n], with C 0 at the dump bin.
-    That is O(n) a gate and O(entries), against O(n^2) for S.
+    That is O(n) a gate and O(entries), against O(n^2) for S.  So
+    S = U M U^T for the n x bins indicator U of the labels and the M of
+    `matrix()`, and `counts()` gives W = U^T U: the bins route
+    (`_bin_space`) reads both.  `_solve` builds it for a discrete family
+    alone.
 
     `bounds()` gives the exact diagonal sum c [r = s r mod d], the all-ones
     form sum_r count[r] C1[r] for the bucket counts and their C1, both
@@ -667,8 +671,6 @@ class _Buckets:
     dtype = np.dtype(np.float64)
 
     def __init__(self, fam):
-        if fam.T is not None:
-            raise ValueError("the bucket route serves the discrete families only")
         n = len(fam.a)
         self.shape = (n, n)
         gates = {}
@@ -1116,7 +1118,7 @@ def _bin_space(ops):
     MY = ops.matrix() @ Y
     G = Y.T @ MY
     del Y
-    theta, Z = np.linalg.eigh(G)
+    _, Z = np.linalg.eigh(G)
     x = ops._sum_over_gates(MY @ Z[:, -1])
     if not np.linalg.norm(x):
         x = np.zeros(n)

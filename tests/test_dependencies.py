@@ -134,3 +134,9 @@ def test_every_route_and_the_sieve_command_leave_numpy_polynomial_unimported():
     # numpy.polynomial loads lazily, about 3.5 ms in a fresh process; the
     # family route's Gauss-Legendre nodes come from eigh instead
     assert _imported_after_every_route("numpy.polynomial") == ["False"]
+
+
+def test_every_route_and_the_sieve_command_leave_concurrent_futures_unimported():
+    # concurrent.futures pulls in logging, about 4.7 ms of a fresh process;
+    # only a norm or scan grid on more than one thread needs it
+    assert _imported_after_every_route("concurrent.futures") == ["False"]
