@@ -33,6 +33,14 @@ from .characters import (
     trivial_char,
     value_table,
 )
+from .experiments import (
+    FitResult,
+    MonotonicityResult,
+    duality_check,
+    exponent_fit,
+    monotonicity_check_N,
+    monotonicity_check_Q,
+)
 from .kernels import (
     ChiFactorization,
     CosetSystem,
@@ -53,24 +61,18 @@ from .kernels import (
 )
 from .norms import (
     FamilySpec,
-    FitResult,
     GramMatrix,
-    MonotonicityResult,
     NormEstimate,
     additive_matrix,
     delta,
     delta_add,
     delta_rational,
-    duality_check,
-    exponent_fit,
     family_members,
     gram_additive,
     gram_bruteforce,
     gram_multiplicative,
     gram_rational,
     gram_rational_bruteforce,
-    monotonicity_check_N,
-    monotonicity_check_Q,
     t_integral,
     top_eigenvalue,
 )

@@ -326,7 +326,8 @@ def _suite_gram(seed, tol):
 
 
 def _suite_duality(seed, tol):
-    from .norms import additive_matrix, duality_check
+    from .experiments import duality_check
+    from .norms import additive_matrix
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(4):
@@ -436,7 +437,7 @@ def cmd_norm(cfg):
 
 
 def cmd_scan(cfg):
-    from .norms import exponent_fit
+    from .experiments import exponent_fit
 
     grid, results = _run_grid(cfg)
     records = []

@@ -48,37 +48,38 @@ The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`) on
 one operator contract, `shape`, `dtype`, `@` and `bounds()`: a Rayleigh
 quotient, a lower bound up to rounding, capped by the upper bound.
 
-Four routes solve a family, each in float64.  The three Lanczos routes
-size their basis from the solver's own memory model (`_lanczos_bytes`):
-the deepest basis that fits beside the route's other bytes
-(`_basis_rows`).  A discrete family is held in buckets (`_Buckets`): one
-label a row for each gate, so S = U M U^T for the indicator U of the
-labels and the bins x bins term map M.  It takes the bins route, a dense
-eigh of G = W^{1/2} M W^{1/2}, W = U^T U, whose nonzero spectrum is S's
-(`_bin_space`), when bins^2 <= n gates, where a dense product in bins
-costs no more than one bucket matvec, and otherwise the bucket route,
-Lanczos on S applied through the labels, O(n) a gate and matvec.  With
-a window, a family of F members on J nodes with 2 F J < n indices takes
-the family side, and otherwise the pair side S o K, with K[n, m] =
-(T/2) sinc((L_n - L_m) T/4) the real factor of I_T; its phase factors out
-as D = diag(e^{3iTL/4}), and only `gram_multiplicative` forms the
-Hermitian D (S o K) D^H.  On the family side Delta = ||A||^2 for the
-row-wise Khatri-Rao product A = V o P of the member values V and the
-phases P of Gauss-Legendre quadrature of I_T; A A^H = (V V^H) o (P P^H)
-is the pair side up to the quadrature, on the fewest nodes J whose
-Bernstein-ellipse bound (Trefethen, SIAM Review 50, 2008), joined to the
-Schur-product bound for the PSD S (Horn and Johnson, Topics in Matrix
-Analysis, 5.5), moves Delta by at most 1e-12 relative
-(`_quadrature_nodes`).  The index is closed under sigma: a/b -> b/a, so both
-windowed routes hold the rows a <= b alone: sigma leaves S o K invariant,
-so its spectrum is that of an even and an odd block (`_pair_blocks`): the
-pair route solves one and proves the other's top eigenvalue no larger,
-by its Gershgorin cap or a Cholesky with Rump's margin (`_below`), or
-solves it too, and
-it conjugates the characters and the phases, so H = A^H A is real, and
-`_KhatriRao` applies it there.  The routes and the oracles (the
-discrete families' member values, with P = 1) read one definition of a
-family (`_Family`) and check one another in the tests.
+Four routes solve a family, each in float64.  A discrete family is held
+in buckets (`_Buckets`): one label a row for each gate, so S = U M U^T
+for the indicator U of the labels and the bins x bins term map M.  It
+takes the bins route, a dense eigh of G = W^{1/2} M W^{1/2}, W = U^T U,
+whose nonzero spectrum is S's (`_bin_space`), when bins^3 <= 2000 n gates,
+and otherwise the bucket route, Lanczos on S applied through the labels,
+O(n) a gate and matvec.  With a window, a family of F members on J nodes
+with 2 F J < n indices takes the family side, and otherwise the pair side
+S o K, with K[n, m] = (T/2) sinc((L_n - L_m) T/4) the real factor of I_T;
+its phase factors out as D = diag(e^{3iTL/4}), and only
+`gram_multiplicative` forms the Hermitian D (S o K) D^H.  On the family
+side Delta = ||A||^2 for the row-wise Khatri-Rao product A = V o P of the
+member values V and the phases P of Gauss-Legendre quadrature of I_T;
+A A^H = (V V^H) o (P P^H) is the pair side up to the quadrature, on the
+fewest nodes J whose Bernstein-ellipse bound (Trefethen, SIAM Review 50,
+2008), joined to the Schur-product bound for the PSD S (Horn and Johnson,
+Topics in Matrix Analysis, 5.5), moves Delta by at most 1e-12 / 2
+relative (`_quadrature_nodes`), and P is then cut to its numerical rank r,
+which moves it by at most the other half (`_rank_cut`, `_solve`).  A small
+family side, F r (m + F r) <= 600 m on m rows, is solved by one dense
+eigh of H (`_KhatriRao.matrix`, `_dense_top`), as the bins are; every
+other route runs Lanczos, with the deepest basis that fits beside the
+route's other bytes (`_lanczos_bytes`, `_basis_rows`).  The index is
+closed under sigma: a/b -> b/a, so both windowed routes hold the rows
+a <= b alone: sigma leaves S o K invariant, so its spectrum is that of an
+even and an odd block (`_pair_blocks`): the pair route solves one and
+proves the other's top eigenvalue no larger, by its Gershgorin cap or a
+Cholesky with Rump's margin (`_below`), or solves it too, and the family
+route conjugates the characters and the phases, so H = A^H A is real, and
+`_KhatriRao` applies it there.  The routes and the oracles (the discrete
+families' member values, with P = 1) read one definition of a family
+(`_Family`) and check one another in the tests.
 """
 
 from bisect import bisect_right
@@ -88,7 +89,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .arith import divisors, mobius, primes_in, totient
+from .arith import divisors, mobius, totient
 from .characters import char_group, primitive_chars, value_table
 from .rationals import (_POINT_BYTES, _ROUTE_BYTES, CoprimePair, RationalPoint, _check_bytes,
                         _coprime_pairs, _points, _reduce)
@@ -101,9 +102,12 @@ _PRODUCT_BLOCK = 1 << 22
 _DENSE_PHI = 16
 _MAX_ITER = 20000
 _TERM_BYTES = 136  # a term (g, d, c, s): its tuple, its ints and its list slot
-_QUADRATURE_TOL = 1e-12  # the most the family route's quadrature may move Delta, relative
+_QUADRATURE_TOL = 1e-12  # the most the family route's nodes and rank cut move Delta, relative
 _RHO = 1 + np.geomspace(1e-4, 1e4, 96)  # the Bernstein ellipses E_rho of the node bound
 _ROUTES = ("auto", "pairs", "family")
+# a Lanczos solve's time in flops of the dense solve: 600 m F r on `_KhatriRao` and
+# 2000 n gates on `_Buckets`, measured crossovers of some 80 matvecs (`_solve`)
+_DENSE_WORK = {"family": 600, "bins": 2000}
 
 
 # ----------------------------------------------------------------------
@@ -529,10 +533,11 @@ def _quadrature_nodes(n, Lmax, T):
     2008, whose rule has n + 1 = J points).  S is PSD, so
     |Delta_J - Delta| <= max S_nn ||E|| <= max S_nn n eps_J (Horn and
     Johnson, Topics in Matrix Analysis, 5.5), and Delta >= (T/2) max S_nn:
-    J is the least with 2 n eps_J / T <= _QUADRATURE_TOL at some rho of
+    J is the least with 2 n eps_J / T <= _QUADRATURE_TOL / 2, the nodes'
+    half of the budget beside the rank cut (`_solve`), at some rho of
     _RHO, clamped at _ROUTE_BYTES, where the family estimate passes the cap
     whatever n is, so an overflowing T Lmax raises nothing."""
-    x = (log(32 * max(n, 1) / (15 * _QUADRATURE_TOL)) + T * Lmax * (_RHO - 1 / _RHO) / 4
+    x = (log(64 * max(n, 1) / (15 * _QUADRATURE_TOL)) + T * Lmax * (_RHO - 1 / _RHO) / 4
          - np.log(_RHO * _RHO - 1)) / (2 * np.log(_RHO))
     return 1 + ceil(min(x.min(), _ROUTE_BYTES))
 
@@ -549,6 +554,18 @@ def _phase_matrix(L, T, nodes):
     return P
 
 
+def _rank_cut(P, w, T):
+    """P Z_r for the eigenvectors Z_r of C = Re(P^H diag(w) P), the J x J
+    Gram of the phases on the whole index, whose eigenvalues pass
+    tau = T tol / (4 + 2 tol), tol = _QUADRATURE_TOL (`_solve`).  C comes
+    from the float view of P, columns (Re, Im) of each node, beside one
+    copy of it."""
+    X = P.view(np.float64) * np.sqrt(w)[:, None]
+    C = X.T @ X
+    lam, Z = np.linalg.eigh(C[::2, ::2] + C[1::2, 1::2])
+    return P @ Z[:, lam > T * _QUADRATURE_TOL / (4 + 2 * _QUADRATURE_TOL)]
+
+
 class _KhatriRao:
     """H = A^H A for A = V (row-wise Khatri-Rao) P, A[n, (f, j)] =
     V[n, f] P[n, j], on the (member, node) space of size F J, from V and P
@@ -557,11 +574,12 @@ class _KhatriRao:
     X = x.reshape(F, J), H x = Re(A_R^H (w o A_R x)) for
     A_R x = ((P X^T) o V) 1 and Re(A_R^H u) = Re((V o conj(u))^T P), summed
     over row blocks of at most _PRODUCT_BLOCK entries of V or P; neither A
-    nor H is formed.  `bounds()` gives the exact diagonal
-    sum_R w |V|^2 |P|^2, the all-ones form sum_R w |A_R 1|^2 and the bound
-    min(||A||_F^2, ||A||_1 ||A||_inf) >= lambda_max(H), with w-weighted
-    column sums; with `shape` and the float64 `dtype`, the contract of
-    `top_eigenvalue`.  Raises ValueError on non-finite V or P."""
+    nor H is formed, but `matrix()` forms H for a dense solve.  `bounds()`
+    gives the exact diagonal sum_R w |V|^2 |P|^2, the all-ones form
+    sum_R w |A_R 1|^2 and the bound min(||A||_F^2, ||A||_1 ||A||_inf) >=
+    lambda_max(H), with w-weighted column sums; with `shape` and the
+    float64 `dtype`, the contract of `top_eigenvalue`.  Raises ValueError
+    on non-finite V or P."""
 
     dtype = np.dtype(np.float64)
 
@@ -581,6 +599,18 @@ class _KhatriRao:
             u = w * np.einsum("nf,nf->n", V, P @ X)
             z += ((V * u.conj()[:, None]).T @ P).real
         return z.reshape(-1)
+
+    def matrix(self):
+        """H, F J x F J, as the sum of B^T B over blocks of _CHECK_ROWS rows,
+        B the real and imaginary parts of sqrt(w) A_R stacked."""
+        H = np.zeros(self.shape)
+        for V, P, w in self.blocks:
+            for s in range(0, len(V), _CHECK_ROWS):
+                A = V[s:s + _CHECK_ROWS, :, None] * P[s:s + _CHECK_ROWS, None, :]
+                A *= np.sqrt(w[s:s + _CHECK_ROWS])[:, None, None]
+                B = np.concatenate([A.real, A.imag]).reshape(-1, self.shape[0])
+                H += B.T @ B
+        return H
 
     def bounds(self):
         diag, norm_1 = np.zeros(self.grid), np.zeros(self.grid)
@@ -1048,16 +1078,18 @@ def _family_route_bytes(n, F, nodes):
     (`_block_rows`); one frees its temporaries before the other starts.
     Both hold a, b and L, 24 bytes an index; on the m = (n + 1) / 2 rows
     a <= b, their numbers and weights, 16 bytes a row, and V and P (m x F
-    and m x nodes, complex); and two ufunc buffers.  Setup, in `bounds`,
-    before the Lanczos basis exists, adds the float moduli of a block, the
-    weighted |V| beside them and six length-b vectors, and three float
-    F x nodes arrays: the diagonal, the column sums and a block's product.
-    The solve, beside the basis, adds a matvec's b x F complex temporary
-    with two complex length-b vectors and its F x nodes complex product."""
+    and m x nodes, complex); and two ufunc buffers.  Setup, before the
+    Lanczos basis or H exists, adds the larger of the rank cut's weighted
+    copy of P (`_rank_cut`, before V is built) and the temporaries of
+    `bounds`: the float moduli of a block, the weighted |V| beside them and
+    six length-b vectors, and three float F x nodes arrays, the diagonal,
+    the column sums and a block's product.  The solve, beside the basis,
+    adds a matvec's b x F complex temporary with two complex length-b
+    vectors and its F x nodes complex product."""
     m = (n + 1) // 2
     b = min(m, _block_rows(F, nodes))
     held = 24 * n + 16 * m * (F + nodes + 1) + 32 * np.getbufsize()
-    return (held + 8 * b * (2 * F + nodes + 6) + 24 * F * nodes,
+    return (held + max(8 * b * (2 * F + nodes + 6) + 24 * F * nodes, 16 * m * nodes),
             held + 16 * b * (F + 2) + 16 * F * nodes)
 
 
@@ -1086,12 +1118,12 @@ def _bins_route_bytes(bins, pairs):
     """Peak bytes of the bins route beside the buckets
     (`_bucket_route_bytes`): six float64 bins x bins arrays, and 48 bytes
     for each of the `pairs` of `_Buckets.matrix`, its five int64 vectors
-    and its weights, counted whole.  Six is the eigh of G: M Y, G, eigh's
-    copy of G, the two of syevd's workspace and the eigenvectors.  The
-    eigh of W holds W and the same four, and M is built after it, beside
-    Y alone.  The temporaries of the pairwise counts of W and of the sort
-    of the entries fit in those of the buckets' own setup, which are gone
-    by then."""
+    and its weights, counted whole.  The eigh of W holds five: W, eigh's
+    copy of it, the two of syevd's workspace and the eigenvectors; the
+    solve of G three: M Y, G and LAPACK's copy of G; M is built beside Y
+    alone.  The temporaries of the pairwise counts of W and of the sort of
+    the entries fit in those of the buckets' own setup, which are gone by
+    then."""
     return 48 * bins * bins + 48 * pairs
 
 
@@ -1103,28 +1135,46 @@ def _bin_space(ops):
     ||x|| = theta.  Y is W's eigenvectors times the square roots of its
     eigenvalues, less those at rounding level (below bins eps times the
     largest, numpy's `matrix_rank` default), where the gates' columns,
-    each summing to the all-ones vector, make W singular.  The value is the
-    Rayleigh quotient of x on the exact S, with one matvec of `_Buckets`,
-    raised to the floors and capped by the upper bound of `bounds()`, as in
-    `top_eigenvalue`, and the residual is its residual on S.  When x
-    vanishes, G and so S are 0 up to rounding, and x is the coordinate
-    vector of S's largest diagonal entry."""
+    each summing to the all-ones vector, make W singular; `_dense_top`
+    solves G."""
+
+    def gram():
+        lam, V = np.linalg.eigh(ops.counts())
+        rank = np.searchsorted(lam, len(lam) * np.finfo(np.float64).eps * lam[-1], "right")
+        Y = V[:, rank:] * np.sqrt(lam[rank:])
+        del V  # M is built beside Y alone (_bins_route_bytes)
+        MY = ops.matrix() @ Y
+        return Y.T @ MY, lambda y: ops._sum_over_gates(MY @ y)
+
+    return NormEstimate(*_dense_top(ops, gram), 1, "eigh", bins=ops.bins)
+
+
+def _dense_top(ops, gram):
+    """The value and residual of lambda_max of the operator ops from a dense
+    real symmetric G with ops's nonzero spectrum: gram(), called after
+    ops's `bounds()`, gives G and the lift of its eigenvectors to ops's.
+    G's top eigenvalue theta comes from eigvalsh, and its eigenvector y
+    from one inverse-iteration solve (G - mu I) y = z, in place of G, at
+    mu just above theta, from the `_start` draws z: eigh's eigenvectors
+    would double the bytes.  The value is the Rayleigh quotient of the
+    lift x on ops, raised to the floors and capped by the upper bound of
+    `bounds()`, as in `top_eigenvalue`, and the residual is its residual on
+    ops.  When x vanishes, G and so ops are 0 up to rounding, and x is the
+    coordinate vector of ops's largest diagonal entry."""
     n = ops.shape[0]
     diag, total, ceiling = ops.bounds()
-    lam, V = np.linalg.eigh(ops.counts())
-    rank = np.searchsorted(lam, len(lam) * np.finfo(np.float64).eps * lam[-1], "right")
-    Y = V[:, rank:] * np.sqrt(lam[rank:])
-    del V  # M is built beside Y alone (_bins_route_bytes)
-    MY = ops.matrix() @ Y
-    G = Y.T @ MY
-    del Y
-    _, Z = np.linalg.eigh(G)
-    x = ops._sum_over_gates(MY @ Z[:, -1])
+    G, lift = gram()
+    theta = np.linalg.eigvalsh(G)[-1]
+    y = _start(len(G), _START_SEED)
+    if theta > 0:  # else G is 0 up to rounding, and any y is a top eigenvector
+        np.einsum("ii->i", G)[:] -= theta * (1 + 4 * len(G) * 2.0**-52)
+        y = np.linalg.solve(G, y)
+    del G
+    x = lift(y)
     if not np.linalg.norm(x):
         x = np.zeros(n)
         x[np.argmax(diag)] = 1.0
-    value, res = _rayleigh(ops, x, max(float(diag.max()), total / n), ceiling)
-    return NormEstimate(value, res, 1, "eigh", bins=ops.bins)
+    return _rayleigh(ops, x, max(float(diag.max()), total / n), ceiling)
 
 
 def _first_fit(order, need):
@@ -1160,15 +1210,30 @@ def _solve(fam, tol, route="auto"):
     it solves the other block too and reports the larger value with that
     block's residual.  `iterations` counts the matvecs of the solves that
     ran; "family", for a window only, the real H = A^H A of `_KhatriRao`,
-    with the member values V and the phases P on the rows a <= b
+    with the member values V and the phases P on the m rows a <= b
     (`_fold`), whose nonzero spectrum is the pair side's up to the
-    quadrature of I_T, on the J nodes of `_quadrature_nodes`, which move
-    Delta by at most _QUADRATURE_TOL relative; "buckets" the S of a
-    discrete family through `_Buckets`; "bins", for a discrete family too,
-    the dense eigh of G in the bins of those buckets (`_bin_space`), one
-    matvec of S.  "auto", for a discrete family (T None), tries the bins
-    first when bins^2 <= n gates, where a dense bins x bins product costs
-    no more than a bucket matvec, and the buckets first otherwise; with a
+    quadrature of I_T on the J nodes of `_quadrature_nodes`, which move
+    Delta by at most tol / 2 relative, tol = _QUADRATURE_TOL, and up to
+    the rank cut of P (`_rank_cut`).  C = Re(P^H diag(w) P) is the Gram
+    of the phases P^ on the whole index, real as P^[b/a] = conj P^[a/b].
+    For its eigenvectors Z_r with eigenvalues above tau = T tol / (4 + 2
+    tol), E = P^ P^H - P^ Z_r Z_r^T P^H is PSD, of norm the largest dropped
+    eigenvalue, at most tau.  S is PSD, so by Schur 0 <= Delta_J - Delta_r
+    <= max S_nn tau <= (2 tau / T) Delta_J, as Delta_J >= (T/2) max S_nn,
+    and (2 tau / T) Delta_J <= (tol / (2 + tol)) (1 + tol / 2) Delta =
+    (tol / 2) Delta: both together move Delta by at most tol.  Z is real,
+    so H on P Z_r, of dimension F r, stays real.  The route solves it by one
+    dense eigh (`_KhatriRao.matrix`, `_dense_top`), reported as one
+    iteration, when F r (m + F r) <= 600 m, that is, when the dense solve's
+    m (F r)^2 + (F r)^3 flops cost no more than a Lanczos solve, about 600
+    m F r flops' time (`_DENSE_WORK`), and when its bytes, H beside a
+    block's product and temporaries, fit under _ROUTE_BYTES; and by
+    Lanczos otherwise; "buckets" the S of a discrete family through
+    `_Buckets`; "bins", for a discrete family too, the dense eigh of G in
+    the bins of those buckets (`_bin_space`), one matvec of S.  "auto", for
+    a discrete family (T None), tries the bins first when bins^3 <= 2000 n
+    gates, where their dense solve costs no more than a Lanczos solve on
+    the buckets, and the buckets first otherwise; with a
     window, it tries the family side first when 2 F J < n, counting the
     members F as S at the index 1/1, where every member is 1, and the
     pair side first otherwise.  Either way it takes the first of the two
@@ -1179,9 +1244,10 @@ def _solve(fam, tol, route="auto"):
     ValueError when not even one vector fits; the discrete routes refuse
     before the buckets are built when they alone, or on the bucket route
     with a one-vector basis, do not fit, and the bins route when its
-    `_bins_route_bytes` beside them do not; the family route refuses when
-    its setup stage, which runs before the basis exists, does not fit,
-    even where the other route would.  ValueError also on the family route
+    `_bins_route_bytes` beside them do not; the family route refuses,
+    before P is built, when its setup stage, which runs before the basis
+    exists, or a one-vector basis on F J dimensions does not fit, even
+    where the other route would.  ValueError also on the family route
     on a discrete family, on the bins and bucket routes on a window, and
     on the pair and family routes on an index not closed under
     a/b -> b/a, before their matrices are built.  The NormEstimate records
@@ -1203,8 +1269,8 @@ def _solve(fam, tol, route="auto"):
             need = {"bins": fixed + _bins_route_bytes(ops.bins, ops.pairs()),
                     "buckets": fixed + _lanczos_bytes(n, 1)}
             if route == "auto":
-                route = _first_fit(("bins", "buckets") if ops.bins**2 <= n * gates
-                                   else ("buckets", "bins"), need)
+                cheap = ops.bins**3 <= _DENSE_WORK["bins"] * n * gates
+                route = _first_fit(("bins", "buckets") if cheap else ("buckets", "bins"), need)
             if route == "bins":
                 _check_bytes(f"bins route on {n} indices x {ops.bins} bins", need["bins"],
                              _ROUTE_BYTES)
@@ -1245,12 +1311,17 @@ def _solve(fam, tol, route="auto"):
         return replace(top, route=route, size=n)
     reps, weight, _ = _fold(fam.a, fam.b)
     what = f"family route on {F} members x {nodes} nodes"
-    _check_bytes(what, setup, _ROUTE_BYTES)
-    steps = _basis_rows(what, fixed, F * nodes)
+    _check_bytes(what, max(setup, fixed + _lanczos_bytes(F * nodes, 1)), _ROUTE_BYTES)
     # P before V: its outer-product temporary then has no V beside it
-    P = _phase_matrix(fam.L[reps], fam.T, nodes)
-    operator = _KhatriRao(_member_matrix(fam.members(), fam.a[reps], fam.b[reps]), P, weight)
-    estimate = top_eigenvalue(operator, tol=tol, max_iter=steps)
+    P = _rank_cut(_phase_matrix(fam.L[reps], fam.T, nodes), weight, fam.T)
+    ops = _KhatriRao(_member_matrix(fam.members(), fam.a[reps], fam.b[reps]), P, weight)
+    m, k = len(reps), ops.shape[0]
+    # beside `fixed`: H with a block's product, A and B, or H's LAPACK copy
+    if (0 < k * (m + k) <= _DENSE_WORK["family"] * m
+            and fixed + 16 * k * k + 32 * _CHECK_ROWS * k <= _ROUTE_BYTES):
+        estimate = NormEstimate(*_dense_top(ops, lambda: (ops.matrix(), lambda y: y)), 1, "eigh")
+    else:
+        estimate = top_eigenvalue(ops, tol=tol, max_iter=_basis_rows(what, fixed, k))
     return replace(estimate, route=route, size=n, nodes=nodes)
 
 
@@ -1275,115 +1346,3 @@ def delta_rational(Q, N, tol=1e-9):
     positive rationals with ht <= N."""
     FamilySpec(Q)
     return _solve(_rational(Q, N), tol)
-
-
-# ----------------------------------------------------------------------
-# monotonicity
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MonotonicityResult:
-    aspect: str
-    Q: float
-    k: int
-    T: float
-    N: float
-    P: int
-    conditions_met: bool
-    conditions: dict
-    base: float
-    values: dict
-    witness: int | None
-
-    @property
-    def ok(self):
-        return self.witness is not None
-
-
-def _n_aspect_conditions(Q, N, P):
-    pstar = len(primes_in(P, 2 * P))
-    c1 = pstar * log(P) >= 2 * log(Q)
-    c2 = 4 * log(N) <= 0.5 * pstar * log(P) if N > 1 else True
-    return {"P*": pstar, "P*logP>=2logQ": c1, "4logN<=P*logP/2": c2}, c1 and c2
-
-
-def _q_aspect_conditions(Q, N, P):
-    pss = sum(p - 2 for p in primes_in(P, 2 * P))
-    logp = log(P)
-    c1 = 2 * P * log(N) <= 0.5 * pss * logp if N > 1 else True
-    c2 = 4 * P * log(Q) <= 0.5 * pss * logp
-    return {"P**": pss, "2PlogN<=P**logP/2": c1, "4PlogQ<=P**logP/2": c2}, c1 and c2
-
-
-def _witness_search(aspect, conditions, Q, k, T, N, P, tol):
-    """The witness search of both aspects.  The aspect's preconditions gate
-    the assertion, not the search; primes dividing k are skipped (the
-    enlarged family needs p in its unit group)."""
-    conds, met = conditions(Q, N, P)
-    base = delta(Q, k, T, N, tol=tol).value
-    values = {}
-    witness = None
-    for p in primes_in(P, 2 * P):
-        if k % p == 0:
-            continue
-        Qp, Np = (Q, N * p) if aspect == "N" else (Q * p, N)
-        values[p] = delta(Qp, k, T, Np, tol=tol).value
-        if base <= 8 * values[p] * (1 + 10 * tol) + 1e-12:
-            witness = p
-            break
-    return MonotonicityResult(aspect, Q, k, T, N, P, met, conds, base, values, witness)
-
-
-def monotonicity_check_N(Q, k, T, N, P, tol=1e-6):
-    """Search [P, 2P] for a prime p with Delta(Q,k,T,N) <= 8 Delta(Q,k,T,Np)."""
-    return _witness_search("N", _n_aspect_conditions, Q, k, T, N, P, tol)
-
-
-def monotonicity_check_Q(Q, k, T, N, P, tol=1e-6):
-    """Same in the Q aspect: p in [P, 2P] with Delta(Q,k,T,N) <= 8 Delta(Qp,k,T,N)."""
-    return _witness_search("Q", _q_aspect_conditions, Q, k, T, N, P, tol)
-
-
-# ----------------------------------------------------------------------
-# duality and fits
-# ----------------------------------------------------------------------
-
-def duality_check(rows, cols, mat, tol=1e-9):
-    """lambda_max of mat^H mat and of mat mat^H — equal operator norms of a
-    matrix and its transpose.  mat has one row per entry of rows and one
-    column per entry of cols."""
-    mat = np.asarray(mat, dtype=np.complex128)
-    if mat.shape != (len(rows), len(cols)):
-        raise ValueError(f"matrix shape {mat.shape} does not match "
-                         f"{len(rows)} rows x {len(cols)} columns")
-    g1 = _hermitize(mat.conj().T @ mat)
-    g2 = _hermitize(mat @ mat.conj().T)
-    v1 = top_eigenvalue(g1, tol=tol).value
-    v2 = top_eigenvalue(g2, tol=tol).value
-    return v1, v2
-
-
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    residual: float
-
-
-def exponent_fit(samples):
-    """Least-squares slope of log(value) against log(parameter), over at
-    least 3 samples with at least 2 distinct parameters, however close."""
-    if len(samples) < 3:
-        raise ValueError("need at least 3 samples")
-    x = np.array([s[0] for s in samples], dtype=float)
-    y = np.array([s[1] for s in samples], dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("samples must be positive")
-    if np.all(x == x[0]):
-        raise ValueError("degenerate sample: fewer than 2 distinct parameters")
-    lx, ly = np.log(x), np.log(y)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    (slope, intercept), res, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    fitted = A @ np.array([slope, intercept])
-    rms = float(np.sqrt(np.mean((fitted - ly) ** 2)))
-    return FitResult(float(slope), float(intercept), rms)

@@ -21,6 +21,14 @@ from sievelab.characters import (
     is_primitive,
     primitive_chars,
 )
+from sievelab.experiments import (
+    _n_aspect_conditions,
+    _q_aspect_conditions,
+    duality_check,
+    exponent_fit,
+    monotonicity_check_N,
+    monotonicity_check_Q,
+)
 from sievelab.kernels import (
     chi_factorize,
     chiseparation_check,
@@ -35,14 +43,9 @@ from sievelab.norms import (
     FamilySpec,
     additive_matrix,
     delta,
-    duality_check,
-    exponent_fit,
     gram_bruteforce,
     gram_multiplicative,
-    monotonicity_check_N,
-    monotonicity_check_Q,
 )
-from sievelab.norms import _n_aspect_conditions, _q_aspect_conditions
 from sievelab.rationals import enumerate_pairs
 from sievelab.sieve_apps import (
     SievePlan,

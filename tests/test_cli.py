@@ -16,7 +16,8 @@ from types import SimpleNamespace
 import pytest
 
 from sievelab.cli import FIELDS, SUITES, run
-from sievelab.norms import delta, exponent_fit
+from sievelab.experiments import exponent_fit
+from sievelab.norms import delta
 from sievelab.rationals import rationals_up_to
 
 REPO = Path(__file__).resolve().parent.parent
@@ -88,13 +89,15 @@ def test_norm_matches_library(capsys):
 
 def test_norm_record_names_the_family_route(capsys):
     # 2702 pairs at N = 1000, 2 F J = 924 < n: the windowed family side
-    # runs; the 2809 rationals at N = 600 fall in 57 bins, 57^2 <= 2809 x 12
-    # gates, so they take the bins.  Each record gives the index count, the
-    # family route its quadrature nodes and the bins route its bin count
+    # runs, by one dense eigh on the F r = 315 dimensions the rank cut
+    # leaves; the 2809 rationals at N = 600 fall in 57 bins, 57^3 <= 2000 x
+    # 2809 x 12 gates, so they take the bins.  Each record gives the index
+    # count, the family route its quadrature nodes and the bins route its
+    # bin count
     assert run(["norm", "-Q", "12", "-T", "4", "-N", "1000"]) == 0
     extra = json.loads(_rows(capsys.readouterr().out)[0]["extra_params"])
-    assert (extra["method"], extra["route"], extra["size"]) == ("lanczos", "family", 2702)
-    assert (extra["nodes"], extra["bins"]) == (22, None)
+    assert (extra["method"], extra["route"], extra["size"]) == ("eigh", "family", 2702)
+    assert (extra["nodes"], extra["bins"], extra["iterations"]) == (22, None, 1)
     assert run(["norm", "--family", "rational", "-Q", "12", "-N", "600"]) == 0
     extra = json.loads(_rows(capsys.readouterr().out)[0]["extra_params"])
     assert (extra["method"], extra["route"], extra["size"]) == ("eigh", "bins", 2809)

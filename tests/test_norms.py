@@ -3,7 +3,9 @@ equivalence, positivity, the t-integral's closed form, eigenvalue floors and
 certificates, monotonicity, duality, the grid maximization, growth fits,
 and the binary dump format."""
 
+import csv
 import functools
+import io
 import math
 import re
 import struct
@@ -15,22 +17,20 @@ import pytest
 
 from sievelab import norms
 from sievelab.arith import divisors, mobius, primes_in, totient
+from sievelab.experiments import (duality_check, exponent_fit, monotonicity_check_N,
+                                  monotonicity_check_Q)
 from sievelab.norms import (
     FamilySpec,
     additive_matrix,
     delta,
     delta_add,
     delta_rational,
-    duality_check,
-    exponent_fit,
     family_members,
     gram_additive,
     gram_bruteforce,
     gram_multiplicative,
     gram_rational,
     gram_rational_bruteforce,
-    monotonicity_check_N,
-    monotonicity_check_Q,
     t_integral,
     top_eigenvalue,
 )
@@ -275,8 +275,8 @@ def test_discrete_norms_agree_across_routes(family, Q, N):
     assert abs(buckets.value - pairs.value) <= 1e-12 * pairs.value, (pairs, buckets)
     assert abs(bins.value - pairs.value) <= 1e-12 * pairs.value, (pairs, bins)
     norm = delta_add if family == "additive" else delta_rational
-    # "auto" takes the bins where bins^2 <= n gates, and the buckets at
-    # (40, 300): 382 bins against 702 indices and 20 gates
+    # "auto" takes the bins where bins^3 <= 2000 n gates, and the buckets
+    # at (40, 300): 382 bins against 702 indices and 20 gates
     assert norm(Q, N) == (buckets if (family, Q) == ("additive", 40) else bins)
 
 
@@ -668,19 +668,46 @@ def test_delta_route_dispatch_at_scale():
     assert abs(a - b) <= 1e-8 * a
 
 
-def test_family_route_record_is_a_lanczos_solve():
+def _family_dims(monkeypatch):
+    """Lists (m, F, r) of each `_KhatriRao` built: the rows a <= b and the
+    members and phase columns left by the rank cut."""
+    dims = []
+    init = norms._KhatriRao.__init__
+
+    def record(self, V, P, w):
+        init(self, V, P, w)
+        dims.append((len(V), *self.grid))
+
+    monkeypatch.setattr(norms._KhatriRao, "__init__", record)
+    return dims
+
+
+def test_family_route_record_names_its_solve(monkeypatch):
     # 2400 pairs at N = 900 and F = 2 members: 2 F J < n, so "auto" takes
-    # the family route
+    # the family route.  The rank cut leaves F r = 18 dimensions, and
+    # F r (m + F r) <= 600 m: one dense eigh of H, reported as one iteration
+    dims = _family_dims(monkeypatch)
     est = delta(4.0, 1, 1.0, 900.0)
-    assert est.method == "lanczos"
-    assert est.iterations > 1
-    assert est.residual <= 1e-8
-    assert est.route == "family" and 2 * 2 * est.nodes < est.size
+    (m, F, r), = dims
+    assert (est.method, est.iterations, est.route) == ("eigh", 1, "family")
+    assert 2 * F * est.nodes < est.size and r < est.nodes
+    assert 0 < F * r * (m + F * r) <= norms._DENSE_WORK["family"] * m
+    assert est.residual <= 1e-12
+    # delta(20, 1, 1, 1000): 2 F J = 1512 < n = 2702 takes the family
+    # route too, but F r = 567 is past the rule's bound: Lanczos, one
+    # matvec an iteration
+    dims.clear()
+    est = delta(20.0, 1, 1.0, 1000.0)
+    (m, F, r), = dims
+    assert (est.method, est.route, 2 * F * est.nodes < est.size) == ("lanczos", "family", True)
+    assert F * r * (m + F * r) > norms._DENSE_WORK["family"] * m
+    assert est.iterations > 1 and est.residual <= 1e-8
     # delta(12, 3, 4, 400): 2 F J = 2 x 32 x 20 >= n = 970 keeps the pair route
     est = delta(12.0, 3, 4.0, 400.0)
     assert (est.route, est.size) == ("pairs", 970)
     assert 2 * 32 * norms._quadrature_nodes(970, math.log(400), 4.0) >= 970
-    # the window (1, 2] holds no primitive character: an empty family
+    # the window (1, 2] holds no primitive character: an empty family,
+    # which no route solves densely
     for route in ("auto", "pairs", "family"):
         empty = delta(2.0, 1, 1.0, 40.0, route=route)
         assert empty.value == 0.0
@@ -717,7 +744,7 @@ def test_rational_and_additive_norms_take_a_discrete_route_at_any_size(monkeypat
     # with the pair-side matrix raising, the norms can only come from a
     # route that forms no S: the bins or the buckets, which the route rule
     # gives every family without a window (T None), whatever its size;
-    # at these sizes bins^2 <= n gates, so "auto" takes the bins
+    # at these sizes bins^3 <= 2000 n gates, so "auto" takes the bins
     monkeypatch.setattr(norms, "_pair_gram", pair_side)
     for name, (build, norm, Q, N) in cases.items():
         dim, value = want[name]
@@ -750,7 +777,8 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
         raise AssertionError("the family side was built although it is larger")
 
     # the window keeps the pair side, which solves its even and odd blocks;
-    # the discrete families take the buckets, which sum S x in another order
+    # the discrete families take the bins (40^3 <= 2000 x 30 x 6 and
+    # 49^3 <= 2000 x 13 x 12), which solve S in another order
     with monkeypatch.context() as m:
         m.setattr(norms, "_member_matrix", member_values)
         got = larger["multiplicative"][0]()
@@ -758,7 +786,7 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
         assert abs(got.value - want["multiplicative"]) <= 1e-12 * want["multiplicative"]
         for name in ("additive", "rational"):
             got = larger[name][0]()
-            assert got.route == "buckets"
+            assert got.route == "bins"
             assert abs(got.value - want[name]) <= 1e-12 * want[name], name
 
     def pair_side(*args):
@@ -956,17 +984,28 @@ def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
     assert re.search(f"family route on {F} members x \\d+ nodes", err) and "1.0 MiB cap" in err
 
 
+def _dense_need(fixed, k):
+    """The dense solve's bytes beside the family route's `fixed`: H and a
+    block's product, or a LAPACK copy of H, and a block's A and B."""
+    return fixed + 16 * k * k + 32 * norms._CHECK_ROWS * k
+
+
 def test_family_route_runs_the_steps_that_fit_under_the_cap(monkeypatch):
     # the family route caps its Lanczos basis at the deepest one whose
-    # estimate fits, as the bucket route does, so a cap below the estimate
-    # at min(F J, _MAX_ITER) rows no longer refuses a job that converges in
-    # fewer steps
+    # estimate on the F r dimensions left by the rank cut fits, as the
+    # bucket route does, so a cap below the estimate at min(F r, _MAX_ITER)
+    # rows no longer refuses a job that converges in fewer steps.  At this
+    # cap the dense solve does not fit, so the route runs Lanczos
     want = delta(12.0, 1, 4.0, 1000.0, route="pairs").value
-    n, F, nodes = len(_coprime_pairs(1000, "dyadic")[0]), 21, 22
+    dims = _family_dims(monkeypatch)
+    delta(12.0, 1, 4.0, 1000.0)
+    (_, F, r), = dims
+    n, nodes, k = len(_coprime_pairs(1000, "dyadic")[0]), 22, F * r
+    assert (F, r) == (21, 15)
     setup, fixed = norms._family_route_bytes(n, F, nodes)
-    cap = fixed + norms._lanczos_bytes(F * nodes, 128)
-    assert setup <= cap
-    assert fixed + norms._lanczos_bytes(F * nodes, min(F * nodes, norms._MAX_ITER)) > cap
+    cap = fixed + norms._lanczos_bytes(k, 128)
+    assert setup <= cap < _dense_need(fixed, k)
+    assert fixed + norms._lanczos_bytes(k, min(k, norms._MAX_ITER)) > cap
     steps = []
     solve = norms.top_eigenvalue
 
@@ -977,11 +1016,12 @@ def test_family_route_runs_the_steps_that_fit_under_the_cap(monkeypatch):
     monkeypatch.setattr(norms, "_ROUTE_BYTES", cap)
     monkeypatch.setattr(norms, "top_eigenvalue", record)
     got = delta(12.0, 1, 4.0, 1000.0)
-    assert (got.route, got.size, got.nodes) == ("family", n, nodes)
-    assert 128 <= steps[0] < F * nodes and got.iterations <= steps[0]
-    assert fixed + norms._lanczos_bytes(F * nodes, steps[0] + 1) > cap
+    assert (got.route, got.method, got.size, got.nodes) == ("family", "lanczos", n, nodes)
+    assert 128 <= steps[0] < k and got.iterations <= steps[0]
+    assert fixed + norms._lanczos_bytes(k, steps[0] + 1) > cap
     assert abs(got.value - want) <= 1e-12 * want
-    # refused only when not even a one-vector basis fits
+    # refused, before P is built, only when not even a one-vector basis
+    # fits on the F J dimensions before the rank cut
     monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + norms._lanczos_bytes(F * nodes, 1) - 1)
     with pytest.raises(ValueError, match=f"family route on {F} members x {nodes} nodes"):
         delta(12.0, 1, 4.0, 1000.0)
@@ -992,6 +1032,25 @@ def test_family_route_runs_the_steps_that_fit_under_the_cap(monkeypatch):
         delta(12.0, 1, 4.0, 1000.0)
     monkeypatch.setattr(norms, "_ROUTE_BYTES", setup)
     assert delta(12.0, 1, 4.0, 1000.0).route == "family"
+
+
+def test_family_route_falls_back_to_lanczos_one_byte_under_the_dense_estimate(monkeypatch):
+    # the bench call delta(12, 1, 4, 1000) takes the dense solve by the
+    # rule; at exactly its estimate it still does, and one byte under it
+    # the route runs Lanczos on the same compressed H instead of refusing
+    want = delta(12.0, 1, 4.0, 1000.0, route="pairs").value
+    dims = _family_dims(monkeypatch)
+    dense = delta(12.0, 1, 4.0, 1000.0)
+    (_, F, r), = dims
+    assert (dense.route, dense.method, dense.iterations, dense.nodes) == ("family", "eigh", 1, 22)
+    need = _dense_need(norms._family_route_bytes(dense.size, F, dense.nodes)[1], F * r)
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", need)
+    assert delta(12.0, 1, 4.0, 1000.0) == dense
+    monkeypatch.setattr(norms, "_ROUTE_BYTES", need - 1)
+    got = delta(12.0, 1, 4.0, 1000.0)
+    assert (got.route, got.method, got.nodes) == ("family", "lanczos", 22)
+    for est in (dense, got):
+        assert abs(est.value - want) <= 1e-12 * want, (est, want)
 
 
 def test_auto_route_falls_back_to_the_route_that_fits(monkeypatch):
@@ -1022,26 +1081,29 @@ def test_auto_route_falls_back_to_the_route_that_fits(monkeypatch):
 
 def _bins_rule(fam):
     """(bins, n, gates) of a discrete family's buckets, which "auto" sends
-    to the bins route when bins^2 <= n gates."""
+    to the bins route when bins^3 <= 2000 n gates."""
     n = len(fam.a)
     return norms._Buckets(fam).bins, n, norms._bucket_sizes(n, fam.terms)[0]
 
 
 @pytest.mark.parametrize("build,Q,N,route", [
-    (norms._rational, 12, 200, "bins"),  # 57^2 = 3249 <= 801 x 12
-    (norms._additive, 12, 300, "bins"),  # 40^2 = 1600 <= 702 x 6
-    (norms._rational, 60, 3600, "buckets"),  # 1161^2 > 20763 x 60
-    (norms._additive, 40, 300, "buckets"),  # 382^2 > 702 x 20
-    (norms._additive, 20, 60, "buckets"),  # few indices: 61^2 > 70 x 10
+    (norms._rational, 12, 200, "bins"),  # 57^3 <= 2000 x 801 x 12
+    (norms._additive, 12, 300, "bins"),  # 40^3 <= 2000 x 702 x 6
+    (norms._rational, 60, 3600, "bins"),  # 1161^3 <= 2000 x 20763 x 60
+    (norms._additive, 20, 60, "bins"),  # few indices: 106^3 <= 2000 x 110 x 10
+    (norms._additive, 40, 300, "buckets"),  # 382^3 > 2000 x 702 x 20
+    (norms._additive, 60, 2000, "buckets"),  # 854^3 > 2000 x 5824 x 30
 ])
 def test_auto_route_takes_the_bins_by_the_rule(build, Q, N, route):
-    # "auto" takes the bins where one dense bins x bins product costs no
-    # more than one bucket matvec, bins^2 <= n gates, and the buckets
-    # otherwise; with both in the memory cap, the side of the rule alone
-    # decides, and the other route gives the same value
+    # "auto" takes the bins where their dense solve, about bins^3 flops,
+    # costs no more than a Lanczos solve on the buckets, about 2000 n gates
+    # flops' time (some 80 matvecs of O(n) a gate), and the buckets
+    # otherwise: the rule the family route's dense solve follows.  With
+    # both in the memory cap, the side of the rule alone decides, and the
+    # other route gives the same value
     fam = build(Q, N)
     bins, n, gates = _bins_rule(fam)
-    assert (bins * bins <= n * gates) == (route == "bins")
+    assert (bins**3 <= 2000 * n * gates) == (route == "bins")
     got = norms._solve(fam, 1e-9)
     assert got == norms._solve(fam, 1e-9, route)
     assert (got.route, got.bins) == (route, bins if route == "bins" else None)
@@ -1173,6 +1235,62 @@ def test_node_count_edge_cases():
     assert norms._quadrature_nodes(70, math.log(40), 1e308) == norms._ROUTE_BYTES + 1
     with pytest.raises(ValueError, match="family route on 2 members x \\d+ nodes needs an "):
         delta(4.0, 1, 1e308, 40.0, route="family")
+
+
+@pytest.mark.parametrize("Q,k,T,N,parity", [(6.0, 1, 4.0, 200.0, None),
+                                          (8.0, 3, 16.0, 120.0, "odd"),
+                                          (4.0, 1, 32.0, 60.0, "even")])
+def test_rank_cut_moves_delta_by_at_most_its_bound(Q, k, T, N, parity):
+    # on the whole index, closed under sigma, C = P^H P is real, and P P^H
+    # less its rank cut is P Z_d Z_d^T P^H: PSD, of norm the largest
+    # dropped eigenvalue of C, at most tau = T tol / (4 + 2 tol).  S is
+    # PSD, so by Schur 0 <= Delta_J - Delta_r <= max S_nn tau, and
+    # Delta_J >= (T/2) max S_nn makes that at most (2 tau / T) Delta_J.
+    # With the nodes' tol / 2 the two move Delta by at most tol = 1e-12
+    tol = norms._QUADRATURE_TOL
+    tau = T * tol / (4 + 2 * tol)
+    assert tol / 2 + (2 * tau / T) * (1 + tol / 2) <= tol
+    fam = norms._multiplicative(FamilySpec(Q, k, T, parity), *_coprime_pairs(N, "dyadic"))
+    n = len(fam.a)
+    nodes = norms._quadrature_nodes(n, math.log(N), T)
+    P = norms._phase_matrix(fam.L, T, nodes)
+    cut = norms._rank_cut(P, np.ones(n), T)
+    C = P.conj().T @ P
+    assert np.abs(C.imag).max() <= 1e-12 * np.abs(C).max()
+    lam = np.linalg.eigvalsh(C.real)
+    r = cut.shape[1]
+    assert 0 < r < nodes and lam[nodes - r - 1] <= tau < lam[nodes - r]
+    S = norms._congruence_sum(fam.a, fam.b, fam.terms)
+    full, low = (float(np.linalg.eigvalsh(S * (X @ X.conj().T)).max()) for X in (P, cut))
+    assert -1e-13 * full <= full - low <= S.diagonal().max() * lam[nodes - r - 1] + 1e-13 * full
+    assert S.diagonal().max() * tau <= (2 * tau / T) * full
+    # and the family route reports the value on the cut phases
+    got = norms._solve(fam, 1e-12, "family")
+    assert abs(got.value - low) <= 1e-13 * low, (got, low)
+
+
+def test_family_route_edge_cases_on_the_dense_solve(monkeypatch, capsys):
+    from sievelab import cli
+
+    # with the rule set to take the dense solve whenever H has a dimension:
+    # the empty family (no primitive character in (1, 2]) still gives 0 by
+    # Lanczos on no dimension, at the CLI too
+    monkeypatch.setitem(norms._DENSE_WORK, "family", math.inf)
+    empty = delta(2.0, 1, 1.0, 40.0, route="family")
+    assert (empty.value, empty.method, empty.route) == (0.0, "lanczos", "family")
+    assert cli.run(["norm", "-Q", "2"]) == 0
+    row, = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert float(row["value"]) == 0.0
+    # the single index 1/1: F T / 2, F = 2, by one dense eigh
+    one = delta(4.0, 1, 2.0, 1.0, route="family")
+    assert (one.method, one.iterations, one.size) == ("eigh", 1, 1)
+    assert abs(one.value - 2.0) <= 1e-14
+    # an overflowing T Lmax refuses by the family estimate before P is
+    # built, as before, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="family route on 2 members x \\d+ nodes needs an "):
+            delta(4.0, 1, 1e308, 40.0, route="family")
 
 
 def test_family_route_refuses_a_discrete_family_or_an_unfolded_index(monkeypatch):
@@ -1577,13 +1695,15 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch, traced_peak):
         return searches[-1][3]
 
     monkeypatch.setattr(norms, "_basis_rows", record)
+    dims = _family_dims(monkeypatch)
     for norm in [lambda: delta(12.0, 3, 4.0, 400.0),  # a window, pairs
                  lambda: delta(12.0, 3, 4.0, 400.0, parity="odd", route="pairs"),
                  lambda: norms._solve(norms._rational(12, 200), 1e-9, "buckets"),  # discrete
                  lambda: delta_add(40, 300),  # auto takes the buckets: 382^2 > 702 x 20
                  # the basis doubles past 64 rows
                  lambda: norms._solve(norms._rational(30, 2000), 1e-9, "buckets"),
-                 lambda: delta(12.0, 1, 4.0, 1000.0)]:  # the family side
+                 # the family side, on Lanczos by the rule (F r = 567)
+                 lambda: delta(20.0, 1, 1.0, 1000.0)]:
         norm()  # fills the caches of characters and divisors first
         searches.clear()
         results = []
@@ -1596,8 +1716,10 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch, traced_peak):
         n = est.size
         setup = 0
         if est.route == "family":
-            setup, solve = norms._family_route_bytes(n, dim // est.nodes, est.nodes)
-            assert solve == fixed
+            # its basis spans the F r dimensions the rank cut leaves
+            _, F, r = dims[-1]
+            setup, solve = norms._family_route_bytes(n, F, est.nodes)
+            assert (solve, dim) == (fixed, F * r)
         need = max(setup, fixed + norms._lanczos_bytes(dim, rows))
         assert what.startswith(f"{est.route} route")
         assert peak <= need, (what, peak, need)
@@ -1623,7 +1745,17 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch, traced_peak):
             assert used < rows
             tight = max(setup, fixed + norms._lanczos_bytes(dim, used))
             assert tight <= 1.1 * peak, (what, peak, tight)
-    assert est.route == "family"
+    assert (est.route, est.method) == ("family", "lanczos")
+    # the dense solve searches no basis: its estimate, H and a block's
+    # product with a block's A and B beside the route's fixed bytes, covers
+    # the peak, which holds at least H and the product, both F r x F r
+    dims.clear()
+    searches.clear()
+    peak = traced_peak(lambda: results.append(delta(12.0, 1, 4.0, 1000.0)))
+    ((_, F, r),), est = dims, results[-1]
+    setup, fixed = norms._family_route_bytes(est.size, F, est.nodes)
+    assert (est.route, est.method, searches) == ("family", "eigh", [])
+    assert 16 * (F * r) ** 2 <= peak <= max(setup, _dense_need(fixed, F * r)), (peak, F, r)
 
 
 @pytest.mark.parametrize("build,Q,N", [(norms._rational, 12, 200), (norms._additive, 12, 300),
@@ -1855,7 +1987,8 @@ def test_windowed_pair_route_peak_stays_below_16_bytes_an_entry(traced_peak):
 
 def test_family_route_peak_stays_below_the_size_of_A(monkeypatch, traced_peak):
     # A = V (row-wise Khatri-Rao) P is n x (F nodes) complex; the family
-    # route forms neither A nor H = A^H A
+    # route forms neither A nor, on Lanczos, H = A^H A, and its dense
+    # solve forms H on the F r dimensions left by the rank cut alone
     sizes = []
     estimate = norms._family_route_bytes
 
