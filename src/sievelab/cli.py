@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import product
 from math import gcd, isfinite, log
@@ -35,44 +34,70 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    Q: list = field(default_factory=lambda: [4.0])
-    k: list = field(default_factory=lambda: [1])
-    T: list = field(default_factory=lambda: [1.0])
-    N: list = field(default_factory=lambda: [16.0])
-    X: list = field(default_factory=lambda: [20])
-    seed: int = 12345
-    tol: float = 1e-9
-    out: str = None
-    format: str = "csv"
-    threads: int = 1
-    suites: list = None
-    family: str = "multiplicative"
-    plan: str = None
-    trials: int = 5
-    plot_out: str = None
+def _each(parse):
+    return lambda vals: [parse(v) for v in vals]
 
-    def validate(self):
-        for name in ("Q", "k", "T", "N", "X"):
-            vals = getattr(self, name)
-            if not vals:
-                raise ConfigError(f"range {name} is empty")
-            if not all(isfinite(v) for v in vals):
-                raise ConfigError(f"range {name} must be finite")
-            if any(v < 1 for v in vals):
-                raise ConfigError(f"range {name} must be >= 1")
-        if not (isfinite(self.tol) and self.tol >= 0):
-            raise ConfigError("tol must be finite and nonnegative")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.format!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.family not in ("multiplicative", "additive", "rational"):
-            raise ConfigError(f"unknown family {self.family!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+
+def _last(parse):
+    def last(vals):
+        if not vals:
+            raise ValueError("no value given")
+        return _each(parse)(vals)[-1]
+    return last
+
+
+def _one_of(*allowed):
+    def parse(v):
+        if v not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}")
+        return v
+    return parse
+
+
+def _split_commas(vals):
+    return [s for v in vals for s in v.split(",") if s]
+
+
+# every run option once: key -> (the parser of its list of values, its
+# default as a config-file value or None, the subcommands whose flag takes
+# it, all when none are named).  Its flag is -Q for a one-letter key and
+# --plot-out for plot_out; every value of a repeated key or flag is parsed,
+# and a single-valued key keeps the last
+OPTIONS = {
+    "Q": (_each(float), "4", ()),
+    "k": (_each(int), "1", ()),
+    "T": (_each(float), "1", ()),
+    "N": (_each(float), "16", ()),
+    "X": (_each(int), "20", ("bdh",)),
+    "seed": (_last(int), "12345", ()),
+    "tol": (_last(float), "1e-9", ()),
+    "out": (_last(str), None, ()),
+    "format": (_last(_one_of("csv", "json")), "csv", ()),
+    "threads": (_last(int), "1", ()),
+    "suites": (_split_commas, None, ("verify",)),
+    "family": (_last(_one_of("multiplicative", "additive", "rational")), "multiplicative",
+               ("norm", "scan")),
+    "plan": (_last(str), None, ("sieve",)),
+    "trials": (_last(int), "5", ("sieve", "bdh")),
+    "plot_out": (_last(str), None, ("scan",)),
+}
+
+
+def validate(cfg):
+    for name in ("Q", "k", "T", "N", "X"):
+        vals = getattr(cfg, name)
+        if not vals:
+            raise ConfigError(f"range {name} is empty")
+        if not all(isfinite(v) for v in vals):
+            raise ConfigError(f"range {name} must be finite")
+        if any(v < 1 for v in vals):
+            raise ConfigError(f"range {name} must be >= 1")
+    if not (isfinite(cfg.tol) and cfg.tol >= 0):
+        raise ConfigError("tol must be finite and nonnegative")
+    if cfg.threads < 1:
+        raise ConfigError("threads must be >= 1")
+    if cfg.trials < 1:
+        raise ConfigError("trials must be >= 1")
 
 
 def parse_config_file(path):
@@ -88,54 +113,31 @@ def parse_config_file(path):
                 raise ConfigError(f"bad config line {raw!r}")
             key, _, val = line.partition("=")
             key = key.strip()
+            if key not in OPTIONS:
+                raise ConfigError(f"unknown config key {key!r}")
             vals = [v.strip() for v in val.split(",") if v.strip()]
             out.setdefault(key, []).extend(vals)
     return out
 
 
-def _each(parse):
-    return lambda vals: [parse(v) for v in vals]
-
-
-def _last(parse):
-    return lambda vals: parse(vals[-1])
-
-
-def _split_commas(vals):
-    return [s for v in vals for s in v.split(",") if s]
-
-
-# every key of the config file and the flag of the same name, with the
-# parser of its list of values; a single-valued key keeps its last value
-KEYS = {
-    "Q": _each(float), "T": _each(float), "N": _each(float),
-    "k": _each(int), "X": _each(int),
-    "seed": _last(int), "tol": _last(float), "out": _last(str),
-    "format": _last(str), "threads": _last(int), "suites": _split_commas,
-    "family": _last(str), "plan": _last(str), "trials": _last(int),
-    "plot_out": _last(str),
-}
-
-
 def build_config(args):
-    cfg = RunConfig(subcommand=args.subcommand)
-    given = parse_config_file(args.config) if args.config else {}
-    for key in given:
-        if key not in KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-    if getattr(args, "threads", None) is None and os.environ.get("SIEVELAB_THREADS"):
+    """The run's options: the table's defaults, then the config file, then
+    SIEVELAB_THREADS, then the flags."""
+    given = {key: [default] for key, (_, default, _) in OPTIONS.items() if default is not None}
+    if args.config:
+        given.update(parse_config_file(args.config))
+    if args.threads is None and os.environ.get("SIEVELAB_THREADS"):
         given["threads"] = [os.environ["SIEVELAB_THREADS"]]
-    # flags override the file
-    for key in KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            given[key] = flag if isinstance(flag, list) else [flag]
+    # argparse gives the value "--" of --seed=-- as an empty list
+    given.update((key, [v if isinstance(v, str) else "--" for v in vals])
+                 for key, vals in vars(args).items() if key in OPTIONS and vals is not None)
+    cfg = argparse.Namespace(**dict.fromkeys(OPTIONS))
     for key, vals in given.items():
         try:
-            setattr(cfg, key, KEYS[key](vals))
-        except ValueError:
-            raise ConfigError(f"bad value for {key}: {vals!r}")
-    cfg.validate()
+            setattr(cfg, key, OPTIONS[key][0](vals))
+        except ValueError as e:
+            raise ConfigError(f"bad value for {key}: {vals!r} ({e})")
+    validate(cfg)
     return cfg
 
 
@@ -387,16 +389,26 @@ def cmd_verify(cfg):
 # norm / scan
 # ----------------------------------------------------------------------
 
+def _norm_tol(cfg):
+    # the suites' exact tol = 0 gives a norm the default Lanczos tolerance
+    return cfg.tol or 1e-9
+
+
 def _norm_point(cfg, point):
     from .norms import delta, delta_add, delta_rational
     Q, k, T, N = point
+    tol = _norm_tol(cfg)
     if cfg.family == "multiplicative":
-        est = delta(Q, k, T, N, tol=cfg.tol or 1e-9)
-    elif cfg.family == "additive":
-        est = delta_add(Q, N, tol=cfg.tol or 1e-9)
-    else:
-        est = delta_rational(Q, N, tol=cfg.tol or 1e-9)
-    return est
+        return delta(Q, k, T, N, tol=tol)
+    if cfg.family == "additive":
+        return delta_add(Q, N, tol=tol)
+    return delta_rational(Q, N, tol=tol)
+
+
+def _estimate_fields(est):
+    """How a norm was estimated, for the record of each norm and scan point."""
+    return {"method": est.method, "route": est.route, "size": est.size,
+            "nodes": est.nodes, "bins": est.bins}
 
 
 def _grid(cfg):
@@ -427,9 +439,7 @@ def cmd_norm(cfg):
     for (Q, k, T, N), (est, ms) in zip(grid, results):
         records.append(make_record(
             f"norm_{cfg.family}", Q=Q, k=k, T=T, N=N,
-            extra={"method": est.method, "route": est.route, "size": est.size,
-                   "nodes": est.nodes, "bins": est.bins,
-                   "iterations": est.iterations},
+            extra={**_estimate_fields(est), "iterations": est.iterations},
             value=est.value, residual=est.residual, ok=True,
             seed=cfg.seed, millis=ms))
     write_records(records, cfg)
@@ -450,9 +460,7 @@ def cmd_scan(cfg):
         values[(Q, k, T, N)] = est.value
         records.append(make_record(
             f"scan_{cfg.family}", Q=Q, k=k, T=T, N=N,
-            extra={"method": est.method, "route": est.route, "size": est.size,
-                   "nodes": est.nodes, "bins": est.bins,
-                   "ratio_trivial": est.value / (budget + N),
+            extra={**_estimate_fields(est), "ratio_trivial": est.value / (budget + N),
                    "ratio_index": est.value / (budget + est.size)},
             value=est.value, residual=est.residual, ok=True,
             seed=cfg.seed, millis=ms))
@@ -529,7 +537,6 @@ def cmd_sieve(cfg):
                     omega[p] = frozenset(rng.sample(range(p), size))
             jobs.append((SievePlan(N, omega), Q, f"random_{t}"))
 
-    tol = cfg.tol or 1e-9
     primes = {}
     for plan, _, _ in jobs:
         primes.setdefault(plan.N, set()).update(plan.sifting_primes)
@@ -539,8 +546,8 @@ def cmd_sieve(cfg):
         if plan.N not in tables:
             tables[plan.N] = sift_table(plan.N, primes[plan.N])
         if (Q, plan.N) not in deltas:
-            deltas[Q, plan.N] = delta_rational(Q, plan.N, tol=tol).value
-        return sieve_inequality_report(plan, Q, tol, deltas[Q, plan.N], tables[plan.N])
+            deltas[Q, plan.N] = delta_rational(Q, plan.N, tol=_norm_tol(cfg)).value
+        return sieve_inequality_report(plan, Q, delta=deltas[Q, plan.N], table=tables[plan.N])
 
     records = []
     all_ok = True
@@ -567,13 +574,12 @@ def cmd_bdh(cfg):
     rng = random.Random(cfg.seed)
     records = []
     all_ok = True
-    tol = cfg.tol if cfg.tol > 0 else 0.0
     for t in range(cfg.trials):
         X = rng.choice(cfg.X)
         Q = int(rng.choice(cfg.Q))
         (inp, l, r), ms = _timed(trial, X, Q, rng.randrange(2**30))
         rel = abs(l - r) / max(abs(l), 1e-12)
-        ok = rel <= max(tol, 1e-8) if tol > 0 else rel == 0
+        ok = rel <= max(cfg.tol, 1e-8) if cfg.tol > 0 else rel == 0
         all_ok = all_ok and ok
         records.append(make_record(
             "bdh", Q=Q, N=X, extra={"support": len(inp.alpha), "lhs": l, "rhs": r},
@@ -586,36 +592,27 @@ def cmd_bdh(cfg):
 # entry point
 # ----------------------------------------------------------------------
 
+def _flag(key):
+    return f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+
+
 def build_parser():
+    """Every flag is a row of OPTIONS, those naming no subcommand on one
+    parent parser that each subcommand inherits.  A flag keeps its raw
+    strings: build_config parses and refuses them."""
     ap = argparse.ArgumentParser(
         prog="sievelab",
         description="large-sieve norms, identity suites, and sieve experiments")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config")
+    for key, (_, _, commands) in OPTIONS.items():
+        if not commands:
+            shared.add_argument(_flag(key), dest=key, action="append")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name in ("verify", "norm", "scan", "sieve", "bdh"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("-Q", action="append", dest="Q")
-        p.add_argument("-k", action="append", dest="k")
-        p.add_argument("-T", action="append", dest="T")
-        p.add_argument("-N", action="append", dest="N")
-        if name == "verify":
-            p.add_argument("--suites", action="append")
-        if name in ("norm", "scan"):
-            p.add_argument("--family",
-                           choices=("multiplicative", "additive", "rational"))
-        if name == "scan":
-            p.add_argument("--plot-out", dest="plot_out")
-        if name == "sieve":
-            p.add_argument("--plan")
-            p.add_argument("--trials", type=int, default=None)
-        if name == "bdh":
-            p.add_argument("-X", action="append", dest="X")
-            p.add_argument("--trials", type=int, default=None)
+    parsers = {name: sub.add_parser(name, parents=[shared]) for name in COMMANDS}
+    for key, (_, _, commands) in OPTIONS.items():
+        for name in commands:
+            parsers[name].add_argument(_flag(key), dest=key, action="append")
     return ap
 
 

@@ -1,6 +1,7 @@
 """Batch CLI: subcommands, exit codes, record schema, determinism,
 config-file layering, thread-pool dispatch, and plot emission."""
 
+import argparse
 import csv
 import json
 import os
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sievelab.cli import FIELDS, SUITES, run
+from sievelab.cli import COMMANDS, FIELDS, OPTIONS, SUITES, build_parser, run
 from sievelab.experiments import exponent_fit
 from sievelab.norms import delta
 from sievelab.rationals import rationals_up_to
@@ -191,6 +192,97 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     cfg.write_text("quux=1\n")
     assert run(["norm", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.strip()
+
+
+def test_config_bad_value_is_usage_error(tmp_path, capsys):
+    # a single-valued key with no value raised IndexError; every value of
+    # a key is parsed, as every value of a repeated flag is
+    cfg = tmp_path / "bad.cfg"
+    for line in ("seed=", "seed=abc,7"):
+        cfg.write_text(line + "\n")
+        assert run(["norm", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad value for seed")
+    assert run(["norm", "--seed", "abc", "--seed", "7"]) == 2
+
+
+@pytest.mark.parametrize("key, bad, good, allowed", [
+    ("format", "xml", "json", "csv, json"),
+    ("family", "bogus", "rational", "multiplicative, additive, rational"),
+])
+def test_a_refused_choice_names_the_allowed_values(key, bad, good, allowed, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={bad}\n")
+    for argv in (["norm", f"--{key}", bad], ["norm", f"--{key}", bad, f"--{key}", good],
+                 ["norm", "--config", str(cfg)]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"bad value for {key}" in err and allowed in err, (argv, err)
+
+
+def test_each_flag_is_a_row_of_the_option_table():
+    # a flag declared outside OPTIONS, or a row missing from a subcommand
+    # that it names, changes some subcommand's dests
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(COMMANDS)
+    for name, parser in subparsers.choices.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests == {"config"} | {key for key, (_, _, commands) in OPTIONS.items()
+                                      if not commands or name in commands}, name
+
+
+# a flag, a subcommand that takes it, the other flags of the run and a value
+# for each key; {tmp} is the test's directory
+FLAG_CASES = {
+    "Q": ("-Q", "norm", ["-N", "24"], "5"),
+    "k": ("-k", "norm", ["-N", "24"], "2"),
+    "T": ("-T", "norm", ["-N", "24"], "2"),
+    "N": ("-N", "norm", ["-Q", "3"], "24"),
+    "X": ("-X", "bdh", ["--trials", "2"], "30"),
+    "seed": ("--seed", "bdh", ["--trials", "2"], "3"),
+    "tol": ("--tol", "verify", ["--suites", "orthogonality"], "1e-6"),
+    "out": ("--out", "norm", ["-N", "24"], "{tmp}/records.csv"),
+    "format": ("--format", "norm", ["-N", "24"], "json"),
+    "threads": ("--threads", "norm", ["-N", "16", "-N", "24"], "2"),
+    "suites": ("--suites", "verify", [], "orthogonality,kernel"),
+    "family": ("--family", "norm", ["-N", "24"], "rational"),
+    "plan": ("--plan", "sieve", [], "{tmp}/plan.txt"),
+    "trials": ("--trials", "bdh", [], "2"),
+    "plot_out": ("--plot-out", "scan", ["-N", "16", "-N", "24", "-N", "32"], "{tmp}/plot.csv"),
+}
+
+
+def _untimed(text):
+    if text.startswith("["):
+        records = json.loads(text)
+        for r in records:
+            del r["millis"], r["timestamp"]
+        return records
+    return _scrub(text)
+
+
+def test_a_config_line_and_its_flag_give_the_same_records(tmp_path, capsys):
+    assert set(FLAG_CASES) == set(OPTIONS)
+    (tmp_path / "plan.txt").write_text("N=80\nQ=6\n3: 1\n")
+    records, plot = tmp_path / "records.csv", tmp_path / "plot.csv"
+    cfg = tmp_path / "run.cfg"
+
+    def outcome(argv):
+        code = run(argv)
+        files = (_untimed(records.read_text()) if records.exists() else None,
+                 plot.read_text() if plot.exists() else None)
+        records.unlink(missing_ok=True)
+        plot.unlink(missing_ok=True)
+        return code, _untimed(capsys.readouterr().out), files
+
+    for key, (flag, command, base, value) in FLAG_CASES.items():
+        value = value.format(tmp=tmp_path)
+        cfg.write_text(f"{key}={value}\n")
+        by_flag = outcome([command, *base, flag, value])
+        assert by_flag[0] in (0, 1), key
+        if key != "threads":  # the thread count leaves every record as it is
+            assert by_flag != outcome([command, *base]), key
+        assert outcome([command, *base, "--config", str(cfg)]) == by_flag, key
 
 
 def test_threads_env_fallback(monkeypatch, capsys):
@@ -512,6 +604,11 @@ def test_usage_errors():
     assert run(["sieve", "-Q", "inf"]) == 2
     assert run(["bdh", "-Q", "inf"]) == 2
     assert run(["norm", "-N", "nan"]) == 2
+    # argparse hands the value "--" over as an empty list; it raised
+    # IndexError, TypeError and AttributeError here
+    assert run(["norm", "--seed=--"]) == 2
+    assert run(["norm", "-N--"]) == 2
+    assert run(["verify", "--suites=--"]) == 2
 
 
 def _declared_console_script():

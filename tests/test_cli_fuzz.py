@@ -1,12 +1,16 @@
 """Property test for the command line: every subcommand, given random
 flags and values (NaN, infinities, negatives, non-numbers, repeated
-flags), exits through `cli.run` with 0, 1 or 2 and never raises.  Valid
+flags), exits through `cli.run` with 0, 1 or 2 and never raises, and the
+same options written to a config file exit with the same code.  Valid
 sizes stay small (N, X <= 60, Q <= 8, trials <= 2) and --threads stays in
 1-4.  Needs hypothesis, a development dependency; the module is skipped
 without it."""
 
 import contextlib
 import io
+import os
+import tempfile
+from unittest import mock
 
 import pytest
 
@@ -58,23 +62,51 @@ FLAGS = {
 }
 
 
-def _argv(command, data):
+def _draw(command, data):
+    """The drawn flags of one run, as (flag, value) pairs in order."""
     flags = FLAGS[command]
     names = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=6), label="flags")
     if command == "verify" and "--suites" not in names:
         names.append("--suites")  # the full suite list is covered elsewhere, and slow
-    argv = [command]
-    for name in names:
-        argv += [name, data.draw(flags[name], label=name)]
-    return argv
+    return [(name, data.draw(flags[name], label=name)) for name in names]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    return code
+
+
+def _one_line(flag, value):
+    """Whether `key=value` reads back as the flag's one value: a comma
+    splits a value, and an empty one is none, except for --suites, whose
+    flag splits its commas too."""
+    return flag == "--suites" or (value and value.strip() == value and not set(value) & set(",#"))
+
+
+def _attached(flag, value):
+    # -Q-1e16 and --tol=-1e16 give argparse a value that it would take for
+    # a flag when it stands apart
+    return flag + value if len(flag) == 2 else f"{flag}={value}"
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(data=st.data())
 def test_every_subcommand_exits_with_a_code_and_never_raises(command, data):
-    argv = _argv(command, data)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    drawn = _draw(command, data)
+    # SIEVELAB_THREADS would override a file's threads and not a flag
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("SIEVELAB_THREADS", None)
+        _run([command] + [s for pair in drawn for s in pair])
+        options = [(flag, value) for flag, value in drawn if flag != "--config"]
+        if not all(_one_line(flag, value) for flag, value in options):
+            return
+        code = _run([command] + [_attached(flag, value) for flag, value in options])
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.writelines(f"{flag.lstrip('-').replace('-', '_')}={value}\n"
+                          for flag, value in options)
+        assert _run([command, "--config", path]) == code, options
