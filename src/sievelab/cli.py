@@ -191,6 +191,11 @@ def _timed(fn, *a, **kw):
 # verify suites
 # ----------------------------------------------------------------------
 
+def _passes(worst, tol, floor=0.0):
+    """The pass rule, exact at tol = 0: worst == 0, else worst <= max(tol, floor)."""
+    return worst <= max(tol, floor) if tol > 0 else worst == 0
+
+
 def _suite_orthogonality(seed, tol):
     from .characters import char_group
     from .arith import totient
@@ -267,7 +272,7 @@ def _suite_chifact(seed, tol):
             err2 = 0.0 if f.reconstruct(2) == c2 else 1.0
             err3 = 0.0 if f.product_conductor_formula() else 1.0
             worst = max(worst, err1, err2, err3)
-    return worst, worst <= tol if tol > 0 else worst == 0
+    return worst, _passes(worst, tol)
 
 
 def _suite_chisep(seed, tol):
@@ -321,10 +326,10 @@ def _suite_gram(seed, tol):
         spec = FamilySpec(Q, k, T)
         idx = enumerate_pairs(N, "dyadic")
         g1 = gram_multiplicative(spec, idx)
-        g2 = gram_bruteforce(spec, idx, 96)
+        g2 = gram_bruteforce(spec, idx)
         scale = max(np.abs(g1.matrix).max(), 1.0)
         worst = max(worst, float(np.abs(g1.matrix - g2.matrix).max() / scale))
-    return worst, worst <= max(tol, 1e-8) if tol > 0 else worst == 0
+    return worst, _passes(worst, tol, 1e-8)
 
 
 def _suite_duality(seed, tol):
@@ -338,7 +343,7 @@ def _suite_duality(seed, tol):
         rows, cols, lam = additive_matrix(Q, N)
         v1, v2 = duality_check(rows, cols, lam)
         worst = max(worst, abs(v1 - v2) / max(v1, 1.0))
-    return worst, worst <= max(tol, 1e-8) if tol > 0 else worst == 0
+    return worst, _passes(worst, tol, 1e-8)
 
 
 def _suite_bdh(seed, tol):
@@ -350,7 +355,7 @@ def _suite_bdh(seed, tol):
                                seed=rng.randrange(2**30))
         l, r = bdh_lhs(inp), bdh_rhs_chars(inp)
         worst = max(worst, abs(l - r) / max(l, 1e-12))
-    return worst, worst <= max(tol, 1e-8) if tol > 0 else worst == 0
+    return worst, _passes(worst, tol, 1e-8)
 
 
 SUITES = {
@@ -579,7 +584,7 @@ def cmd_bdh(cfg):
         Q = int(rng.choice(cfg.Q))
         (inp, l, r), ms = _timed(trial, X, Q, rng.randrange(2**30))
         rel = abs(l - r) / max(abs(l), 1e-12)
-        ok = rel <= max(cfg.tol, 1e-8) if cfg.tol > 0 else rel == 0
+        ok = _passes(rel, cfg.tol, 1e-8)
         all_ok = all_ok and ok
         records.append(make_record(
             "bdh", Q=Q, N=X, extra={"support": len(inp.alpha), "lhs": l, "rhs": r},

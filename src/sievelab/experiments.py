@@ -49,10 +49,11 @@ def _q_aspect_conditions(Q, N, P):
     return {"P**": pss, "2PlogN<=P**logP/2": c1, "4PlogQ<=P**logP/2": c2}, c1 and c2
 
 
-def _witness_search(aspect, conditions, Q, k, T, N, P, tol):
-    """The witness search of both aspects.  The aspect's preconditions gate
-    the assertion, not the search; primes dividing k are skipped (the
-    enlarged family needs p in its unit group)."""
+def _witness_search(aspect, conditions, Q, k, T, N, P):
+    """The witness search of both aspects, at tol 1e-6.  The aspect's
+    preconditions gate the assertion, not the search; primes dividing k
+    are skipped (the enlarged family needs p in its unit group)."""
+    tol = 1e-6
     conds, met = conditions(Q, N, P)
     base = delta(Q, k, T, N, tol=tol).value
     values = {}
@@ -68,32 +69,32 @@ def _witness_search(aspect, conditions, Q, k, T, N, P, tol):
     return MonotonicityResult(aspect, Q, k, T, N, P, met, conds, base, values, witness)
 
 
-def monotonicity_check_N(Q, k, T, N, P, tol=1e-6):
+def monotonicity_check_N(Q, k, T, N, P):
     """Search [P, 2P] for a prime p with Delta(Q,k,T,N) <= 8 Delta(Q,k,T,Np)."""
-    return _witness_search("N", _n_aspect_conditions, Q, k, T, N, P, tol)
+    return _witness_search("N", _n_aspect_conditions, Q, k, T, N, P)
 
 
-def monotonicity_check_Q(Q, k, T, N, P, tol=1e-6):
+def monotonicity_check_Q(Q, k, T, N, P):
     """Same in the Q aspect: p in [P, 2P] with Delta(Q,k,T,N) <= 8 Delta(Qp,k,T,N)."""
-    return _witness_search("Q", _q_aspect_conditions, Q, k, T, N, P, tol)
+    return _witness_search("Q", _q_aspect_conditions, Q, k, T, N, P)
 
 
 # ----------------------------------------------------------------------
 # duality and fits
 # ----------------------------------------------------------------------
 
-def duality_check(rows, cols, mat, tol=1e-9):
-    """lambda_max of mat^H mat and of mat mat^H — equal operator norms of a
-    matrix and its transpose.  mat has one row per entry of rows and one
-    column per entry of cols."""
+def duality_check(rows, cols, mat):
+    """lambda_max of mat^H mat and of mat mat^H at tol 1e-9 — equal operator
+    norms of a matrix and its transpose.  mat has one row per entry of rows
+    and one column per entry of cols."""
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.shape != (len(rows), len(cols)):
         raise ValueError(f"matrix shape {mat.shape} does not match "
                          f"{len(rows)} rows x {len(cols)} columns")
     g1 = _hermitize(mat.conj().T @ mat)
     g2 = _hermitize(mat @ mat.conj().T)
-    v1 = top_eigenvalue(g1, tol=tol).value
-    v2 = top_eigenvalue(g2, tol=tol).value
+    v1 = top_eigenvalue(g1).value
+    v2 = top_eigenvalue(g2).value
     return v1, v2
 
 

@@ -213,10 +213,12 @@ def coset_reps(q, r):
     return CosetSystem(q, r, tuple(reps))
 
 
-def _lookup(F):
-    if callable(F):
-        return F
-    return lambda c1, c2: F.get((c1, c2), 0)
+def _reader(table):
+    """A caller's table as a function: itself if callable, else its dict
+    read, 0 off its keys, with the key (c1, c2) for a pair of characters."""
+    if callable(table):
+        return table
+    return lambda *key: table.get(key if len(key) > 1 else key[0], 0)
 
 
 def coset_identity_check(q, r, F, tol=1e-9):
@@ -229,7 +231,7 @@ def coset_identity_check(q, r, F, tol=1e-9):
     side gathers each coset's block of pairs from it."""
     q, r = _positive(q, "q"), _positive(r, "r")
     reps = [gamma.index for gamma in coset_reps(q, r).representatives]
-    f = _lookup(F)
+    f = _reader(F)
     group = char_group(q)
     n = len(group.chars)
     vals = np.fromiter(starmap(f, product(group.chars, repeat=2)), np.complex128,
@@ -333,7 +335,7 @@ def theta_separation_check(k, b, tol=1e-9):
     match the plain square.  b is read once per character mod k.
     """
     group = char_group(k)
-    get = b if callable(b) else (lambda c: b.get(c, 0))
+    get = _reader(b)
     vals = np.array([get(c) for c in group.chars], dtype=np.complex128)
     lhs = abs(complex(vals.sum())) ** 2
     mass = float(np.abs(vals).sum()) ** 2
@@ -502,7 +504,7 @@ def chiseparation_check(moduli, b, tol=1e-9):
     fully decomposed double sum.  b is read once per primitive character."""
     moduli = tuple(sorted(set(moduli)))
     support = [c for q in moduli for c in primitive_chars(q)]
-    get = b if callable(b) else (lambda c: b.get(c, 0))
+    get = _reader(b)
     vals = np.array([get(c) for c in support], dtype=np.complex128)
     lhs = abs(complex(vals.sum())) ** 2
     mass = float(np.abs(vals).sum()) ** 2
@@ -516,7 +518,7 @@ def chiseparation_check(moduli, b, tol=1e-9):
 # archimedean interval cosets
 # ----------------------------------------------------------------------
 
-def archimedean_coset_check(T, U, beta, w, nodes=96, tol=1e-6):
+def archimedean_coset_check(T, U, beta, w, tol=1e-6):
     """int int beta(t1) conj(beta(t2)) w(t1 - t2) dt1 dt2 over [T/2, T]^2
     against the tiled form
 
@@ -524,7 +526,7 @@ def archimedean_coset_check(T, U, beta, w, nodes=96, tol=1e-6):
             beta(T/2 - U + U j1 + v1) conj(beta(...j2 + v2))
             w(U (j1 - j2) + v1 - v2) dv1 dv2,
 
-    both sides by Gauss-Legendre quadrature.  beta is treated as 0 outside
+    both sides on 96 Gauss-Legendre nodes.  beta is treated as 0 outside
     [T/2, T].  With w supported on [U, 2U] the restriction |j1 - j2| <= 1
     is exact iff the tile count ceil(T/(2U)) is <= 2 (U >= T/4); smaller U
     genuinely drops |j1-j2| = 2 terms, and this check will report it.
@@ -535,25 +537,20 @@ def archimedean_coset_check(T, U, beta, w, nodes=96, tol=1e-6):
     def beta_ext(t):
         return beta(t) if T / 2 <= t <= T else 0.0
 
-    t, wt = _gauss_nodes(T / 2, T, nodes)
+    t, wt = _gauss_nodes(T / 2, T, 96)
     bv = np.array([beta(x) for x in t], dtype=complex)
     wmat = np.array([[w(t1 - t2) for t2 in t] for t1 in t])
     lhs = complex(np.einsum("i,j,ij,i,j->", bv, bv.conj(), wmat, wt, wt))
 
     n_tiles = ceil(T / (2 * U))
-    v, wv = _gauss_nodes(U, 2 * U, nodes)
-    tile_vals = []
-    for j in range(n_tiles):
-        tile_vals.append(np.array([beta_ext(T / 2 - U + U * j + x) for x in v], dtype=complex))
+    v, wv = _gauss_nodes(U, 2 * U, 96)
+    tiles = [np.array([beta_ext(T / 2 - U + U * j + x) for x in v], dtype=complex)
+             for j in range(n_tiles)]
     rhs = 0j
-    for j1 in range(n_tiles):
-        for j2 in range(n_tiles):
-            if abs(j1 - j2) > 1:
-                continue
+    for j1, j2 in product(range(n_tiles), repeat=2):
+        if abs(j1 - j2) <= 1:
             wm = np.array([[w(U * (j1 - j2) + v1 - v2) for v2 in v] for v1 in v])
-            rhs += complex(
-                np.einsum("i,j,ij,i,j->", tile_vals[j1], tile_vals[j2].conj(), wm, wv, wv)
-            )
+            rhs += complex(np.einsum("i,j,ij,i,j->", tiles[j1], tiles[j2].conj(), wm, wv, wv))
 
     scale = float(np.sum(np.abs(bv) * wt)) ** 2 * max(abs(w(x)) for x in np.linspace(U, 2 * U, 64))
     res = _relative(lhs, rhs, scale=scale)

@@ -40,9 +40,9 @@ alone, and the term list, from Q alone, before anything is built.
 
 Every family holds its index as the int64 arrays a, b of `rationals`
 with L = log(a/b), and reduces it there (`_reduce`).  Every Delta builds
-its family once and solves it by the route rule (`_solve`); the public
-`gram_*` builders return matrices for the verify suites, the oracles and
-the tests.
+its family once and solves it by the route rule (`_solve`), where alone
+the tests name a route; the public `gram_*` builders return matrices for
+the verify suites, the oracles and the tests.
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`) on
 one operator contract, `shape`, `dtype`, `@` and `bounds()`: a Rayleigh
@@ -92,7 +92,7 @@ import numpy as np
 from .arith import divisors, mobius, totient
 from .characters import char_group, primitive_chars, value_table
 from .rationals import (_POINT_BYTES, _ROUTE_BYTES, CoprimePair, RationalPoint, _check_bytes,
-                        _coprime_pairs, _points, _reduce)
+                        _coprime_pairs, _points, _ranges, _reduce)
 
 _START_SEED = 0x5EED
 _CHECK_STRIDE = 4
@@ -104,7 +104,6 @@ _MAX_ITER = 20000
 _TERM_BYTES = 136  # a term (g, d, c, s): its tuple, its ints and its list slot
 _QUADRATURE_TOL = 1e-12  # the most the family route's nodes and rank cut move Delta, relative
 _RHO = 1 + np.geomspace(1e-4, 1e4, 96)  # the Bernstein ellipses E_rho of the node bound
-_ROUTES = ("auto", "pairs", "family")
 # a Lanczos solve's time in flops of the dense solve: 600 m F r on `_KhatriRao` and
 # 2000 n gates on `_Buckets`, measured crossovers of some 80 matvecs (`_solve`)
 _DENSE_WORK = {"family": 600, "bins": 2000}
@@ -355,23 +354,24 @@ def _congruence_sum(a, b, terms, rows=None):
     dense.sort(key=lambda term: term[2])
     sparse.sort(key=lambda term: term[2])
     residues = {}
+    # columns[d][r] numbers the units r mod d of a dense term as 0, ..., phi(d) - 1
+    columns = {d: np.cumsum(np.gcd(np.arange(d), d) == 1) - 1 for _, _, d, _, _ in dense}
 
     def labels(gated, cols, d, s):
         if d not in residues:
             residues.clear()
-            # column[r] numbers the units r mod d as 0, ..., phi(d) - 1
-            residues[d] = np.cumsum(np.gcd(np.arange(d), d) == 1) - 1, _reduce(a, b, d)[0]
-        column, u = residues[d]
-        return column, u[rows[gated]], s * u[cols] % d
+            residues[d] = _reduce(a, b, d)[0]
+        u = residues[d]
+        return u[rows[gated]], s * u[cols] % d
 
     def add_product(chunk, width):
         """S += U U_s^T over the whole terms of one chunk."""
         U, Us = np.zeros((len(rows), width)), np.zeros((n, width))
         first = 0
         for gated, cols, d, c, s in chunk:
-            column, u, us = labels(gated, cols, d, s)
-            U[gated, first + column[u]] = c
-            Us[cols, first + column[us]] = 1
+            u, us = labels(gated, cols, d, s)
+            U[gated, first + columns[d][u]] = c
+            Us[cols, first + columns[d][us]] = 1
             first += totient(d)
         for r in range(0, len(rows), _CHECK_ROWS):
             S[r:r + _CHECK_ROWS] += U[r:r + _CHECK_ROWS] @ Us.T
@@ -390,18 +390,27 @@ def _congruence_sum(a, b, terms, rows=None):
             chunk, width = [], 0
     flat = S.reshape(-1)
     for gated, cols, d, c, s in sparse:
-        _, u, us = labels(gated, cols, d, s)
+        u, us = labels(gated, cols, d, s)
         order = np.argsort(us)
         us = us[order]
         for lo in range(0, len(gated), step):
-            start = np.searchsorted(us, u[lo:lo + step], "left")
-            count = np.searchsorted(us, u[lo:lo + step], "right") - start
-            # row i matches the sorted us at start_i, ..., start_i + count_i - 1;
             # within one term and one slice each (row, column) comes once
-            i = np.repeat(gated[lo:lo + step], count)
-            j = np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)
-            flat[i * n + cols[order[j]]] += c
+            i, j = _matches(order, us, u[lo:lo + step], gated[lo:lo + step])
+            flat[i * n + cols[j]] += c
     return S
+
+
+def _matches(order, keys, queries, ids):
+    """(ids[i], order[j]) for each match queries[i] = keys[j] of the keys
+    sorted by order, i ascending: query i matches keys[start_i:start_i + count_i]."""
+    start = np.searchsorted(keys, queries, "left")
+    count = np.searchsorted(keys, queries, "right") - start
+    return np.repeat(ids, count), order[_ranges(start, count)]
+
+
+def _member_count(terms):
+    """F, the congruence sum at 1/1: every gate holds and u = 1 = s u mod d."""
+    return int(sum(c for _, d, c, s in terms if (1 - s) % d == 0))
 
 
 def _pair_gram(fam, order=None, rows=None):
@@ -771,12 +780,7 @@ class _Buckets:
         at p', each match found by sorting the folds; M is symmetric, as
         r' = s r mod d is r = s r' for s = +-1, and exact, a sum of halves."""
         order = np.argsort(self.fold)
-        folds = self.fold[order]
-        start = np.searchsorted(folds, self.read, "left")
-        count = np.searchsorted(folds, self.read, "right") - start
-        # entry e matches the sorted folds at start_e, ..., start_e + count_e - 1
-        e = np.repeat(np.arange(len(self.pos)), count)
-        match = order[np.arange(len(e)) + np.repeat(start - np.cumsum(count) + count, count)]
+        e, match = _matches(order, self.fold[order], self.read, np.arange(len(self.pos)))
         return np.bincount(self.pos[e] * self.bins + self.pos[match], self.weight[e],
                            self.bins * self.bins).reshape(self.bins, self.bins)
 
@@ -810,10 +814,10 @@ def _family_gram(fam, nodes):
     return GramMatrix(fam.index, _hermitize(G))
 
 
-def gram_bruteforce(spec, index, quadrature_nodes=64):
+def gram_bruteforce(spec, index):
     """Oracle: the same Gram matrix by explicit sums over (q, chi, theta)
-    and Gauss-Legendre quadrature of the t-integral."""
-    return _family_gram(_multiplicative(spec, *_pair_arrays(index)), quadrature_nodes)
+    and 96-node Gauss-Legendre quadrature of the t-integral."""
+    return _family_gram(_multiplicative(spec, *_pair_arrays(index)), 96)
 
 
 def additive_matrix(Q, N):
@@ -939,7 +943,7 @@ def _start(k, seed):
     return (z >> np.uint64(11)) * 2.0**-52 - 1.0
 
 
-def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
+def top_eigenvalue(G, tol=1e-9, max_iter=_MAX_ITER):
     """Largest eigenvalue of a Hermitian operator G, as a NormEstimate.
 
     G meets one contract: `shape` (n, n), `dtype`, `G @ x` and `bounds()`,
@@ -951,8 +955,8 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
 
     Lanczos with full reorthogonalization, in a float64 or complex128 basis
     as the dtype is real or complex, from the first n `_start` draws of the
-    seed (the next n are the imaginary parts for a complex dtype), boosted
-    at the largest diagonal entry.  T, the Lanczos tridiagonal, grows by
+    seed _START_SEED (the next n are the imaginary parts for a complex
+    dtype), boosted at the largest diagonal entry.  T, the Lanczos tridiagonal, grows by
     doubling with the basis.  Every _CHECK_STRIDE steps it takes the top
     Ritz pair of T and stops once |beta_j s_j| / max(|theta|, 1) is at most
     tol; it takes the pair and stops at any step on Krylov breakdown, a
@@ -967,16 +971,14 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     bounds the distance from rho to *some* eigenvalue, not necessarily to
     lambda_max; `iterations` counts the matvecs.  Raises ValueError on a
     non-square, non-finite or non-Hermitian matrix, a non-finite or
-    negative tol, a max_iter that is no integer >= 1, a seed outside
-    [0, 2^64), and when rho or the residual overflows (entries near the
-    float64 range); the overflows on the way raise no warning.
+    negative tol, a max_iter that is no integer >= 1, and when rho or the
+    residual overflows (entries near the float64 range); the overflows on
+    the way raise no warning.
     """
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if not (isinstance(max_iter, Integral) and max_iter >= 1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     M = G.matrix if isinstance(G, GramMatrix) else G
     if not hasattr(M, "bounds"):
         M = np.asarray(M)
@@ -991,7 +993,7 @@ def top_eigenvalue(G, tol=1e-9, seed=_START_SEED, max_iter=_MAX_ITER):
     diag, total, ceiling = M.bounds()
     floor = max(float(diag.max()), total / n)
 
-    v = _start(2 * n, seed)
+    v = _start(2 * n, _START_SEED)
     v = v[:n] + 1j * v[n:] if np.iscomplexobj(M) else v[:n]
     v[int(np.argmax(diag))] += 2.0 * np.abs(v).max()
     steps = min(n, max_iter)
@@ -1235,8 +1237,8 @@ def _solve(fam, tol, route="auto"):
     gates, where their dense solve costs no more than a Lanczos solve on
     the buckets, and the buckets first otherwise; with a
     window, it tries the family side first when 2 F J < n, counting the
-    members F as S at the index 1/1, where every member is 1, and the
-    pair side first otherwise.  Either way it takes the first of the two
+    members F from the terms (`_member_count`), and the pair side first
+    otherwise.  Either way it takes the first of the two
     whose estimate, with a one-vector basis on a Lanczos route, fits under
     _ROUTE_BYTES, or, when neither fits, the one with the smaller
     estimate, which then refuses.  Every Lanczos route takes the deepest
@@ -1281,8 +1283,7 @@ def _solve(fam, tol, route="auto"):
         if fam.T is None:
             raise ValueError("the family route serves the windowed families only")
         nodes = _quadrature_nodes(n, float(np.abs(fam.L).max(initial=0.0)), fam.T)
-        one = np.ones(1, dtype=np.int64)
-        F = int(_congruence_sum(one, one, fam.terms)[0, 0])
+        F = _member_count(fam.terms)
         setup, fixed = _family_route_bytes(n, F, nodes)
         if route == "auto":
             order = ("family", "pairs") if 2 * F * nodes < n else ("pairs", "family")
@@ -1325,14 +1326,12 @@ def _solve(fam, tol, route="auto"):
     return replace(estimate, route=route, size=n, nodes=nodes)
 
 
-def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None, route="auto"):
+def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None):
     """Delta(Q, k, T, N): the multiplicative-family norm on the dyadic
-    window N/2 < ab <= N, as the largest Gram eigenvalue.  "auto" follows
-    the route rule of `_solve`."""
-    if route not in _ROUTES:
-        raise ValueError(f"route must be one of {_ROUTES}, got {route!r}")
+    window N/2 < ab <= N, as the largest Gram eigenvalue, on the route that
+    the route rule of `_solve` takes."""
     spec = FamilySpec(Q, k, T, parity)
-    return _solve(_multiplicative(spec, *_coprime_pairs(N, "dyadic")), tol, route)
+    return _solve(_multiplicative(spec, *_coprime_pairs(N, "dyadic")), tol)
 
 
 def delta_add(Q, N, tol=1e-9):

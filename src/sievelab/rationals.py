@@ -68,13 +68,10 @@ def as_point(n):
         return n
     if isinstance(n, CoprimePair):
         return RationalPoint(n.a, n.b)
-    if isinstance(n, int):
+    if isinstance(n, (int, Fraction)):
         if n == 0:
             raise ValueError("0 is not in Q^x")
-        return RationalPoint(abs(n), 1, 1 if n > 0 else -1)
-    if isinstance(n, Fraction):
-        if n == 0:
-            raise ValueError("0 is not in Q^x")
+        n = Fraction(n)
         return RationalPoint(abs(n.numerator), n.denominator, 1 if n > 0 else -1)
     raise TypeError(f"cannot interpret {n!r} as a rational point")
 
@@ -167,19 +164,21 @@ def _coprime_count(x):
     return total
 
 
-def _coprime_pairs(N, window="full", coprime_to=1):
+def _ranges(start, count):
+    """The ranges start_i, ..., start_i + count_i - 1, one after another."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _coprime_pairs(N, window="full"):
     """`enumerate_pairs` as int64 arrays (a, b), the full window by default;
     ValueError from `_heights` before any array is built."""
     lo, hi = _heights(N, window)
     a = np.arange(1, hi + 1, dtype=np.int64)
     first = (lo - 1) // a + 1  # b runs over first, ..., hi // a
     count = hi // a - first + 1
+    b = _ranges(first, count)
     a = np.repeat(a, count)
-    b = np.arange(len(a), dtype=np.int64)
-    b += np.repeat(first - np.cumsum(count) + count, count)
     keep = np.gcd(a, b) == 1
-    if coprime_to > 1:
-        keep &= np.gcd(a * b, coprime_to) == 1
     return a[keep], b[keep]
 
 
@@ -210,16 +209,14 @@ def _points(point, *columns):
     return list(map(point, *(c.tolist() for c in columns)))
 
 
-def enumerate_pairs(N, window="dyadic", coprime_to=1):
+def enumerate_pairs(N, window="dyadic"):
     """Coprime pairs (a,b) with ab in the window: N/2 < ab <= N (dyadic)
-    or 1 <= ab <= N (full), skipping ab sharing a factor with coprime_to.
-    Output is sorted a-major, then b.  With coprime_to = 1 the count is
-    exact from N, so an oversized list is refused before the index arrays
-    are built."""
-    if coprime_to == 1:
-        lo, hi = _heights(N, window)
-        _check_points(_coprime_count(hi) - _coprime_count(lo - 1))
-    return _points(CoprimePair, *_coprime_pairs(N, window, coprime_to))
+    or 1 <= ab <= N (full), sorted a-major, then b.  The count is exact
+    from N, so an oversized list is refused before the index arrays are
+    built."""
+    lo, hi = _heights(N, window)
+    _check_points(_coprime_count(hi) - _coprime_count(lo - 1))
+    return _points(CoprimePair, *_coprime_pairs(N, window))
 
 
 def rationals_up_to(N, sign=False):

@@ -172,9 +172,9 @@ class SiftedReport:
     ok: bool
 
 
-def sieve_inequality_report(plan, Q, tol=1e-9, delta=None, table=None):
+def sieve_inequality_report(plan, Q, delta=None, table=None):
     """|S|, H, Delta_rational(Q, N) and the ratio |S| H / Delta.  Delta is
-    solved here at tol unless the caller passes its value as `delta`, and
+    solved here at tol 1e-9 unless the caller passes its value as `delta`, and
     the plan is sifted from `table` when one is given.  |S| is counted on
     the survivor mask; no point object is built.  The ratio is
     soft-asserted <= 1 + 1e-6: a violation prints a prominent diagnostic
@@ -183,7 +183,7 @@ def sieve_inequality_report(plan, Q, tol=1e-9, delta=None, table=None):
         raise ValueError("Q must be >= 1")
     size = int(np.count_nonzero(_sift(plan, table)[2]))
     H = big_H(Q, plan)
-    dl = delta_rational(Q, plan.N, tol=tol).value if delta is None else delta
+    dl = delta_rational(Q, plan.N).value if delta is None else delta
     ratio = float(size * H) / dl if dl > 0 else 0.0
     ok = ratio <= 1 + 1e-6
     if not ok:

@@ -46,7 +46,6 @@ from sievelab.norms import (
     gram_bruteforce,
     gram_multiplicative,
 )
-from sievelab.rationals import enumerate_pairs
 from sievelab.sieve_apps import (
     SievePlan,
     bdh_lhs,
@@ -55,6 +54,7 @@ from sievelab.sieve_apps import (
     sieve_inequality_report,
 )
 from sievelab.specials import exponent_sequence, z_cd_euler, z_cd_series
+from test_norms import _pairs_prime_to
 
 
 def _report(name, ok, detail):
@@ -172,9 +172,9 @@ def test_acceptance_gram_oracle():
     worst = 0.0
     for (Q, k, T, N) in ORACLE_GRID:
         spec = FamilySpec(Q, k, T)
-        index = enumerate_pairs(N, "dyadic", coprime_to=k)
+        index = _pairs_prime_to(k, N)
         closed = gram_multiplicative(spec, index)
-        brute = gram_bruteforce(spec, index, quadrature_nodes=96)
+        brute = gram_bruteforce(spec, index)
         if closed.dim:
             worst = max(worst, float(np.max(np.abs(closed.matrix - brute.matrix))))
     elapsed = time.monotonic() - t0

@@ -277,3 +277,26 @@ def test_threads_building_one_group_share_its_characters():
     for groups in results:
         assert [g.q for g in groups] == moduli
         assert all(g is char_group(q) for g, q in zip(groups, moduli))
+
+
+def _first_primitive(q):
+    return primitive_chars(q)[0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _first_primitive(5) * trivial_char(10), "character product needs a common modulus"),
+    # a primitive character mod 9 is no character mod 3 at the lift of 2
+    (lambda: descend(_first_primitive(9), 3), "value is not an order-th root of unity"),
+    (lambda: induce(_first_primitive(5), 7), "can only induce to a multiple of the modulus"),
+    (lambda: crt_product([_first_primitive(4), trivial_char(6)]),
+     "moduli must be pairwise coprime"),
+])
+def test_character_algebra_refuses_mismatched_moduli(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("n", [0, -6])
+def test_factorize_refuses_n_below_1(n):
+    with pytest.raises(ValueError, match="factorize expects n >= 1"):
+        factorize(n)

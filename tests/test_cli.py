@@ -205,6 +205,17 @@ def test_config_bad_value_is_usage_error(tmp_path, capsys):
     assert run(["norm", "--seed", "abc", "--seed", "7"]) == 2
 
 
+@pytest.mark.parametrize("line, message", [
+    ("Q=", "error: range Q is empty"),
+    ("garbage", "error: bad config line 'garbage\\n'"),
+])
+def test_a_config_file_refuses_an_empty_range_or_a_bad_line(line, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["norm", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 @pytest.mark.parametrize("key, bad, good, allowed", [
     ("format", "xml", "json", "csv, json"),
     ("family", "bogus", "rational", "multiplicative, additive, rational"),

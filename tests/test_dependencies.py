@@ -111,8 +111,8 @@ def _imported_after_every_route(module):
     script = textwrap.dedent(f"""
         import contextlib, io, sys
         from sievelab import cli, delta, delta_rational, norms
-        routes = [delta(6.0, 1, 1.0, 100.0, route="pairs").route,
-                  delta(4.0, 1, 1.0, 900.0, route="family").route,
+        routes = [delta(6.0, 1, 1.0, 40.0).route,
+                  delta(4.0, 1, 1.0, 900.0).route,
                   delta_rational(6, 60).route,
                   norms._solve(norms._rational(6, 60), 1e-9, "buckets").route]
         assert routes == ["pairs", "family", "bins", "buckets"], routes
@@ -140,3 +140,58 @@ def test_every_route_and_the_sieve_command_leave_concurrent_futures_unimported()
     # concurrent.futures pulls in logging, about 4.7 ms of a fresh process;
     # only a norm or scan grid on more than one thread needs it
     assert _imported_after_every_route("concurrent.futures") == ["False"]
+
+
+# defaulted parameters of exported functions that no call in src/ or bench/
+# sets, each with the reason it stays an option
+_UNSET_OPTIONS = {
+    "rationals_up_to.sign": "the signed view of Q^x, which RationalPoint.sign, as_point "
+                            "and reduce_mod also serve",
+    "in_localization.strict": "an oracle for the unit masks",
+    "z_cd_euler.prime_cutoff": "a series truncation the tests vary to check convergence",
+    "z_cd_series.cutoff": "a series truncation the tests vary to check convergence",
+}
+
+
+def _exported_functions():
+    """{name: FunctionDef} of the functions `sievelab/__init__.py` exports."""
+    exported = {}
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {alias.name for alias in node.names}
+            module = ast.parse((SRC / f"{node.module}.py").read_text())
+            exported.update({f.name: f for f in module.body
+                             if isinstance(f, ast.FunctionDef) and f.name in names})
+    return exported
+
+
+def _defaulted(function):
+    """The names of a function's parameters that have a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    return ([a.arg for a in positional[len(positional) - len(args.defaults):]]
+            + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def test_every_defaulted_parameter_of_the_api_is_set_by_some_caller():
+    # an option with one value in use is a constant; the scan covers the
+    # calls in the package and the bench, by keyword or by position
+    functions = _exported_functions()
+    set_by_a_call = set()
+    for path in sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in functions:
+                continue
+            args = functions[name].args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            # a starred argument may fill every position
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            reach = len(positional) if starred else len(node.args)
+            set_by_a_call.update(f"{name}.{p}" for p in positional[:reach])
+            set_by_a_call.update(f"{name}.{k.arg}" for k in node.keywords if k.arg)
+    unset = {f"{name}.{p}" for name, function in functions.items()
+             for p in _defaulted(function)} - set_by_a_call
+    assert unset == set(_UNSET_OPTIONS), ", ".join(sorted(unset))

@@ -13,8 +13,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sievelab import norms  # noqa: E402
-from sievelab.rationals import _coprime_pairs, enumerate_pairs  # noqa: E402
-from test_norms import _congruence_sum_by_loops  # noqa: E402
+from sievelab.rationals import _coprime_pairs  # noqa: E402
+from test_norms import _congruence_sum_by_loops, _pairs_prime_to  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 # 1 <= Q <= 12 in halves.  The multiplicative family side holds
@@ -36,12 +36,14 @@ def _assert_norms_agree(pair, members, fam, rel):
     whatever the index size: the family route's H = A^H A for a window, a
     dense oracle from the member values for a discrete family, which the
     family route does not serve; and the route rule's member count, the
-    congruence sum at the index 1/1, is the number of members."""
+    congruence sum at the index 1/1, and its closed form from the terms,
+    are the number of members."""
     want = norms.top_eigenvalue(pair, tol=1e-12).value
     got = members.value
     assert abs(got - want) <= rel * max(1.0, want), (got, want)
     one = np.ones(1, dtype=np.int64)
-    assert norms._congruence_sum(one, one, fam.terms)[0, 0] == len(fam.members())
+    F = len(fam.members())
+    assert norms._congruence_sum(one, one, fam.terms)[0, 0] == norms._member_count(fam.terms) == F
 
 
 @PROPERTY
@@ -49,9 +51,9 @@ def _assert_norms_agree(pair, members, fam, rel):
        parity=st.sampled_from([None, "even", "odd"]), coprime=st.booleans())
 def test_multiplicative_pair_side_equals_family_side(Q, k, T, N, parity, coprime):
     spec = norms.FamilySpec(Q, k, T, parity)
-    index = enumerate_pairs(N, "dyadic", coprime_to=k if coprime else 1)
+    index = _pairs_prime_to(k if coprime else 1, N)
     pair = norms.gram_multiplicative(spec, index)
-    family = norms.gram_bruteforce(spec, index, quadrature_nodes=96)
+    family = norms.gram_bruteforce(spec, index)
     assert pair.index == family.index
     assert _rel_diff(pair.matrix, family.matrix) <= 1e-8
     fam = norms._multiplicative(spec, *norms._pair_arrays(index))

@@ -52,12 +52,23 @@ ORACLE_GRID = [
 ]
 
 
+def _delta_on(route, Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None):
+    """delta(Q, k, T, N, tol, parity) on the named route, through the route
+    rule `_solve`, which takes the route as its test seam."""
+    fam = norms._multiplicative(FamilySpec(Q, k, T, parity), *norms._coprime_pairs(N, "dyadic"))
+    return norms._solve(fam, tol, route)
+
+
+def _pairs_prime_to(k, N):
+    """The dyadic index of height N without the pairs whose ab shares a
+    factor with k, which the family's gate zeroes."""
+    return [p for p in enumerate_pairs(N, "dyadic") if math.gcd(p.a * p.b, k) == 1]
+
+
 def _gram_pair(Q, k, T, N, parity=None):
     spec = FamilySpec(Q, k, T, parity=parity)
-    index = enumerate_pairs(N, "dyadic", coprime_to=k)
-    return gram_multiplicative(spec, index), gram_bruteforce(
-        spec, index, quadrature_nodes=96
-    )
+    index = _pairs_prime_to(k, N)
+    return gram_multiplicative(spec, index), gram_bruteforce(spec, index)
 
 
 # ----------------------------------------------------------------------
@@ -214,11 +225,11 @@ def _all_sample_grams():
     out = []
     for (Q, k, T, N) in ORACLE_GRID[:6]:
         spec = FamilySpec(Q, k, T)
-        out.append(gram_multiplicative(spec, enumerate_pairs(N, "dyadic", coprime_to=k)))
+        out.append(gram_multiplicative(spec, _pairs_prime_to(k, N)))
     out.append(gram_multiplicative(FamilySpec(8.0, 3, 2.0, parity="even"),
-                                   enumerate_pairs(60, "dyadic", coprime_to=3)))
+                                   _pairs_prime_to(3, 60)))
     out.append(gram_multiplicative(FamilySpec(8.0, 3, 2.0, parity="odd"),
-                                   enumerate_pairs(60, "dyadic", coprime_to=3)))
+                                   _pairs_prime_to(3, 60)))
     out.append(gram_additive(10, 80))
     out.append(gram_rational(9, 90))
     return out
@@ -487,12 +498,6 @@ def test_top_eigenvalue_refuses_a_bad_max_iter(max_iter):
         top_eigenvalue(np.eye(3), max_iter=max_iter)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.0, float("nan"), None])
-def test_top_eigenvalue_refuses_a_seed_outside_the_stream(seed):
-    with pytest.raises(ValueError, match="seed"):
-        top_eigenvalue(np.eye(3), seed=seed)
-
-
 def _splitmix_draw(seed, i):
     """The loop reference of `norms._start` in Python integers."""
     z = (seed + i) * 0x9E3779B97F4A7C15 % 2**64
@@ -602,14 +607,7 @@ def test_top_eigenvalue_rejects_an_overflowing_solve():
         delta(4.0, 1, 1e200, 40.0)
     # and a window too wide for int() is refused by the family estimate
     with pytest.raises(ValueError, match="family route .* over the"):
-        delta(4.0, 1, 1e308, 40.0, route="family")
-
-
-def test_delta_rejects_unknown_route():
-    with pytest.raises(ValueError):
-        delta(4.0, 1, 1.0, 40.0, route="bogus")
-    with pytest.raises(ValueError):
-        delta(4.0, 1, 1.0, 40.0, route="pair")
+        _delta_on("family", 4.0, 1, 1e308, 40.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -652,19 +650,27 @@ def test_size_errors_name_only_the_bad_size():
 def test_delta_routes_agree():
     for (Q, k, T, N, parity) in [(4.0, 1, 1.0, 40.0, None), (6.0, 2, 2.0, 100.0, None),
                                  (3.0, 1, 4.0, 64.0, None), (6.0, 3, 2.0, 100.0, "odd")]:
-        a = delta(Q, k, T, N, parity=parity, route="pairs").value
-        b = delta(Q, k, T, N, parity=parity, route="family").value
+        a = _delta_on("pairs", Q, k, T, N, parity=parity).value
+        b = _delta_on("family", Q, k, T, N, parity=parity).value
         assert abs(a - b) <= 1e-9 * max(1.0, a), (Q, k, T, N, parity, a, b)
+
+
+def test_a_large_twist_stays_small_in_memory(traced_peak):
+    # the member count reads the terms alone, and the pair side numbers the
+    # units mod d for its dense terms only: at k = 10^7 the sparse terms'
+    # d reach 4 10^7, and their unit numbering took 563 MB on n = 200
+    peak = traced_peak(lambda: delta(4.0, 10**7, 1.0, 100.0))
+    assert peak < 8 << 20, peak
 
 
 def test_delta_route_dispatch_at_scale():
     # with 2 F J = 48 < n = 2400 "auto" takes the family route
-    auto = delta(4.0, 1, 1.0, 900.0, route="auto").value
-    fam = delta(4.0, 1, 1.0, 900.0, route="family").value
+    auto = delta(4.0, 1, 1.0, 900.0).value
+    fam = _delta_on("family", 4.0, 1, 1.0, 900.0).value
     assert auto == fam
     # and at a size where both routes are explicit they agree
-    a = delta(4.0, 1, 1.0, 640.0, route="pairs").value
-    b = delta(4.0, 1, 1.0, 640.0, route="family").value
+    a = _delta_on("pairs", 4.0, 1, 1.0, 640.0).value
+    b = _delta_on("family", 4.0, 1, 1.0, 640.0).value
     assert abs(a - b) <= 1e-8 * a
 
 
@@ -709,7 +715,7 @@ def test_family_route_record_names_its_solve(monkeypatch):
     # the window (1, 2] holds no primitive character: an empty family,
     # which no route solves densely
     for route in ("auto", "pairs", "family"):
-        empty = delta(2.0, 1, 1.0, 40.0, route=route)
+        empty = _delta_on(route, 2.0, 1, 1.0, 40.0)
         assert empty.value == 0.0
         assert empty.method == "lanczos"
 
@@ -725,7 +731,7 @@ def test_trivial_family_norms_are_exact_counts():
         val = delta_rational(1, N).value
         assert n <= val <= n * (1 + 1e-12)
     for N in (10, 30, 75, 1000):
-        n = len(enumerate_pairs(N, "dyadic", 1))
+        n = len(enumerate_pairs(N, "dyadic"))
         val = delta_add(1, N).value
         assert n <= val <= n * (1 + 1e-12)
 
@@ -796,7 +802,7 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
     est = delta(1.0, 1, 1.0, 40.0)
     assert est.route == "family" and abs(est.value - single) <= 1e-9 * single
     # neither side for a discrete family with one member
-    assert delta_add(1, 20).value == len(enumerate_pairs(20, "dyadic", 1))
+    assert delta_add(1, 20).value == len(enumerate_pairs(20, "dyadic"))
     assert delta_rational(1, 6).value == len(rationals_up_to(6))
 
 
@@ -819,7 +825,7 @@ def test_pair_route_refuses_an_oversized_job(monkeypatch, capsys):
 
     for norm, n in [(lambda: norms._solve(norms._rational(12, 200), 1e-9, "pairs"),
                      len(rationals_up_to(200))),
-                    (lambda: delta(12.0, 3, 4.0, 400.0, route="pairs"),
+                    (lambda: _delta_on("pairs", 12.0, 3, 4.0, 400.0),
                      len(enumerate_pairs(400, "dyadic")))]:
         with pytest.raises(ValueError, match=f"pairs route on {n} indices .* {estimate(n)}, "
                                              "over the 1.0 MiB cap"):
@@ -844,7 +850,7 @@ _PUBLIC_GRAMS = {
     "additive": (lambda: gram_additive(150, 500), len(enumerate_pairs(500))),
     "multiplicative": (lambda: gram_multiplicative(FamilySpec(12.0, 3, 4.0, "odd"),
                                                    enumerate_pairs(400)), len(enumerate_pairs(400))),
-    "bruteforce": (lambda: gram_bruteforce(FamilySpec(6.0, 2, 2.0), enumerate_pairs(300), 96),
+    "bruteforce": (lambda: gram_bruteforce(FamilySpec(6.0, 2, 2.0), enumerate_pairs(300)),
                    len(enumerate_pairs(300))),
     "rational-bruteforce": (lambda: gram_rational_bruteforce(12, 100), len(rationals_up_to(100))),
 }
@@ -976,7 +982,7 @@ def test_family_route_refuses_an_oversized_job(monkeypatch, capsys):
     F = len(family_members(FamilySpec(12.0, 3, 4.0)))
     with pytest.raises(ValueError, match=f"family route on {F} members x \\d+ nodes needs an "
                                          "estimated .* MiB, over the 1.0 MiB cap"):
-        delta(12.0, 3, 4.0, 400.0, route="family")
+        _delta_on("family", 12.0, 3, 4.0, 400.0)
     # delta(12, 1, 4, 1000) takes the family side: 2 F J = 924 < n = 2702
     assert cli.run(["norm", "-Q", "12", "-T", "4", "-N", "1000"]) == 2
     err = capsys.readouterr().err
@@ -996,7 +1002,7 @@ def test_family_route_runs_the_steps_that_fit_under_the_cap(monkeypatch):
     # bucket route does, so a cap below the estimate at min(F r, _MAX_ITER)
     # rows no longer refuses a job that converges in fewer steps.  At this
     # cap the dense solve does not fit, so the route runs Lanczos
-    want = delta(12.0, 1, 4.0, 1000.0, route="pairs").value
+    want = _delta_on("pairs", 12.0, 1, 4.0, 1000.0).value
     dims = _family_dims(monkeypatch)
     delta(12.0, 1, 4.0, 1000.0)
     (_, F, r), = dims
@@ -1038,7 +1044,7 @@ def test_family_route_falls_back_to_lanczos_one_byte_under_the_dense_estimate(mo
     # the bench call delta(12, 1, 4, 1000) takes the dense solve by the
     # rule; at exactly its estimate it still does, and one byte under it
     # the route runs Lanczos on the same compressed H instead of refusing
-    want = delta(12.0, 1, 4.0, 1000.0, route="pairs").value
+    want = _delta_on("pairs", 12.0, 1, 4.0, 1000.0).value
     dims = _family_dims(monkeypatch)
     dense = delta(12.0, 1, 4.0, 1000.0)
     (_, F, r), = dims
@@ -1067,12 +1073,12 @@ def test_auto_route_falls_back_to_the_route_that_fits(monkeypatch):
     assert want.route == "pairs" and 2 * F * nodes >= n and family < pairs
     monkeypatch.setattr(norms, "_ROUTE_BYTES", pairs - 1)
     got = delta(12.0, 3, 4.0, 400.0)
-    assert got == delta(12.0, 3, 4.0, 400.0, route="family")
+    assert got == _delta_on("family", 12.0, 3, 4.0, 400.0)
     assert (got.route, got.size, got.nodes) == ("family", n, nodes)
     assert abs(got.value - want.value) <= 1e-9 * want.value
     with pytest.raises(ValueError, match=f"pairs route on {n} indices needs an estimated "
                                          f"{pairs / 2**20:.1f} MiB"):
-        delta(12.0, 3, 4.0, 400.0, route="pairs")
+        _delta_on("pairs", 12.0, 3, 4.0, 400.0)
     monkeypatch.setattr(norms, "_ROUTE_BYTES", family - 1)
     with pytest.raises(ValueError, match=f"family route on {F} members x {nodes} nodes needs an "
                                          f"estimated {family / 2**20:.1f} MiB"):
@@ -1207,13 +1213,13 @@ def test_bounded_node_count_certifies_delta_and_half_of_it_does_not(monkeypatch)
     # a small family with a large T Lmax: w* = 32 log(200) / 2 = 85.  On the
     # bound's J nodes the family route meets the pair route; on half of them
     # it misses by far more than the value gate
-    want = delta(6.0, 1, 32.0, 200.0, tol=1e-12, route="pairs").value
-    got = delta(6.0, 1, 32.0, 200.0, tol=1e-12, route="family")
+    want = _delta_on("pairs", 6.0, 1, 32.0, 200.0, tol=1e-12).value
+    got = _delta_on("family", 6.0, 1, 32.0, 200.0, tol=1e-12)
     assert got.nodes == norms._quadrature_nodes(got.size, math.log(200), 32.0) > 40
     assert abs(got.value - want) <= 1e-12 * want
     nodes = norms._quadrature_nodes
     monkeypatch.setattr(norms, "_quadrature_nodes", lambda n, Lmax, T: nodes(n, Lmax, T) // 2)
-    half = delta(6.0, 1, 32.0, 200.0, tol=1e-12, route="family")
+    half = _delta_on("family", 6.0, 1, 32.0, 200.0, tol=1e-12)
     assert half.nodes == got.nodes // 2
     assert abs(half.value - want) > 1e-9 * want
 
@@ -1227,14 +1233,14 @@ def test_node_count_edge_cases():
     assert (got.value, got.size, got.route) == (0.0, 0, "family")
     # the single index 1/1 (Lmax = 0): both routes give F T / 2, F = 2
     for route in ("family", "pairs"):
-        assert abs(delta(4.0, 1, 2.0, 1.0, route=route).value - 2.0) <= 1e-14
+        assert abs(_delta_on(route, 4.0, 1, 2.0, 1.0).value - 2.0) <= 1e-14
     # an overflowing T Lmax is clamped, not an error of its own: the pair
     # route's solve overflows, and the family estimate refuses
     with pytest.raises(ValueError, match="overflowed"):
         delta(4.0, 1, 1e200, 40.0)
     assert norms._quadrature_nodes(70, math.log(40), 1e308) == norms._ROUTE_BYTES + 1
     with pytest.raises(ValueError, match="family route on 2 members x \\d+ nodes needs an "):
-        delta(4.0, 1, 1e308, 40.0, route="family")
+        _delta_on("family", 4.0, 1, 1e308, 40.0)
 
 
 @pytest.mark.parametrize("Q,k,T,N,parity", [(6.0, 1, 4.0, 200.0, None),
@@ -1276,13 +1282,13 @@ def test_family_route_edge_cases_on_the_dense_solve(monkeypatch, capsys):
     # the empty family (no primitive character in (1, 2]) still gives 0 by
     # Lanczos on no dimension, at the CLI too
     monkeypatch.setitem(norms._DENSE_WORK, "family", math.inf)
-    empty = delta(2.0, 1, 1.0, 40.0, route="family")
+    empty = _delta_on("family", 2.0, 1, 1.0, 40.0)
     assert (empty.value, empty.method, empty.route) == (0.0, "lanczos", "family")
     assert cli.run(["norm", "-Q", "2"]) == 0
     row, = csv.DictReader(io.StringIO(capsys.readouterr().out))
     assert float(row["value"]) == 0.0
     # the single index 1/1: F T / 2, F = 2, by one dense eigh
-    one = delta(4.0, 1, 2.0, 1.0, route="family")
+    one = _delta_on("family", 4.0, 1, 2.0, 1.0)
     assert (one.method, one.iterations, one.size) == ("eigh", 1, 1)
     assert abs(one.value - 2.0) <= 1e-14
     # an overflowing T Lmax refuses by the family estimate before P is
@@ -1290,7 +1296,7 @@ def test_family_route_edge_cases_on_the_dense_solve(monkeypatch, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="family route on 2 members x \\d+ nodes needs an "):
-            delta(4.0, 1, 1e308, 40.0, route="family")
+            _delta_on("family", 4.0, 1, 1e308, 40.0)
 
 
 def test_family_route_refuses_a_discrete_family_or_an_unfolded_index(monkeypatch):
@@ -1390,7 +1396,7 @@ def test_family_route_builds_no_point_objects(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
     assert delta(12.0, 1, 4.0, 1000.0).route == "family"
     assert delta(10.0, 3, 4.0, 1000.0, parity="odd").route == "family"
-    assert delta(4.0, 1, 1.0, 40.0, route="pairs").route == "pairs"
+    assert _delta_on("pairs", 4.0, 1, 1.0, 40.0).route == "pairs"
     assert norms._solve(norms._additive(12, 300), 1e-9, "pairs").route == "pairs"
     assert delta_add(12, 300).route == "bins"
     assert delta_rational(12, 200).route == "bins"
@@ -1419,7 +1425,7 @@ def test_pair_route_builds_the_index_once(monkeypatch):
     monkeypatch.setattr(norms, "_pair_gram", counted_gram)
     for cls in (CoprimePair, RationalPoint):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
-    for norm, args, route in [(lambda: delta(4.0, 1, 1.0, 40.0, route="pairs"),
+    for norm, args, route in [(lambda: _delta_on("pairs", 4.0, 1, 1.0, 40.0),
                                (40.0, "dyadic"), "pairs"),
                               (lambda: delta_add(12, 300), (300, "dyadic"), "bins"),
                               (lambda: delta_rational(12, 200), (200,), "bins")]:
@@ -1597,7 +1603,7 @@ def test_pair_route_solves_both_blocks_when_the_cap_picks_the_loser(monkeypatch)
     # cap but the even block holds lambda_max, so the certificate fails and
     # both blocks are solved, as when the route solved both always
     solves, proofs = _record_pair_route(monkeypatch)
-    got = delta(8.0, 2, 2.0, 500.0, route="pairs")
+    got = _delta_on("pairs", 8.0, 2, 2.0, 500.0)
     fam = norms._multiplicative(FamilySpec(8.0, 2, 2.0), *_coprime_pairs(500, "dyadic"))
     want = float(np.linalg.eigvalsh(norms._pair_gram(fam)).max())
     assert [proven for _, _, proven in proofs] == [False]
@@ -1697,7 +1703,7 @@ def test_route_estimates_cover_the_measured_peak(monkeypatch, traced_peak):
     monkeypatch.setattr(norms, "_basis_rows", record)
     dims = _family_dims(monkeypatch)
     for norm in [lambda: delta(12.0, 3, 4.0, 400.0),  # a window, pairs
-                 lambda: delta(12.0, 3, 4.0, 400.0, parity="odd", route="pairs"),
+                 lambda: _delta_on("pairs", 12.0, 3, 4.0, 400.0, parity="odd"),
                  lambda: norms._solve(norms._rational(12, 200), 1e-9, "buckets"),  # discrete
                  lambda: delta_add(40, 300),  # auto takes the buckets: 382^2 > 702 x 20
                  # the basis doubles past 64 rows
@@ -1817,7 +1823,7 @@ def test_pair_route_caps_each_block_solve_at_the_basis_that_fits(monkeypatch, tr
     n = len(_coprime_pairs(400, "dyadic")[0])
     m, r = (n + 1) // 2, 40
     fixed = norms._pair_route_bytes(n)
-    delta(12.0, 3, 4.0, 400.0, tol=0, route="pairs")  # fills the caches first
+    _delta_on("pairs", 12.0, 3, 4.0, 400.0, tol=0)  # fills the caches first
     monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + norms._lanczos_bytes(m, r))
     needs, solves = [], []
     check, solve = norms._check_bytes, norms.top_eigenvalue
@@ -1832,7 +1838,7 @@ def test_pair_route_caps_each_block_solve_at_the_basis_that_fits(monkeypatch, tr
 
     monkeypatch.setattr(norms, "_check_bytes", record_check)
     monkeypatch.setattr(norms, "top_eigenvalue", record_solve)
-    peak = traced_peak(lambda: delta(12.0, 3, 4.0, 400.0, tol=0, route="pairs"))
+    peak = traced_peak(lambda: _delta_on("pairs", 12.0, 3, 4.0, 400.0, tol=0))
     assert [(max_iter, est.iterations) for max_iter, est in solves] == [(r, r + 1)] * 2
     need, = [need for what, need in needs if what == f"pairs route on {n} indices"]
     assert need == norms._ROUTE_BYTES
@@ -1841,7 +1847,7 @@ def test_pair_route_caps_each_block_solve_at_the_basis_that_fits(monkeypatch, tr
     monkeypatch.setattr(norms, "_ROUTE_BYTES", fixed + norms._lanczos_bytes(m, 1) - 1)
     with pytest.raises(ValueError, match=f"pairs route on {n} indices needs an estimated "
                                          f"{one:.1f} MiB, over the "):
-        delta(12.0, 3, 4.0, 400.0, tol=0, route="pairs")
+        _delta_on("pairs", 12.0, 3, 4.0, 400.0, tol=0)
 
 
 def test_pair_route_skips_the_certificate_when_the_cap_proves_the_bound(monkeypatch):
@@ -2009,7 +2015,7 @@ def test_family_route_peak_stays_below_the_size_of_A(monkeypatch, traced_peak):
 
 def test_delta_monotone_under_index_enlargement():
     spec = FamilySpec(8.0, 3, 2.0)
-    index = enumerate_pairs(120, "dyadic", coprime_to=3)
+    index = _pairs_prime_to(3, 120)
     G = gram_multiplicative(spec, index).matrix
     prev = 0.0
     for m in (5, 17, 40, len(index)):

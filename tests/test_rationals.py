@@ -4,19 +4,21 @@ property of reduction."""
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sievelab.arith import omega
+from sievelab.arith import is_prime, omega
 from sievelab.characters import char_group, rational_eval
 from sievelab.rationals import (
     CoprimePair,
     Ht,
     RationalPoint,
     _coprime_pairs,
+    _reduce,
     as_point,
     enumerate_pairs,
     ht,
@@ -33,7 +35,7 @@ from sievelab.rationals import (
 
 def test_pair_count_oracle_up_to_1e4():
     NMAX = 10**4
-    pairs = enumerate_pairs(NMAX, "full", 1)
+    pairs = enumerate_pairs(NMAX, "full")
     per_product = Counter(p.a * p.b for p in pairs)
     # per-product counts pin every cumulative count at once
     for n in range(1, NMAX + 1):
@@ -46,22 +48,17 @@ def test_pair_count_oracle_up_to_1e4():
         cumulative[n] = running
     cuts = list(range(1, 201)) + [333, 999, 1024, 4096, 7919, NMAX]
     for N in cuts:
-        assert len(enumerate_pairs(N, "full", 1)) == cumulative[N], N
+        assert len(enumerate_pairs(N, "full")) == cumulative[N], N
 
 
 def test_window_semantics():
     for N in (1, 2, 7, 24, 100, 241):
-        full = set(enumerate_pairs(N, "full", 1))
-        dyadic = set(enumerate_pairs(N, "dyadic", 1))
+        full = set(enumerate_pairs(N, "full"))
+        dyadic = set(enumerate_pairs(N, "dyadic"))
         assert dyadic == {p for p in full if p.a * p.b > N / 2}
         for p in full:
             assert math.gcd(p.a, p.b) == 1
             assert 1 <= p.a * p.b <= N
-    # coprime-to filter
-    for N in (30, 100):
-        got = set(enumerate_pairs(N, "full", 6))
-        want = {p for p in enumerate_pairs(N, "full", 1) if math.gcd(p.a * p.b, 6) == 1}
-        assert got == want
 
 
 def test_non_finite_heights_are_refused():
@@ -75,7 +72,7 @@ def test_non_finite_heights_are_refused():
 def test_point_views_refuse_past_the_cap_before_building(monkeypatch, capsys):
     # each object view of an index refuses once _POINT_BYTES an object
     # passes the cap, before any object; the views whose count is exact
-    # from N alone (coprime_to = 1) refuse before the int64 index too
+    # from N alone refuse before the int64 index too
     from sievelab import cli, rationals
     from sievelab.norms import _rational
     from sievelab.sieve_apps import SievePlan, sifted_set
@@ -140,7 +137,7 @@ def test_point_estimate_covers_the_measured_peak(traced_peak):
 
 
 def test_enumeration_order_is_a_major_then_b():
-    pairs = enumerate_pairs(200, "full", 1)
+    pairs = enumerate_pairs(200, "full")
     assert pairs == sorted(pairs, key=lambda p: (p.a, p.b))
 
 
@@ -149,7 +146,7 @@ def test_enumeration_order_is_a_major_then_b():
 # ----------------------------------------------------------------------
 
 def test_rational_eval_matches_char_of_reduction():
-    pairs = enumerate_pairs(100, "full", 1)
+    pairs = enumerate_pairs(100, "full")
     for q in range(1, 31):
         for chi in char_group(q):
             for p in pairs:
@@ -199,7 +196,7 @@ def test_heights_and_valuations():
 def test_rationals_up_to_matches_pair_enumeration():
     for N in (1, 10, 50, 144):
         pos = rationals_up_to(N, sign=False)
-        assert len(pos) == len(enumerate_pairs(N, "full", 1))
+        assert len(pos) == len(enumerate_pairs(N, "full"))
         assert all(pt.a > 0 and ht(pt) <= N for pt in pos)
         both = rationals_up_to(N, sign=True)
         assert len(both) == 2 * len(pos)
@@ -215,3 +212,38 @@ def test_localization_membership():
     assert not in_localization(f, 3)         # 3 divides the denominator
     assert not in_localization(f, 2, strict=True)   # numerator shares 2
     assert in_localization(f, 5, strict=True)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CoprimePair(2, 4), ValueError, "(2,4) is not a coprime pair of positive integers"),
+    (lambda: CoprimePair(0, 1), ValueError, "(0,1) is not a coprime pair of positive integers"),
+    (lambda: RationalPoint(2, 4), ValueError,
+     "numerator/denominator must be coprime positive integers"),
+    (lambda: RationalPoint(1, 2, 0), ValueError, "sign must be +1 or -1"),
+    (lambda: as_point(0), ValueError, "0 is not in Q^x"),
+    (lambda: as_point(Fraction(0)), ValueError, "0 is not in Q^x"),
+    (lambda: as_point(1.5), TypeError, "cannot interpret 1.5 as a rational point"),
+    (lambda: reduce_mod(RationalPoint(1, 2), 0), ValueError, "modulus must be positive"),
+    (lambda: reduce_mod(RationalPoint(1, 2), 6), ValueError,
+     "1/2 is not q-integral: gcd(2, 6) > 1"),
+    (lambda: enumerate_pairs(10, "weekly"), ValueError, "unknown window 'weekly'"),
+])
+def test_points_and_the_index_refuse_bad_input_at_the_boundary(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_reduce_past_int64_products_matches_pow():
+    # past 2^31 the reduction runs on Python integers, whose products an
+    # int64 square would overflow
+    m = 2**31 + 11
+    assert is_prime(m)
+    rng = random.Random(31)
+    values = [1, 2, m - 1, m, m + 1, 2 * m, 3 * m - 2]
+    values += [rng.randrange(1, 2**40) for _ in range(40)]
+    a = np.array(values, dtype=np.int64)
+    b = np.array(values[::-1], dtype=np.int64)
+    red, unit = _reduce(a, b, m)
+    want = [x * pow(y, -1, m) % m if (x * y) % m else None for x, y in zip(values, values[::-1])]
+    assert unit.tolist() == [w is not None for w in want]
+    assert [int(r) for r, u in zip(red, unit) if u] == [w for w in want if w is not None]

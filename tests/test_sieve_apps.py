@@ -2,6 +2,7 @@
 and the Barban-Davenport-Halberstam variance identity."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -346,3 +347,19 @@ def test_bdh_input_validation():
         BdhInput(2, 4, {pt: 1.0})  # ht(pt) = 10 > X = 2
     with pytest.raises(ValueError):
         BdhInput(0, 4, {})
+
+
+@pytest.mark.parametrize("plan_text, message", [
+    (None, "Q must be >= 1"),
+    ("N=10\nQ=3\nX=1\n", "unknown header 'X'"),
+    ("N=10\n2: 1\n", "plan file must set N= and Q="),
+    ("Q=3\n2: 1\n", "plan file must set N= and Q="),
+])
+def test_sieve_inputs_refuse_bad_values_at_the_boundary(plan_text, message, tmp_path):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if plan_text is None:
+            sieve_inequality_report(SievePlan(10, {}), 0)
+        else:
+            path = tmp_path / "plan.txt"
+            path.write_text(plan_text)
+            read_plan(path)

@@ -49,6 +49,18 @@ def test_z_truncation_is_stable():
         assert abs(v1 - v2) / abs(v2) <= 1e-4
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: z_cd_euler(0, 1, 2.0), "c, d must be positive integers"),
+    (lambda: z_cd_euler(1, -2, 2.0), "c, d must be positive integers"),
+    (lambda: z_cd_euler(1, 1, 2.0, prime_cutoff=99), "prime cutoff must be >= 100"),
+    (lambda: z_cd_series(1, 0, 2.0), "c, d must be positive integers"),
+    (lambda: exponent_sequence(0), "steps must be >= 1"),
+])
+def test_special_functions_refuse_bad_parameters(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_z_domain_restriction():
     with pytest.raises(ValueError):
         z_cd_euler(1, 1, 1.0005)
