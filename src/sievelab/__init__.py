@@ -74,7 +74,6 @@ from .norms import (
     gram_rational,
     gram_rational_bruteforce,
     t_integral,
-    top_eigenvalue,
 )
 from .rationals import (
     CoprimePair,

@@ -8,7 +8,7 @@ from math import log
 import numpy as np
 
 from .arith import primes_in
-from .norms import _hermitize, delta, top_eigenvalue
+from .norms import delta
 
 
 # ----------------------------------------------------------------------
@@ -84,18 +84,16 @@ def monotonicity_check_Q(Q, k, T, N, P):
 # ----------------------------------------------------------------------
 
 def duality_check(rows, cols, mat):
-    """lambda_max of mat^H mat and of mat mat^H at tol 1e-9 — equal operator
-    norms of a matrix and its transpose.  mat has one row per entry of rows
-    and one column per entry of cols."""
+    """lambda_max of mat^H mat and of mat mat^H by LAPACK (eigvalsh, which
+    reads the lower half), 0 for an empty side — equal operator norms of a
+    matrix and its transpose.  mat has one row per entry of rows and one
+    column per entry of cols."""
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.shape != (len(rows), len(cols)):
         raise ValueError(f"matrix shape {mat.shape} does not match "
                          f"{len(rows)} rows x {len(cols)} columns")
-    g1 = _hermitize(mat.conj().T @ mat)
-    g2 = _hermitize(mat @ mat.conj().T)
-    v1 = top_eigenvalue(g1).value
-    v2 = top_eigenvalue(g2).value
-    return v1, v2
+    return tuple(float(np.linalg.eigvalsh(g)[-1]) if len(g) else 0.0
+                 for g in (mat.conj().T @ mat, mat @ mat.conj().T))
 
 
 @dataclass(frozen=True)

@@ -221,14 +221,15 @@ def _reader(table):
     return lambda *key: table.get(key if len(key) > 1 else key[0], 0)
 
 
-def coset_identity_check(q, r, F, tol=1e-9):
+def coset_identity_check(q, r, F):
     """sum over pairs (chi1, chi2) mod q with cond(chi1 * conj chi2) | r of
     F(chi1, chi2)  ==  sum_gamma sum_{psi1, psi2 mod r} F(gamma psi1, gamma psi2),
     gamma over coset representatives and psi induced to mod q.
 
     F is called once per ordered pair, into a phi(q) x phi(q) array; the
     left side masks it by the conductor of the product index and the right
-    side gathers each coset's block of pairs from it."""
+    side gathers each coset's block of pairs from it.  ok at a relative
+    residual of at most 1e-9."""
     q, r = _positive(q, "q"), _positive(r, "r")
     reps = [gamma.index for gamma in coset_reps(q, r).representatives]
     f = _reader(F)
@@ -241,7 +242,7 @@ def coset_identity_check(q, r, F, tol=1e-9):
     lifted = group.mul[np.ix_(reps, _induced(q, r))]
     rhs = complex(vals[lifted[:, :, None], lifted[:, None, :]].sum())
     res = _relative(lhs, rhs, scale=mass)
-    return IdentityReport("coset_identity", lhs, rhs, res, res <= tol, {"q": q, "r": r})
+    return IdentityReport("coset_identity", lhs, rhs, res, res <= 1e-9, {"q": q, "r": r})
 
 
 # ----------------------------------------------------------------------
@@ -325,14 +326,15 @@ class ThetaSeparationReport:
     ok: bool
 
 
-def theta_separation_check(k, b, tol=1e-9):
+def theta_separation_check(k, b):
     """|sum_theta b_theta|^2 against its two decomposed forms.
 
     Version 1 re-detects the conductor through the primitivity kernel of
     each k' (pairing it with the product character theta1' conj theta2'
     through the inducing primitive character).  Version 2 restricts the
     double sum to cond(theta1' conj theta2') = k' directly.  Both must
-    match the plain square.  b is read once per character mod k.
+    match the plain square, ok when both relative residuals are at most
+    1e-9.  b is read once per character mod k.
     """
     group = char_group(k)
     get = _reader(b)
@@ -355,7 +357,7 @@ def theta_separation_check(k, b, tol=1e-9):
 
     r1 = _relative(lhs, v1, scale=mass)
     r2 = _relative(lhs, v2, scale=mass)
-    return ThetaSeparationReport(lhs, v1, v2, r1, r2, r1 <= tol and r2 <= tol)
+    return ThetaSeparationReport(lhs, v1, v2, r1, r2, r1 <= 1e-9 and r2 <= 1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -499,9 +501,10 @@ def _separation_index(moduli):
     return i1, i2
 
 
-def chiseparation_check(moduli, b, tol=1e-9):
+def chiseparation_check(moduli, b):
     """|sum over primitive chi of listed moduli of b_chi|^2 against the
-    fully decomposed double sum.  b is read once per primitive character."""
+    fully decomposed double sum, ok at a relative residual of at most
+    1e-9.  b is read once per primitive character."""
     moduli = tuple(sorted(set(moduli)))
     support = [c for q in moduli for c in primitive_chars(q)]
     get = _reader(b)
@@ -511,14 +514,14 @@ def chiseparation_check(moduli, b, tol=1e-9):
     i1, i2 = _separation_index(moduli)
     rhs = complex(vals[i1] @ vals[i2].conj())
     res = _relative(lhs, rhs, scale=mass)
-    return IdentityReport("chiseparation", lhs, rhs, res, res <= tol, {"moduli": moduli})
+    return IdentityReport("chiseparation", lhs, rhs, res, res <= 1e-9, {"moduli": moduli})
 
 
 # ----------------------------------------------------------------------
 # archimedean interval cosets
 # ----------------------------------------------------------------------
 
-def archimedean_coset_check(T, U, beta, w, tol=1e-6):
+def archimedean_coset_check(T, U, beta, w):
     """int int beta(t1) conj(beta(t2)) w(t1 - t2) dt1 dt2 over [T/2, T]^2
     against the tiled form
 
@@ -526,7 +529,8 @@ def archimedean_coset_check(T, U, beta, w, tol=1e-6):
             beta(T/2 - U + U j1 + v1) conj(beta(...j2 + v2))
             w(U (j1 - j2) + v1 - v2) dv1 dv2,
 
-    both sides on 96 Gauss-Legendre nodes.  beta is treated as 0 outside
+    both sides on 96 Gauss-Legendre nodes, ok at a relative residual of at
+    most 1e-6.  beta is treated as 0 outside
     [T/2, T].  With w supported on [U, 2U] the restriction |j1 - j2| <= 1
     is exact iff the tile count ceil(T/(2U)) is <= 2 (U >= T/4); smaller U
     genuinely drops |j1-j2| = 2 terms, and this check will report it.
@@ -555,5 +559,5 @@ def archimedean_coset_check(T, U, beta, w, tol=1e-6):
     scale = float(np.sum(np.abs(bv) * wt)) ** 2 * max(abs(w(x)) for x in np.linspace(U, 2 * U, 64))
     res = _relative(lhs, rhs, scale=scale)
     return IdentityReport(
-        "archimedean_coset", lhs, rhs, res, res <= tol, {"T": T, "U": U, "tiles": n_tiles}
+        "archimedean_coset", lhs, rhs, res, res <= 1e-6, {"T": T, "U": U, "tiles": n_tiles}
     )

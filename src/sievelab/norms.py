@@ -45,8 +45,10 @@ the tests name a route; the public `gram_*` builders return matrices for
 the verify suites, the oracles and the tests.
 
 The top eigenvalue comes from one Lanczos solver (`top_eigenvalue`) on
-one operator contract, `shape`, `dtype`, `@` and `bounds()`: a Rayleigh
-quotient, a lower bound up to rounding, capped by the upper bound.
+one operator contract, `shape`, `@` and `bounds()`, real symmetric in
+float64: a Rayleigh quotient, a lower bound up to rounding, capped by the
+upper bound.  The oracles and `experiments.duality_check` take theirs from
+LAPACK (`np.linalg.eigvalsh`), apart from the solver they check.
 
 Four routes solve a family, each in float64.  A discrete family is held
 in buckets (`_Buckets`): one label a row for each gate, so S = U M U^T
@@ -85,7 +87,6 @@ families' member values, with P = 1) read one definition of a family
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from math import ceil, gcd, isfinite, log
-from numbers import Integral
 
 import numpy as np
 
@@ -430,7 +431,7 @@ def _pair_gram(fam, order=None, rows=None):
     odd and cos even.  Against sinc it loses the cancellation of the
     products, about eps (16/T + Lmax) / |L_n - L_m| of T/2 for eps =
     2^-52 (`tests/test_window_property.py`).  A window past the float64
-    range gives non-finite entries without a warning, which the solver
+    range gives non-finite entries without a warning, which `_Dense`
     refuses."""
     a, b, L = fam.a, fam.b, fam.L
     if order is not None:
@@ -586,11 +587,8 @@ class _KhatriRao:
     nor H is formed, but `matrix()` forms H for a dense solve.  `bounds()`
     gives the exact diagonal sum_R w |V|^2 |P|^2, the all-ones form
     sum_R w |A_R 1|^2 and the bound min(||A||_F^2, ||A||_1 ||A||_inf) >=
-    lambda_max(H), with w-weighted column sums; with `shape` and the
-    float64 `dtype`, the contract of `top_eigenvalue`.  Raises ValueError
-    on non-finite V or P."""
-
-    dtype = np.dtype(np.float64)
+    lambda_max(H), with w-weighted column sums; with `shape`, the contract
+    of `top_eigenvalue`.  Raises ValueError on non-finite V or P."""
 
     def __init__(self, V, P, w):
         if not (np.isfinite(V).all() and np.isfinite(P).all()):
@@ -705,9 +703,7 @@ class _Buckets:
     form sum_r count[r] C1[r] for the bucket counts and their C1, both
     exact sums of halves, and the cap max_n sum over the terms of |c| times
     the count of m matching n, never below the Gershgorin row sum; with
-    `shape` and the float64 `dtype`, the contract of `top_eigenvalue`."""
-
-    dtype = np.dtype(np.float64)
+    `shape`, the contract of `top_eigenvalue`."""
 
     def __init__(self, fam):
         n = len(fam.a)
@@ -850,7 +846,7 @@ def gram_rational_bruteforce(Q, N):
 
 def _dense_bounds(M):
     """The diagonal, the all-ones form sum(M) and the Gershgorin bound
-    max_i sum_j |M[i, j]| of a square matrix M; ValueError, and no
+    max_i sum_j |M[i, j]| of a real square array M; ValueError, and no
     warning, when an entry is not finite or a sum overflows.  Row blocks
     keep the temporaries far below the size of M."""
     ceiling = 0.0
@@ -860,31 +856,20 @@ def _dense_bounds(M):
             if not isfinite(float(a.max())):
                 raise ValueError("matrix has non-finite entries")
             ceiling = max(ceiling, float(a.sum(axis=1).max()))
-        total = float(M.sum().real)
+        total = float(M.sum())
     if not (isfinite(ceiling) and isfinite(total)):
         raise ValueError("matrix sums overflow float64")
-    return M.diagonal().real, total, ceiling
-
-
-def _require_hermitian(M):
-    """ValueError unless the finite square M is Hermitian to 1e-12 of its
-    largest entry, checked in row blocks."""
-    amax = asym = 0.0
-    for s in range(0, M.shape[0], _CHECK_ROWS):
-        rows = M[s:s + _CHECK_ROWS]
-        amax = max(amax, float(np.abs(rows).max()))
-        asym = max(asym, float(np.abs(rows - M[:, s:s + _CHECK_ROWS].conj().T).max()))
-    if asym > 1e-12 * max(amax, 1.0):
-        raise ValueError("matrix is not Hermitian")
+    return M.diagonal(), total, ceiling
 
 
 class _Dense:
-    """A finite Hermitian ndarray as an operator of `top_eigenvalue`, with
-    its `_dense_bounds` taken once, on construction; the caller vouches
-    that it is Hermitian."""
+    """A real symmetric float64 array as an operator of `top_eigenvalue`,
+    with its `_dense_bounds` taken once, on construction, which refuse a
+    non-finite entry; the caller vouches that it is symmetric, as the pair
+    route's blocks are by construction."""
 
     def __init__(self, M):
-        self.matrix, self.shape, self.dtype = M, M.shape, M.dtype
+        self.matrix, self.shape = M, M.shape
         self._bounds = _dense_bounds(M)
 
     def __matmul__(self, x):
@@ -944,82 +929,67 @@ def _start(k, seed):
 
 
 def top_eigenvalue(G, tol=1e-9, max_iter=_MAX_ITER):
-    """Largest eigenvalue of a Hermitian operator G, as a NormEstimate.
+    """Largest eigenvalue of a real symmetric operator G, as a NormEstimate.
 
-    G meets one contract: `shape` (n, n), `dtype`, `G @ x` and `bounds()`,
-    which returns the diagonal, the all-ones form 1^H G 1 and a true upper
-    bound on lambda_max, as `_KhatriRao`, `_Buckets` and `_Dense` do.  An
-    ndarray or a GramMatrix is solved as the `_Dense` of its matrix, with
-    the Gershgorin bound, once its entries are checked finite and
-    Hermitian.
+    G meets one contract: `shape` (n, n), `G @ x` on float64 vectors and
+    `bounds()`, which returns the diagonal, the all-ones form 1^T G 1 and a
+    true upper bound on lambda_max, as `_KhatriRao`, `_Buckets` and `_Dense`
+    do.  Its callers are the routes of `_solve`: the Delta norms check tol,
+    and max_iter, an integer >= 1, is the route's `_basis_rows`.
 
-    Lanczos with full reorthogonalization, in a float64 or complex128 basis
-    as the dtype is real or complex, from the first n `_start` draws of the
-    seed _START_SEED (the next n are the imaginary parts for a complex
-    dtype), boosted at the largest diagonal entry.  T, the Lanczos tridiagonal, grows by
-    doubling with the basis.  Every _CHECK_STRIDE steps it takes the top
-    Ritz pair of T and stops once |beta_j s_j| / max(|theta|, 1) is at most
-    tol; it takes the pair and stops at any step on Krylov breakdown, a
-    non-finite beta or the min(n, max_iter)-th step.  The value is the
-    Rayleigh quotient rho = y^H G y of the unit Ritz vector y, taken with
-    one more matvec, so up to rounding a lower bound on lambda_max, raised
-    to the floors max_i G[i, i] and 1^H G 1 / n (the Rayleigh quotients of
-    the coordinate and all-ones vectors) and capped by the upper bound of
-    `bounds()`.
+    Lanczos with full reorthogonalization in a float64 basis, from the
+    first n `_start` draws of the seed _START_SEED, boosted at the largest
+    diagonal entry.  The basis grows by doubling; the Lanczos tridiagonal T
+    is held as its diagonal and off-diagonal, and formed only for a Ritz
+    check, in the lower half that eigh reads.  Every _CHECK_STRIDE steps it
+    takes the top Ritz pair of T and stops once |beta_j s_j| / max(|theta|,
+    1) is at most tol; it takes the pair and stops at any step on Krylov
+    breakdown, a non-finite beta or the min(n, max_iter)-th step.  The
+    value is the Rayleigh quotient rho = y^T G y of the unit Ritz vector y,
+    taken with one more matvec, so up to rounding a lower bound on
+    lambda_max, raised to the floors max_i G[i, i] and 1^T G 1 / n (the
+    Rayleigh quotients of the coordinate and all-ones vectors) and capped
+    by the upper bound of `bounds()`.
 
-    `residual` is ||G y - rho y|| / max(|rho|, 1).  For Hermitian G it
+    `residual` is ||G y - rho y|| / max(|rho|, 1).  For symmetric G it
     bounds the distance from rho to *some* eigenvalue, not necessarily to
-    lambda_max; `iterations` counts the matvecs.  Raises ValueError on a
-    non-square, non-finite or non-Hermitian matrix, a non-finite or
-    negative tol, a max_iter that is no integer >= 1, and when rho or the
-    residual overflows (entries near the float64 range); the overflows on
-    the way raise no warning.
+    lambda_max; `iterations` counts the matvecs.  Raises ValueError when rho
+    or the residual overflows (entries near the float64 range); the
+    overflows on the way raise no warning.
     """
-    if not (isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    if not (isinstance(max_iter, Integral) and max_iter >= 1):
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    M = G.matrix if isinstance(G, GramMatrix) else G
-    if not hasattr(M, "bounds"):
-        M = np.asarray(M)
-    if len(M.shape) != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    if isinstance(M, np.ndarray):
-        M = _Dense(M)
-        _require_hermitian(M.matrix)
-    n = M.shape[0]
+    n = G.shape[0]
     if n == 0:
         return NormEstimate(0.0, 0.0, 0, "lanczos")
-    diag, total, ceiling = M.bounds()
+    diag, total, ceiling = G.bounds()
     floor = max(float(diag.max()), total / n)
 
-    v = _start(2 * n, _START_SEED)
-    v = v[:n] + 1j * v[n:] if np.iscomplexobj(M) else v[:n]
+    v = _start(n, _START_SEED)
     v[int(np.argmax(diag))] += 2.0 * np.abs(v).max()
     steps = min(n, max_iter)
-    basis = np.empty((min(steps, _FIRST_ROWS), n), dtype=v.dtype)
-    T = np.zeros((len(basis),) * 2)
+    basis = np.empty((min(steps, _FIRST_ROWS), n))
+    alpha, beta = np.empty(steps), np.empty(steps)  # the diagonal and off-diagonal of T
     basis[0] = v / np.linalg.norm(v)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
         for j in range(steps):
-            w = M @ basis[j]
-            T[j, j] = np.vdot(basis[j], w).real
-            for _ in range(2):  # classical Gram-Schmidt, twice, conjugating no basis row
-                w -= np.conj(basis[: j + 1] @ w.conj()) @ basis[: j + 1]
+            w = G @ basis[j]
+            alpha[j] = basis[j] @ w
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                w -= (basis[: j + 1] @ w) @ basis[: j + 1]
             b = float(np.linalg.norm(w))
             last = b <= np.finfo(np.float64).eps * ceiling or j + 1 == steps or not isfinite(b)
             if last or (j + 1) % _CHECK_STRIDE == 0:
-                theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+                T = np.diag(alpha[: j + 1])
+                T[np.arange(1, j + 1), np.arange(j)] = beta[:j]
+                theta, S = np.linalg.eigh(T)
                 if last or b * abs(S[-1, -1]) / max(abs(theta[-1]), 1.0) <= tol:
                     break
-            if j + 1 == len(basis):  # grow the basis and T by doubling, never past n rows
-                rows = min(2 * len(basis), steps)
-                basis, T = np.pad(basis, ((0, rows - j - 1), (0, 0))), np.pad(T, (0, rows - j - 1))
+            if j + 1 == len(basis):  # grow the basis by doubling, never past n rows
+                basis = np.pad(basis, ((0, min(2 * len(basis), steps) - j - 1), (0, 0)))
             basis[j + 1] = w / b
-            T[j, j + 1] = T[j + 1, j] = b
+            beta[j] = b
 
         y = S[:, -1] @ basis[: j + 1]
-    value, res = _rayleigh(M, y, floor, ceiling)
+    value, res = _rayleigh(G, y, floor, ceiling)
     return NormEstimate(value, res, j + 2, "lanczos")
 
 
@@ -1031,7 +1001,7 @@ def _rayleigh(M, y, floor, ceiling):
     with np.errstate(over="ignore", invalid="ignore"):
         y /= np.linalg.norm(y)
         My = M @ y
-        rho = float(np.vdot(y, My).real)
+        rho = float(y @ My)
         res = float(np.linalg.norm(My - rho * y)) / max(abs(rho), 1.0)
     if not (isfinite(rho) and isfinite(res)):
         raise ValueError("the solve overflowed: its Rayleigh quotient or residual is not finite")
@@ -1039,20 +1009,21 @@ def _rayleigh(M, y, floor, ceiling):
 
 
 def _lanczos_bytes(dim, rows):
-    """Peak bytes of `top_eigenvalue`'s own arrays on a float64 operator of
+    """Peak bytes of `top_eigenvalue`'s own arrays on an operator of
     dimension `dim` with a basis of at most `rows` vectors (its max_iter).
     Throughout, the basis at its capacity of `rows`, sixteen length-rows
-    vectors and at most eight vectors of dim: the start draws (two) and the
-    diagonal of `bounds()`, and at the end the last step's matvec, the Ritz
+    vectors (among them the diagonal and off-diagonal of T) and at most
+    eight vectors of dim: the start draws, the diagonal of `bounds()` and a
+    Gram-Schmidt product, and at the end the last step's matvec, the Ritz
     vector, its matvec and the two of the residual.  Beside them, the
     larger of two moments: the last doubling, where np.pad still holds the
-    old basis and T, of `prev` rows, beside the new T and the Ritz vectors
-    of the eigh just before; and the last eigh, with T, the previous Ritz
-    vectors and eigh's four rows x rows arrays (its copy of T, the two of
-    syevd's workspace and the new Ritz vectors).  The operator's own
+    old basis, of `prev` rows, beside T and the Ritz vectors of the eigh
+    just before, prev x prev each; and the last eigh, with T, the previous
+    Ritz vectors and eigh's four rows x rows arrays (its copy of T, the two
+    of syevd's workspace and the new Ritz vectors).  The operator's own
     temporaries are the route's."""
     prev = 1 << ((rows - 1).bit_length() - 1) if rows > _FIRST_ROWS else 0
-    grow = dim * prev + rows * rows + 2 * prev * prev
+    grow = dim * prev + 2 * prev * prev
     return 8 * (dim * (rows + 8) + 16 * rows + max(grow, 6 * rows * rows))
 
 
@@ -1203,10 +1174,10 @@ def _solve(fam, tol, route="auto"):
     never a `GramMatrix` or a point object.  "pairs" takes the even and
     odd blocks of the real symmetric pair side (`_pair_blocks`), exactly
     symmetric by construction, as `_Dense` operators, whose bounds are
-    taken once and need no Hermitian scan.  It solves the nonempty block
-    with the larger Gershgorin cap with `top_eigenvalue`, and then proves
-    the other's lambda_max at most that value by its cap when the cap is
-    at most the value, or else tries to prove it below by a Cholesky
+    taken once.  It solves the nonempty block with the larger Gershgorin
+    cap with `top_eigenvalue`, and then proves the other's lambda_max at
+    most that value by its cap when the cap is at most the value, or else
+    tries to prove it below by a Cholesky
     (`_below`), when its factor fits in the room the basis has.  Proven,
     it reports the first solve, whose value is then the larger; otherwise
     it solves the other block too and reports the larger value with that
@@ -1326,17 +1297,27 @@ def _solve(fam, tol, route="auto"):
     return replace(estimate, route=route, size=n, nodes=nodes)
 
 
+def _require_tol(tol):
+    """ValueError unless tol, the Lanczos stopping tolerance of a Delta, is
+    a finite number >= 0: inf stopped Lanczos after one step and nan never
+    did.  Checked on every route, the dense ones too, which do not read it."""
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def delta(Q, k=1, T=1.0, N=1.0, tol=1e-9, parity=None):
     """Delta(Q, k, T, N): the multiplicative-family norm on the dyadic
     window N/2 < ab <= N, as the largest Gram eigenvalue, on the route that
     the route rule of `_solve` takes."""
     spec = FamilySpec(Q, k, T, parity)
+    _require_tol(tol)
     return _solve(_multiplicative(spec, *_coprime_pairs(N, "dyadic")), tol)
 
 
 def delta_add(Q, N, tol=1e-9):
     """Additive-family norm (Ramanujan-sum Gram) on the dyadic window."""
     FamilySpec(Q)
+    _require_tol(tol)
     return _solve(_additive(Q, N), tol)
 
 
@@ -1344,4 +1325,5 @@ def delta_rational(Q, N, tol=1e-9):
     """Rational-family norm: all q <= Q, primitive characters, columns the
     positive rationals with ht <= N."""
     FamilySpec(Q)
+    _require_tol(tol)
     return _solve(_rational(Q, N), tol)

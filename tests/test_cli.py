@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -69,6 +70,46 @@ def test_verify_impossible_tolerance_is_a_finding(capsys):
     assert run(["verify", "--suites", "kernel", "--tol", "0"]) == 1
     rows = _rows(capsys.readouterr().out)
     assert rows[0]["pass"] == "False"
+
+
+def test_duality_suite_fails_on_a_wrong_additive_norm(monkeypatch, capsys):
+    # both sides of duality_check come from LAPACK; the suite also holds the
+    # member side to delta_add, so a norm off by 1e-6 relative fails it
+    from sievelab import norms
+
+    delta_add = norms.delta_add
+
+    def scaled(Q, N, **kwargs):
+        est = delta_add(Q, N, **kwargs)
+        return SimpleNamespace(value=est.value * (1 + 1e-6))
+
+    assert run(["verify", "--suites", "duality"]) == 0
+    assert float(_rows(capsys.readouterr().out)[0]["value"]) < 1e-14
+    monkeypatch.setattr(norms, "delta_add", scaled)
+    assert run(["verify", "--suites", "duality"]) == 1
+    (row,) = _rows(capsys.readouterr().out)
+    assert row["pass"] == "False" and float(row["value"]) > 1e-7
+
+
+@pytest.mark.parametrize("suite,name,spoil", [
+    ("coset", "coset_identity_check", lambda rep: replace(rep, residual=float("nan"))),
+    ("kernel", "kernel_detection_value", lambda value: float("nan")),
+])
+def test_a_nan_residual_fails_its_suite(suite, name, spoil, monkeypatch, capsys):
+    # a NaN met after finite residuals is the suite's worst, and fails it
+    from sievelab import kernels
+
+    check, calls = getattr(kernels, name), []
+
+    def third_is_nan(*args):
+        calls.append(args)
+        out = check(*args)
+        return spoil(out) if len(calls) == 3 else out
+
+    monkeypatch.setattr(kernels, name, third_is_nan)
+    assert run(["verify", "--suites", suite]) == 1
+    (row,) = _rows(capsys.readouterr().out)
+    assert row["pass"] == "False" and row["value"] == "nan"
 
 
 # ----------------------------------------------------------------------

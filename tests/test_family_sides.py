@@ -31,16 +31,21 @@ def _rel_diff(G, H):
     return float(np.max(np.abs(G - H), initial=0.0)) / scale
 
 
+def _top(M):
+    """lambda_max of a Hermitian array by LAPACK, which reads its lower
+    half; 0 on an empty index, as the solver gives."""
+    return float(np.linalg.eigvalsh(M)[-1]) if len(M) else 0.0
+
+
 def _assert_norms_agree(pair, members, fam, rel):
-    """lambda_max of the pair-side Gram against the member side `members`,
-    whatever the index size: the family route's H = A^H A for a window, a
-    dense oracle from the member values for a discrete family, which the
-    family route does not serve; and the route rule's member count, the
-    congruence sum at the index 1/1, and its closed form from the terms,
-    are the number of members."""
-    want = norms.top_eigenvalue(pair, tol=1e-12).value
-    got = members.value
-    assert abs(got - want) <= rel * max(1.0, want), (got, want)
+    """lambda_max of the pair-side matrix `pair` by LAPACK against the
+    member side `members`, whatever the index size: the family route's
+    H = A^H A for a window, LAPACK on a dense oracle from the member values
+    for a discrete family, which the family route does not serve; and the
+    route rule's member count, the congruence sum at the index 1/1, and its
+    closed form from the terms, are the number of members."""
+    want = _top(pair)
+    assert abs(members - want) <= rel * max(1.0, want), (members, want)
     one = np.ones(1, dtype=np.int64)
     F = len(fam.members())
     assert norms._congruence_sum(one, one, fam.terms)[0, 0] == norms._member_count(fam.terms) == F
@@ -57,8 +62,8 @@ def test_multiplicative_pair_side_equals_family_side(Q, k, T, N, parity, coprime
     assert pair.index == family.index
     assert _rel_diff(pair.matrix, family.matrix) <= 1e-8
     fam = norms._multiplicative(spec, *norms._pair_arrays(index))
-    members = norms._solve(fam, 1e-12, route="family")
-    _assert_norms_agree(pair, members, fam, 1e-8)
+    members = norms._solve(fam, 1e-12, route="family").value
+    _assert_norms_agree(pair.matrix, members, fam, 1e-8)
     # the real S o K that delta's pair route solves has the same spectrum
     _assert_norms_agree(norms._pair_gram(fam), members, fam, 1e-8)
 
@@ -70,8 +75,7 @@ def test_additive_pair_side_equals_family_side(Q, N):
     rows, index, mat = norms.additive_matrix(Q, N)
     assert pair.index == index and len(rows) == mat.shape[0]
     assert _rel_diff(pair.matrix, mat.conj().T @ mat) <= 1e-9
-    members = norms.top_eigenvalue(norms._hermitize(mat @ mat.conj().T), tol=1e-12)
-    _assert_norms_agree(pair, members, norms._additive(Q, N), 1e-9)
+    _assert_norms_agree(pair.matrix, _top(mat @ mat.conj().T), norms._additive(Q, N), 1e-9)
 
 
 @PROPERTY
@@ -81,8 +85,7 @@ def test_rational_pair_side_equals_family_side(Q, N):
     family = norms.gram_rational_bruteforce(Q, N)
     assert pair.index == family.index
     assert _rel_diff(pair.matrix, family.matrix) <= 1e-9
-    members = norms.top_eigenvalue(family, tol=1e-12)
-    _assert_norms_agree(pair, members, norms._rational(Q, N), 1e-9)
+    _assert_norms_agree(pair.matrix, _top(family.matrix), norms._rational(Q, N), 1e-9)
 
 
 @PROPERTY
@@ -110,7 +113,7 @@ def test_folded_family_operator_is_A_H_A_on_the_whole_index(Q, k, T, N, parity, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(norms, "_PRODUCT_BLOCK", block * max(V.shape[1], 12))
         op = norms._KhatriRao(V[reps], P[reps], w)
-    assert op.dtype == np.float64 and op.shape == H.shape
+    assert op.shape == H.shape
     assert len(op.blocks) == -(-len(reps) // block)
     x = np.random.default_rng(len(fam.a)).standard_normal(H.shape[0])
     scale = max(1.0, float(np.abs(H).max(initial=0.0)))
@@ -157,7 +160,7 @@ def test_buckets_apply_the_congruence_sum(ab, terms):
     a, b = np.array(ab, dtype=np.int64).T
     S = norms._congruence_sum(a, b, terms)
     op = norms._Buckets(norms._Family(a, b, terms, None))
-    assert op.shape == S.shape and op.dtype == np.float64
+    assert op.shape == S.shape
     x = np.random.default_rng(len(a)).standard_normal(len(a))
     absolute = norms._congruence_sum(a, b, [(g, d, abs(c), s) for g, d, c, s in terms])
     scale = np.linalg.norm(absolute @ np.abs(x))

@@ -258,14 +258,17 @@ def test_discrete_grams_are_real_exact_congruence_sums(family, Q, N):
 
 
 def _member_side(family, Q, N):
-    """lambda_max of a discrete family's dense oracle from its member
-    values, which shares no arithmetic with the congruence sum: M M^H for
-    the additive coefficient matrix M, the rational Gram by explicit
-    character sums."""
+    """lambda_max by LAPACK of a discrete family's members x members Gram
+    of its member values, which shares no arithmetic with the congruence
+    sum: M M^H for the additive coefficient matrix M, and V^H V for the
+    rational character values V, whose nonzero spectrum is that of the
+    Gram V V^H by explicit character sums."""
     if family == "additive":
         mat = additive_matrix(Q, N)[2]
-        return top_eigenvalue(norms._hermitize(mat @ mat.conj().T), tol=1e-12).value
-    return top_eigenvalue(gram_rational_bruteforce(Q, N), tol=1e-12).value
+        return float(np.linalg.eigvalsh(mat @ mat.conj().T)[-1])
+    fam = norms._rational(Q, N)
+    V = norms._member_matrix(fam.members(), fam.a, fam.b)
+    return float(np.linalg.eigvalsh(V.conj().T @ V)[-1])
 
 
 @pytest.mark.parametrize("family,Q,N", [("additive", 12, 300), ("additive", 40, 300),
@@ -370,55 +373,52 @@ def test_t_integral_at_zero_is_exactly_half_T():
 # ----------------------------------------------------------------------
 
 def test_top_eigenvalue_trivial_cases():
-    assert top_eigenvalue(np.zeros((0, 0), dtype=complex)).value == 0.0
-    est = top_eigenvalue(np.ones((5, 5), dtype=complex))
+    assert top_eigenvalue(norms._Dense(np.zeros((0, 0)))).value == 0.0
+    est = top_eigenvalue(norms._Dense(np.ones((5, 5))))
     assert est.value == 5.0
-    est = top_eigenvalue(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    est = top_eigenvalue(norms._Dense(np.diag([3.0, 1.0, 2.0])))
     assert est.value == 3.0
-
-
-def test_top_eigenvalue_rejects_non_hermitian():
-    M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        top_eigenvalue(M)
 
 
 def test_top_eigenvalue_power_route_certificate():
     # above the dense cutoff: power iteration with a residual certificate
     rng = np.random.default_rng(77)
-    B = rng.standard_normal((600, 80)) + 1j * rng.standard_normal((600, 80))
-    M = B @ B.conj().T
-    M = (M + M.conj().T) / 2
-    est = top_eigenvalue(M)
+    B = rng.standard_normal((600, 80))
+    M = B @ B.T
+    M = (M + M.T) / 2
+    est = top_eigenvalue(norms._Dense(M))
     true = float(np.linalg.eigvalsh(M)[-1])
     assert abs(est.value - true) <= max(est.residual, 1e-9 * true)
     assert abs(est.value - true) <= 1e-8 * true
 
 
 def _random_psd(n, kind, seed):
-    """Seeded PSD test matrices.  "wishart" is B B^H with B n x n/2 complex;
-    "triple" and "gap" are Hermitian circulants with a planted spectrum in
-    [0, 1) topped by a triple eigenvalue 1 or by 1 and 1 - 1e-8."""
+    """Seeded real PSD test matrices.  "wishart" is B B^T with B n x n/2;
+    "triple" and "gap" are H diag(lam) H, H the product of two seeded
+    Householder reflections, with a planted spectrum lam in [0, 1) topped
+    by a triple eigenvalue 1 or by 1 and 1 - 1e-8."""
     rng = np.random.default_rng(seed)
     if kind == "wishart":
-        B = rng.standard_normal((n, n // 2)) + 1j * rng.standard_normal((n, n // 2))
-        M = B @ B.conj().T
-        return (M + M.conj().T) / 2
+        B = rng.standard_normal((n, n // 2))
+        M = B @ B.T
+        return (M + M.T) / 2
     lam = rng.uniform(0.0, 0.9, n)
     top = [1.0, 1.0, 1.0] if kind == "triple" else [1.0, 1.0 - 1e-8]
     lam[rng.choice(n, len(top), replace=False)] = top
-    # circulant C[i, j] = c[(i - j) mod n] with c = ifft(lam) has spectrum lam
-    c = np.fft.ifft(lam)
-    i = np.arange(n)
-    M = c[(i[:, None] - i[None, :]) % n]
-    return (M + M.conj().T) / 2
+    M = np.diag(lam)
+    for u in rng.standard_normal((2, n)):
+        # (I - 2 u u^T) M (I - 2 u u^T) for a unit u, which keeps the spectrum
+        u /= np.linalg.norm(u)
+        Mu = M @ u
+        M = M - 2 * np.outer(u, Mu) - 2 * np.outer(Mu, u) + 4 * (u @ Mu) * np.outer(u, u)
+    return (M + M.T) / 2
 
 
 @pytest.mark.parametrize("n", [50, 600, 1500])
 @pytest.mark.parametrize("kind", ["wishart", "triple", "gap"])
 def test_top_eigenvalue_matches_eigvalsh_on_random_psd(n, kind):
     M = _random_psd(n, kind, seed=n)
-    est = top_eigenvalue(M)
+    est = top_eigenvalue(norms._Dense(M))
     true = float(np.linalg.eigvalsh(M)[-1])
     assert est.method == "lanczos"
     assert abs(est.value - true) <= 1e-12 * true, (est, true)
@@ -442,20 +442,20 @@ def _random_symmetric(n, kind, seed):
 @pytest.mark.parametrize("kind", ["psd", "indefinite"])
 def test_top_eigenvalue_matches_eigvalsh_on_random_real_symmetric(n, kind):
     M = _random_symmetric(n, kind, seed=n)
-    est = top_eigenvalue(M)
+    est = top_eigenvalue(norms._Dense(M))
     true = float(np.linalg.eigvalsh(M)[-1])
     assert abs(est.value - true) <= 1e-9 * abs(true), (est, true)
     assert est.residual <= 1e-9
-    # Ritz tests every _CHECK_STRIDE steps, as in the complex case above
+    # Ritz tests every _CHECK_STRIDE steps, as above
     assert est.iterations - 1 < n and (est.iterations - 1) % norms._CHECK_STRIDE == 0, est
 
 
 class _Operator:
-    """A matrix behind the solver's contract alone: shape, dtype, @ and
-    bounds(); it records the dtype of every vector it is applied to."""
+    """A matrix behind the solver's contract alone: shape, @ and bounds();
+    it records the dtype of every vector it is applied to."""
 
     def __init__(self, M):
-        self.shape, self.dtype = M.shape, M.dtype
+        self.shape = M.shape
         self.bounds = functools.partial(norms._dense_bounds, M)
         self.matrix, self.applied_to = M, set()
 
@@ -464,38 +464,22 @@ class _Operator:
         return self.matrix @ x
 
 
-@pytest.mark.parametrize("M,basis", [(_random_symmetric(300, "indefinite", seed=4), np.float64),
-                                     (_random_psd(300, "wishart", seed=4), np.complex128)])
-def test_top_eigenvalue_reads_one_operator_contract(M, basis):
-    # an operator that is no ndarray, GramMatrix or _KhatriRao gets the
-    # same solve as its bare matrix, in the arithmetic its dtype names
+def test_top_eigenvalue_reads_one_operator_contract():
+    # an operator that is no _Dense gets the same solve as the _Dense of
+    # its matrix, applied to float64 vectors alone
+    M = _random_symmetric(300, "indefinite", seed=4)
     op = _Operator(M)
-    assert top_eigenvalue(op) == top_eigenvalue(M)
-    assert op.applied_to == {np.dtype(basis)}
-
-
-def test_top_eigenvalue_rejects_real_non_symmetric():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        top_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    M = _random_symmetric(40, "psd", seed=1)
-    M[3, 5] += 1e-3
-    with pytest.raises(ValueError, match="not Hermitian"):
-        top_eigenvalue(M)
+    assert top_eigenvalue(op) == top_eigenvalue(norms._Dense(M))
+    assert op.applied_to == {np.dtype(np.float64)}
 
 
 def test_top_eigenvalue_all_ones_breaks_down_exactly():
     # the Krylov space of the all-ones matrix is span(v, 1): the solve
     # stops on breakdown after two steps and returns n exactly
     n = 700
-    est = top_eigenvalue(np.ones((n, n), dtype=complex))
+    est = top_eigenvalue(norms._Dense(np.ones((n, n))))
     assert est.value == float(n)
     assert est.iterations <= 3
-
-
-@pytest.mark.parametrize("max_iter", [float("inf"), float("nan"), 0, -3, 2.5, "6"])
-def test_top_eigenvalue_refuses_a_bad_max_iter(max_iter):
-    with pytest.raises(ValueError, match="max_iter"):
-        top_eigenvalue(np.eye(3), max_iter=max_iter)
 
 
 def _splitmix_draw(seed, i):
@@ -525,15 +509,13 @@ def test_start_stream_is_pinned():
             assert draws.tolist() == [_splitmix_draw(seed, i) for i in range(1000)]
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_start_vector_is_the_stream_boosted_at_the_top_diagonal(dtype):
-    # a real solve starts from n draws, a complex one from 2n: real parts
-    # first, then imaginary parts; the largest diagonal entry gets a boost
+def test_start_vector_is_the_stream_boosted_at_the_top_diagonal():
+    # a solve starts from the first n draws, and the largest diagonal
+    # entry gets a boost
     n = 6
-    M = np.diag(np.arange(1.0, n + 1)).astype(dtype)
+    M = np.diag(np.arange(1.0, n + 1))
     first = []
-    draws = norms._start(n * (2 if dtype is np.complex128 else 1), norms._START_SEED)
-    v = draws[:n] + 1j * draws[n:] if dtype is np.complex128 else draws
+    v = norms._start(n, norms._START_SEED)
     v[n - 1] += 2.0 * np.abs(v).max()
 
     class Recording(_Operator):
@@ -542,13 +524,13 @@ def test_start_vector_is_the_stream_boosted_at_the_top_diagonal(dtype):
             return self.matrix @ x
 
     top_eigenvalue(Recording(M), max_iter=1)
-    assert first[0].dtype == dtype
+    assert first[0].dtype == np.float64
     assert np.array_equal(first[0], v / np.linalg.norm(v))
 
 
 def test_top_eigenvalue_is_bitwise_repeatable():
     for M in (_random_symmetric(300, "indefinite", seed=6), _random_psd(300, "wishart", seed=6)):
-        one, two = top_eigenvalue(M), top_eigenvalue(M)
+        one, two = top_eigenvalue(norms._Dense(M)), top_eigenvalue(norms._Dense(M))
         assert one == two
         assert struct.pack("<2d", one.value, one.residual) == struct.pack(
             "<2d", two.value, two.residual)
@@ -557,19 +539,24 @@ def test_top_eigenvalue_is_bitwise_repeatable():
 def test_top_eigenvalue_stops_at_max_iter_off_the_stride():
     M = _random_symmetric(200, "indefinite", seed=2)
     assert norms._CHECK_STRIDE > 1 and 6 % norms._CHECK_STRIDE
-    capped = top_eigenvalue(M, max_iter=6)
+    capped = top_eigenvalue(norms._Dense(M), max_iter=6)
     assert capped.iterations == 7
     assert capped.residual > 1e-9
 
 
 def test_top_eigenvalue_between_floors_and_gershgorin():
-    mats = [g.matrix for g in _all_sample_grams() if g.dim]
-    mats.append(_random_psd(300, "wishart", seed=3))
+    # the real pair sides of the sample families: S o K for a window, with
+    # the spectrum of the Hermitian Gram, and S for a discrete family
+    mats = [norms._pair_gram(norms._multiplicative(FamilySpec(Q, k, T),
+                                                   *norms._pair_arrays(_pairs_prime_to(k, N))))
+            for (Q, k, T, N) in ORACLE_GRID[:6]]
+    mats += [gram_additive(10, 80).matrix, gram_rational(9, 90).matrix,
+             _random_psd(300, "wishart", seed=3)]
     for M in mats:
         n = M.shape[0]
-        floor = max(M.diagonal().real.max(), M.sum().real / n)
+        floor = max(M.diagonal().max(), M.sum() / n)
         ceiling = np.abs(M).sum(axis=1).max()
-        val = top_eigenvalue(M).value
+        val = top_eigenvalue(norms._Dense(M)).value
         assert floor <= val <= ceiling, (n, floor, val, ceiling)
 
 
@@ -582,27 +569,41 @@ def test_pair_route_gram_solves_in_few_matvecs():
 
 
 def test_top_eigenvalue_rejects_non_finite():
+    # the dense operator refuses a non-finite entry as it takes its bounds
     M = _random_psd(600, "wishart", seed=5)
     M[3, 7] = M[7, 3] = np.nan
-    with pytest.raises(ValueError):
-        top_eigenvalue(M)
-    with pytest.raises(ValueError):
-        top_eigenvalue(np.full((4, 4), np.inf, dtype=complex))
-    with pytest.raises(ValueError):
-        top_eigenvalue(np.ones((3, 4), dtype=complex))
-    # a tolerance of inf stopped Lanczos after one step, nan never stopped it
-    for tol in (float("inf"), float("nan"), -1e-9):
-        with pytest.raises(ValueError, match="tol"):
-            top_eigenvalue(np.eye(3), tol=tol)
+    with pytest.raises(ValueError, match="non-finite"):
+        top_eigenvalue(norms._Dense(M))
+    with pytest.raises(ValueError, match="non-finite"):
+        top_eigenvalue(norms._Dense(np.full((4, 4), np.inf)))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda tol: delta_rational(12, 200, tol=tol), id="rational-bins"),
+    pytest.param(lambda tol: delta_add(12, 300, tol=tol), id="additive-bins"),
+    pytest.param(lambda tol: delta(10, 3, 4, 1000, tol=tol), id="family-dense"),
+    pytest.param(lambda tol: delta(12, 3, 4, 400, tol=tol), id="pairs-lanczos"),
+])
+def test_every_delta_refuses_a_bad_tol_on_every_route(call, tol, monkeypatch):
+    # a tolerance of inf stopped Lanczos after one step and nan never
+    # stopped it; the dense routes never read it, and refuse it all the
+    # same, before the index is built
+    def index(*args):
+        raise AssertionError("the index was built for a bad tol")
+
+    monkeypatch.setattr(norms, "_coprime_pairs", index)
+    with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+        call(tol)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_top_eigenvalue_rejects_an_overflowing_solve():
     # finite entries whose Lanczos norms overflow give a ValueError, not a
     # NaN value; delta reached them from T near 1e155
-    for M in (np.full((4, 4), 1e300), 1e200 * np.eye(5), np.full((3, 3), 1e300 + 0j)):
+    for M in (np.full((4, 4), 1e300), 1e200 * np.eye(5), np.full((3, 3), -1e300)):
         with pytest.raises(ValueError, match="overflowed"):
-            top_eigenvalue(M)
+            top_eigenvalue(norms._Dense(M))
     with pytest.raises(ValueError, match="overflowed"):
         delta(4.0, 1, 1e200, 40.0)
     # and a window too wide for int() is refused by the family estimate
@@ -737,12 +738,11 @@ def test_trivial_family_norms_are_exact_counts():
 
 
 def test_rational_and_additive_norms_take_a_discrete_route_at_any_size(monkeypatch):
-    cases = {"gram_rational": (norms._rational, delta_rational, 12, 600),
-             "gram_additive": (norms._additive, delta_add, 12, 1200)}
+    cases = {"rational": (norms._rational, delta_rational, 12, 600),
+             "additive": (norms._additive, delta_add, 12, 1200)}
     want = {}
-    for name, (_, _, Q, N) in cases.items():
-        g = getattr(norms, name)(Q, N)
-        want[name] = (g.dim, top_eigenvalue(g).value)
+    for name, (build, _, Q, N) in cases.items():
+        want[name] = (len(build(Q, N).a), _member_side(name, Q, N))
 
     def pair_side(*args):
         raise AssertionError("the pair-side Gram was built for a discrete family")
@@ -774,10 +774,11 @@ def test_auto_route_keeps_the_pair_side_when_the_family_side_is_larger(monkeypat
     want = {}
     for name, (_, g, size) in larger.items():
         assert g.dim <= 2 * size, (name, g.dim)
-        want[name] = top_eigenvalue(g).value
+        want[name] = float(np.linalg.eigvalsh(g.matrix)[-1])
     # a single member (Q = 1, T = 1) is the cheaper side for 70 indices
     assert 2 * norms._quadrature_nodes(70, math.log(40), 1.0) < 70
-    single = top_eigenvalue(gram_multiplicative(FamilySpec(1.0), enumerate_pairs(40))).value
+    single = float(np.linalg.eigvalsh(
+        gram_multiplicative(FamilySpec(1.0), enumerate_pairs(40)).matrix)[-1])
 
     def member_values(*args):
         raise AssertionError("the family side was built although it is larger")
@@ -1355,13 +1356,14 @@ def test_family_operator_matches_the_dense_H(kind, block, monkeypatch):
         # oracle (V V^H) o (P P^H) of the same member values
         for route in ("pairs", "buckets"):
             assert abs(norms._solve(fam, 1e-12, route).value - top) <= 1e-12 * top, route
-        assert abs(top_eigenvalue(norms._family_gram(fam, 1)).value - top) <= 1e-12 * top
+        oracle = float(np.linalg.eigvalsh(norms._family_gram(fam, 1).matrix)[-1])
+        assert abs(oracle - top) <= 1e-12 * top
     else:
         # the operator holds the rows a <= b alone, weighted 2 (1 at 1/1),
         # and applies the real H
         reps, w, _ = norms._fold(fam.a, fam.b)
         op = norms._KhatriRao(V[reps], P[reps], w)
-        assert op.shape == H.shape and op.dtype == np.float64
+        assert op.shape == H.shape
         assert (len(op.blocks) > 1) == bool(block)
         assert np.abs(H.imag).max() <= 1e-12 * np.abs(H).max()
         rng = np.random.default_rng(5)
@@ -1789,8 +1791,6 @@ def test_bins_route_estimate_covers_the_traced_peak(build, Q, N, traced_peak):
 class _Diagonal:
     """diag(d) as an operator of `top_eigenvalue`; its `bounds()` allocate nothing."""
 
-    dtype = np.dtype(np.float64)
-
     def __init__(self, d):
         self.d, self.shape = d, (len(d), len(d))
 
@@ -1968,17 +1968,17 @@ def test_multiplicative_gram_is_the_phased_pair_matrix(spec):
 
 def test_delta_pair_route_solves_a_real_matrix(monkeypatch):
     # delta hands top_eigenvalue the even or odd block of the real S o K,
-    # or both, not the complex Gram
+    # or both, as a _Dense operator, not the complex Gram
     dtypes = []
     solve = norms.top_eigenvalue
 
     def record(G, **kwargs):
-        dtypes.append((G.dtype, G.matrix.dtype))
+        dtypes.append((type(G), G.matrix.dtype))
         return solve(G, **kwargs)
 
     monkeypatch.setattr(norms, "top_eigenvalue", record)
     assert delta(12.0, 3, 4.0, 400.0).route == "pairs"
-    assert dtypes and all(dtype == (np.float64, np.float64) for dtype in dtypes)
+    assert dtypes and all(dtype == (norms._Dense, np.float64) for dtype in dtypes)
 
 
 def test_windowed_pair_route_peak_stays_below_16_bytes_an_entry(traced_peak):
@@ -2014,12 +2014,14 @@ def test_family_route_peak_stays_below_the_size_of_A(monkeypatch, traced_peak):
 # ----------------------------------------------------------------------
 
 def test_delta_monotone_under_index_enlargement():
+    # on the real S o K, whose leading blocks are unitarily similar to the
+    # Gram's, G = D (S o K) D^H for the diagonal phases D
     spec = FamilySpec(8.0, 3, 2.0)
     index = _pairs_prime_to(3, 120)
-    G = gram_multiplicative(spec, index).matrix
+    M = norms._pair_gram(norms._multiplicative(spec, *norms._pair_arrays(index)))
     prev = 0.0
     for m in (5, 17, 40, len(index)):
-        val = top_eigenvalue(G[:m, :m]).value
+        val = top_eigenvalue(norms._Dense(M[:m, :m].copy())).value
         assert val >= prev - 1e-10 * max(1.0, val)
         prev = val
 
