@@ -86,7 +86,7 @@ families' member values, with P = 1) read one definition of a family
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from math import ceil, gcd, isfinite, log
+from math import ceil, gcd, isfinite, log, sqrt
 
 import numpy as np
 
@@ -944,7 +944,10 @@ def top_eigenvalue(G, tol=1e-9, max_iter=_MAX_ITER):
     check, in the lower half that eigh reads.  Every _CHECK_STRIDE steps it
     takes the top Ritz pair of T and stops once |beta_j s_j| / max(|theta|,
     1) is at most tol; it takes the pair and stops at any step on Krylov
-    breakdown, a non-finite beta or the min(n, max_iter)-th step.  The
+    breakdown (beta at most sqrt(n) eps times the upper bound of
+    `bounds()`, the rounding of a matvec, which one ulp of the bound does
+    not cover once BLAS splits the sums over threads), a non-finite beta or
+    the min(n, max_iter)-th step.  The
     value is the Rayleigh quotient rho = y^T G y of the unit Ritz vector y,
     taken with one more matvec, so up to rounding a lower bound on
     lambda_max, raised to the floors max_i G[i, i] and 1^T G 1 / n (the
@@ -966,6 +969,8 @@ def top_eigenvalue(G, tol=1e-9, max_iter=_MAX_ITER):
     v = _start(n, _START_SEED)
     v[int(np.argmax(diag))] += 2.0 * np.abs(v).max()
     steps = min(n, max_iter)
+    # breakdown: beta within the rounding of a matvec, sqrt(n) ulps of the bound
+    broken = sqrt(n) * np.finfo(np.float64).eps * ceiling
     basis = np.empty((min(steps, _FIRST_ROWS), n))
     alpha, beta = np.empty(steps), np.empty(steps)  # the diagonal and off-diagonal of T
     basis[0] = v / np.linalg.norm(v)
@@ -976,7 +981,7 @@ def top_eigenvalue(G, tol=1e-9, max_iter=_MAX_ITER):
             for _ in range(2):  # classical Gram-Schmidt, twice
                 w -= (basis[: j + 1] @ w) @ basis[: j + 1]
             b = float(np.linalg.norm(w))
-            last = b <= np.finfo(np.float64).eps * ceiling or j + 1 == steps or not isfinite(b)
+            last = b <= broken or j + 1 == steps or not isfinite(b)
             if last or (j + 1) % _CHECK_STRIDE == 0:
                 T = np.diag(alpha[: j + 1])
                 T[np.arange(1, j + 1), np.arange(j)] = beta[:j]
